@@ -172,11 +172,18 @@ def _positivity_section(zd) -> list:
     lam = tuple(-sum(w[a] for w in weights.values()) for a in range(rd.rank)) \
         if weights else tuple(Fraction(0) for _ in range(rd.rank))
     entry = {"character": [_frac_str(x) for x in lam]}
-    tag = rd.builder_tag
-    is_weil = tag[0] == "weil_restriction"
-    rational = {zd.frob.root_perm[j] for j in zd.J} == set(zd.J)
-    if rational:
+    try:
         rep = positivity.hasse_divisor_coeffs(zd, lam)
+    except positivity.NotRationalCaseError:
+        try:
+            entry.update({
+                "kind": "weil_pullback",
+                "certified": positivity.weil_pullback_check(zd, lam),
+                "verdict": positivity.NOT_APPLICABLE,
+            })
+        except positivity.NotWeilRestrictionError:
+            entry.update({"kind": "uncovered", "verdict": positivity.NOT_APPLICABLE})
+    else:
         entry.update({
             "kind": "divisor_coefficients",
             "borel_coefficients": [_frac_str(c) for c in rep.borel_coefficients],
@@ -185,14 +192,6 @@ def _positivity_section(zd) -> list:
             "antiample_certified": rep.antiample_certified,
             "zeta_inverse_image": [_frac_str(x) for x in rep.zeta_inverse_image],
         })
-    elif is_weil:
-        entry.update({
-            "kind": "weil_pullback",
-            "certified": positivity.weil_pullback_check(zd, lam),
-            "verdict": positivity.NOT_APPLICABLE,
-        })
-    else:
-        entry.update({"kind": "uncovered", "verdict": positivity.NOT_APPLICABLE})
     return [entry]
 
 

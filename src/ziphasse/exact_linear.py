@@ -350,27 +350,40 @@ def determinant(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _gauss_jordan(mat, rhs: Sequence[Sequence]) -> list:
+    """Rows of the unique X with mat @ X = rhs, by elimination on [mat | rhs].
+
+    ``rhs`` is given row by row, one entry per target column.  Raises
+    SingularMatrixError when the columns of ``mat`` are linearly dependent or
+    some target is not in their span.
+    """
+    m, n = mat.rows, mat.cols
+    aug = [[Fraction(mat.at(i, j)) for j in range(n)] + [Fraction(x) for x in rhs[i]]
+           for i in range(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("columns are not linearly independent")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    if any(x != 0 for row in aug[n:] for x in row[n:]):
+        raise SingularMatrixError("inconsistent system")
+    return [row[n:] for row in aug[:n]]
+
+
 def rational_inverse(mat) -> RatMatrix:
     """Exact inverse of a square IntMatrix or RatMatrix."""
     if mat.rows != mat.cols:
         raise NonSquareError("inverse of a %dx%d matrix" % (mat.rows, mat.cols))
     n = mat.rows
-    aug = [[Fraction(mat.at(i, j)) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return RatMatrix(n, n, [aug[i][j + n] for i in range(n) for j in range(n)])
+    rows = _gauss_jordan(mat, [[1 if i == j else 0 for j in range(n)]
+                               for i in range(n)])
+    return RatMatrix(n, n, [x for row in rows for x in row])
 
 
 def solve_rational(mat, target: Sequence) -> tuple:
@@ -379,30 +392,9 @@ def solve_rational(mat, target: Sequence) -> tuple:
     Requires the columns of ``mat`` to be linearly independent and the system
     to be consistent; otherwise SingularMatrixError is raised.
     """
-    m, n = mat.rows, mat.cols
-    if len(target) != m:
+    if len(target) != mat.rows:
         raise ValueError("target length does not match row count")
-    aug = [[Fraction(mat.at(i, j)) for j in range(n)] + [Fraction(target[i])]
-           for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("columns are not linearly independent")
-        if piv != r:
-            aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][col]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if any(aug[i][n] != 0 for i in range(r, m)):
-        raise SingularMatrixError("inconsistent system")
-    return tuple(aug[i][n] for i in range(n))
+    return tuple(row[0] for row in _gauss_jordan(mat, [[t] for t in target]))
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:

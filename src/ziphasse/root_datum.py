@@ -19,7 +19,6 @@ Everything constructed here is immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linear import (
@@ -29,7 +28,7 @@ from .exact_linear import (
     kernel_basis,
     rational_inverse,
     smith_normal_form,
-    solve_rational,
+    solve_rational,  # noqa: F401  re-exported; perfbench traces it through this module
 )
 
 
@@ -523,36 +522,32 @@ def char_lattice_of_parabolic(rd: RootDatum, pt: ParabolicType) -> IntMatrix:
     return kernel_basis(constraint)
 
 
+def opposition(rd: RootDatum) -> tuple:
+    """The opposition involution -w0 as a permutation of the nodes.
+
+    Works in Cartan coordinates (Casselman, "Machine calculations in Weyl
+    groups", Invent. Math. 116, 1994): the weight whose coroot pairings are
+    (1, 2, ..., k) is regular dominant, and reflecting it in nodes with a
+    positive pairing ends at its image under w0.  Since -w0 sends omega_j to
+    omega_perm[j], the pairing -(j + 1) lands on node perm[j].
+    """
+    k = rd.num_nodes
+    cartan = rd.cartan_matrix()
+    p = list(range(1, k + 1))
+    for _ in range(100_000):
+        i = next((idx for idx, x in enumerate(p) if x > 0), None)
+        if i is None:
+            return tuple(p.index(-(j + 1)) for j in range(k))
+        pi = p[i]
+        for m in range(k):
+            p[m] -= pi * cartan.at(m, i)
+    raise ValueError("longest element iteration did not terminate")
+
+
 def opp_type(rd: RootDatum, J: Iterable) -> frozenset:
     """Image of J under the opposition involution -w0 on the simple roots."""
-    w0 = _longest_weyl_matrix(rd)
-    roots = {rd.root(i): i for i in range(rd.num_nodes)}
-    out = set()
-    for j in J:
-        image = tuple(-x for x in w0.apply(rd.root(j)))
-        out.add(roots[image])
-    return frozenset(out)
-
-
-def _longest_weyl_matrix(rd: RootDatum) -> IntMatrix:
-    """Matrix of the longest Weyl element on X*, without enumerating W."""
-    weights = fundamental_weights(rd)
-    vec = [Fraction(0)] * rd.rank
-    for w in weights.values():
-        vec = [a + b for a, b in zip(vec, w)]
-    mat = IntMatrix.identity(rd.rank)
-    guard = 0
-    while True:
-        pairings = rd.coroot_pairings(vec)
-        i = next((idx for idx, p in enumerate(pairings) if p > 0), None)
-        if i is None:
-            return mat
-        refl = reflection_matrix(rd, i)
-        vec = list(refl.apply(vec))
-        mat = refl * mat
-        guard += 1
-        if guard > 100_000:
-            raise ValueError("longest element iteration did not terminate")
+    perm = opposition(rd)
+    return frozenset(perm[j] for j in J)
 
 
 def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
@@ -576,23 +571,17 @@ def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
     """
     J = frozenset(J)
     k = rd.num_nodes
+    wanted = [i for i in range(k) if i not in J]
+    if not wanted:
+        return {}
     central = kernel_basis(rd.simple_roots)
-    system_rows = [rd.coroot(i) for i in range(k)]
-    system_rows += [central.row(i) for i in range(central.rows)]
-    if system_rows:
-        system = IntMatrix.from_rows(system_rows)
-    else:
-        system = IntMatrix(0, rd.rank, ())
-    out = {}
-    for i in range(k):
-        if i in J:
-            continue
-        rhs = [1 if r == i else 0 for r in range(len(system_rows))]
-        try:
-            out[i] = solve_rational(system, rhs)
-        except SingularMatrixError as exc:
-            raise SingularCartanError(str(exc))
-    return out
+    system = IntMatrix.from_rows([rd.coroot(i) for i in range(k)]
+                                 + [central.row(i) for i in range(central.rows)])
+    try:
+        inverse = rational_inverse(system)
+    except SingularMatrixError as exc:
+        raise SingularCartanError(str(exc))
+    return {i: inverse.column(i) for i in wanted}
 
 
 def picard_torsion(rd: RootDatum) -> tuple:

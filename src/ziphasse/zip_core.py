@@ -16,17 +16,19 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .exact_linear import IntMatrix, determinant, smith_normal_form, solve_rational
+from .exact_linear import IntMatrix, _gauss_jordan, determinant, smith_normal_form
 from .root_datum import (
     CONTAINS_BMINUS,
     FrobeniusStructure,
     ParabolicType,
     RootDatum,
+    _dot,
     char_lattice_of_parabolic,
     opp_type,
+    opposition,
     positive_roots,
 )
-from .weyl import WeylGroup, longest_element, min_coset_reps
+from .weyl import WeylGroup, min_coset_reps
 
 
 class NonNormalizedCocharacterError(ValueError):
@@ -94,26 +96,6 @@ class OrbitCensus:
     codim1_indices: tuple  # pairs (node in I \ J, orbit position)
 
 
-def _perm_order(perm: Sequence) -> int:
-    order = 1
-    n = len(perm)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        m = order
-        while m % length:
-            m += order
-        order = m
-    return order
-
-
 def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
                     cocharacter: Optional[Sequence] = None,
                     parabolic: Optional[Iterable] = None) -> ZipDatum:
@@ -145,16 +127,10 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
     perm = frob.root_perm
     K = opp_type(rd, frozenset(perm[j] for j in J))
     J0 = set(J)
-    for _ in range(_perm_order(perm)):
+    # the order of perm divides the order of tau, and J0 stays put once stable
+    for _ in range(frob.order):
         J0 &= {perm[j] for j in J0}
     J0 = frozenset(J0)
-
-    n_pos = len(positive_roots(rd).roots)
-    n_pos_j = _positive_root_count(rd, J)
-    dim_g = rd.rank + 2 * n_pos
-    dim_e = rd.rank + n_pos + n_pos_j + (n_pos - n_pos_j)
-    assert dim_e == dim_g, "zip group dimension must equal the group dimension"
-
     return ZipDatum(rd=rd, frob=frob, J=J, K=K, J0=J0, cochar=cochar)
 
 
@@ -206,10 +182,6 @@ def _dominant_conjugate(rd: RootDatum, chi: Sequence) -> tuple:
             raise ValueError("dominance iteration did not terminate")
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def levi_char_lattice(zd: ZipDatum) -> IntMatrix:
     """Basis (rows) of the character lattice of L0."""
     return char_lattice_of_parabolic(
@@ -226,18 +198,18 @@ def zeta_matrix(zd: ZipDatum) -> IntMatrix:
     k = basis.rows
     if k == 0:
         return IntMatrix(0, 0, ())
-    basis_cols = basis.transpose()
     q = zd.frob.q
-    columns = []
+    images = []
     for a in range(k):
         vec = basis.row(a)
         twisted = zd.frob.tau.apply(vec)
-        image = tuple(x - q * y for x, y in zip(vec, twisted))
-        coeffs = solve_rational(basis_cols, image)
-        assert all(c.denominator == 1 for c in coeffs), \
-            "twist endomorphism does not preserve the lattice"
-        columns.append([c.numerator for c in coeffs])
-    return IntMatrix(k, k, [columns[j][i] for i in range(k) for j in range(k)])
+        images.append([x - q * y for x, y in zip(vec, twisted)])
+    # row j of the solution holds the j-th basis coordinate of every image
+    coeffs = [c for row in _gauss_jordan(basis.transpose(), list(zip(*images)))
+              for c in row]
+    assert all(c.denominator == 1 for c in coeffs), \
+        "twist endomorphism does not preserve the lattice"
+    return IntMatrix(k, k, [c.numerator for c in coeffs])
 
 
 def levi_picard_torsion(zd: ZipDatum) -> tuple:
@@ -293,7 +265,7 @@ def orbit_census(zd: ZipDatum, W: WeylGroup) -> OrbitCensus:
     rd = zd.rd
     reps = min_coset_reps(W, zd.J)
     n_pos = len(positive_roots(rd).roots)
-    n_pos_j = W.elements[longest_element(W, zd.J)].length
+    n_pos_j = _positive_root_count(rd, zd.J)
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
     eta_idx, eta_length = reps.reps[-1]
@@ -311,14 +283,12 @@ def orbit_census(zd: ZipDatum, W: WeylGroup) -> OrbitCensus:
     assert sum(1 for o in orbits if o.codim == 0) == 1
     assert orbits[-1].dim == dim_g
 
-    w0_matrix = W.elements[W.w0_index].matrix
-    root_index = {rd.root(i): i for i in range(rd.num_nodes)}
+    opp = opposition(rd)
     eta_matrix = W.elements[eta_idx].matrix
     codim1 = []
     outside = sorted(set(range(rd.num_nodes)) - zd.J)
     for s in outside:
-        s_opp = root_index[tuple(-x for x in w0_matrix.apply(rd.root(s)))]
-        mat = eta_matrix * W.generators[s_opp]
+        mat = eta_matrix * W.generators[opp[s]]
         idx = W.index[mat]
         pos = positions.get(idx)
         assert pos is not None and orbits[pos].codim == 1, \

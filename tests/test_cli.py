@@ -22,6 +22,10 @@ HB3 = {"q": 2,
        "group": {"builder": "weil_restriction", "copies": 3,
                  "inner": {"builder": "gl", "n": 2}},
        "parabolic_type": []}
+WEIL_GL3_TWO_GAPS = {"q": 3,
+                     "group": {"builder": "weil_restriction", "copies": 2,
+                               "inner": {"builder": "gl", "n": 3}},
+                     "parabolic_type": [3, 4]}
 PGL3_FULL = {"q": 3,
              "group": {"builder": "simple", "series": "A", "rank": 2,
                        "isogeny": "adjoint"},
@@ -183,6 +187,27 @@ class TestMainEntry:
         code, out, err = run_cli(["orbits", "--weyl-cap", "2"], json.dumps(UNITARY3))
         assert code == 3
         assert json.loads(out)["warnings"][0]["code"] == "WeylGroupTooLarge"
+
+    @pytest.mark.parametrize("command", ["positivity", "all"])
+    def test_weil_block_missing_two_nodes_is_uncovered(self, command):
+        code, out, err = run_cli([command], json.dumps(WEIL_GL3_TWO_GAPS))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["positivity"][0]["kind"] == "uncovered"
+        assert doc["warnings"] == []
+
+    @pytest.mark.parametrize("doc,kind", [
+        ({"q": 3, "group": {"builder": "unitary", "n": 3}, "parabolic_type": []},
+         "divisor_coefficients"),
+        ({"q": 3, "group": {"builder": "weil_restriction", "copies": 3,
+                            "inner": {"builder": "gl", "n": 2}},
+          "parabolic_type": [1]}, "weil_pullback"),
+        (UNITARY3, "uncovered"),
+    ], ids=["rational", "weil", "uncovered"])
+    def test_positivity_kind(self, doc, kind):
+        code, out, err = run_cli(["positivity"], json.dumps(doc))
+        assert code == 0
+        assert json.loads(out)["positivity"][0]["kind"] == kind
 
     def test_text_format(self):
         code, out, err = run_cli(["hasse", "--format", "text"], json.dumps(UNITARY3))

@@ -128,15 +128,47 @@ class TestCosetReps:
                 assert len(near) == k - len(J)
 
 
-def test_longest_matrix_shortcut_agrees_with_enumeration():
-    # root_datum computes w0 without enumerating W; the two must agree
-    from ziphasse.root_datum import _longest_weyl_matrix
-    for build in (lambda: gl(3, 2)[0], lambda: gsp(4, 3)[0],
-                  lambda: simple_group("G", 2, 2)[0],
-                  lambda: simple_group("D", 4, 2)[0]):
-        rd = build()
+def _simple_types(max_rank):
+    for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(low, max_rank + 1):
+            yield series, rank
+    yield from (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
+
+def test_opposition_agrees_with_enumeration():
+    # -w0 read off the enumerated longest element is the oracle
+    from ziphasse.root_datum import opposition
+    data = [gl(3, 2)[0], gsp(4, 3)[0], simple_group("G", 2, 2)[0],
+            simple_group("D", 4, 2, "adjoint")[0]]
+    for series, rank in _simple_types(5):
+        for isogeny in ("simply_connected", "adjoint"):
+            rd = simple_group(series, rank, 2, isogeny)[0]
+            if classical_order(rd) <= 1920:
+                data.append(rd)
+    for rd in data:
         W = enumerate_weyl(rd)
-        assert _longest_weyl_matrix(rd) == W.elements[W.w0_index].matrix
+        w0 = W.elements[W.w0_index].matrix
+        roots = {rd.root(i): i for i in range(rd.num_nodes)}
+        expected = tuple(roots[tuple(-x for x in w0.apply(rd.root(j)))]
+                         for j in range(rd.num_nodes))
+        assert opposition(rd) == expected, rd.builder_tag
+
+
+def test_opposition_matches_bourbaki_table():
+    from ziphasse.root_datum import opposition
+    for series, rank in _simple_types(20):
+        nodes = list(range(rank))
+        if series == "A":
+            expected = nodes[::-1]
+        elif series == "D" and rank % 2:
+            expected = nodes[:-2] + [rank - 1, rank - 2]
+        elif (series, rank) == ("E", 6):
+            expected = [5, 1, 4, 3, 2, 0]
+        else:
+            expected = nodes
+        for isogeny in ("simply_connected", "adjoint"):
+            rd = simple_group(series, rank, 2, isogeny)[0]
+            assert opposition(rd) == tuple(expected), rd.builder_tag
 
 
 def test_torus_degenerates_gracefully():

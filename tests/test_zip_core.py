@@ -3,7 +3,14 @@ import random
 import pytest
 
 from ziphasse.exact_linear import IntMatrix
-from ziphasse.root_datum import gl, gsp, simple_group, unitary, weil_restriction
+from ziphasse.root_datum import (
+    gl,
+    gsp,
+    product_group,
+    simple_group,
+    unitary,
+    weil_restriction,
+)
 from ziphasse.weyl import enumerate_weyl
 from ziphasse.zip_core import (
     CENTRAL,
@@ -58,6 +65,28 @@ class TestBuildZipDatum:
         zd = build_zip_datum(rd, frob, parabolic=[0])
         # split A3: perm is trivial, opposition flips node 0 to node 2
         assert zd.K == frozenset({2})
+
+    @pytest.mark.parametrize("build", [
+        lambda: weil_restriction(3, {"builder": "gl", "n": 2}, 3),
+        lambda: weil_restriction(2, {"builder": "gl", "n": 3}, 3),
+        # the root permutation has order 1 while tau has order 2
+        lambda: product_group([{"builder": "unitary", "n": 2},
+                               {"builder": "gl", "n": 3}], 3),
+    ], ids=["res3gl2", "res2gl3", "u2xgl3"])
+    def test_j0_is_the_largest_stable_subset(self, build):
+        rd, frob = build()
+        perm = frob.root_perm
+        k = rd.num_nodes
+
+        def orbit(j):
+            for _ in range(k):
+                yield j
+                j = perm[j]
+
+        for bits in range(2 ** k):
+            J = frozenset(i for i in range(k) if bits >> i & 1)
+            zd = build_zip_datum(rd, frob, parabolic=J)
+            assert zd.J0 == {j for j in J if all(i in J for i in orbit(j))}
 
 
 class TestClassifyCocharacter:
