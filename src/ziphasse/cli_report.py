@@ -141,8 +141,9 @@ def parse_config(text: str) -> DatumConfig:
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ValidationError("unknown option keys %s" % (sorted(unknown),))
-    cap = options.get("weyl_cap", weyl.DEFAULT_CAP)
-    cap = _require_int(cap, "weyl_cap")
+    cap = _require_int(options.get("weyl_cap", weyl.DEFAULT_CAP), "weyl_cap")
+    if cap < 1:
+        raise ValidationError("weyl_cap must be >= 1, got %d" % (cap,))
     fmt = options.get("format")
     if fmt is not None and fmt not in ("json", "text"):
         raise ValidationError("format must be json or text")
@@ -161,17 +162,13 @@ def _nodes_out(nodes) -> list:
     return [i + 1 for i in sorted(nodes)]
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _positivity_section(zd) -> list:
     """Reports for the canonical ample character -sum(omega_i, i outside J)."""
     rd = zd.rd
     weights = root_datum.fundamental_weights(rd, zd.J)
     lam = tuple(-sum(w[a] for w in weights.values()) for a in range(rd.rank)) \
         if weights else tuple(Fraction(0) for _ in range(rd.rank))
-    entry = {"character": [_frac_str(x) for x in lam]}
+    entry = {"character": [str(x) for x in lam]}
     try:
         rep = positivity.hasse_divisor_coeffs(zd, lam)
     except positivity.NotRationalCaseError:
@@ -186,11 +183,11 @@ def _positivity_section(zd) -> list:
     else:
         entry.update({
             "kind": "divisor_coefficients",
-            "borel_coefficients": [_frac_str(c) for c in rep.borel_coefficients],
+            "borel_coefficients": [str(c) for c in rep.borel_coefficients],
             "negative_count": rep.negative_count,
             "verdict": rep.verdict,
             "antiample_certified": rep.antiample_certified,
-            "zeta_inverse_image": [_frac_str(x) for x in rep.zeta_inverse_image],
+            "zeta_inverse_image": [str(x) for x in rep.zeta_inverse_image],
         })
     return [entry]
 
@@ -236,13 +233,13 @@ def run(command: str, cfg: DatumConfig) -> Report:
         data["pic_L0_trivial"] = report.pic_L0_trivial
 
     if command in ("orbits", "all"):
-        try:
-            W = weyl.enumerate_weyl(rd, cap=cfg.weyl_cap)
-        except weyl.WeylGroupTooLargeError as exc:
+        order = weyl.classical_order(rd)
+        if order > cfg.weyl_cap:
+            exc = weyl.WeylGroupTooLargeError(order, cfg.weyl_cap)
             warnings.append({"code": "WeylGroupTooLarge", "detail": str(exc)})
             obstructed = True
         else:
-            census = zip_core.orbit_census(zd, W)
+            census = zip_core.orbit_census(zd)
             data["orbits"] = [
                 {"word": [i + 1 for i in o.word], "length": o.length,
                  "dim": o.dim, "codim": o.codim}
@@ -306,8 +303,12 @@ def main(argv=None) -> int:
     parser.add_argument("--input", default="-",
                         help="config path or - for stdin (default)")
     parser.add_argument("--format", choices=("json", "text"), default=None)
-    parser.add_argument("--weyl-cap", type=int, default=None)
+    parser.add_argument("--weyl-cap", type=int, default=None, metavar="N", help=(
+        "integer >= 1 (default %d): orbits/all exit 3 when |W|, read off the "
+        "order formula, exceeds N; W is never enumerated" % weyl.DEFAULT_CAP))
     args = parser.parse_args(argv)
+    if args.weyl_cap is not None and args.weyl_cap < 1:
+        parser.error("argument --weyl-cap: must be >= 1")
 
     try:
         if args.input == "-":

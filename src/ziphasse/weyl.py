@@ -1,4 +1,4 @@
-"""Finite Weyl group engine.
+"""Finite Weyl group engine; pipelines use only classical_order, tests the rest.
 
 Elements are stored as integer matrices acting on the character lattice, so
 equality is matrix equality and never depends on word choices.  Enumeration

@@ -1,13 +1,17 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's own reduction routines: the
-determinant is cofactor expansion and the invariant factors come from the
-gcd-of-k-by-k-minors definition.
+determinant is cofactor expansion, the invariant factors come from the
+gcd-of-k-by-k-minors definition, and the orbit census is read off the full
+Weyl group enumeration.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from ziphasse.weyl import longest_element, min_coset_reps
+from ziphasse.zip_core import OrbitCensus, OrbitEntry
 
 
 def cofactor_det(rows):
@@ -80,3 +84,28 @@ def _contained(gens, basis):
         if any(c.denominator != 1 for c in coeffs):
             return False
     return True
+
+
+def enumerated_census(zd, W):
+    """The orbit census of zd from the enumerated Weyl group W.
+
+    The representatives are min_coset_reps(W, J), the lengths of w0 and
+    w0,J give dim P, and the codimension-one label of the node s is
+    eta * s_opp(s) = w0,J * s * w0, so -w0 is never computed.
+    """
+    reps = min_coset_reps(W, zd.J)
+    w0 = W.elements[W.w0_index]
+    w0_j = W.elements[longest_element(W, zd.J)]
+    dim_p = zd.rd.rank + w0.length + w0_j.length
+    eta_length = reps.reps[-1][1]
+    orbits = tuple(
+        OrbitEntry(word=W.elements[idx].word, length=length,
+                   dim=length + dim_p, codim=eta_length - length)
+        for idx, length in reps.reps)
+    positions = {idx: pos for pos, (idx, _) in enumerate(reps.reps)}
+    codim1 = tuple(
+        (s, positions[W.index[w0_j.matrix * W.generators[s] * w0.matrix]])
+        for s in sorted(set(range(zd.rd.num_nodes)) - zd.J))
+    return OrbitCensus(orbits=orbits, eta_length=eta_length,
+                       dim_group=zd.rd.rank + 2 * w0.length,
+                       dim_parabolic=dim_p, codim1_indices=codim1)

@@ -9,7 +9,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from _oracles import minors_invariant_factors
+from _oracles import enumerated_census, minors_invariant_factors
 
 from ziphasse.cli_report import main as cli_main, parse_config, render_json, run
 from ziphasse.exact_linear import IntMatrix, determinant, smith_normal_form
@@ -210,7 +210,8 @@ def test_criterion_7_orbit_census():
             for bits in range(2 ** k):
                 J = [i for i in range(k) if bits >> i & 1]
                 zd = build_zip_datum(rd, frob, parabolic=J)
-                census = orbit_census(zd, W)
+                census = orbit_census(zd)
+                assert census == enumerated_census(zd, W)
                 order_j = len(subgroup_indices(W, frozenset(J)))
                 assert len(census.orbits) * order_j == len(W)
                 codim0 = [o for o in census.orbits if o.codim == 0]

@@ -188,6 +188,29 @@ class TestMainEntry:
         assert code == 3
         assert json.loads(out)["warnings"][0]["code"] == "WeylGroupTooLarge"
 
+    def test_weyl_cap_option_below_one_is_input_error(self):
+        doc = dict(UNITARY3, options={"weyl_cap": -1})
+        code, out, err = run_cli(["orbits"], json.dumps(doc))
+        assert code == 2 and out == ""
+        assert "ValidationError" in err and "weyl_cap" in err
+
+    def test_weyl_cap_flag_below_one_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(UNITARY3)))
+        with pytest.raises(SystemExit) as info:
+            main(["orbits", "--weyl-cap", "0"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--weyl-cap" in captured.err
+
+    def test_e6_maximal_orbits_without_enumeration(self):
+        doc = {"q": 2, "group": {"builder": "simple", "series": "E", "rank": 6},
+               "parabolic_type": [2, 3, 4, 5, 6]}
+        code, out, err = run_cli(["orbits"], json.dumps(doc))
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert len(d["orbits"]) == 27 and d["eta_length"] == 16
+        assert d["codim1"] == [{"node": 1, "orbit": 25}]
+
     @pytest.mark.parametrize("command", ["positivity", "all"])
     def test_weil_block_missing_two_nodes_is_uncovered(self, command):
         code, out, err = run_cli([command], json.dumps(WEIL_GL3_TWO_GAPS))

@@ -1,9 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from _oracles import enumerated_census
+
+from ziphasse import zip_core
 from ziphasse.exact_linear import IntMatrix
 from ziphasse.root_datum import (
+    CONTAINS_BMINUS,
+    ParabolicType,
+    char_lattice_of_parabolic,
     gl,
     gsp,
     product_group,
@@ -11,7 +21,7 @@ from ziphasse.root_datum import (
     unitary,
     weil_restriction,
 )
-from ziphasse.weyl import enumerate_weyl
+from ziphasse.weyl import classical_order, enumerate_weyl
 from ziphasse.zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -216,14 +226,16 @@ class TestOrbitCensus:
         rd, frob = gl(2, 3)
         zd = build_zip_datum(rd, frob, parabolic=[])
         W = enumerate_weyl(rd)
-        census = orbit_census(zd, W)
+        census = orbit_census(zd)
+        assert census == enumerated_census(zd, W)
         assert [o.dim for o in census.orbits] == [3, 4]
         assert len(census.codim1_indices) == 1
 
     def test_full_parabolic_single_orbit(self):
         rd, frob = gl(3, 2)
         zd = build_zip_datum(rd, frob, parabolic=[0, 1])
-        census = orbit_census(zd, enumerate_weyl(rd))
+        census = orbit_census(zd)
+        assert census == enumerated_census(zd, enumerate_weyl(rd))
         assert len(census.orbits) == 1
         assert census.orbits[0].codim == 0
         assert census.codim1_indices == ()
@@ -231,7 +243,8 @@ class TestOrbitCensus:
     def test_a2_one_node(self):
         rd, frob = gl(3, 2)
         zd = build_zip_datum(rd, frob, parabolic=[0])
-        census = orbit_census(zd, enumerate_weyl(rd))
+        census = orbit_census(zd)
+        assert census == enumerated_census(zd, enumerate_weyl(rd))
         assert [o.codim for o in census.orbits] == [2, 1, 0]
         assert sum(1 for o in census.orbits if o.codim == 1) == 1
 
@@ -248,12 +261,72 @@ class TestOrbitCensus:
         for bits in range(2 ** k):
             J = [i for i in range(k) if bits >> i & 1]
             zd = build_zip_datum(rd, frob, parabolic=J)
-            census = orbit_census(zd, W)
+            census = orbit_census(zd)
+            assert census == enumerated_census(zd, W)
             codim1 = [o for o in census.orbits if o.codim == 1]
             assert len(codim1) == k - len(J)
             assert sum(1 for o in census.orbits if o.codim == 0) == 1
             assert census.orbits[-1].dim == census.dim_group
             assert pic_rank(zd) == len(codim1)
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(lambda s=series, r=rank, i=isogeny: simple_group(s, r, 3, i),
+                       id="%s%d-%s" % (series, rank, isogeny))
+          for series, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)),
+                                ("C", (3, 4)), ("D", (4, 5)), ("F", (4,)),
+                                ("G", (2,)))
+          for rank in ranks
+          for isogeny in ("simply_connected", "adjoint")),
+        pytest.param(lambda: gsp(6, 3), id="GSp6"),
+        pytest.param(lambda: unitary(4, 3), id="U4"),
+        pytest.param(lambda: unitary(5, 2), id="U5"),
+        pytest.param(lambda: gl(3, 2), id="GL3"),
+        pytest.param(lambda: gl(4, 3), id="GL4"),
+        pytest.param(lambda: gl(6, 2), id="GL6"),
+        pytest.param(lambda: weil_restriction(3, {"builder": "gl", "n": 2}, 2),
+                     id="Res-GL2x3"),
+        pytest.param(lambda: weil_restriction(2, {"builder": "gl", "n": 3}, 3),
+                     id="Res-GL3x2"),
+    ])
+    def test_matches_enumeration_for_every_J(self, build):
+        rd, frob = build()
+        W = enumerate_weyl(rd)
+        k = rd.num_nodes
+        for bits in range(2 ** k):
+            J = [i for i in range(k) if bits >> i & 1]
+            zd = build_zip_datum(rd, frob, parabolic=J)
+            assert orbit_census(zd) == enumerated_census(zd, W), (rd.builder_tag, J)
+
+    @pytest.mark.parametrize("rank,outside,count", [
+        (6, [0], 27), (7, [6], 56), (8, [1], 17_280), (6, range(6), 51_840),
+    ], ids=["E6-maximal", "E7-maximal", "E8-without-alpha2", "E6-borel"])
+    def test_exceptional_orbit_counts(self, rank, outside, count):
+        rd, frob = simple_group("E", rank, 2)
+        J = set(range(rank)) - set(outside)
+        census = orbit_census(build_zip_datum(rd, frob, parabolic=J))
+        assert len(census.orbits) == count
+        assert len(census.codim1_indices) == len(outside)
+        if not J:
+            assert count == classical_order(rd)
+
+    def test_self_checks_survive_optimize_flag(self):
+        # A wrong opposition involution labels the open orbit as a divisor.
+        script = (
+            "from ziphasse import zip_core\n"
+            "from ziphasse.root_datum import gl\n"
+            "zd = zip_core.build_zip_datum(*gl(3, 2), parabolic=[0])\n"
+            "zip_core.opposition = lambda rd: (0, 1)\n"
+            "try:\n"
+            "    zip_core.orbit_census(zd)\n"
+            "except zip_core.CensusCheckError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(zip_core.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "codimension-one orbits are not labeled" in proc.stdout
 
 
 class TestPicRank:
@@ -269,8 +342,11 @@ class TestPicRank:
         for build in (lambda: gl(4, 3), lambda: gsp(6, 3),
                       lambda: simple_group("B", 3, 2), lambda: unitary(4, 2)):
             rd, frob = build()
+            rank_g = char_lattice_of_parabolic(rd, ParabolicType(
+                frozenset(range(rd.num_nodes)), CONTAINS_BMINUS)).rows
             for _ in range(6):
                 J = [i for i in range(rd.num_nodes) if rng.random() < 0.5]
                 zd = build_zip_datum(rd, frob, parabolic=J)
-                # pic_rank internally asserts the lattice-rank identity
-                assert pic_rank(zd) == rd.num_nodes - len(J)
+                rank_p = char_lattice_of_parabolic(
+                    rd, ParabolicType(frozenset(J), CONTAINS_BMINUS)).rows
+                assert pic_rank(zd) == rd.num_nodes - len(J) == rank_p - rank_g
