@@ -1,11 +1,12 @@
 """Combinatorial invariants of generalized Hasse invariants for zip data.
 
 Exact (integer/rational) computations for reductive groups over finite
-fields: root data with Frobenius structure, Weyl group enumeration with
-minimal coset representatives, Smith normal form, the character-lattice
-twist endomorphism and its invariant factors, orbit censuses, equivariant
-Picard ranks, and positivity certificates.  All values are immutable and
-computations are pure, so everything can be shared freely across threads.
+fields: root data with Frobenius structure, Smith normal form, the
+character-lattice twist endomorphism and its invariant factors, orbit
+censuses (walked in integer Cartan coordinates; Weyl group enumeration is
+kept only as a test oracle), equivariant Picard ranks, and positivity
+certificates.  All values are immutable and computations are pure, so
+everything can be shared freely across threads.
 """
 
 from .exact_linear import (

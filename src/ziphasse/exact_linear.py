@@ -21,6 +21,10 @@ class SingularMatrixError(ValueError):
     """The matrix has no inverse over the rationals."""
 
 
+class SelfCheckError(RuntimeError):
+    """An internal consistency check failed (raised, so it also runs under -O)."""
+
+
 def _check_int(x):
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError("integer entry expected, got %r" % (x,))
@@ -313,7 +317,8 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     diag = [a[i][i] for i in range(min(m, n))]
     factors = tuple(d for d in diag if d != 0)
     # nonzero entries come first; anything else is a bug in the loop above
-    assert all(d == 0 for d in diag[len(factors):])
+    if any(diag[len(factors):]):
+        raise SelfCheckError("zero diagonal entries of the Smith form are not last")
     flat_a = [x for row in a for x in row]
     return SmithDecomposition(
         U=IntMatrix(m, m, [x for row in u for x in row]),

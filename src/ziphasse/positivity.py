@@ -7,7 +7,7 @@ The certificates below check the computable positivity statements: the
 inverse of the twist endomorphism sends ample characters to antiample ones,
 the divisor coefficients of an ample character at Borel level are negative,
 and for Weil restrictions the block pullbacks of an ample character stay
-ample.
+ample.  Every sign is read from the coroot pairings of one vector.
 """
 
 from __future__ import annotations
@@ -16,17 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linear import IntMatrix, RatMatrix, rational_inverse
-from .root_datum import (
-    CONTAINS_B,
-    CONTAINS_BMINUS,
-    ParabolicType,
-    RootDatum,
-    fundamental_weights,
-)
+from .exact_linear import IntMatrix, RatMatrix, SelfCheckError, rational_inverse
+from .root_datum import CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
+    NEITHER,
     SMALL_NOT_MINUSCULE,
     ZipDatum,
     classify_cocharacter,
@@ -48,7 +43,6 @@ class NotWeilRestrictionError(ValueError):
 
 AMPLE = "ample"
 ANTIAMPLE = "antiample"
-NEITHER = "neither"
 NOT_IN_LATTICE = "not_in_lattice"
 
 CERTIFIED_NEGATIVE = "certified_negative"
@@ -70,18 +64,16 @@ def _frac(vec: Sequence) -> tuple:
     return tuple(Fraction(x) for x in vec)
 
 
-def _in_lattice(rd: RootDatum, J, lam) -> bool:
-    pairings = rd.coroot_pairings(lam)
+def _in_lattice(pairings: Sequence, J) -> bool:
     return all(pairings[j] == 0 for j in J)
 
 
-def _signs_hold(rd: RootDatum, J, lam, positive: bool) -> bool:
+def _signs_hold(pairings: Sequence, J, positive: bool) -> bool:
     """Strict sign test on the nodes outside J; vacuously true if none."""
-    pairings = rd.coroot_pairings(lam)
-    outside = set(range(rd.num_nodes)) - set(J)
+    outside = (p for i, p in enumerate(pairings) if i not in J)
     if positive:
-        return all(pairings[i] > 0 for i in outside)
-    return all(pairings[i] < 0 for i in outside)
+        return all(p > 0 for p in outside)
+    return all(p < 0 for p in outside)
 
 
 def is_ample(rd: RootDatum, pt: ParabolicType, lam: Sequence) -> str:
@@ -91,13 +83,13 @@ def is_ample(rd: RootDatum, pt: ParabolicType, lam: Sequence) -> str:
     containing the upper Borel, ample means strictly positive pairings on the
     remaining nodes; for the lower Borel the signs flip.
     """
-    lam = _frac(lam)
-    if not _in_lattice(rd, pt.J, lam):
+    pairings = rd.coroot_pairings(_frac(lam))
+    if not _in_lattice(pairings, pt.J):
         return NOT_IN_LATTICE
     ample_positive = pt.orientation == CONTAINS_B
-    if _signs_hold(rd, pt.J, lam, positive=ample_positive):
+    if _signs_hold(pairings, pt.J, positive=ample_positive):
         return AMPLE
-    if _signs_hold(rd, pt.J, lam, positive=not ample_positive):
+    if _signs_hold(pairings, pt.J, positive=not ample_positive):
         return ANTIAMPLE
     return NEITHER
 
@@ -161,13 +153,15 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
                 CENTRAL, MINUSCULE, SMALL_NOT_MINUSCULE):
             raise PreconditionViolatedError(
                 "need Frobenius-stable parabolics or a small cocharacter")
-    mu = zeta_inverse(zd, at_borel=True).apply(lam)
-    certified = _in_lattice(rd, zd.J, mu) and _signs_hold(rd, zd.J, mu, positive=True)
+    # mu and twisted are the coroot pairings of zeta^-1(lam) and q*tau(lam)
+    mu = rd.coroot_pairings(zeta_inverse(zd, at_borel=True).apply(lam))
+    certified = _in_lattice(mu, zd.J) and _signs_hold(mu, zd.J, positive=True)
     if rational:
         # Frobenius composition preserves ampleness when J is stable
-        twisted = tuple(zd.frob.q * x for x in zd.frob.tau.apply(lam))
-        assert _in_lattice(rd, zd.J, twisted)
-        assert _signs_hold(rd, zd.J, twisted, positive=False)
+        twisted = rd.coroot_pairings([zd.frob.q * x for x in zd.frob.tau.apply(lam)])
+        if not (_in_lattice(twisted, zd.J)
+                and _signs_hold(twisted, zd.J, positive=False)):
+            raise SelfCheckError("Frobenius twist of an ample character is not ample")
     return certified
 
 
@@ -186,9 +180,10 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
             "J is not Frobenius-stable; use weil_pullback_check for "
             "Weil-restriction data")
     lam = _frac(lam)
-    member = _in_lattice(rd, zd.J, lam)
+    member = _in_lattice(rd.coroot_pairings(lam), zd.J)
     mu = zeta_inverse(zd, at_borel=True).apply(lam)
-    coeffs = tuple(-p for p in rd.coroot_pairings(mu))
+    mu_pairings = rd.coroot_pairings(mu)
+    coeffs = tuple(-p for p in mu_pairings)
     negative = sum(1 for c in coeffs if c < 0)
     if not member:
         verdict = NOT_APPLICABLE
@@ -198,8 +193,8 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
         outside = rd.num_nodes - len(zd.J)
         certified = all(c <= 0 for c in coeffs) and negative == outside
         verdict = CERTIFIED_NEGATIVE if certified else MIXED
-    antiample = member and _in_lattice(rd, zd.J, mu) \
-        and _signs_hold(rd, zd.J, mu, positive=True)
+    antiample = member and _in_lattice(mu_pairings, zd.J) \
+        and _signs_hold(mu_pairings, zd.J, positive=True)
     return PositivityReport(
         input_character=lam,
         zeta_inverse_image=mu,
@@ -210,6 +205,30 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
     )
 
 
+def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> list:
+    """Coroot pairings and target nodes of the pullback of lam to each block.
+
+    tau_dual sends alpha_i^vee to alpha_perm[i]^vee, so tau^d(omega_n) pairs
+    1 with alpha^vee_{perm^d(n)} and 0 with every other coroot.  The block-j
+    pullback sum_n <alpha_n^vee, lam> q^d tau^d(omega_n), summed over the
+    nodes n outside J with d = (block of n - j) mod copies, therefore pairs
+    <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}.  No weight is built.
+    """
+    rd = zd.rd
+    copies = rd.builder_tag[1]
+    per_block = rd.num_nodes // copies
+    pairings = rd.coroot_pairings(lam)
+    blocks = [([0] * rd.num_nodes, set()) for _ in range(copies)]
+    for node in sorted(set(range(rd.num_nodes)) - zd.J):
+        target = node
+        for d in range(copies):
+            pulled, targets = blocks[(node // per_block - d) % copies]
+            pulled[target] += pairings[node] * zd.frob.q ** d
+            targets.add(target)
+            target = zd.frob.root_perm[target]
+    return [(tuple(pulled), frozenset(targets)) for pulled, targets in blocks]
+
+
 def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
     """Blockwise pullback certificate for Weil-restriction data.
 
@@ -217,7 +236,8 @@ def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
     to sum_i a_i q^{d(i,j)} tau^{d(i,j)}(omega_i) supported on block j, where
     d(i, j) is the cyclic distance from block i down to block j.  The
     certificate checks that every such pullback is ample for the intersected
-    parabolic of its block.
+    parabolic of its block.  Each pullback is built and tested as a vector
+    of coroot pairings (see _block_pullbacks).
     """
     rd = zd.rd
     tag = rd.builder_tag
@@ -229,44 +249,17 @@ def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
     per_block = rd.num_nodes // copies
 
     # one missing node per maximal factor, none for full factors
-    missing = {}
     for b in range(copies):
-        block_nodes = set(range(b * per_block, (b + 1) * per_block))
-        gap = block_nodes - zd.J
+        gap = set(range(b * per_block, (b + 1) * per_block)) - zd.J
         if len(gap) > 1:
             raise NotWeilRestrictionError(
                 "factor %d is neither maximal nor the full group" % (b,))
-        if gap:
-            missing[b] = gap.pop()
 
     pt = ParabolicType(zd.J, CONTAINS_BMINUS)
     lam = _frac(lam)
     if is_ample(rd, pt, lam) != AMPLE:
         raise PreconditionViolatedError("an ample character of P is required")
-    if not missing:
-        return True
-
-    weights = fundamental_weights(rd, zd.J)
-    pairings = rd.coroot_pairings(lam)
-    q = zd.frob.q
-    perm = zd.frob.root_perm
-    tau_powers = [IntMatrix.identity(rd.rank)]
-    perm_powers = [tuple(range(rd.num_nodes))]
-    for _ in range(copies - 1):
-        tau_powers.append(zd.frob.tau * tau_powers[-1])
-        perm_powers.append(tuple(perm[i] for i in perm_powers[-1]))
-
-    for j in range(copies):
-        vec = [Fraction(0)] * rd.rank
-        targets = set()
-        for b, node in missing.items():
-            dist = (b - j) % copies
-            shifted = tau_powers[dist].apply(weights[node])
-            coeff = Fraction(pairings[node]) * q ** dist
-            vec = [x + coeff * y for x, y in zip(vec, shifted)]
-            targets.add(perm_powers[dist][node])
-        block_pt = ParabolicType(
-            frozenset(range(rd.num_nodes)) - targets, CONTAINS_BMINUS)
-        if is_ample(rd, block_pt, vec) != AMPLE:
-            return False
-    return True
+    nodes = frozenset(range(rd.num_nodes))
+    return all(_in_lattice(pulled, nodes - targets)
+               and _signs_hold(pulled, nodes - targets, positive=False)
+               for pulled, targets in _block_pullbacks(zd, lam))

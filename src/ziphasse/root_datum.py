@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exact_linear import (
     IntMatrix,
+    SelfCheckError,
     SingularMatrixError,
     determinant,
     kernel_basis,
@@ -156,11 +157,6 @@ def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure
     _validate_q(q)
     if abs(determinant(tau)) != 1:
         raise ValueError("tau must be unimodular")
-    dual_rat = rational_inverse(tau.transpose())
-    if any(x.denominator != 1 for x in dual_rat.entries):
-        raise ValueError("tau dual is not integral")
-    tau_dual = IntMatrix(dual_rat.rows, dual_rat.cols,
-                         [x.numerator for x in dual_rat.entries])
 
     roots = {rd.root(i): i for i in range(rd.num_nodes)}
     perm = []
@@ -170,18 +166,20 @@ def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure
             raise ValueError("tau does not permute the simple roots")
         perm.append(roots[image])
     perm = tuple(perm)
-    for i in range(rd.num_nodes):
-        if tau_dual.apply(rd.coroot(i)) != rd.coroot(perm[i]):
-            raise ValueError("tau dual does not follow the root permutation")
 
-    power = tau
+    # the last power before the identity is tau^(order-1) = tau^-1
     ident = IntMatrix.identity(rd.rank)
+    inverse, power = ident, tau
     order = 1
     while power != ident:
-        power = power * tau
+        inverse, power = power, power * tau
         order += 1
         if order > 10_000:
             raise ValueError("tau does not have small finite order")
+    tau_dual = inverse.transpose()
+    for i in range(rd.num_nodes):
+        if tau_dual.apply(rd.coroot(i)) != rd.coroot(perm[i]):
+            raise ValueError("tau dual does not follow the root permutation")
     return FrobeniusStructure(q=q, tau=tau, tau_dual=tau_dual,
                               root_perm=perm, order=order)
 
@@ -500,7 +498,8 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
                       if set(i for i, x in enumerate(r.coeffs) if x) <= nodes]
         top = max(sum(r.coeffs) for r in comp_roots)
         tops = [r for r in comp_roots if sum(r.coeffs) == top]
-        assert len(tops) == 1, "highest root is not unique"
+        if len(tops) != 1:
+            raise SelfCheckError("highest root is not unique")
         highest.append(tops[0])
     return PositiveRoots(roots=tuple(roots), highest=tuple(highest))
 

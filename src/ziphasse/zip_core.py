@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .exact_linear import IntMatrix, _gauss_jordan, determinant, smith_normal_form
+from .exact_linear import (IntMatrix, SelfCheckError, _gauss_jordan, determinant,
+                           smith_normal_form)
 from .root_datum import (
     CONTAINS_BMINUS,
     FrobeniusStructure,
@@ -35,8 +36,8 @@ class NonNormalizedCocharacterError(ValueError):
     """Cocharacter must pair >= 0 with every simple root."""
 
 
-class CensusCheckError(RuntimeError):
-    """An orbit census self-check failed (raised, so it also runs under -O)."""
+class CensusCheckError(SelfCheckError):
+    """An orbit census self-check failed."""
 
 
 class PicObstructionError(Exception):
@@ -138,12 +139,6 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
     return ZipDatum(rd=rd, frob=frob, J=J, K=K, J0=J0, cochar=cochar)
 
 
-def _positive_root_count(rd: RootDatum, J) -> int:
-    J = set(J)
-    return sum(1 for r in positive_roots(rd).roots
-               if set(i for i, x in enumerate(r.coeffs) if x) <= J)
-
-
 def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     """central / minuscule / small_not_minuscule / neither.
 
@@ -211,8 +206,8 @@ def zeta_matrix(zd: ZipDatum) -> IntMatrix:
     # row j of the solution holds the j-th basis coordinate of every image
     coeffs = [c for row in _gauss_jordan(basis.transpose(), list(zip(*images)))
               for c in row]
-    assert all(c.denominator == 1 for c in coeffs), \
-        "twist endomorphism does not preserve the lattice"
+    if any(c.denominator != 1 for c in coeffs):
+        raise SelfCheckError("twist endomorphism does not preserve the lattice")
     return IntMatrix(k, k, [c.numerator for c in coeffs])
 
 
@@ -234,10 +229,12 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     """
     zeta = zeta_matrix(zd)
     det = determinant(zeta)
-    assert det != 0, "twist endomorphism must be injective"
+    if det == 0:
+        raise SelfCheckError("twist endomorphism must be injective")
     factors = smith_normal_form(zeta).invariant_factors
     order = abs(det)
-    assert order == prod(factors), "invariant factors must multiply to |det|"
+    if order != prod(factors):
+        raise SelfCheckError("invariant factors must multiply to |det|")
     torsion = levi_picard_torsion(zd)
     report = HasseReport(
         zeta=zeta,
@@ -290,8 +287,10 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
                 points.append(image)
                 words.append(words[pos] + (i,))
 
-    n_pos = len(positive_roots(rd).roots)
-    n_pos_j = _positive_root_count(rd, zd.J)
+    roots = positive_roots(rd).roots
+    n_pos = len(roots)
+    n_pos_j = sum(1 for r in roots
+                  if all(i in zd.J for i, x in enumerate(r.coeffs) if x))
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
     eta_length = len(words[-1])

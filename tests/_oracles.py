@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's own reduction routines: the
 determinant is cofactor expansion, the invariant factors come from the
-gcd-of-k-by-k-minors definition, and the orbit census is read off the full
-Weyl group enumeration.
+gcd-of-k-by-k-minors definition, the orbit census is read off the full
+Weyl group enumeration, and the Weil pullback is built in X* from
+fundamental weights and dense powers of tau.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from ziphasse.exact_linear import IntMatrix
+from ziphasse.root_datum import fundamental_weights
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import OrbitCensus, OrbitEntry
 
@@ -109,3 +112,34 @@ def enumerated_census(zd, W):
     return OrbitCensus(orbits=orbits, eta_length=eta_length,
                        dim_group=zd.rd.rank + 2 * w0.length,
                        dim_parabolic=dim_p, codim1_indices=codim1)
+
+
+def xstar_block_pullbacks(zd, lam):
+    """The pullback of lam to each block of a Weil restriction, in X*.
+
+    Block j gets sum_n <alpha_n^vee, lam> q^d tau^d(omega_n) over the nodes
+    n outside J, with d = (block of n - j) mod copies, together with the
+    nodes perm^d(n) it is meant to be supported on.
+    """
+    rd = zd.rd
+    copies = rd.builder_tag[1]
+    per_block = rd.num_nodes // copies
+    weights = fundamental_weights(rd, zd.J)
+    pairings = rd.coroot_pairings(lam)
+    tau_powers = [IntMatrix.identity(rd.rank)]
+    perm_powers = [tuple(range(rd.num_nodes))]
+    for _ in range(copies - 1):
+        tau_powers.append(zd.frob.tau * tau_powers[-1])
+        perm_powers.append(tuple(zd.frob.root_perm[i] for i in perm_powers[-1]))
+    blocks = []
+    for j in range(copies):
+        vec = [Fraction(0)] * rd.rank
+        targets = set()
+        for node, weight in weights.items():
+            dist = (node // per_block - j) % copies
+            shifted = tau_powers[dist].apply(weight)
+            coeff = Fraction(pairings[node]) * zd.frob.q ** dist
+            vec = [x + coeff * y for x, y in zip(vec, shifted)]
+            targets.add(perm_powers[dist][node])
+        blocks.append((tuple(vec), frozenset(targets)))
+    return blocks

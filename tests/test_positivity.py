@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracles import xstar_block_pullbacks
 
-from ziphasse.exact_linear import RatMatrix
+from ziphasse import root_datum
+from ziphasse.exact_linear import IntMatrix, RatMatrix
 from ziphasse.positivity import (
     AMPLE,
     ANTIAMPLE,
@@ -14,6 +16,7 @@ from ziphasse.positivity import (
     NotRationalCaseError,
     NotWeilRestrictionError,
     PreconditionViolatedError,
+    _block_pullbacks,
     antiample_check,
     borel_zeta_matrix,
     fundamental_zeta_inverse,
@@ -29,6 +32,7 @@ from ziphasse.root_datum import (
     ParabolicType,
     fundamental_weights,
     gl,
+    gsp,
     unitary,
     weil_restriction,
 )
@@ -263,3 +267,35 @@ class TestWeilPullback:
         lam = random_ample(rd, zd.J, random.Random(9))
         with pytest.raises(NotWeilRestrictionError):
             weil_pullback_check(zd, lam)
+
+    @pytest.mark.parametrize("copies,inner", [
+        (3, {"builder": "gl", "n": 2}),
+        (2, {"builder": "gl", "n": 3}),
+        (2, {"builder": "gsp", "dim": 4}),
+    ], ids=["GL2x3", "GL3x2", "GSp4x2"])
+    def test_block_pairings_match_xstar_pullback(self, copies, inner):
+        rd, frob = weil_restriction(copies, inner, 3)
+        rng = random.Random(copies)
+        k = rd.num_nodes
+        for bits in range(2 ** k):
+            J = [i for i in range(k) if bits >> i & 1]
+            zd = build_zip_datum(rd, frob, parabolic=J)
+            characters = [random_ample(rd, zd.J, rng) for _ in range(2)] + [
+                tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+                      for _ in range(rd.rank)) for _ in range(2)]
+            for lam in characters:
+                expected = [(rd.coroot_pairings(vec), targets)
+                            for vec, targets in xstar_block_pullbacks(zd, lam)]
+                assert _block_pullbacks(zd, lam) == expected, (J, lam)
+
+    def test_pullback_needs_no_weights_or_tau_powers(self, monkeypatch):
+        rd, frob = weil_restriction(3, {"builder": "gl", "n": 3}, 2)
+        zd = build_zip_datum(rd, frob, parabolic=[1, 2, 4, 5])
+        lam = random_ample(rd, zd.J, random.Random(5))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weil_pullback_check left coroot pairings")
+
+        monkeypatch.setattr(root_datum, "fundamental_weights", forbidden)
+        monkeypatch.setattr(IntMatrix, "__mul__", forbidden)
+        assert weil_pullback_check(zd, lam) is True

@@ -11,7 +11,9 @@ from ziphasse.root_datum import (
     InvalidQError,
     InvalidRankError,
     ParabolicType,
+    RootDatum,
     UnsupportedSeriesError,
+    _make_frobenius,
     build_group,
     char_lattice_of_parabolic,
     fundamental_weights,
@@ -107,6 +109,10 @@ class TestCartanAndFrobenius:
         lambda: simple_group("B", 3, 2),
         lambda: simple_group("G", 2, 5),
         lambda: weil_restriction(2, {"builder": "gl", "n": 3}, 2),
+        lambda: product_group([
+            {"builder": "unitary", "n": 3},
+            {"builder": "weil_restriction", "copies": 3,
+             "inner": {"builder": "gl", "n": 2}}], 2),  # tau of order 6
     ]
 
     @pytest.mark.parametrize("build", BUILDS)
@@ -128,6 +134,25 @@ class TestCartanAndFrobenius:
         for i in range(rd.num_nodes):
             assert frob.tau.apply(rd.root(i)) == rd.root(frob.root_perm[i])
             assert frob.tau_dual.apply(rd.coroot(i)) == rd.coroot(frob.root_perm[i])
+
+    def test_rejects_non_unimodular_tau(self):
+        rd, _ = gl(3, 2)
+        with pytest.raises(ValueError, match="tau must be unimodular"):
+            _make_frobenius(rd, 2, IntMatrix.identity(3).scale(2))
+
+    def test_rejects_tau_off_the_simple_roots(self):
+        rd, _ = gl(3, 2)
+        swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # alpha_1 -> -alpha_1
+        with pytest.raises(ValueError, match="does not permute the simple roots"):
+            _make_frobenius(rd, 2, swap)
+
+    def test_rejects_tau_of_infinite_order(self):
+        torus = RootDatum(rank=2, simple_roots=IntMatrix(0, 2, ()),
+                          simple_coroots=IntMatrix(0, 2, ()), components=(),
+                          builder_tag=("torus", 2))
+        shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="does not have small finite order"):
+            _make_frobenius(torus, 2, shear)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_components_cover_nodes(self, build):

@@ -9,7 +9,7 @@ import pytest
 from _oracles import enumerated_census
 
 from ziphasse import zip_core
-from ziphasse.exact_linear import IntMatrix
+from ziphasse.exact_linear import IntMatrix, SelfCheckError
 from ziphasse.root_datum import (
     CONTAINS_BMINUS,
     ParabolicType,
@@ -320,13 +320,39 @@ class TestOrbitCensus:
             "    zip_core.orbit_census(zd)\n"
             "except zip_core.CensusCheckError as exc:\n"
             "    print(exc)\n")
-        src = str(Path(zip_core.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert "codimension-one orbits are not labeled" in proc.stdout
+        assert "codimension-one orbits are not labeled" in run_optimized(script)
+
+
+def run_optimized(script):
+    """stdout of ``python -O -c script`` with the package importable."""
+    src = str(Path(zip_core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_hasse_self_checks_survive_optimize_flag():
+    # q = 1 makes the twist endomorphism id - tau vanish on GL2 with J empty
+    script = (
+        "import dataclasses\n"
+        "from ziphasse.exact_linear import SelfCheckError\n"
+        "from ziphasse.root_datum import gl\n"
+        "from ziphasse.zip_core import build_zip_datum, s0_characters\n"
+        "rd, frob = gl(2, 3)\n"
+        "zd = build_zip_datum(rd, dataclasses.replace(frob, q=1), parabolic=[])\n"
+        "try:\n"
+        "    print(s0_characters(zd))\n"
+        "except SelfCheckError as exc:\n"
+        "    print('SelfCheckError:', exc)\n")
+    out = run_optimized(script)
+    assert out == "SelfCheckError: twist endomorphism must be injective\n"
+
+
+def test_census_check_error_is_a_self_check_error():
+    assert issubclass(zip_core.CensusCheckError, SelfCheckError)
 
 
 class TestPicRank:
