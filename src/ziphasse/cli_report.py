@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import positivity, root_datum, weyl, zip_core
@@ -30,6 +29,9 @@ class ValidationError(ValueError):
 
 
 COMMANDS = ("hasse", "orbits", "positivity", "picard", "all")
+
+# Largest rank of X* a document may ask for; checked before anything is built.
+MAX_RANK = 128
 
 _TOP_KEYS = {"q", "group", "cocharacter", "parabolic_type", "options"}
 _OPTION_KEYS = {"weyl_cap", "format"}
@@ -91,6 +93,21 @@ def _validate_group(spec) -> dict:
         out["copies"] = _require_int(spec.get("copies"), "copies")
         out["inner"] = _validate_group(spec.get("inner"))
     return out
+
+
+def _lattice_rank(group: dict) -> int:
+    """Rank of X* for a validated group spec, read off without building it.
+
+    Negative sizes count as 0 here; the builders reject them.
+    """
+    builder = group["builder"]
+    if builder == "product":
+        return sum(_lattice_rank(f) for f in group["factors"])
+    if builder == "weil_restriction":
+        return max(group["copies"], 0) * _lattice_rank(group["inner"])
+    if builder == "gsp":
+        return max(group["dim"] // 2 + 1, 0)
+    return max(group["rank" if builder == "simple" else "n"], 0)
 
 
 def parse_config(text: str) -> DatumConfig:
@@ -164,10 +181,7 @@ def _nodes_out(nodes) -> list:
 
 def _positivity_section(zd) -> list:
     """Reports for the canonical ample character -sum(omega_i, i outside J)."""
-    rd = zd.rd
-    weights = root_datum.fundamental_weights(rd, zd.J)
-    lam = tuple(-sum(w[a] for w in weights.values()) for a in range(rd.rank)) \
-        if weights else tuple(Fraction(0) for _ in range(rd.rank))
+    lam = tuple(-x for x in root_datum.fundamental_weight_sum(zd.rd, zd.J))
     entry = {"character": [str(x) for x in lam]}
     try:
         rep = positivity.hasse_divisor_coeffs(zd, lam)
@@ -196,6 +210,10 @@ def run(command: str, cfg: DatumConfig) -> Report:
     """Run the requested pipelines and assemble a flat report."""
     if command not in COMMANDS:
         raise ValidationError("unknown command %r" % (command,))
+    rank = _lattice_rank(cfg.group)
+    if rank > MAX_RANK:
+        raise ValidationError("the group has rank %d, above the budget of %d"
+                              % (rank, MAX_RANK))
     try:
         rd, frob = root_datum.build_group(cfg.group, cfg.q)
         zd = zip_core.build_zip_datum(

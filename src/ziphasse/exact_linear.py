@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 
@@ -39,6 +40,36 @@ def _check_rational(x):
     raise TypeError("exact rational entry expected, got %r" % (x,))
 
 
+def _product_entries(left, right) -> list:
+    """Row-major entries of left @ right for IntMatrix or RatMatrix factors.
+
+    Row i is the combination sum_k a_ik * (row k of right) with the zero
+    a_ik skipped, so the cost follows the nonzeros of ``left``: a signed
+    permutation times an n x n matrix costs O(n^2).
+    """
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch in matrix product")
+    n = right.cols
+    rows = [right.entries[k * n:(k + 1) * n] for k in range(right.rows)]
+    out = []
+    for i in range(left.rows):
+        acc = [0] * n
+        for a, row in zip(left.entries[i * left.cols:(i + 1) * left.cols], rows):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, row)]
+        out.extend(acc)
+    return out
+
+
+def _apply(mat, vec: Sequence) -> tuple:
+    """mat @ vec for an IntMatrix or RatMatrix and int or Fraction coordinates."""
+    if len(vec) != mat.cols:
+        raise ValueError("vector length does not match column count")
+    c, entries = mat.cols, mat.entries
+    return tuple(sum(map(mul, entries[i * c:(i + 1) * c], vec))
+                 for i in range(mat.rows))
+
+
 class IntMatrix:
     """Immutable integer matrix, stored row-major."""
 
@@ -47,7 +78,11 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(_check_int(x) for x in entries)
+        self.entries = tuple(entries)
+        # one pass over the types; the slow loop names the first bad entry
+        if set(map(type, self.entries)) - {int}:
+            for x in self.entries:
+                _check_int(x)
         if rows < 0 or cols < 0 or len(self.entries) != rows * cols:
             raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
         self._hash = None
@@ -83,25 +118,16 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
+        cols, entries = self.cols, self.entries
+        return IntMatrix(cols, self.rows,
+                         [x for j in range(cols) for x in entries[j::cols]])
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix(self.rows, other.cols, _product_entries(self, other))
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector; accepts int or Fraction coordinates."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(self.at(i, k) * vec[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return _apply(self, vec)
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [k * x for x in self.entries])
@@ -173,20 +199,10 @@ class RatMatrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def __mul__(self, other) -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return RatMatrix(self.rows, other.cols, out)
+        return RatMatrix(self.rows, other.cols, _product_entries(self, other))
 
     def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(self.at(i, k) * vec[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return _apply(self, vec)
 
     def scale(self, k) -> "RatMatrix":
         k = _check_rational(k)

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exact_linear import IntMatrix, RatMatrix, SelfCheckError, rational_inverse
+from .exact_linear import (IntMatrix, RatMatrix, SelfCheckError, SingularMatrixError,
+                           rational_inverse)
 from .root_datum import CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum
 from .zip_core import (
     CENTRAL,
@@ -110,6 +112,27 @@ def zeta_inverse(zd: ZipDatum, at_borel: bool = False) -> RatMatrix:
     return rational_inverse(zeta_matrix(zd))
 
 
+def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
+    """zeta^-1(lam) on X*, with zeta = id - q*tau and m the order of tau.
+
+    (id - q*tau) * sum_{d<m} q^d tau^d = 1 - q^m, so the image is
+    sum_{d<m} q^d tau^d(lam) / (1 - q^m): m - 1 applications of tau (by
+    Horner's rule) on an integer multiple of lam and one division.  Raises
+    SingularMatrixError when q^m = 1, which no prime power q allows.
+    """
+    q, tau, m = zd.frob.q, zd.frob.tau, zd.frob.order
+    denom = 1 - q ** m
+    if denom == 0:
+        raise SingularMatrixError("q^order = 1, so 1 - q^order has no inverse")
+    lam = _frac(lam)
+    scale = lcm(*(x.denominator for x in lam))
+    base = [x.numerator * (scale // x.denominator) for x in lam]
+    acc = base
+    for _ in range(m - 1):
+        acc = [b + q * y for b, y in zip(base, tau.apply(acc))]
+    return tuple(Fraction(x, denom * scale) for x in acc)
+
+
 def fundamental_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     """Twist endomorphism on X*/X*(G) in the fundamental-weight basis.
 
@@ -154,7 +177,7 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
             raise PreconditionViolatedError(
                 "need Frobenius-stable parabolics or a small cocharacter")
     # mu and twisted are the coroot pairings of zeta^-1(lam) and q*tau(lam)
-    mu = rd.coroot_pairings(zeta_inverse(zd, at_borel=True).apply(lam))
+    mu = rd.coroot_pairings(_borel_zeta_inverse_image(zd, lam))
     certified = _in_lattice(mu, zd.J) and _signs_hold(mu, zd.J, positive=True)
     if rational:
         # Frobenius composition preserves ampleness when J is stable
@@ -181,7 +204,7 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
             "Weil-restriction data")
     lam = _frac(lam)
     member = _in_lattice(rd.coroot_pairings(lam), zd.J)
-    mu = zeta_inverse(zd, at_borel=True).apply(lam)
+    mu = _borel_zeta_inverse_image(zd, lam)
     mu_pairings = rd.coroot_pairings(mu)
     coeffs = tuple(-p for p in mu_pairings)
     negative = sum(1 for c in coeffs if c < 0)

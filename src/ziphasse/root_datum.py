@@ -19,6 +19,8 @@ Everything constructed here is immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linear import (
@@ -29,7 +31,7 @@ from .exact_linear import (
     kernel_basis,
     rational_inverse,
     smith_normal_form,
-    solve_rational,  # noqa: F401  re-exported; perfbench traces it through this module
+    solve_rational,
 )
 
 
@@ -124,7 +126,7 @@ class ParabolicType:
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_prime_power(q: int) -> bool:
@@ -538,8 +540,7 @@ def opposition(rd: RootDatum) -> tuple:
         if i is None:
             return tuple(p.index(-(j + 1)) for j in range(k))
         pi = p[i]
-        for m in range(k):
-            p[m] -= pi * cartan.at(m, i)
+        p = [x - pi * c for x, c in zip(p, cartan.entries[i::k])]
     raise ValueError("longest element iteration did not terminate")
 
 
@@ -560,6 +561,17 @@ def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
     ])
 
 
+def _weight_system(rd: RootDatum) -> IntMatrix:
+    """Square system whose inverse has the fundamental weights as columns.
+
+    Its rows are the simple coroots, then a basis of the central directions
+    of X_* (the kernel of pairing against all simple roots).
+    """
+    central = kernel_basis(rd.simple_roots)
+    return IntMatrix.from_rows([rd.coroot(i) for i in range(rd.num_nodes)]
+                               + [central.row(i) for i in range(central.rows)])
+
+
 def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
     """Fundamental weights omega_i for i outside J, as exact rational vectors.
 
@@ -569,18 +581,30 @@ def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
     deterministic for non-semisimple data.
     """
     J = frozenset(J)
-    k = rd.num_nodes
-    wanted = [i for i in range(k) if i not in J]
+    wanted = [i for i in range(rd.num_nodes) if i not in J]
     if not wanted:
         return {}
-    central = kernel_basis(rd.simple_roots)
-    system = IntMatrix.from_rows([rd.coroot(i) for i in range(k)]
-                                 + [central.row(i) for i in range(central.rows)])
     try:
-        inverse = rational_inverse(system)
+        inverse = rational_inverse(_weight_system(rd))
     except SingularMatrixError as exc:
         raise SingularCartanError(str(exc))
     return {i: inverse.column(i) for i in wanted}
+
+
+def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
+    """sum(omega_i for i outside J) with the normalization of fundamental_weights.
+
+    One solve of the same system with the indicator of the nodes outside J
+    as target, so no inverse is formed; the empty sum is the zero vector.
+    """
+    J = frozenset(J)
+    target = [1 if i < rd.num_nodes and i not in J else 0 for i in range(rd.rank)]
+    if not any(target):
+        return tuple(Fraction(0) for _ in range(rd.rank))
+    try:
+        return solve_rational(_weight_system(rd), target)
+    except SingularMatrixError as exc:
+        raise SingularCartanError(str(exc))
 
 
 def picard_torsion(rd: RootDatum) -> tuple:

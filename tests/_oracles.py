@@ -3,8 +3,9 @@
 These deliberately avoid the library's own reduction routines: the
 determinant is cofactor expansion, the invariant factors come from the
 gcd-of-k-by-k-minors definition, the orbit census is read off the full
-Weyl group enumeration, and the Weil pullback is built in X* from
-fundamental weights and dense powers of tau.
+Weyl group enumeration, the Weil pullback is built in X* from
+fundamental weights and dense powers of tau, and matrix products are the
+textbook triple loop.
 """
 
 from fractions import Fraction
@@ -49,6 +50,19 @@ def minors_invariant_factors(rows, cols=None):
         factors.append(dk // prev)
         prev = dk
     return tuple(factors)
+
+
+def matmul(a, b):
+    """Row-major entries of a @ b by the triple loop over (i, j, k)."""
+    return [sum(a.entries[i * a.cols + k] * b.entries[k * b.cols + j]
+                for k in range(a.cols))
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+def apply(a, vec):
+    """a @ vec by the double loop over (i, k)."""
+    return tuple(sum(a.entries[i * a.cols + k] * vec[k] for k in range(a.cols))
+                 for i in range(a.rows))
 
 
 def same_lattice(basis_a, basis_b):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ziphasse import root_datum
 from ziphasse.cli_report import (
     ParseError,
     ValidationError,
@@ -231,6 +232,29 @@ class TestMainEntry:
         code, out, err = run_cli(["positivity"], json.dumps(doc))
         assert code == 0
         assert json.loads(out)["positivity"][0]["kind"] == kind
+
+    @pytest.mark.parametrize("group", [
+        {"builder": "gl", "n": 129},
+        {"builder": "weil_restriction", "copies": 10**9,
+         "inner": {"builder": "gl", "n": 1}},
+        {"builder": "product", "factors": [{"builder": "gl", "n": 100},
+                                           {"builder": "gsp", "dim": 60}]},
+    ], ids=["GL129", "ResGL1x1e9", "GL100xGSp60"])
+    def test_rank_above_budget_is_input_error(self, group, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a group above the rank budget was built")
+
+        monkeypatch.setattr(root_datum, "build_group", forbidden)
+        doc = {"q": 2, "group": group, "parabolic_type": []}
+        code, out, err = run_cli(["hasse"], json.dumps(doc))
+        assert code == 2 and out == ""
+        assert "ValidationError" in err and "budget of 128" in err
+
+    def test_rank_at_budget_runs(self):
+        doc = {"q": 3, "group": {"builder": "unitary", "n": 128}, "parabolic_type": []}
+        code, out, err = run_cli(["hasse"], json.dumps(doc))
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["zeta"]) == 128
 
     def test_text_format(self):
         code, out, err = run_cli(["hasse", "--format", "text"], json.dumps(UNITARY3))

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
-from _oracles import cofactor_det, minors_invariant_factors
+from _oracles import apply, cofactor_det, matmul, minors_invariant_factors
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ziphasse.exact_linear import (
     IntMatrix,
@@ -187,3 +190,95 @@ class TestMatrixBasics:
         assert m.apply((1, 1)) == (3, 7)
         assert m.transpose() == mat([[1, 3], [2, 4]])
         assert (m * IntMatrix.identity(2)) == m
+
+
+# Entries straddle the machine-word range on both sides, so a kernel that
+# truncated or overflowed anywhere would disagree with the oracle.
+SMALL = st.integers(-2, 2)
+WIDE = st.one_of(st.integers(-2, 2), st.integers(2**64, 2**80),
+                 st.integers(-2**80, -2**64))
+FRACTIONS = st.one_of(
+    st.fractions(max_denominator=7),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)))
+DIMS = st.integers(0, 5)
+
+
+@st.composite
+def dense(draw, rows, cols, entries=WIDE):
+    return [draw(entries) for _ in range(rows * cols)]
+
+
+@st.composite
+def signed_permutation(draw, n):
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return [signs[i] if j == perm[i] else 0 for i in range(n) for j in range(n)]
+
+
+@st.composite
+def int_pair(draw):
+    """(left, right) with left a signed permutation or dense, right dense."""
+    r, k, c = draw(DIMS), draw(DIMS), draw(DIMS)
+    if draw(st.booleans()):
+        left = IntMatrix(k, k, draw(signed_permutation(k)))
+    else:
+        left = IntMatrix(r, k, draw(dense(r, k, draw(st.sampled_from((SMALL, WIDE))))))
+    return left, IntMatrix(k, c, draw(dense(k, c)))
+
+
+class TestKernelsAgainstOracle:
+    SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+    @SETTINGS
+    @given(int_pair())
+    def test_int_product(self, pair):
+        left, right = pair
+        product = left * right
+        assert (product.rows, product.cols) == (left.rows, right.cols)
+        assert list(product.entries) == matmul(left, right)
+
+    @SETTINGS
+    @given(int_pair(), st.data())
+    def test_rat_product(self, pair, data):
+        left, right = pair
+        rat_left = RatMatrix(left.rows, left.cols,
+                             data.draw(dense(left.rows, left.cols, FRACTIONS)))
+        rat_right = right.to_rational()
+        for a, b in ((rat_left, rat_right), (rat_left, right), (left.to_rational(), rat_right)):
+            product = a * b
+            assert isinstance(product, RatMatrix)
+            assert (product.rows, product.cols) == (a.rows, b.cols)
+            assert list(product.entries) == matmul(a, b)
+
+    @SETTINGS
+    @given(int_pair(), st.data())
+    def test_apply_and_transpose(self, pair, data):
+        mat = pair[0]
+        ints = data.draw(dense(mat.cols, 1))
+        fracs = data.draw(dense(mat.cols, 1, FRACTIONS))
+        for vec in (ints, tuple(fracs)):
+            assert mat.apply(vec) == apply(mat, vec)
+            assert mat.to_rational().apply(vec) == apply(mat, vec)
+        assert all(type(x) is int for x in mat.apply(ints))
+        t = mat.transpose()
+        assert (t.rows, t.cols) == (mat.cols, mat.rows)
+        assert all(t.at(j, i) == mat.at(i, j)
+                   for i in range(mat.rows) for j in range(mat.cols))
+        assert t.transpose() == mat
+
+    def test_every_empty_shape(self):
+        for r, k, c in itertools.product(range(3), repeat=3):
+            left = IntMatrix(r, k, list(range(1, r * k + 1)))
+            right = IntMatrix(k, c, list(range(1, k * c + 1)))
+            assert list((left * right).entries) == matmul(left, right)
+            rat = (left.to_rational() * right).entries
+            assert list(rat) == matmul(left, right)
+            assert left.apply([Fraction(1, 3)] * k) == apply(left, [Fraction(1, 3)] * k)
+            assert left.transpose().transpose() == left
+
+    def test_shape_mismatch_errors_are_unchanged(self):
+        for a in (mat([[1, 2], [3, 4]]), mat([[1, 2], [3, 4]]).to_rational()):
+            with pytest.raises(ValueError, match="shape mismatch in matrix product"):
+                a * IntMatrix(3, 1, [1, 2, 3])
+            with pytest.raises(ValueError, match="vector length does not match column count"):
+                a.apply((1, 2, 3))

@@ -1,11 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+import test_root_datum
 from _oracles import xstar_block_pullbacks
 
 from ziphasse import root_datum
-from ziphasse.exact_linear import IntMatrix, RatMatrix
+from ziphasse.exact_linear import IntMatrix, RatMatrix, SingularMatrixError
 from ziphasse.positivity import (
     AMPLE,
     ANTIAMPLE,
@@ -17,6 +19,7 @@ from ziphasse.positivity import (
     NotWeilRestrictionError,
     PreconditionViolatedError,
     _block_pullbacks,
+    _borel_zeta_inverse_image,
     antiample_check,
     borel_zeta_matrix,
     fundamental_zeta_inverse,
@@ -158,6 +161,32 @@ class TestAntiampleCheck:
         lam = random_ample(rd, zd.J, random.Random(1))
         with pytest.raises(PreconditionViolatedError):
             antiample_check(zd, lam)
+
+
+class TestClosedFormZetaInverse:
+    @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
+    def test_matches_rational_inverse_for_every_J(self, build):
+        rd, frob = build()
+        rng = random.Random(rd.rank)
+        k = rd.num_nodes
+        reference = zeta_inverse(build_zip_datum(rd, frob, parabolic=[]), at_borel=True)
+        for bits in range(2 ** k):
+            zd = build_zip_datum(rd, frob,
+                                 parabolic=[i for i in range(k) if bits >> i & 1])
+            characters = [random_ample(rd, zd.J, rng),
+                          tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                                for _ in range(rd.rank))]
+            for lam in characters:
+                assert _borel_zeta_inverse_image(zd, lam) == reference.apply(lam)
+
+    def test_singular_when_q_to_the_order_is_one(self):
+        rd, frob = gl(2, 3)
+        zd = dataclasses.replace(build_zip_datum(rd, frob, parabolic=[]),
+                                 frob=dataclasses.replace(frob, q=1))
+        with pytest.raises(SingularMatrixError):
+            zeta_inverse(zd, at_borel=True)
+        with pytest.raises(SingularMatrixError):
+            _borel_zeta_inverse_image(zd, (1, 0))
 
 
 class TestHasseDivisorCoeffs:

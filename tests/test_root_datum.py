@@ -16,6 +16,7 @@ from ziphasse.root_datum import (
     _make_frobenius,
     build_group,
     char_lattice_of_parabolic,
+    fundamental_weight_sum,
     fundamental_weights,
     gl,
     gsp,
@@ -291,6 +292,17 @@ class TestFundamentalWeights:
         rd, _ = gl(4, 3)
         w = fundamental_weights(rd, J={1})
         assert sorted(w) == [0, 2]
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_sum_matches_sum_of_weights_for_every_J(self, build):
+        rd, _ = build()
+        k = rd.num_nodes
+        for bits in range(2 ** k):
+            J = {i for i in range(k) if bits >> i & 1}
+            weights = fundamental_weights(rd, J)
+            expected = tuple(sum((w[a] for w in weights.values()), Fraction(0))
+                             for a in range(rd.rank))
+            assert fundamental_weight_sum(rd, J) == expected, J
 
 
 class TestPicardTorsion:
