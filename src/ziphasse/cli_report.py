@@ -32,6 +32,10 @@ COMMANDS = ("hasse", "orbits", "positivity", "picard", "all")
 
 # Largest rank of X* a document may ask for; checked before anything is built.
 MAX_RANK = 128
+# Deepest nesting of product / weil_restriction groups a document may use.
+MAX_DEPTH = 32
+# Largest bit length of q; is_prime_power factors q by trial division.
+MAX_Q_BITS = 40
 
 _TOP_KEYS = {"q", "group", "cocharacter", "parabolic_type", "options"}
 _OPTION_KEYS = {"weyl_cap", "format"}
@@ -61,12 +65,15 @@ def _require_int(value, what):
     return value
 
 
-def _validate_group(spec) -> dict:
+def _validate_group(spec, depth=0) -> dict:
+    """Validated copy of a group spec; depth counts the enclosing groups."""
     if not isinstance(spec, dict):
         raise ValidationError("group must be an object")
     builder = spec.get("builder")
     if builder not in _GROUP_KEYS:
         raise ValidationError("unknown builder %r" % (builder,))
+    if builder in ("product", "weil_restriction") and depth >= MAX_DEPTH:
+        raise ValidationError("groups are nested more than %d deep" % (MAX_DEPTH,))
     allowed = _GROUP_KEYS[builder] | {"builder"}
     unknown = set(spec) - allowed
     if unknown:
@@ -88,10 +95,10 @@ def _validate_group(spec) -> dict:
         factors = spec.get("factors")
         if not isinstance(factors, list) or not factors:
             raise ValidationError("factors must be a non-empty list")
-        out["factors"] = [_validate_group(f) for f in factors]
+        out["factors"] = [_validate_group(f, depth + 1) for f in factors]
     elif builder == "weil_restriction":
         out["copies"] = _require_int(spec.get("copies"), "copies")
-        out["inner"] = _validate_group(spec.get("inner"))
+        out["inner"] = _validate_group(spec.get("inner"), depth + 1)
     return out
 
 
@@ -116,6 +123,8 @@ def parse_config(text: str) -> DatumConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise ParseError("the document is nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -125,6 +134,9 @@ def parse_config(text: str) -> DatumConfig:
     q = _require_int(doc.get("q"), "q")
     if q < 2:
         raise ValidationError("q must be >= 2")
+    if q.bit_length() > MAX_Q_BITS:
+        raise ValidationError("q has %d bits, above the budget of %d"
+                              % (q.bit_length(), MAX_Q_BITS))
     if "group" not in doc:
         raise ValidationError("missing group")
     group = _validate_group(doc["group"])

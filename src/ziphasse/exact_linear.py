@@ -224,7 +224,7 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U * M * V = D.
+    """Unimodular U, V and diagonal D with U * M * V = D, and V_inv = V^-1.
 
     The nonzero diagonal entries are the invariant factors: positive, each
     dividing the next, with zero diagonal entries (if any) coming last.
@@ -234,6 +234,7 @@ class SmithDecomposition:
     D: IntMatrix
     V: IntMatrix
     invariant_factors: tuple
+    V_inv: IntMatrix
 
 
 def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
@@ -247,6 +248,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     a = mat.to_rows()
     u = IntMatrix.identity(m).to_rows()
     v = IntMatrix.identity(n).to_rows()
+    v_inv = IntMatrix.identity(n).to_rows()
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -257,6 +259,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
             a[r][i], a[r][j] = a[r][j], a[r][i]
         for r in range(n):
             v[r][i], v[r][j] = v[r][j], v[r][i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, k):
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
@@ -267,6 +270,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
             a[r][dst] += k * a[r][src]
         for r in range(n):
             v[r][dst] += k * v[r][src]
+        v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -341,6 +345,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
         D=IntMatrix(m, n, flat_a),
         V=IntMatrix(n, n, [x for row in v for x in row]),
         invariant_factors=factors,
+        V_inv=IntMatrix(n, n, [x for row in v_inv for x in row]),
     )
 
 
@@ -376,10 +381,11 @@ def _gauss_jordan(mat, rhs: Sequence[Sequence]) -> list:
 
     ``rhs`` is given row by row, one entry per target column.  Raises
     SingularMatrixError when the columns of ``mat`` are linearly dependent or
-    some target is not in their span.
+    some target is not in their span.  Eliminating below the pivots before
+    back-substituting keeps the fill-in of a tree-like matrix in its band.
     """
     m, n = mat.rows, mat.cols
-    aug = [[Fraction(mat.at(i, j)) for j in range(n)] + [Fraction(x) for x in rhs[i]]
+    aug = [[Fraction(x) for x in mat.row(i)] + [Fraction(x) for x in rhs[i]]
            for i in range(m)]
     for col in range(n):
         piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
@@ -388,12 +394,17 @@ def _gauss_jordan(mat, rhs: Sequence[Sequence]) -> list:
         aug[col], aug[piv] = aug[piv], aug[col]
         scale = aug[col][col]
         aug[col] = [x / scale for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
+        for i in range(col + 1, m):
+            if aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     if any(x != 0 for row in aug[n:] for x in row[n:]):
         raise SingularMatrixError("inconsistent system")
+    for col in reversed(range(n)):
+        for i in range(col):
+            if aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug[:n]]
 
 
@@ -422,7 +433,6 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Basis (as rows) of the saturated integer kernel {x : mat @ x = 0}."""
     snf = smith_normal_form(mat)
     rank = len(snf.invariant_factors)
-    rows = [snf.V.column(j) for j in range(rank, mat.cols)]
-    if not rows:
-        return IntMatrix(0, mat.cols, ())
-    return IntMatrix.from_rows(rows)
+    # the rows are columns rank.. of V
+    return IntMatrix(mat.cols - rank, mat.cols,
+                     snf.V.transpose().entries[rank * mat.cols:])

@@ -517,9 +517,7 @@ def char_lattice_of_parabolic(rd: RootDatum, pt: ParabolicType) -> IntMatrix:
     for j in J:
         if not 0 <= j < rd.num_nodes:
             raise ValueError("node %r out of range" % (j,))
-    if not J:
-        return IntMatrix.identity(rd.rank)
-    constraint = IntMatrix.from_rows([rd.coroot(j) for j in J])
+    constraint = _rows_or_empty([rd.coroot(j) for j in J], rd.rank)
     return kernel_basis(constraint)
 
 
@@ -561,50 +559,41 @@ def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
     ])
 
 
-def _weight_system(rd: RootDatum) -> IntMatrix:
-    """Square system whose inverse has the fundamental weights as columns.
-
-    Its rows are the simple coroots, then a basis of the central directions
-    of X_* (the kernel of pairing against all simple roots).
-    """
-    central = kernel_basis(rd.simple_roots)
-    return IntMatrix.from_rows([rd.coroot(i) for i in range(rd.num_nodes)]
-                               + [central.row(i) for i in range(central.rows)])
-
-
 def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
     """Fundamental weights omega_i for i outside J, as exact rational vectors.
 
-    omega_i pairs with alpha_j^vee to the Kronecker delta and vanishes
-    against the central directions of X_* (the kernel of pairing against all
-    simple roots); that normalization makes the output unique and
-    deterministic for non-semisimple data.
+    omega_i = sum_j (A^-1)_ji alpha_j, A the Cartan matrix: it pairs with
+    alpha_j^vee to the Kronecker delta and vanishes against the central
+    directions of X_*, which makes it unique for non-semisimple data.
     """
     J = frozenset(J)
     wanted = [i for i in range(rd.num_nodes) if i not in J]
     if not wanted:
         return {}
     try:
-        inverse = rational_inverse(_weight_system(rd))
+        inverse = rational_inverse(rd.cartan_matrix())
     except SingularMatrixError as exc:
         raise SingularCartanError(str(exc))
-    return {i: inverse.column(i) for i in wanted}
+    roots_t = rd.simple_roots.transpose()
+    return {i: roots_t.apply(inverse.column(i)) for i in wanted}
 
 
 def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     """sum(omega_i for i outside J) with the normalization of fundamental_weights.
 
-    One solve of the same system with the indicator of the nodes outside J
-    as target, so no inverse is formed; the empty sum is the zero vector.
+    sum_j c_j alpha_j with A c the indicator of the nodes outside J: one
+    solve on the Cartan matrix, so no inverse is formed; the empty sum is
+    the zero vector.
     """
     J = frozenset(J)
-    target = [1 if i < rd.num_nodes and i not in J else 0 for i in range(rd.rank)]
+    target = [0 if i in J else 1 for i in range(rd.num_nodes)]
     if not any(target):
         return tuple(Fraction(0) for _ in range(rd.rank))
     try:
-        return solve_rational(_weight_system(rd), target)
+        coeffs = solve_rational(rd.cartan_matrix(), target)
     except SingularMatrixError as exc:
         raise SingularCartanError(str(exc))
+    return rd.simple_roots.transpose().apply(coeffs)
 
 
 def picard_torsion(rd: RootDatum) -> tuple:
@@ -612,7 +601,5 @@ def picard_torsion(rd: RootDatum) -> tuple:
 
     Empty exactly when the derived group is simply connected.
     """
-    if rd.num_nodes == 0:
-        return ()
     snf = smith_normal_form(rd.simple_coroots)
     return tuple(f for f in snf.invariant_factors if f > 1)

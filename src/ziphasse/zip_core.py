@@ -16,15 +16,13 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .exact_linear import (IntMatrix, SelfCheckError, _gauss_jordan, determinant,
-                           smith_normal_form)
+from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
+                           determinant, smith_normal_form)
 from .root_datum import (
-    CONTAINS_BMINUS,
     FrobeniusStructure,
-    ParabolicType,
     RootDatum,
     _dot,
-    char_lattice_of_parabolic,
+    _rows_or_empty,
     opp_type,
     opposition,
     positive_roots,
@@ -181,43 +179,39 @@ def _dominant_conjugate(rd: RootDatum, chi: Sequence) -> tuple:
             raise ValueError("dominance iteration did not terminate")
 
 
-def levi_char_lattice(zd: ZipDatum) -> IntMatrix:
-    """Basis (rows) of the character lattice of L0."""
-    return char_lattice_of_parabolic(
-        zd.rd, ParabolicType(zd.J0, CONTAINS_BMINUS))
+def _levi_smith(zd: ZipDatum) -> SmithDecomposition:
+    """Smith form of the J0 coroot rows (0 x rank when J0 is empty).
+
+    Columns |J0|.. of V are char_lattice_of_parabolic's basis of X*(L0).
+    """
+    rows = [zd.rd.coroot(j) for j in sorted(zd.J0)]
+    return smith_normal_form(_rows_or_empty(rows, zd.rd.rank))
 
 
 def zeta_matrix(zd: ZipDatum) -> IntMatrix:
     """Matrix of chi -> chi - q*tau(chi) on the chosen basis of X*(L0).
 
     The lattice is tau-stable because the root permutation fixes J0, so the
-    restriction has integer entries.
+    restriction has integer entries: the coordinates of an image y are
+    entries r.. of V^-1 y, and its entries 0..r-1 vanish.
     """
-    basis = levi_char_lattice(zd)
-    k = basis.rows
-    if k == 0:
-        return IntMatrix(0, 0, ())
-    q = zd.frob.q
-    images = []
-    for a in range(k):
-        vec = basis.row(a)
-        twisted = zd.frob.tau.apply(vec)
-        images.append([x - q * y for x, y in zip(vec, twisted)])
-    # row j of the solution holds the j-th basis coordinate of every image
-    coeffs = [c for row in _gauss_jordan(basis.transpose(), list(zip(*images)))
-              for c in row]
-    if any(c.denominator != 1 for c in coeffs):
-        raise SelfCheckError("twist endomorphism does not preserve the lattice")
-    return IntMatrix(k, k, [c.numerator for c in coeffs])
+    snf = _levi_smith(zd)
+    r = len(snf.invariant_factors)
+    q, tau = zd.frob.q, zd.frob.tau
+    columns = []
+    for a in range(r, zd.rd.rank):
+        vec = snf.V.column(a)
+        coords = snf.V_inv.apply([x - q * y for x, y in zip(vec, tau.apply(vec))])
+        if any(coords[:r]):
+            raise SelfCheckError("twist endomorphism does not preserve the lattice")
+        columns.append(coords[r:])
+    k = len(columns)
+    return IntMatrix(k, k, [c[j] for j in range(k) for c in columns])
 
 
 def levi_picard_torsion(zd: ZipDatum) -> tuple:
     """Picard torsion of the Levi L0: invariant factors > 1 of its coroot span."""
-    J0 = sorted(zd.J0)
-    if not J0:
-        return ()
-    coroots = IntMatrix.from_rows([zd.rd.coroot(j) for j in J0])
-    return tuple(f for f in smith_normal_form(coroots).invariant_factors if f > 1)
+    return tuple(f for f in _levi_smith(zd).invariant_factors if f > 1)
 
 
 def s0_characters(zd: ZipDatum) -> HasseReport:

@@ -5,15 +5,18 @@ determinant is cofactor expansion, the invariant factors come from the
 gcd-of-k-by-k-minors definition, the orbit census is read off the full
 Weyl group enumeration, the Weil pullback is built in X* from
 fundamental weights and dense powers of tau, and matrix products are the
-textbook triple loop.
+textbook triple loop.  The fundamental weights and the twist matrix come
+from their defining Fraction systems (coroots plus central directions; the
+coordinates on a basis of X*(L0)), solved by a Gauss-Jordan of their own.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from ziphasse.exact_linear import IntMatrix
-from ziphasse.root_datum import fundamental_weights
+from ziphasse.exact_linear import IntMatrix, kernel_basis
+from ziphasse.root_datum import (ParabolicType, char_lattice_of_parabolic,
+                                 fundamental_weights)
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import OrbitCensus, OrbitEntry
 
@@ -157,3 +160,56 @@ def xstar_block_pullbacks(zd, lam):
             targets.add(perm_powers[dist][node])
         blocks.append((tuple(vec), frozenset(targets)))
     return blocks
+
+
+def gauss_jordan(rows, rhs):
+    """Rows of the unique X with rows @ X = rhs over Q (rhs given row by row).
+
+    Full Gauss-Jordan: every pivot column is cleared above and below.
+    """
+    m, n = len(rows), len(rows[0])
+    aug = [[Fraction(x) for x in rows[i]] + [Fraction(x) for x in rhs[i]]
+           for i in range(m)]
+    for col in range(n):
+        piv = next(i for i in range(col, m) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    assert all(x == 0 for row in aug[n:] for x in row[n:]), "inconsistent"
+    return [row[n:] for row in aug[:n]]
+
+
+def central_solve_weights(rd, J=()):
+    """omega_i for i outside J from the square system of the simple coroots
+    followed by a basis of the central directions of X_* (the kernel of
+    pairing against all simple roots): omega_i pairs to delta_ij with the
+    coroots and to 0 with the central directions."""
+    central = kernel_basis(rd.simple_roots)
+    system = [rd.coroot(i) for i in range(rd.num_nodes)] + [
+        central.row(i) for i in range(central.rows)]
+    wanted = [i for i in range(rd.num_nodes) if i not in J]
+    ident = [[1 if a == i else 0 for i in wanted] for a in range(rd.rank)]
+    solution = gauss_jordan(system, ident)
+    return {i: tuple(row[c] for row in solution) for c, i in enumerate(wanted)}
+
+
+def basis_zeta_matrix(zd):
+    """chi -> chi - q tau(chi) in coordinates on char_lattice_of_parabolic's
+    basis of X*(L0), by a Fraction solve on that basis."""
+    basis = char_lattice_of_parabolic(zd.rd, ParabolicType(zd.J0))
+    k = basis.rows
+    if k == 0:
+        return IntMatrix(0, 0, ())
+    images = []
+    for a in range(k):
+        vec = basis.row(a)
+        images.append([x - zd.frob.q * y for x, y in zip(vec, zd.frob.tau.apply(vec))])
+    # row j of the solution holds the j-th basis coordinate of every image
+    coeffs = [c for row in gauss_jordan(basis.transpose().to_rows(),
+                                        [list(r) for r in zip(*images)])
+              for c in row]
+    assert all(c.denominator == 1 for c in coeffs), "not in the lattice"
+    return IntMatrix(k, k, [c.numerator for c in coeffs])

@@ -33,6 +33,16 @@ PGL3_FULL = {"q": 3,
              "parabolic_type": [1, 2]}
 
 
+def nested_product(depth):
+    """A document whose group is GL2 inside ``depth`` nested products.
+
+    Built as text: json.dumps itself recurses too deeply at depth 900.
+    """
+    group = ('{"builder": "product", "factors": [' * depth
+             + '{"builder": "gl", "n": 2}' + ']}' * depth)
+    return '{"q": 3, "parabolic_type": [], "group": %s}' % group
+
+
 def run_cli(args, stdin_text):
     old = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
@@ -255,6 +265,51 @@ class TestMainEntry:
         code, out, err = run_cli(["hasse"], json.dumps(doc))
         assert code == 0 and err == ""
         assert len(json.loads(out)["zeta"]) == 128
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "\n",
+        nested_product(900),
+    ], ids=["brackets100000", "product900"])
+    def test_deep_nesting_is_input_error(self, text):
+        code, out, err = run_cli(["hasse"], text)
+        assert code == 2 and out == ""
+        assert "ParseError" in err and "nested too deeply" in err
+
+    def test_nesting_above_budget_is_input_error(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a group nested above the budget was built")
+
+        monkeypatch.setattr(root_datum, "build_group", forbidden)
+        for depth in (33, 300):
+            code, out, err = run_cli(["hasse"], nested_product(depth))
+            assert code == 2 and out == ""
+            assert "ValidationError" in err and "more than 32 deep" in err
+        weil = {"q": 3, "parabolic_type": [], "group": {"builder": "gl", "n": 1}}
+        for _ in range(33):
+            weil["group"] = {"builder": "weil_restriction", "copies": 1,
+                             "inner": weil["group"]}
+        code, out, err = run_cli(["hasse"], json.dumps(weil))
+        assert code == 2 and out == "" and "more than 32 deep" in err
+
+    def test_nesting_at_budget_runs(self):
+        code, out, err = run_cli(["hasse"], nested_product(32))
+        assert code == 0 and err == ""
+        assert json.loads(out)["invariant_factors"] == ["2", "2"]
+
+    def test_q_above_bit_budget_is_input_error(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("q above the bit budget was factored")
+
+        monkeypatch.setattr(root_datum, "is_prime_power", forbidden)
+        doc = dict(GL2_BOREL, q=2**61 - 1)
+        code, out, err = run_cli(["hasse"], json.dumps(doc))
+        assert code == 2 and out == ""
+        assert "ValidationError" in err and "61 bits, above the budget of 40" in err
+
+    def test_q_at_bit_budget_runs(self):
+        code, out, err = run_cli(["hasse"], json.dumps(dict(GL2_BOREL, q=2**39)))
+        assert code == 0 and err == ""
+        assert json.loads(out)["q"] == 2**39
 
     def test_text_format(self):
         code, out, err = run_cli(["hasse", "--format", "text"], json.dumps(UNITARY3))

@@ -53,14 +53,17 @@ class TestSmithNormalForm:
             assert snf.U * m * snf.V == snf.D
             assert abs(determinant(snf.U)) == 1
             assert abs(determinant(snf.V)) == 1
+            assert snf.V * snf.V_inv == IntMatrix.identity(m.cols)
 
     def test_divisibility_chain(self):
         snf = smith_normal_form(mat([[2, 0], [0, 3]]))
         assert snf.invariant_factors == (1, 6)
 
     def test_zero_and_empty(self):
-        assert smith_normal_form(IntMatrix.zero(2, 3)).invariant_factors == ()
-        assert smith_normal_form(IntMatrix(0, 3, ())).invariant_factors == ()
+        for m in (IntMatrix.zero(2, 3), IntMatrix(0, 3, ())):
+            snf = smith_normal_form(m)
+            assert snf.invariant_factors == ()
+            assert snf.V == snf.V_inv == IntMatrix.identity(3)
 
     def test_random_matrices_against_oracle(self):
         rng = random.Random(7)
@@ -73,6 +76,7 @@ class TestSmithNormalForm:
             assert snf.U * m * snf.V == snf.D
             assert abs(determinant(snf.U)) == 1
             assert abs(determinant(snf.V)) == 1
+            assert snf.V * snf.V_inv == IntMatrix.identity(cols)
             assert snf.invariant_factors == minors_invariant_factors(m.to_rows(), cols)
             for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
                 assert b % a == 0

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from _oracles import same_lattice
+from _oracles import central_solve_weights, same_lattice
 
 from ziphasse.exact_linear import IntMatrix
 from ziphasse.root_datum import (
@@ -114,6 +114,9 @@ class TestCartanAndFrobenius:
             {"builder": "unitary", "n": 3},
             {"builder": "weil_restriction", "copies": 3,
              "inner": {"builder": "gl", "n": 2}}], 2),  # tau of order 6
+        # non-simply-laced adjoint data: pins A c = t, not A^T c = t
+        lambda: simple_group("C", 3, 2, "adjoint"),
+        lambda: simple_group("F", 4, 3, "adjoint"),
     ]
 
     @pytest.mark.parametrize("build", BUILDS)
@@ -303,6 +306,7 @@ class TestFundamentalWeights:
             expected = tuple(sum((w[a] for w in weights.values()), Fraction(0))
                              for a in range(rd.rank))
             assert fundamental_weight_sum(rd, J) == expected, J
+            assert weights == central_solve_weights(rd, J), J
 
 
 class TestPicardTorsion:

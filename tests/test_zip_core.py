@@ -5,8 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from _oracles import enumerated_census
+import test_root_datum
+from _oracles import basis_zeta_matrix, enumerated_census
 
 from ziphasse import zip_core
 from ziphasse.exact_linear import IntMatrix, SelfCheckError
@@ -162,6 +162,34 @@ class TestZetaMatrix:
         rd, frob = simple_group("A", 2, 3)
         zd = build_zip_datum(rd, frob, parabolic=[0, 1])
         assert zeta_matrix(zd).rows == 0
+
+    @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
+    def test_matches_basis_solve_for_every_J(self, build):
+        rd, frob = build()
+        k = rd.num_nodes
+        for bits in range(2 ** k):
+            zd = build_zip_datum(
+                rd, frob, parabolic=[i for i in range(k) if bits >> i & 1])
+            assert zeta_matrix(zd) == basis_zeta_matrix(zd), zd.J
+
+    def test_lattice_self_check_survives_optimize_flag(self):
+        # swapping e2 and e3 moves (1, 1, 0) off the lattice lam_1 = lam_2
+        script = (
+            "import dataclasses\n"
+            "from ziphasse.exact_linear import IntMatrix, SelfCheckError\n"
+            "from ziphasse.root_datum import gl\n"
+            "from ziphasse.zip_core import build_zip_datum, zeta_matrix\n"
+            "rd, frob = gl(3, 2)\n"
+            "zd = build_zip_datum(rd, frob, parabolic=[0])\n"
+            "swap = IntMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])\n"
+            "zd = dataclasses.replace(zd, frob=dataclasses.replace(frob, tau=swap))\n"
+            "try:\n"
+            "    print(zeta_matrix(zd))\n"
+            "except SelfCheckError as exc:\n"
+            "    print('SelfCheckError:', exc)\n")
+        out = run_optimized(script)
+        assert out == ("SelfCheckError: twist endomorphism does not preserve "
+                       "the lattice\n")
 
 
 class TestS0Characters:
