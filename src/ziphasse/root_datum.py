@@ -4,9 +4,9 @@ A root datum here is a pair of lattices X* = X_* = Z^rank with the standard
 dot pairing, a list of simple roots (vectors in X*) and simple coroots
 (vectors in X_*), and a record of the Dynkin components.  The Frobenius
 structure carries the size q of the base field together with the finite-order
-lattice automorphism tau through which the arithmetic Frobenius acts on
-characters; composing a character with the q-power isogeny corresponds to
-q * tau on coordinates.
+lattice automorphism tau, a signed permutation matrix, through which the
+arithmetic Frobenius acts on characters; composing a character with the
+q-power isogeny corresponds to q * tau on coordinates.
 
 Builders cover the groups used downstream: general linear groups, similitude
 symplectic groups, quasi-split unitary groups, split simple groups in both
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -27,11 +29,10 @@ from .exact_linear import (
     IntMatrix,
     SelfCheckError,
     SingularMatrixError,
-    determinant,
     kernel_basis,
     rational_inverse,
     smith_normal_form,
-    solve_rational,
+    solve_rational,  # noqa: F401  re-exported; perfbench traces it here
 )
 
 
@@ -82,15 +83,25 @@ class RootDatum:
         return self.simple_coroots.row(i)
 
     def cartan_matrix(self) -> IntMatrix:
-        """Pairing matrix <alpha_i^vee, alpha_j>."""
-        k = self.num_nodes
-        return IntMatrix(k, k, [
-            _dot(self.coroot(i), self.root(j)) for i in range(k) for j in range(k)
-        ])
+        """Pairing matrix <alpha_i^vee, alpha_j>.
+
+        The product skips the zero entries of the coroots, so it costs
+        O(k^2) for coroots with a bounded number of nonzero coordinates.
+        """
+        return self.simple_coroots * self.simple_roots.transpose()
 
     def coroot_pairings(self, vec: Sequence) -> tuple:
-        """<alpha_i^vee, vec> for every node i; vec may be rational."""
-        return tuple(_dot(self.coroot(i), vec) for i in range(self.num_nodes))
+        """<alpha_i^vee, vec> for every node i; vec may be rational.
+
+        A rational vec is paired as integer numerators over the lcm of its
+        denominators, so each pairing makes one Fraction.
+        """
+        coroots = [self.coroot(i) for i in range(self.num_nodes)]
+        if Fraction not in set(map(type, vec)):
+            return tuple(_dot(c, vec) for c in coroots)
+        scale = lcm(*(x.denominator for x in vec))
+        nums = [x.numerator * (scale // x.denominator) for x in vec]
+        return tuple(Fraction(_dot(c, nums), scale) for c in coroots)
 
     def root_pairings(self, covec: Sequence) -> tuple:
         """<covec, alpha_i> for every node i."""
@@ -155,49 +166,85 @@ def _validate_q(q):
 # builders
 
 
+MAX_FROBENIUS_ORDER = 10_000
+
+
 def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure:
+    """Frobenius structure for a tau that is a signed permutation matrix.
+
+    Every builder's tau is one: a single entry +-1 in each row, in distinct
+    columns.  Such a tau is unimodular and orthogonal, so tau_dual = tau^-T
+    is tau itself, and its order is the lcm of its cycle lengths, doubled on
+    a cycle whose signs multiply to -1.  A unimodular tau of finite order
+    that is not a signed permutation is refused too.
+    """
     _validate_q(q)
-    if abs(determinant(tau)) != 1:
-        raise ValueError("tau must be unimodular")
+    n = rd.rank
+    if (tau.rows, tau.cols) != (n, n):
+        raise ValueError("tau must be a %d x %d matrix" % (n, n))
+    cols, signs = [], []
+    for i in range(n):
+        row = tau.row(i)
+        if row.count(0) < n - 1:
+            raise ValueError("tau must be a signed permutation matrix")
+        x = sum(row)
+        # a row with at most one nonzero entry x makes x divide det(tau)
+        if x not in (1, -1):
+            raise ValueError("tau must be unimodular")
+        cols.append(row.index(x))
+        signs.append(x)
+    if len(set(cols)) != n:
+        raise ValueError("tau must be unimodular")  # it has a zero column
+
+    def act(vec):
+        return tuple(map(mul, signs, map(vec.__getitem__, cols)))
 
     roots = {rd.root(i): i for i in range(rd.num_nodes)}
     perm = []
     for i in range(rd.num_nodes):
-        image = tau.apply(rd.root(i))
+        image = act(rd.root(i))
         if image not in roots:
             raise ValueError("tau does not permute the simple roots")
         perm.append(roots[image])
     perm = tuple(perm)
 
-    # the last power before the identity is tau^(order-1) = tau^-1
-    ident = IntMatrix.identity(rd.rank)
-    inverse, power = ident, tau
+    # tau sends e_cols[i] to signs[i] * e_i; walk each cycle of that map
     order = 1
-    while power != ident:
-        inverse, power = power, power * tau
-        order += 1
-        if order > 10_000:
-            raise ValueError("tau does not have small finite order")
-    tau_dual = inverse.transpose()
+    seen = [False] * n
+    for start in range(n):
+        length, sign, i = 0, 1, start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            sign *= signs[i]
+            i = cols[i]
+        if length:
+            order = lcm(order, length if sign == 1 else 2 * length)
+    if order > MAX_FROBENIUS_ORDER:
+        raise ValueError("tau does not have small finite order")
     for i in range(rd.num_nodes):
-        if tau_dual.apply(rd.coroot(i)) != rd.coroot(perm[i]):
+        if act(rd.coroot(i)) != rd.coroot(perm[i]):
             raise ValueError("tau dual does not follow the root permutation")
-    return FrobeniusStructure(q=q, tau=tau, tau_dual=tau_dual,
+    return FrobeniusStructure(q=q, tau=tau, tau_dual=tau,
                               root_perm=perm, order=order)
+
+
+def _gl_datum(n: int, tag: tuple) -> RootDatum:
+    roots = [_unit(n, i, 1, i + 1, -1) for i in range(n - 1)]
+    return RootDatum(
+        rank=n,
+        simple_roots=_rows_or_empty(roots, n),
+        simple_coroots=_rows_or_empty(roots, n),
+        components=(Component("A", tuple(range(n - 1))),) if n > 1 else (),
+        builder_tag=tag,
+    )
 
 
 def gl(n: int, q: int):
     """GL_n with the standard diagonal torus: X* = Z^n, alpha_i = e_i - e_{i+1}."""
     if n < 1:
         raise InvalidRankError("gl needs n >= 1")
-    roots = [_unit(n, i, 1, i + 1, -1) for i in range(n - 1)]
-    rd = RootDatum(
-        rank=n,
-        simple_roots=_rows_or_empty(roots, n),
-        simple_coroots=_rows_or_empty(roots, n),
-        components=(Component("A", tuple(range(n - 1))),) if n > 1 else (),
-        builder_tag=("gl", n),
-    )
+    rd = _gl_datum(n, ("gl", n))
     return rd, _make_frobenius(rd, q, IntMatrix.identity(n))
 
 
@@ -210,13 +257,9 @@ def unitary(n: int, q: int):
     """
     if n < 1:
         raise InvalidRankError("unitary needs n >= 1")
-    rd_split, _ = gl(n, q)
-    rd = RootDatum(rank=n, simple_roots=rd_split.simple_roots,
-                   simple_coroots=rd_split.simple_coroots,
-                   components=rd_split.components,
-                   builder_tag=("unitary", n))
     tau = IntMatrix(n, n, [-1 if i + j == n - 1 else 0
                            for i in range(n) for j in range(n)])
+    rd = _gl_datum(n, ("unitary", n))
     return rd, _make_frobenius(rd, q, tau)
 
 
@@ -581,19 +624,77 @@ def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
 def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     """sum(omega_i for i outside J) with the normalization of fundamental_weights.
 
-    sum_j c_j alpha_j with A c the indicator of the nodes outside J: one
-    solve on the Cartan matrix, so no inverse is formed; the empty sum is
-    the zero vector.
+    sum_j c_j alpha_j with A c the indicator of the nodes outside J, A the
+    Cartan matrix, solved on the Dynkin forest of A (_forest_solve) as
+    integer numerators over one common denominator; the empty sum is the
+    zero vector.
     """
     J = frozenset(J)
     target = [0 if i in J else 1 for i in range(rd.num_nodes)]
     if not any(target):
         return tuple(Fraction(0) for _ in range(rd.rank))
-    try:
-        coeffs = solve_rational(rd.cartan_matrix(), target)
-    except SingularMatrixError as exc:
-        raise SingularCartanError(str(exc))
-    return rd.simple_roots.transpose().apply(coeffs)
+    nums, denom = _forest_solve(rd.cartan_matrix(), target)
+    acc = [0] * rd.rank
+    for i, num in enumerate(nums):
+        if num:
+            acc = [x + num * y for x, y in zip(acc, rd.root(i))]
+    return tuple(Fraction(x, denom) for x in acc)
+
+
+def _forest_solve(cartan: IntMatrix, target: Sequence) -> tuple:
+    """(nums, denom) with cartan @ nums = denom * target, in integers, for a
+    Cartan matrix whose graph (i ~ j when entry (i, j) or (j, i) is nonzero)
+    is a forest.
+
+    Leaf elimination without division: a leaf l with its one remaining
+    neighbour p replaces p's equation by pivot_l * (p's) - coefficient *
+    (l's).  Each pivot ends as the determinant of the subtree it heads, so
+    a tree's root holds its determinant, and by Cramer's rule the solution
+    times the lcm of those determinants is integral: back-substitution
+    divides exactly.  Raises SelfCheckError when the graph has a cycle or a
+    division is not exact, and SingularCartanError on a zero pivot; none of
+    these happens for finite type.
+    """
+    k = cartan.rows
+    nbrs = [set(compress(range(k), cartan.row(i))) - {i} for i in range(k)]
+    for i in range(k):
+        for j in nbrs[i]:
+            nbrs[j].add(i)
+    degree = [len(n) for n in nbrs]
+    pivot = [cartan.at(i, i) for i in range(k)]
+    scale = [1] * k  # equation i is scale[i] times row i of the system
+    rhs = list(target)
+    removed = [False] * k
+    steps = []  # (node, the neighbour it was folded into, or None)
+    leaves = [i for i in range(k) if degree[i] <= 1]
+    while leaves:
+        i = leaves.pop()
+        removed[i] = True
+        parent = next((j for j in nbrs[i] if not removed[j]), None)
+        steps.append((i, parent))
+        if pivot[i] == 0:
+            raise SingularCartanError("zero pivot at node %d of the Cartan matrix" % i)
+        if parent is not None:
+            a = scale[parent] * cartan.at(parent, i)
+            b = scale[i] * cartan.at(i, parent)
+            pivot[parent] = pivot[i] * pivot[parent] - a * b
+            rhs[parent] = pivot[i] * rhs[parent] - a * rhs[i]
+            scale[parent] *= pivot[i]
+            degree[parent] -= 1
+            if degree[parent] == 1:
+                leaves.append(parent)
+    if len(steps) != k:
+        raise SelfCheckError("the Dynkin graph of the Cartan matrix is not a forest")
+    denom = lcm(*(pivot[i] for i, parent in steps if parent is None))
+    nums = [0] * k
+    for i, parent in reversed(steps):
+        value = rhs[i] * denom
+        if parent is not None:
+            value -= scale[i] * cartan.at(i, parent) * nums[parent]
+        nums[i], rest = divmod(value, pivot[i])
+        if rest:
+            raise SelfCheckError("leaf elimination left a remainder at node %d" % i)
+    return nums, denom
 
 
 def picard_torsion(rd: RootDatum) -> tuple:

@@ -188,14 +188,16 @@ def _levi_smith(zd: ZipDatum) -> SmithDecomposition:
     return smith_normal_form(_rows_or_empty(rows, zd.rd.rank))
 
 
-def zeta_matrix(zd: ZipDatum) -> IntMatrix:
+def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMatrix:
     """Matrix of chi -> chi - q*tau(chi) on the chosen basis of X*(L0).
 
     The lattice is tau-stable because the root permutation fixes J0, so the
     restriction has integer entries: the coordinates of an image y are
-    entries r.. of V^-1 y, and its entries 0..r-1 vanish.
+    entries r.. of V^-1 y, and its entries 0..r-1 vanish.  ``snf`` is
+    _levi_smith(zd) when the caller has it already.
     """
-    snf = _levi_smith(zd)
+    if snf is None:
+        snf = _levi_smith(zd)
     r = len(snf.invariant_factors)
     q, tau = zd.frob.q, zd.frob.tau
     columns = []
@@ -211,7 +213,11 @@ def zeta_matrix(zd: ZipDatum) -> IntMatrix:
 
 def levi_picard_torsion(zd: ZipDatum) -> tuple:
     """Picard torsion of the Levi L0: invariant factors > 1 of its coroot span."""
-    return tuple(f for f in _levi_smith(zd).invariant_factors if f > 1)
+    return _torsion(_levi_smith(zd))
+
+
+def _torsion(snf: SmithDecomposition) -> tuple:
+    return tuple(f for f in snf.invariant_factors if f > 1)
 
 
 def s0_characters(zd: ZipDatum) -> HasseReport:
@@ -219,9 +225,11 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
 
     When the derived group of L0 is simply connected the cokernel is the
     character group of the finite stabilizer; otherwise PicObstructionError
-    is raised, carrying the same report flagged as unreliable.
+    is raised, carrying the same report flagged as unreliable.  One Smith
+    form of the J0 coroots serves both the lattice and the torsion.
     """
-    zeta = zeta_matrix(zd)
+    levi = _levi_smith(zd)
+    zeta = zeta_matrix(zd, levi)
     det = determinant(zeta)
     if det == 0:
         raise SelfCheckError("twist endomorphism must be injective")
@@ -229,7 +237,7 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     order = abs(det)
     if order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")
-    torsion = levi_picard_torsion(zd)
+    torsion = _torsion(levi)
     report = HasseReport(
         zeta=zeta,
         det_zeta=det,

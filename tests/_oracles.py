@@ -4,8 +4,9 @@ These deliberately avoid the library's own reduction routines: the
 determinant is cofactor expansion, the invariant factors come from the
 gcd-of-k-by-k-minors definition, the orbit census is read off the full
 Weyl group enumeration, the Weil pullback is built in X* from
-fundamental weights and dense powers of tau, and matrix products are the
-textbook triple loop.  The fundamental weights and the twist matrix come
+fundamental weights and dense powers of tau, the Frobenius structure
+comes from a determinant test and the dense powers of tau, and matrix
+products are the textbook triple loop.  The fundamental weights and the twist matrix come
 from their defining Fraction systems (coroots plus central directions; the
 coordinates on a basis of X*(L0)), solved by a Gauss-Jordan of their own.
 """
@@ -66,6 +67,30 @@ def apply(a, vec):
     """a @ vec by the double loop over (i, k)."""
     return tuple(sum(a.entries[i * a.cols + k] * vec[k] for k in range(a.cols))
                  for i in range(a.rows))
+
+
+def power_loop_frobenius(rd, tau):
+    """(tau_dual, root_perm, order) of any unimodular tau of finite order.
+
+    |det tau| = 1 by cofactor expansion, the root permutation from dense
+    images of the simple roots, the order as the first power of tau that is
+    the identity, and tau_dual as the transpose of the power before it,
+    tau^(order-1) = tau^-1.
+    """
+    assert abs(cofactor_det(tau.to_rows())) == 1, "tau is not unimodular"
+    roots = {rd.root(i): i for i in range(rd.num_nodes)}
+    perm = tuple(roots[apply(tau, rd.root(i))] for i in range(rd.num_nodes))
+    n = rd.rank
+    ident = IntMatrix.identity(n)
+    inverse, power, order = ident, tau, 1
+    while power != ident:
+        inverse, power = power, IntMatrix(n, n, matmul(power, tau))
+        order += 1
+        assert order <= 10_000, "tau does not have small finite order"
+    tau_dual = inverse.transpose()
+    assert all(apply(tau_dual, rd.coroot(i)) == rd.coroot(perm[i])
+               for i in range(rd.num_nodes)), "tau dual does not follow perm"
+    return tau_dual, perm, order
 
 
 def same_lattice(basis_a, basis_b):

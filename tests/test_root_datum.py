@@ -1,18 +1,25 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from _oracles import central_solve_weights, same_lattice
+from _oracles import (central_solve_weights, power_loop_frobenius,
+                      same_lattice)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ziphasse.exact_linear import IntMatrix
+from ziphasse.exact_linear import (IntMatrix, SelfCheckError,
+                                   solve_rational)
 from ziphasse.root_datum import (
     CONTAINS_B,
     CONTAINS_BMINUS,
+    Component,
     InvalidQError,
     InvalidRankError,
     ParabolicType,
     RootDatum,
     UnsupportedSeriesError,
+    _dot,
     _make_frobenius,
     build_group,
     char_lattice_of_parabolic,
@@ -151,12 +158,72 @@ class TestCartanAndFrobenius:
             _make_frobenius(rd, 2, swap)
 
     def test_rejects_tau_of_infinite_order(self):
-        torus = RootDatum(rank=2, simple_roots=IntMatrix(0, 2, ()),
-                          simple_coroots=IntMatrix(0, 2, ()), components=(),
-                          builder_tag=("torus", 2))
+        # refused by the signed-permutation reading before any order is computed
         shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="must be a signed permutation"):
+            _make_frobenius(torus(2), 2, shear)
+
+    def test_rejects_finite_order_tau_off_signed_permutations(self):
+        # unimodular of order 3, but the first column is not a signed unit vector
+        rotation = IntMatrix.from_rows([[0, -1], [1, -1]])
+        assert rotation * rotation * rotation == IntMatrix.identity(2)
+        with pytest.raises(ValueError, match="must be a signed permutation"):
+            _make_frobenius(torus(2), 2, rotation)
+
+    def test_rejects_signed_permutation_of_large_order(self):
+        # cycles of lengths 2, 3, 5, 7, 11 and 13: order 30030 > 10000
+        cycle_of, start = [], 0
+        for length in (2, 3, 5, 7, 11, 13):
+            cycle_of += [start + (i + 1) % length for i in range(length)]
+            start += length
+        n = len(cycle_of)
+        tau = IntMatrix(n, n, [1 if j == cycle_of[i] else 0
+                               for i in range(n) for j in range(n)])
         with pytest.raises(ValueError, match="does not have small finite order"):
-            _make_frobenius(torus, 2, shear)
+            _make_frobenius(torus(n), 2, tau)
+        # without the 13-cycle the order is 2310, which is accepted
+        small = IntMatrix(28, 28, [tau.at(i, j) for i in range(28) for j in range(28)])
+        assert _make_frobenius(torus(28), 2, small).order == 2310
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_matches_power_loop_oracle(self, build):
+        rd, frob = build()
+        assert (frob.tau_dual, frob.root_perm, frob.order) == \
+            power_loop_frobenius(rd, frob.tau)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.lists(st.sampled_from((1, -1)),
+                                            min_size=n, max_size=n))))
+    def test_signed_permutations_match_power_loop_oracle(self, signed):
+        perm, signs = signed
+        n = len(perm)
+        tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
+                               for i in range(n) for j in range(n)])
+        frob = _make_frobenius(torus(n), 3, tau)
+        assert (frob.tau_dual, frob.root_perm, frob.order) == \
+            power_loop_frobenius(torus(n), tau)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_cartan_matrix_is_the_pairing_matrix(self, build):
+        rd, _ = build()
+        k = rd.num_nodes
+        assert rd.cartan_matrix().entries == tuple(
+            _dot(rd.coroot(i), rd.root(j)) for i in range(k) for j in range(k))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_coroot_pairings_match_the_plain_dot(self, data):
+        rd, _ = data.draw(st.sampled_from(self.BUILDS))()
+        ints = st.integers(-50, 50)
+        fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+        entry = data.draw(st.sampled_from(
+            (ints, fracs, st.one_of(ints, fracs))))
+        vec = data.draw(st.lists(entry, min_size=rd.rank, max_size=rd.rank))
+        got = rd.coroot_pairings(vec)
+        expected = tuple(_dot(rd.coroot(i), vec) for i in range(rd.num_nodes))
+        assert got == expected
+        assert list(map(type, got)) == list(map(type, expected))
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_components_cover_nodes(self, build):
@@ -200,6 +267,12 @@ class TestCartanAndFrobenius:
         for mat in (rd.simple_roots, rd.simple_coroots):
             rank = len(smith_normal_form(mat).invariant_factors)
             assert rank == rd.num_nodes
+
+
+def torus(rank):
+    return RootDatum(rank=rank, simple_roots=IntMatrix(0, rank, ()),
+                     simple_coroots=IntMatrix(0, rank, ()), components=(),
+                     builder_tag=("torus", rank))
 
 
 class TestPositiveRoots:
@@ -307,6 +380,47 @@ class TestFundamentalWeights:
                              for a in range(rd.rank))
             assert fundamental_weight_sum(rd, J) == expected, J
             assert weights == central_solve_weights(rd, J), J
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_forest_solve_matches_dense_solves_for_every_J(self, build):
+        rd, _ = build()
+        k = rd.num_nodes
+        roots_t = rd.simple_roots.transpose()
+        for bits in range(1, 2 ** k):
+            J = {i for i in range(k) if bits >> i & 1 == 0}
+            got = fundamental_weight_sum(rd, J)
+            assert all(type(x) is Fraction for x in got)
+            target = [0 if i in J else 1 for i in range(k)]
+            assert got == roots_t.apply(solve_rational(rd.cartan_matrix(), target))
+            central = central_solve_weights(rd, J).values()
+            assert got == tuple(sum(col) for col in zip(*central)), J
+
+    def test_forest_check_refuses_affine_a2(self):
+        with pytest.raises(SelfCheckError, match="not a forest"):
+            fundamental_weight_sum(affine_a2(), ())
+
+    def test_forest_check_survives_optimize_flag(self):
+        from test_zip_core import run_optimized
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from test_root_datum import affine_a2\n"
+            "from ziphasse.exact_linear import SelfCheckError\n"
+            "from ziphasse.root_datum import fundamental_weight_sum\n"
+            "try:\n"
+            "    print(fundamental_weight_sum(affine_a2(), ()))\n"
+            "except SelfCheckError as exc:\n"
+            "    print('SelfCheckError:', exc)\n" % (str(Path(__file__).parent),))
+        assert run_optimized(script) == (
+            "SelfCheckError: the Dynkin graph of the Cartan matrix is not a forest\n")
+
+
+def affine_a2():
+    """The affine datum of type A2~: three nodes bonded in a triangle."""
+    cartan = IntMatrix.from_rows([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    return RootDatum(rank=3, simple_roots=cartan, simple_coroots=IntMatrix.identity(3),
+                     components=(Component("A~", (0, 1, 2)),),
+                     builder_tag=("affine", "A", 2))
 
 
 class TestPicardTorsion:
