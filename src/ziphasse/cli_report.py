@@ -232,9 +232,7 @@ def run(command: str, cfg: DatumConfig) -> Report:
             rd, frob,
             cocharacter=cfg.cocharacter,
             parabolic=cfg.parabolic_type if cfg.cocharacter is None else None)
-    except (root_datum.UnsupportedSeriesError, root_datum.InvalidRankError,
-            root_datum.InvalidQError, zip_core.NonNormalizedCocharacterError,
-            ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(str(exc))
 
     data = {"q": cfg.q, "group": cfg.group}

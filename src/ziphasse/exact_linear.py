@@ -40,72 +40,40 @@ def _check_rational(x):
     raise TypeError("exact rational entry expected, got %r" % (x,))
 
 
-def _product_entries(left, right) -> list:
-    """Row-major entries of left @ right for IntMatrix or RatMatrix factors.
+class _Matrix:
+    """Immutable row-major matrix; a subclass coerces the entries with _coerce.
 
-    Row i is the combination sum_k a_ik * (row k of right) with the zero
-    a_ik skipped, so the cost follows the nonzeros of ``left``: a signed
-    permutation times an n x n matrix costs O(n^2).
+    One body serves IntMatrix and RatMatrix.  A product takes the type of
+    its left factor, so IntMatrix * RatMatrix raises the TypeError of
+    IntMatrix's entry check.
     """
-    if left.cols != right.rows:
-        raise ValueError("shape mismatch in matrix product")
-    n = right.cols
-    rows = [right.entries[k * n:(k + 1) * n] for k in range(right.rows)]
-    out = []
-    for i in range(left.rows):
-        acc = [0] * n
-        for a, row in zip(left.entries[i * left.cols:(i + 1) * left.cols], rows):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, row)]
-        out.extend(acc)
-    return out
-
-
-def _apply(mat, vec: Sequence) -> tuple:
-    """mat @ vec for an IntMatrix or RatMatrix and int or Fraction coordinates."""
-    if len(vec) != mat.cols:
-        raise ValueError("vector length does not match column count")
-    c, entries = mat.cols, mat.entries
-    return tuple(sum(map(mul, entries[i * c:(i + 1) * c], vec))
-                 for i in range(mat.rows))
-
-
-class IntMatrix:
-    """Immutable integer matrix, stored row-major."""
 
     __slots__ = ("rows", "cols", "entries", "_hash")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+    def __init__(self, rows: int, cols: int, entries: Sequence):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
-        # one pass over the types; the slow loop names the first bad entry
-        if set(map(type, self.entries)) - {int}:
-            for x in self.entries:
-                _check_int(x)
+        self.entries = self._coerce(entries)
         if rows < 0 or cols < 0 or len(self.entries) != rows * cols:
             raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
         self._hash = None
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence]):
         rows = [tuple(r) for r in rows]
         if not rows:
-            raise ValueError("from_rows needs at least one row; use IntMatrix(0, n, ())")
+            raise ValueError("from_rows needs at least one row; use %s(0, n, ())"
+                             % cls.__name__)
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
         return cls(len(rows), cols, [x for r in rows for x in r])
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
+    def identity(cls, n: int):
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def at(self, i: int, j: int) -> int:
+    def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
@@ -114,6 +82,65 @@ class IntMatrix:
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
+    def __mul__(self, other: "_Matrix"):
+        """Row i is the combination sum_k a_ik * (row k of other) with the
+        zero a_ik skipped, so the cost follows the nonzeros of ``self``: a
+        signed permutation times an n x n matrix costs O(n^2).
+        """
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        c, n = self.cols, other.cols
+        rows = [other.entries[k * n:(k + 1) * n] for k in range(other.rows)]
+        out = []
+        for i in range(self.rows):
+            acc = [0] * n
+            for a, row in zip(self.entries[i * c:(i + 1) * c], rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, row)]
+            out.extend(acc)
+        return type(self)(self.rows, n, out)
+
+    def apply(self, vec: Sequence) -> tuple:
+        """Matrix times column vector; accepts int or Fraction coordinates."""
+        if len(vec) != self.cols:
+            raise ValueError("vector length does not match column count")
+        c, entries = self.cols, self.entries
+        return tuple(sum(map(mul, entries[i * c:(i + 1) * c], vec))
+                     for i in range(self.rows))
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and self.rows == other.rows and self.cols == other.cols
+                and self.entries == other.entries)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.entries))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "%s(%d, %d, %r)" % (type(self).__name__, self.rows, self.cols,
+                                   list(self.entries))
+
+
+class IntMatrix(_Matrix):
+    """Immutable integer matrix, stored row-major."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _coerce(entries) -> tuple:
+        entries = tuple(entries)
+        # one pass over the types; the slow loop names the first bad entry
+        if set(map(type, entries)) - {int}:
+            for x in entries:
+                _check_int(x)
+        return entries
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls(rows, cols, [0] * (rows * cols))
+
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -121,13 +148,6 @@ class IntMatrix:
         cols, entries = self.cols, self.entries
         return IntMatrix(cols, self.rows,
                          [x for j in range(cols) for x in entries[j::cols]])
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(self.rows, other.cols, _product_entries(self, other))
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector; accepts int or Fraction coordinates."""
-        return _apply(self, vec)
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [k * x for x in self.entries])
@@ -145,81 +165,21 @@ class IntMatrix:
         return self.scale(-1)
 
     def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [Fraction(x) for x in self.entries])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
+        return RatMatrix(self.rows, self.cols, self.entries)
 
 
-class RatMatrix:
+class RatMatrix(_Matrix):
     """Immutable matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ()
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(_check_rational(x) for x in entries)
-        if rows < 0 or cols < 0 or len(self.entries) != rows * cols:
-            raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
-        self._hash = None
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise ValueError("from_rows needs at least one row")
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(1 if i == j else 0)
-                          for i in range(n) for j in range(n)])
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def __mul__(self, other) -> "RatMatrix":
-        return RatMatrix(self.rows, other.cols, _product_entries(self, other))
-
-    def apply(self, vec: Sequence) -> tuple:
-        return _apply(self, vec)
+    @staticmethod
+    def _coerce(entries) -> tuple:
+        return tuple(_check_rational(x) for x in entries)
 
     def scale(self, k) -> "RatMatrix":
         k = _check_rational(k)
         return RatMatrix(self.rows, self.cols, [k * x for x in self.entries])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RatMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return "RatMatrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
 
 
 @dataclass(frozen=True)

@@ -321,8 +321,7 @@ def product_group(factor_specs: Sequence, q: int):
     built = [build_group(s, q) for s in factor_specs]
     rds = [rd for rd, _ in built]
     rank = sum(rd.rank for rd in rds)
-    roots, coroots, comps = [], [], []
-    tau_rows = [[0] * rank for _ in range(rank)]
+    roots, coroots, comps, tau_rows = [], [], [], []
     coord_off = 0
     node_off = 0
     for rd, frob in built:
@@ -332,9 +331,8 @@ def product_group(factor_specs: Sequence, q: int):
         for comp in rd.components:
             comps.append(Component(comp.series,
                                    tuple(node_off + i for i in comp.nodes)))
-        for i in range(rd.rank):
-            for j in range(rd.rank):
-                tau_rows[coord_off + i][coord_off + j] = frob.tau.at(i, j)
+        tau_rows.extend(_embed(frob.tau.row(i), coord_off, rank)
+                        for i in range(rd.rank))
         coord_off += rd.rank
         node_off += rd.num_nodes
     rd = RootDatum(
@@ -370,11 +368,7 @@ def weil_restriction(copies: int, inner_spec, q: int):
             comps.append(Component(
                 comp.series,
                 tuple(b * inner_rd.num_nodes + i for i in comp.nodes)))
-    tau_rows = [[0] * rank for _ in range(rank)]
-    for b in range(copies):
-        dest = (b - 1) % copies
-        for c in range(m):
-            tau_rows[dest * m + c][b * m + c] = 1
+    tau_rows = [_unit(rank, (r + m) % rank, 1) for r in range(rank)]
     rd = RootDatum(
         rank=rank,
         simple_roots=_rows_or_empty(roots, rank),
@@ -482,7 +476,33 @@ def _cartan_matrix(series: str, rank: int) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# root enumeration
+# root enumeration and Weyl walks in Cartan coordinates
+
+
+def _reflector(cartan: IntMatrix):
+    """The simple reflection s_i on pairing vectors: p -> p - p_i * (column i).
+
+    With rd.cartan_matrix(), whose entry (j, i) is <alpha_j^vee, alpha_i>, p
+    holds the coroot pairings of a weight; with its transpose, the root
+    pairings of a cocharacter.  Every Weyl walk of the package uses it.
+    """
+    columns = [cartan.column(i) for i in range(cartan.cols)]
+
+    def reflect(p, i):
+        pi = p[i]
+        return tuple([x - pi * c for x, c in zip(p, columns[i])])
+
+    return reflect
+
+
+def _to_dominant(p: tuple, reflect) -> tuple:
+    """Reflect p in its first node with a negative pairing until none is left."""
+    for _ in range(100_000):
+        i = next((i for i, x in enumerate(p) if x < 0), None)
+        if i is None:
+            return p
+        p = reflect(p, i)
+    raise ValueError("dominance walk did not terminate")
 
 
 @dataclass(frozen=True)
@@ -500,41 +520,34 @@ class PositiveRoots:
 def positive_roots(rd: RootDatum) -> PositiveRoots:
     """All positive roots by reflection closure of the simple roots.
 
-    Each root carries its expansion in the simple roots; the highest root of
-    every component (the unique root of maximal height there) is returned
-    alongside.
+    Each root carries its expansion c in the simple roots and its coroot
+    pairings p: s_i lowers c_i by p_i and moves p by _reflector.  The
+    vectors are one product, the coefficient rows times the simple roots.
+    The highest root of every component (the unique root of maximal height
+    there) is returned alongside.
     """
     k = rd.num_nodes
-    cartan = rd.cartan_matrix()
-    seen = set()
-    frontier = []
-    for i in range(k):
-        c = tuple(1 if j == i else 0 for j in range(k))
-        seen.add(c)
-        frontier.append(c)
+    reflect = _reflector(rd.cartan_matrix())
+    frontier = [(tuple(1 if j == i else 0 for j in range(k)),
+                 rd.coroot_pairings(rd.root(i))) for i in range(k)]
+    seen = {c for c, _ in frontier}
     while frontier:
         nxt = []
-        for c in frontier:
-            for i in range(k):
-                pairing = sum(cartan.at(i, j) * c[j] for j in range(k))
-                ci = c[i] - pairing
-                if ci == c[i]:
+        for c, p in frontier:
+            for i, pi in enumerate(p):
+                if not pi or c[i] < pi:
                     continue
-                c2 = c[:i] + (ci,) + c[i + 1:]
-                if min(c2) < 0 or c2 in seen:
-                    continue
-                seen.add(c2)
-                nxt.append(c2)
+                c2 = c[:i] + (c[i] - pi,) + c[i + 1:]
+                if c2 not in seen:
+                    seen.add(c2)
+                    nxt.append((c2, reflect(p, i)))
         frontier = nxt
         if len(seen) > 100_000:
             raise ValueError("root system does not look finite")
 
     ordered = sorted(seen, key=lambda c: (sum(c), c))
-    roots = []
-    for c in ordered:
-        vec = tuple(sum(c[i] * rd.root(i)[a] for i in range(k))
-                    for a in range(rd.rank))
-        roots.append(Root(vector=vec, coeffs=c))
+    vectors = _rows_or_empty(ordered, k) * rd.simple_roots
+    roots = [Root(vector=vectors.row(n), coeffs=c) for n, c in enumerate(ordered)]
 
     highest = []
     for comp in rd.components:
@@ -569,20 +582,13 @@ def opposition(rd: RootDatum) -> tuple:
 
     Works in Cartan coordinates (Casselman, "Machine calculations in Weyl
     groups", Invent. Math. 116, 1994): the weight whose coroot pairings are
-    (1, 2, ..., k) is regular dominant, and reflecting it in nodes with a
-    positive pairing ends at its image under w0.  Since -w0 sends omega_j to
-    omega_perm[j], the pairing -(j + 1) lands on node perm[j].
+    -(1, 2, ..., k) is regular antidominant, and its dominant conjugate is
+    its image under w0, the weight sum_j (j + 1) omega_perm[j].  As -w0 is
+    an involution, node j of that end point pairs to perm[j] + 1.
     """
-    k = rd.num_nodes
-    cartan = rd.cartan_matrix()
-    p = list(range(1, k + 1))
-    for _ in range(100_000):
-        i = next((idx for idx, x in enumerate(p) if x > 0), None)
-        if i is None:
-            return tuple(p.index(-(j + 1)) for j in range(k))
-        pi = p[i]
-        p = [x - pi * c for x, c in zip(p, cartan.entries[i::k])]
-    raise ValueError("longest element iteration did not terminate")
+    start = tuple(-(j + 1) for j in range(rd.num_nodes))
+    end = _to_dominant(start, _reflector(rd.cartan_matrix()))
+    return tuple(x - 1 for x in end)
 
 
 def opp_type(rd: RootDatum, J: Iterable) -> frozenset:

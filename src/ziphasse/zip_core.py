@@ -22,7 +22,9 @@ from .root_datum import (
     FrobeniusStructure,
     RootDatum,
     _dot,
+    _reflector,
     _rows_or_empty,
+    _to_dominant,
     opp_type,
     opposition,
     positive_roots,
@@ -154,29 +156,13 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
         return CENTRAL
     if all(-1 <= p <= 1 for p in pairings):
         return MINUSCULE
-    dom = _dominant_conjugate(rd, chi)
-    simple_pairings = rd.root_pairings(dom)
+    simple_pairings = _to_dominant(rd.root_pairings(chi),
+                                   _reflector(rd.cartan_matrix().transpose()))
     for comp in rd.components:
         positives = [simple_pairings[i] for i in comp.nodes if simple_pairings[i] > 0]
         if len(positives) > 1 or (positives and positives[0] != 1):
             return NEITHER
     return SMALL_NOT_MINUSCULE
-
-
-def _dominant_conjugate(rd: RootDatum, chi: Sequence) -> tuple:
-    vec = list(chi)
-    guard = 0
-    while True:
-        pairings = rd.root_pairings(vec)
-        i = next((idx for idx, p in enumerate(pairings) if p < 0), None)
-        if i is None:
-            return tuple(vec)
-        coroot = rd.coroot(i)
-        p = pairings[i]
-        vec = [x - p * c for x, c in zip(vec, coroot)]
-        guard += 1
-        if guard > 100_000:
-            raise ValueError("dominance iteration did not terminate")
 
 
 def _levi_smith(zd: ZipDatum) -> SmithDecomposition:
@@ -211,15 +197,6 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
     return IntMatrix(k, k, [c[j] for j in range(k) for c in columns])
 
 
-def levi_picard_torsion(zd: ZipDatum) -> tuple:
-    """Picard torsion of the Levi L0: invariant factors > 1 of its coroot span."""
-    return _torsion(_levi_smith(zd))
-
-
-def _torsion(snf: SmithDecomposition) -> tuple:
-    return tuple(f for f in snf.invariant_factors if f > 1)
-
-
 def s0_characters(zd: ZipDatum) -> HasseReport:
     """Invariant factors of the twist endomorphism on X*(L0).
 
@@ -237,7 +214,7 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     order = abs(det)
     if order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")
-    torsion = _torsion(levi)
+    torsion = tuple(f for f in levi.invariant_factors if f > 1)
     report = HasseReport(
         zeta=zeta,
         det_zeta=det,
@@ -273,11 +250,7 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     (length, word) order, each with its lexicographically least reduced word.
     """
     rd = zd.rd
-    columns = list(zip(*rd.cartan_matrix().to_rows()))
-
-    def reflect(p, i):
-        return tuple([x - p[i] * c for x, c in zip(p, columns[i])])
-
+    reflect = _reflector(rd.cartan_matrix())
     points = [tuple(0 if i in zd.J else 1 for i in range(rd.num_nodes))]
     words = [()]
     position = {points[0]: 0}

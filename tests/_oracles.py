@@ -6,7 +6,10 @@ gcd-of-k-by-k-minors definition, the orbit census is read off the full
 Weyl group enumeration, the Weil pullback is built in X* from
 fundamental weights and dense powers of tau, the Frobenius structure
 comes from a determinant test and the dense powers of tau, and matrix
-products are the textbook triple loop.  The fundamental weights and the twist matrix come
+products are the textbook triple loop.  The positive roots come from a
+closure on their coefficients alone and the dominant conjugate of a
+cocharacter from a walk in X_*, both recomputing every pairing from the
+Cartan matrix or the roots at each step.  The fundamental weights and the twist matrix come
 from their defining Fraction systems (coroots plus central directions; the
 coordinates on a basis of X*(L0)), solved by a Gauss-Jordan of their own.
 """
@@ -238,3 +241,51 @@ def basis_zeta_matrix(zd):
               for c in row]
     assert all(c.denominator == 1 for c in coeffs), "not in the lattice"
     return IntMatrix(k, k, [c.numerator for c in coeffs])
+
+
+def coefficient_closure(rd):
+    """(roots, highest) of rd as (coeffs, vector) pairs in (height, coeffs)
+    order, by the reflection closure on coefficients: s_i lowers c_i by
+    sum_j A_ij c_j, A the Cartan matrix read entry by entry, and a vector is
+    sum_i c_i alpha_i coordinate by coordinate.  highest holds the unique
+    root of maximal height of each component."""
+    k = rd.num_nodes
+    cartan = rd.cartan_matrix()
+    seen = {tuple(1 if j == i else 0 for j in range(k)) for i in range(k)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(k):
+                pairing = sum(cartan.at(i, j) * c[j] for j in range(k))
+                c2 = c[:i] + (c[i] - pairing,) + c[i + 1:]
+                if pairing and min(c2) >= 0 and c2 not in seen:
+                    seen.add(c2)
+                    nxt.append(c2)
+        frontier = nxt
+    roots = [(c, tuple(sum(c[i] * rd.root(i)[a] for i in range(k))
+                       for a in range(rd.rank)))
+             for c in sorted(seen, key=lambda c: (sum(c), c))]
+    highest = []
+    for comp in rd.components:
+        inside = [r for r in roots
+                  if {i for i, x in enumerate(r[0]) if x} <= set(comp.nodes)]
+        top = max(sum(c) for c, _ in inside)
+        tops = [r for r in inside if sum(r[0]) == top]
+        assert len(tops) == 1, "highest root is not unique"
+        highest.append(tops[0])
+    return roots, highest
+
+
+def xstar_dominant_conjugate(rd, chi):
+    """The dominant W-conjugate of the cocharacter chi, walked in X_*:
+    reflect chi -> chi - <chi, alpha_i> alpha_i^vee in the first simple root
+    it pairs negatively with, recomputing every root pairing at each step."""
+    vec = list(chi)
+    for _ in range(100_000):
+        pairings = rd.root_pairings(vec)
+        i = next((i for i, p in enumerate(pairings) if p < 0), None)
+        if i is None:
+            return tuple(vec)
+        vec = [x - pairings[i] * c for x, c in zip(vec, rd.coroot(i))]
+    raise AssertionError("dominance walk did not terminate")

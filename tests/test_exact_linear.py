@@ -189,6 +189,17 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             IntMatrix(2, 2, [1, 2, 3])
 
+    def test_the_two_matrix_types_stay_apart(self):
+        ints = mat([[1, 2], [3, 4]])
+        rats = ints.to_rational()
+        assert ints != rats and rats != ints
+        assert repr(ints) == "IntMatrix(2, 2, [1, 2, 3, 4])"
+        assert repr(rats).startswith("RatMatrix(2, 2, [Fraction(1, 1), ")
+        with pytest.raises(TypeError, match="integer entry expected"):
+            ints * rats
+        with pytest.raises(ValueError, match=r"use RatMatrix\(0, n, \(\)\)"):
+            RatMatrix.from_rows([])
+
     def test_apply_and_transpose(self):
         m = mat([[1, 2], [3, 4]])
         assert m.apply((1, 1)) == (3, 7)

@@ -3,8 +3,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _oracles import (central_solve_weights, power_loop_frobenius,
-                      same_lattice)
+from _oracles import (central_solve_weights, coefficient_closure,
+                      power_loop_frobenius, same_lattice,
+                      xstar_dominant_conjugate)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from ziphasse.root_datum import (
     UnsupportedSeriesError,
     _dot,
     _make_frobenius,
+    _reflector,
+    _to_dominant,
     build_group,
     char_lattice_of_parabolic,
     fundamental_weight_sum,
@@ -296,6 +299,26 @@ class TestPositiveRoots:
         assert len(positive_roots(simple_group("D", 4, 2)[0]).roots) == 12
         assert len(positive_roots(simple_group("F", 4, 2)[0]).roots) == 24
         assert len(positive_roots(gsp(6, 2)[0]).roots) == 9
+
+
+class TestWeylWalksAgainstOracle:
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_positive_roots_match_the_coefficient_closure(self, build):
+        rd, _ = build()
+        pos = positive_roots(rd)
+        roots, highest = coefficient_closure(rd)
+        assert [(r.coeffs, r.vector) for r in pos.roots] == roots
+        assert [(r.coeffs, r.vector) for r in pos.highest] == highest
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_dominant_root_pairings_match_the_xstar_walk(self, data):
+        rd, _ = data.draw(st.sampled_from(TestCartanAndFrobenius.BUILDS))()
+        chi = data.draw(st.lists(st.integers(-3, 3),
+                                 min_size=rd.rank, max_size=rd.rank))
+        got = _to_dominant(rd.root_pairings(chi),
+                           _reflector(rd.cartan_matrix().transpose()))
+        assert got == rd.root_pairings(xstar_dominant_conjugate(rd, chi))
 
 
 class TestCharLattice:
