@@ -12,6 +12,7 @@ report is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -290,8 +291,67 @@ def run(command: str, cfg: DatumConfig) -> Report:
     return Report(data=data, warnings=warnings, obstructed=obstructed)
 
 
+_escape = json.encoder.encode_basestring_ascii
+_ATOMS = {True: "true", False: "false", None: "null"}
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append the JSON text of value to out; pad indents the line it starts on.
+
+    The same bytes as json.dumps(value, sort_keys=True, indent=2), whose
+    indented form never uses the C encoder.  Only dicts with str keys,
+    lists, tuples, str, int, True, False and None are written; any other
+    type raises TypeError (for a key, from the sort or from the escaper).
+    """
+    kind = type(value)
+    if kind is int:
+        out.append(str(value))
+    elif kind is str:
+        out.append(_escape(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
+        for key in sorted(value):
+            out.append(lead)
+            out.append(_escape(key))
+            out.append(": ")
+            _write(value[key], inner, out)
+            lead = sep
+        out.append("\n" + pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out.append(sep.join(map(str, value)))
+        elif kinds == {str}:
+            out.append(sep.join(map(_escape, value)))
+        else:
+            items = iter(value)
+            _write(next(items), inner, out)
+            for item in items:
+                out.append(sep)
+                _write(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif kind is bool or value is None:
+        out.append(_ATOMS[value])
+    else:
+        raise TypeError("%s is not written as JSON" % (kind.__name__,))
+
+
 def render_json(report: Report) -> str:
-    return json.dumps(report.data, sort_keys=True, indent=2) + "\n"
+    out = []
+    _write(report.data, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(report: Report) -> str:
@@ -323,7 +383,9 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="ziphasse",
         description="Hasse-invariant combinatorics of zip data")
@@ -334,6 +396,11 @@ def main(argv=None) -> int:
     parser.add_argument("--weyl-cap", type=int, default=None, metavar="N", help=(
         "integer >= 1 (default %d): orbits/all exit 3 when |W|, read off the "
         "order formula, exceeds N; W is never enumerated" % weyl.DEFAULT_CAP))
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.weyl_cap is not None and args.weyl_cap < 1:
         parser.error("argument --weyl-cap: must be >= 1")

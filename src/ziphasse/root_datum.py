@@ -485,12 +485,18 @@ def _reflector(cartan: IntMatrix):
     With rd.cartan_matrix(), whose entry (j, i) is <alpha_j^vee, alpha_i>, p
     holds the coroot pairings of a weight; with its transpose, the root
     pairings of a cocharacter.  Every Weyl walk of the package uses it.
+    Column i is kept as its nonzero (j, c) entries, node i and its Dynkin
+    neighbours, so s_i copies p once and updates only those.
     """
-    columns = [cartan.column(i) for i in range(cartan.cols)]
+    columns = [[(j, c) for j, c in enumerate(cartan.column(i)) if c]
+               for i in range(cartan.cols)]
 
     def reflect(p, i):
         pi = p[i]
-        return tuple([x - pi * c for x, c in zip(p, columns[i])])
+        q = list(p)
+        for j, c in columns[i]:
+            q[j] -= pi * c
+        return tuple(q)
 
     return reflect
 

@@ -1,13 +1,18 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ziphasse import root_datum
+from ziphasse import cli_report, root_datum
 from ziphasse.cli_report import (
+    COMMANDS,
     ParseError,
+    Report,
     ValidationError,
     main,
     parse_config,
@@ -328,3 +333,97 @@ class TestMainEntry:
             input=json.dumps(UNITARY3), capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hasse_number"] == "8"
+
+
+def oracle_json(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def as_report(value):
+    return Report(data=value, warnings=[], obstructed=False)
+
+
+JSON_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-1), st.text())
+JSON_VALUES = st.recursive(
+    JSON_ATOMS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+class TestRenderJsonOracle:
+    """render_json writes exactly what json.dumps(sort_keys, indent=2) does."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(JSON_VALUES)
+    @example([1, True, 0, False])
+    @example({"b": [], "a": {}, "c": (), "d": [[], {}, ()]})
+    @example({"big": [2**64, 2**64 + 1, -2**70, -1, 0]})
+    @example(['q"uote', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9 \u2028 \U0001d11e"])
+    @example({"\u00e9": 1, "e": 2, "\"": [None, True, "x", 3]})
+    def test_matches_json_dumps(self, value):
+        assert render_json(as_report(value)) == oracle_json(value)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1, 2}, object(), [1, 2.0], {"a": {"b": frozenset()}}, {1: "a"},
+        {"a": 1, 2: "b"},
+    ], ids=["float", "set", "object", "nested-float", "nested-frozenset",
+            "int-key", "mixed-keys"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            render_json(as_report(value))
+
+    @pytest.mark.parametrize("group", [
+        {"builder": "unitary", "n": 4},
+        {"builder": "gsp", "dim": 6},
+        {"builder": "simple", "series": "D", "rank": 4, "isogeny": "adjoint"},
+    ], ids=["U4", "GSp6", "D4ad"])
+    def test_every_J_and_command_matches_json_dumps(self, group):
+        rd, _ = root_datum.build_group(group, 3)
+        nodes = range(1, rd.num_nodes + 1)
+        for size in range(rd.num_nodes + 1):
+            for J in itertools.combinations(nodes, size):
+                cfg = parse_config(json.dumps(
+                    {"q": 3, "group": group, "parabolic_type": list(J)}))
+                for command in COMMANDS:
+                    report = run(command, cfg)
+                    assert render_json(report) == oracle_json(report.data)
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once_on_first_use(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from ziphasse import cli_report as c; "
+             "before = c._parser.cache_info().currsize; "
+             "c._parser(); print(before, c._parser.cache_info().currsize)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.split() == ["0", "1"]
+        assert cli_report._parser() is cli_report._parser()
+
+    def test_format_flag_does_not_stick(self):
+        code, out, err = run_cli(["hasse", "--format", "text"], json.dumps(UNITARY3))
+        assert code == 0 and out.startswith("datum: ")
+        code, out, err = run_cli(["hasse"], json.dumps(UNITARY3))
+        assert code == 0 and json.loads(out)["hasse_number"] == "8"
+
+    def test_usage_error_repeats(self, capsys, monkeypatch):
+        for _ in range(2):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(UNITARY3)))
+            with pytest.raises(SystemExit) as info:
+                main(["orbits", "--weyl-cap", "0"])
+            assert info.value.code == 2
+            assert "--weyl-cap" in capsys.readouterr().err
+
+    def test_documents_in_one_process_match_fresh_processes(self):
+        cases = [(["all"], UNITARY3), (["orbits", "--format", "text"], HB3),
+                 (["all", "--weyl-cap", "2"], PGL3_FULL)]
+        in_process = [run_cli(args, json.dumps(doc)) for args, doc in cases]
+        for (args, doc), (code, out, err) in zip(cases, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ziphasse"] + args,
+                input=json.dumps(doc).encode(), capture_output=True)
+            assert (code, out.encode()) == (proc.returncode, proc.stdout)
