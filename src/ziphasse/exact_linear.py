@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from operator import mul
 from typing import Sequence
 
@@ -147,7 +148,7 @@ class IntMatrix(_Matrix):
     def transpose(self) -> "IntMatrix":
         cols, entries = self.cols, self.entries
         return IntMatrix(cols, self.rows,
-                         [x for j in range(cols) for x in entries[j::cols]])
+                         chain.from_iterable(entries[j::cols] for j in range(cols)))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [k * x for x in self.entries])
@@ -197,56 +198,79 @@ class SmithDecomposition:
     V_inv: IntMatrix
 
 
+def _pivot(a: list, t: int):
+    """(row, col) of the nonzero entry of least |x| in the block a[t:][t:],
+    the lowest in row-major order among ties, or None for a zero block.
+
+    An entry +-1 is minimal, and the first one met is the lowest, so the
+    scan stops there: on sparse unit-rich blocks it reads a few rows.
+    compress skips the zero entries without a Python step each.
+    """
+    best, at = None, None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in compress(range(t, len(row)), row[t:]):
+            x = row[j]
+            if best is None or abs(x) < best:
+                if x == 1 or x == -1:
+                    return i, j
+                best, at = abs(x), (i, j)
+    return at
+
+
+def _identity_rows(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     """Smith normal form by exact integer row/column reduction.
 
     Pivot choice: the nonzero entry of minimal absolute value in the
-    remaining block, ties broken by lowest (row, col).  This makes the
-    output deterministic for a fixed input.
+    remaining block, ties broken by lowest (row, col) (see _pivot).  This
+    makes the output deterministic for a fixed input.  A unit pivot divides
+    everything, so the divisibility rescan is skipped for it.
+
+    U and V^-1 change by row operations and are kept as rows; V changes by
+    column operations and is kept as its columns.  Rows above t are zero
+    from column t on, so a column swap at step t touches rows t.. only, and
+    the column pass runs once the row pass has cleared column t below the
+    pivot, so its column operations change the pivot row of ``mat`` alone.
     """
     m, n = mat.rows, mat.cols
     a = mat.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-    v_inv = IntMatrix.identity(n).to_rows()
+    u = _identity_rows(m)
+    v_cols = _identity_rows(n)
+    v_inv = _identity_rows(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+    def swap_cols(t, j):
+        for r in range(t, m):
+            row = a[r]
+            row[t], row[j] = row[j], row[t]
+        v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
+        v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
 
     def add_row(src, dst, k):
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
-    def add_col(src, dst, k):
-        for r in range(m):
-            a[r][dst] += k * a[r][src]
-        for r in range(n):
-            v[r][dst] += k * v[r][src]
-        v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    def add_col(t, dst, k):
+        a[t][dst] += k * a[t][t]
+        v_cols[dst] = [x + k * y for x, y in zip(v_cols[dst], v_cols[t])]
+        v_inv[t] = [x - k * y for x, y in zip(v_inv[t], v_inv[dst])]
 
     t = 0
     while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+        at = _pivot(a, t)
+        if at is None:
             break
-        _, pi, pj = best
+        pi, pj = at
         if pi != t:
             swap_rows(t, pi)
         if pj != t:
@@ -265,6 +289,8 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
                         break
             if dirty:
                 continue
+            # column t is now zero below the pivot, and column operations
+            # leave it so: after this pass row t is zero beyond the pivot
             for j in range(t + 1, n):
                 if a[t][j] != 0:
                     q = a[t][j] // a[t][t]
@@ -276,15 +302,13 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
                         break
             if dirty:
                 continue
-            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
-                continue
             # the pivot must divide the remaining block for d_i | d_{i+1}
-            bad = None
             piv = a[t][t]
-            for i in range(t + 1, m):
-                if any(x % piv for x in a[i][t + 1:]):
-                    bad = i
-                    break
+            if piv == 1 or piv == -1:
+                break
+            rem = piv.__rmod__  # rem(x) is x % piv
+            bad = next((i for i in range(t + 1, m)
+                        if any(map(rem, a[i][t + 1:]))), None)
             if bad is None:
                 break
             add_row(bad, t, 1)
@@ -292,25 +316,33 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
 
     for i in range(min(m, n)):
         if a[i][i] < 0:
-            negate_row(i)
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
 
     diag = [a[i][i] for i in range(min(m, n))]
     factors = tuple(d for d in diag if d != 0)
     # nonzero entries come first; anything else is a bug in the loop above
     if any(diag[len(factors):]):
         raise SelfCheckError("zero diagonal entries of the Smith form are not last")
-    flat_a = [x for row in a for x in row]
+    flat = chain.from_iterable
     return SmithDecomposition(
-        U=IntMatrix(m, m, [x for row in u for x in row]),
-        D=IntMatrix(m, n, flat_a),
-        V=IntMatrix(n, n, [x for row in v for x in row]),
+        U=IntMatrix(m, m, flat(u)),
+        D=IntMatrix(m, n, flat(a)),
+        V=IntMatrix(n, n, flat(zip(*v_cols))),
         invariant_factors=factors,
-        V_inv=IntMatrix(n, n, [x for row in v_inv for x in row]),
+        V_inv=IntMatrix(n, n, flat(v_inv)),
     )
 
 
 def determinant(mat: IntMatrix) -> int:
-    """Exact determinant (sign preserved) via Bareiss elimination."""
+    """Exact determinant (sign preserved) via Bareiss elimination.
+
+    Step k sends a row i below the pivot to (a_kk * row_i - a_ik * row_k)
+    / prev, one comprehension per row.  A row with a_ik = 0 is only scaled
+    by a_kk / prev, and left alone when a_kk == prev, so rows that the
+    pivot column misses cost little on a sparse matrix.  Columns before k
+    are zero in every row from k on, so whole rows can be combined.
+    """
     if mat.rows != mat.cols:
         raise NonSquareError("determinant of a %dx%d matrix" % (mat.rows, mat.cols))
     n = mat.rows
@@ -328,11 +360,16 @@ def determinant(mat: IntMatrix) -> int:
                     break
             else:
                 return 0
+        pivot_row = a[k]
+        akk = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            aik = row[k]
+            if aik:
+                a[i] = [(x * akk - aik * y) // prev for x, y in zip(row, pivot_row)]
+            elif akk != prev:
+                a[i] = [x * akk // prev for x in row]
+        prev = akk
     return sign * a[n - 1][n - 1]
 
 

@@ -19,7 +19,8 @@ from typing import Sequence
 
 from .exact_linear import (IntMatrix, RatMatrix, SelfCheckError, SingularMatrixError,
                            rational_inverse)
-from .root_datum import CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum
+from .root_datum import (CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum,
+                         _signed_perm)
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -117,19 +118,22 @@ def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
 
     (id - q*tau) * sum_{d<m} q^d tau^d = 1 - q^m, so the image is
     sum_{d<m} q^d tau^d(lam) / (1 - q^m): m - 1 applications of tau (by
-    Horner's rule) on an integer multiple of lam and one division.  Raises
+    Horner's rule) on an integer multiple of lam and one division.  tau
+    acts as the signed permutation it is, O(n) per application.  Raises
     SingularMatrixError when q^m = 1, which no prime power q allows.
     """
-    q, tau, m = zd.frob.q, zd.frob.tau, zd.frob.order
+    q, m = zd.frob.q, zd.frob.order
     denom = 1 - q ** m
     if denom == 0:
         raise SingularMatrixError("q^order = 1, so 1 - q^order has no inverse")
+    src, sign = _signed_perm(zd.frob.tau)
+    qsign = [q * s for s in sign]
     lam = _frac(lam)
     scale = lcm(*(x.denominator for x in lam))
     base = [x.numerator * (scale // x.denominator) for x in lam]
     acc = base
     for _ in range(m - 1):
-        acc = [b + q * y for b, y in zip(base, tau.apply(acc))]
+        acc = [b + c * acc[j] for b, c, j in zip(base, qsign, src)]
     return tuple(Fraction(x, denom * scale) for x in acc)
 
 
@@ -181,7 +185,8 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
     certified = _in_lattice(mu, zd.J) and _signs_hold(mu, zd.J, positive=True)
     if rational:
         # Frobenius composition preserves ampleness when J is stable
-        twisted = rd.coroot_pairings([zd.frob.q * x for x in zd.frob.tau.apply(lam)])
+        src, sign = _signed_perm(zd.frob.tau)
+        twisted = rd.coroot_pairings([zd.frob.q * s * lam[j] for s, j in zip(sign, src)])
         if not (_in_lattice(twisted, zd.J)
                 and _signs_hold(twisted, zd.J, positive=False)):
             raise SelfCheckError("Frobenius twist of an ample character is not ample")

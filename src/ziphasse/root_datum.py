@@ -182,19 +182,7 @@ def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure
     n = rd.rank
     if (tau.rows, tau.cols) != (n, n):
         raise ValueError("tau must be a %d x %d matrix" % (n, n))
-    cols, signs = [], []
-    for i in range(n):
-        row = tau.row(i)
-        if row.count(0) < n - 1:
-            raise ValueError("tau must be a signed permutation matrix")
-        x = sum(row)
-        # a row with at most one nonzero entry x makes x divide det(tau)
-        if x not in (1, -1):
-            raise ValueError("tau must be unimodular")
-        cols.append(row.index(x))
-        signs.append(x)
-    if len(set(cols)) != n:
-        raise ValueError("tau must be unimodular")  # it has a zero column
+    cols, signs = _signed_perm(tau)
 
     def act(vec):
         return tuple(map(mul, signs, map(vec.__getitem__, cols)))
@@ -227,6 +215,31 @@ def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure
             raise ValueError("tau dual does not follow the root permutation")
     return FrobeniusStructure(q=q, tau=tau, tau_dual=tau,
                               root_perm=perm, order=order)
+
+
+def _signed_perm(tau: IntMatrix) -> tuple:
+    """(src, sign) of a square signed permutation matrix tau, so that
+    (tau v)_i = sign[i] * v[src[i]].
+
+    Reads each row once.  Raises ValueError when tau is not a signed
+    permutation matrix, naming unimodularity when a row's one nonzero
+    entry is not +-1 or a column is zero.
+    """
+    n = tau.rows
+    src, sign = [], []
+    for i in range(n):
+        row = tau.row(i)
+        if row.count(0) < n - 1:
+            raise ValueError("tau must be a signed permutation matrix")
+        x = sum(row)
+        # a row with at most one nonzero entry x makes x divide det(tau)
+        if x not in (1, -1):
+            raise ValueError("tau must be unimodular")
+        src.append(row.index(x))
+        sign.append(x)
+    if len(set(src)) != n:
+        raise ValueError("tau must be unimodular")  # it has a zero column
+    return tuple(src), tuple(sign)
 
 
 def _gl_datum(n: int, tag: tuple) -> RootDatum:
@@ -486,10 +499,11 @@ def _reflector(cartan: IntMatrix):
     holds the coroot pairings of a weight; with its transpose, the root
     pairings of a cocharacter.  Every Weyl walk of the package uses it.
     Column i is kept as its nonzero (j, c) entries, node i and its Dynkin
-    neighbours, so s_i copies p once and updates only those.
+    neighbours, so s_i copies p once and updates only those; the columns
+    are exposed as ``reflect.columns`` for walks that update p in place.
     """
-    columns = [[(j, c) for j, c in enumerate(cartan.column(i)) if c]
-               for i in range(cartan.cols)]
+    columns = [[(j, c) for j, c in enumerate(col) if c]
+               for col in cartan.transpose().to_rows()]
 
     def reflect(p, i):
         pi = p[i]
@@ -498,16 +512,32 @@ def _reflector(cartan: IntMatrix):
             q[j] -= pi * c
         return tuple(q)
 
+    reflect.columns = columns
     return reflect
 
 
 def _to_dominant(p: tuple, reflect) -> tuple:
-    """Reflect p in its first node with a negative pairing until none is left."""
+    """Reflect p in nodes with a negative pairing until none is left.
+
+    The dominant W-conjugate is unique, so the order of the reflections
+    does not matter.  A worklist holds the negative nodes: s_i makes node
+    i positive and can only lower its neighbours (the off-diagonal Cartan
+    entries are <= 0), so a node joins the list when it turns negative.
+    p is updated in place, one step costs O(degree of i).
+    """
+    columns = reflect.columns
+    p = list(p)
+    todo = [i for i, x in enumerate(p) if x < 0]
     for _ in range(100_000):
-        i = next((i for i, x in enumerate(p) if x < 0), None)
-        if i is None:
-            return p
-        p = reflect(p, i)
+        if not todo:
+            return tuple(p)
+        i = todo.pop()
+        pi = p[i]
+        for j, c in columns[i]:
+            x = p[j]
+            p[j] = x - pi * c
+            if x >= 0 > p[j]:
+                todo.append(j)
     raise ValueError("dominance walk did not terminate")
 
 

@@ -13,6 +13,7 @@ equivariant Picard group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +25,7 @@ from .root_datum import (
     _dot,
     _reflector,
     _rows_or_empty,
+    _signed_perm,
     _to_dominant,
     opp_type,
     opposition,
@@ -181,15 +183,28 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
     restriction has integer entries: the coordinates of an image y are
     entries r.. of V^-1 y, and its entries 0..r-1 vanish.  ``snf`` is
     _levi_smith(zd) when the caller has it already.
+
+    The work follows the nonzeros: tau acts as the signed permutation it
+    is, and V^-1 y is summed as y_j times column j of V^-1 over the
+    nonzero y_j, each column kept as its nonzero entries.
     """
     if snf is None:
         snf = _levi_smith(zd)
     r = len(snf.invariant_factors)
-    q, tau = zd.frob.q, zd.frob.tau
+    n = zd.rd.rank
+    q = zd.frob.q
+    src, sign = _signed_perm(zd.frob.tau)
+    qsign = [q * s for s in sign]
+    inverse = [[(i, col[i]) for i in compress(range(n), col)]
+               for col in snf.V_inv.transpose().to_rows()]
     columns = []
-    for a in range(r, zd.rd.rank):
-        vec = snf.V.column(a)
-        coords = snf.V_inv.apply([x - q * y for x, y in zip(vec, tau.apply(vec))])
+    for vec in snf.V.transpose().to_rows()[r:]:
+        y = [x - c * vec[j] for x, c, j in zip(vec, qsign, src)]
+        coords = [0] * n
+        for j in compress(range(n), y):
+            yj = y[j]
+            for i, v in inverse[j]:
+                coords[i] += yj * v
         if any(coords[:r]):
             raise SelfCheckError("twist endomorphism does not preserve the lattice")
         columns.append(coords[r:])

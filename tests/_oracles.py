@@ -12,17 +12,21 @@ cocharacter from a walk in X_*, both recomputing every pairing from the
 Cartan matrix or the roots at each step.  The fundamental weights and the twist matrix come
 from their defining Fraction systems (coroots plus central directions; the
 coordinates on a basis of X*(L0)), solved by a Gauss-Jordan of their own.
+The dense twist matrix, the Smith form with a full pivot scan and the
+first-negative dominance walk are the bodies the library used before it
+went sparse, kept to pin that the sparse paths return the same values.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from ziphasse.exact_linear import IntMatrix, kernel_basis
+from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
+                                   kernel_basis)
 from ziphasse.root_datum import (ParabolicType, char_lattice_of_parabolic,
                                  fundamental_weights)
 from ziphasse.weyl import longest_element, min_coset_reps
-from ziphasse.zip_core import OrbitCensus, OrbitEntry
+from ziphasse.zip_core import OrbitCensus, OrbitEntry, _levi_smith
 
 
 def cofactor_det(rows):
@@ -288,4 +292,134 @@ def xstar_dominant_conjugate(rd, chi):
         if i is None:
             return tuple(vec)
         vec = [x - pairings[i] * c for x, c in zip(vec, rd.coroot(i))]
+    raise AssertionError("dominance walk did not terminate")
+
+
+def dense_zeta_matrix(zd):
+    """chi -> chi - q tau(chi) on the Smith basis of X*(L0), by dense
+    matrix-vector products: column a of V, its image under tau.apply, and
+    the coordinates V_inv.apply(image), of which entries r.. are kept."""
+    snf = _levi_smith(zd)
+    r = len(snf.invariant_factors)
+    q, tau = zd.frob.q, zd.frob.tau
+    columns = []
+    for a in range(r, zd.rd.rank):
+        vec = snf.V.column(a)
+        coords = snf.V_inv.apply([x - q * y for x, y in zip(vec, tau.apply(vec))])
+        assert not any(coords[:r]), "twist endomorphism does not preserve the lattice"
+        columns.append(coords[r:])
+    k = len(columns)
+    return IntMatrix(k, k, [c[j] for j in range(k) for c in columns])
+
+
+def full_scan_smith_normal_form(mat):
+    """Smith normal form with the pivot chosen by a scan of the whole
+    remaining block (least |x|, ties by lowest (row, col)) and the
+    divisibility rescan run for every pivot, units included."""
+    m, n = mat.rows, mat.cols
+    a = mat.to_rows()
+    u = IntMatrix.identity(m).to_rows()
+    v = IntMatrix.identity(n).to_rows()
+    v_inv = IntMatrix.identity(n).to_rows()
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in range(m):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(n):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def add_row(src, dst, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, k):
+        for r in range(m):
+            a[r][dst] += k * a[r][src]
+        for r in range(n):
+            v[r][dst] += k * v[r][src]
+        v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        add_row(t, i, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        add_col(t, j, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
+                continue
+            bad = None
+            piv = a[t][t]
+            for i in range(t + 1, m):
+                if any(x % piv for x in a[i][t + 1:]):
+                    bad = i
+                    break
+            if bad is None:
+                break
+            add_row(bad, t, 1)
+        t += 1
+
+    for i in range(min(m, n)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+
+    diag = [a[i][i] for i in range(min(m, n))]
+    factors = tuple(d for d in diag if d != 0)
+    if any(diag[len(factors):]):
+        raise SelfCheckError("zero diagonal entries of the Smith form are not last")
+    return SmithDecomposition(
+        U=IntMatrix(m, m, [x for row in u for x in row]),
+        D=IntMatrix(m, n, [x for row in a for x in row]),
+        V=IntMatrix(n, n, [x for row in v for x in row]),
+        invariant_factors=factors,
+        V_inv=IntMatrix(n, n, [x for row in v_inv for x in row]),
+    )
+
+
+def first_negative_to_dominant(p, reflect):
+    """Reflect p in its first node with a negative pairing until none is
+    left, scanning p from the start on every step."""
+    for _ in range(100_000):
+        i = next((i for i, x in enumerate(p) if x < 0), None)
+        if i is None:
+            return tuple(p)
+        p = reflect(p, i)
     raise AssertionError("dominance walk did not terminate")

@@ -1,0 +1,104 @@
+"""Golden CLI outputs at high rank.
+
+Every document in ``golden/cases.json`` runs under ``hasse``,
+``positivity``, ``picard`` and ``all``; stdout must equal
+``golden/<name>.<command>.out`` byte for byte and the exit code must equal
+the recorded one.  The documents are GL17, U(17), GSp30, adjoint D13 and
+the Weil restrictions of GL3 (8 copies) and SL2 (20 copies), with Borel,
+parabolic and cocharacter inputs.
+
+To record the files again from the current code (only when an output is
+meant to change):
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ziphasse
+from ziphasse.cli_report import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ("hasse", "positivity", "picard", "all")
+
+
+def load_cases():
+    return json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def run_document(command, document):
+    """(exit code, stdout) of ``ziphasse <command>`` on the document, in process."""
+    old = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(document))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command])
+    finally:
+        sys.stdin = old
+    return code, out.getvalue()
+
+
+def expected_stdout(name, command):
+    return (GOLDEN / ("%s.%s.out" % (name, command))).read_text(encoding="utf-8")
+
+
+CASES = load_cases()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_and_exit_code_match_golden(name, command):
+    case = CASES[name]
+    code, stdout = run_document(command, case["document"])
+    assert code == case["exit"][command]
+    assert stdout == expected_stdout(name, command)
+
+
+def test_golden_outputs_survive_optimize_flag():
+    # the self-checks raise, so python -O must print the same bytes
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import test_cli_golden as g\n"
+        "for name, case in sorted(g.CASES.items()):\n"
+        "    for command in g.COMMANDS:\n"
+        "        code, out = g.run_document(command, case['document'])\n"
+        "        if (code, out) != (case['exit'][command],\n"
+        "                           g.expected_stdout(name, command)):\n"
+        "            print(name, command)\n" % (str(Path(__file__).parent),))
+    src = str(Path(ziphasse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def record():
+    cases = load_cases()
+    for name, case in sorted(cases.items()):
+        case["exit"] = {}
+        for command in COMMANDS:
+            code, stdout = run_document(command, case["document"])
+            case["exit"][command] = code
+            (GOLDEN / ("%s.%s.out" % (name, command))).write_text(
+                stdout, encoding="utf-8")
+    (GOLDEN / "cases.json").write_text(
+        json.dumps(cases, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_cli_golden.py --record")
+    record()

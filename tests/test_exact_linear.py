@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from _oracles import apply, cofactor_det, matmul, minors_invariant_factors
+from _oracles import (apply, cofactor_det, full_scan_smith_normal_form, matmul,
+                      minors_invariant_factors)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -297,3 +298,32 @@ class TestKernelsAgainstOracle:
                 a * IntMatrix(3, 1, [1, 2, 3])
             with pytest.raises(ValueError, match="vector length does not match column count"):
                 a.apply((1, 2, 3))
+
+
+@st.composite
+def sparse_matrix(draw, square=False, max_dim=7):
+    """A matrix with entries in {0, +-1, +-2, +-q}, mostly zero."""
+    rows = draw(st.integers(0, max_dim))
+    cols = rows if square else draw(st.integers(0, max_dim))
+    q = draw(st.sampled_from((3, 4, 5, 9, 27)))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, q, -q))
+    return IntMatrix(rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                               max_size=rows * cols)))
+
+
+class TestSparseShortcuts:
+    SETTINGS = settings(max_examples=300, deadline=None, database=None)
+
+    @SETTINGS
+    @given(sparse_matrix())
+    def test_smith_form_matches_the_full_scan(self, m):
+        # the unit shortcuts must keep U, D, V and V^-1, not only the factors
+        snf = smith_normal_form(m)
+        assert snf == full_scan_smith_normal_form(m)
+        assert snf.U * m * snf.V == snf.D
+        assert snf.V * snf.V_inv == IntMatrix.identity(m.cols)
+
+    @SETTINGS
+    @given(sparse_matrix(square=True, max_dim=6))
+    def test_determinant_matches_cofactor_expansion(self, m):
+        assert determinant(m) == cofactor_det(m.to_rows())

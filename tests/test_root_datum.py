@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 from _oracles import (central_solve_weights, coefficient_closure,
-                      power_loop_frobenius, same_lattice,
-                      xstar_dominant_conjugate)
+                      first_negative_to_dominant, power_loop_frobenius,
+                      same_lattice, xstar_dominant_conjugate)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +23,7 @@ from ziphasse.root_datum import (
     _dot,
     _make_frobenius,
     _reflector,
+    _signed_perm,
     _to_dominant,
     build_group,
     char_lattice_of_parabolic,
@@ -148,6 +149,27 @@ class TestCartanAndFrobenius:
         for i in range(rd.num_nodes):
             assert frob.tau.apply(rd.root(i)) == rd.root(frob.root_perm[i])
             assert frob.tau_dual.apply(rd.coroot(i)) == rd.coroot(frob.root_perm[i])
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.lists(st.sampled_from((1, -1)),
+                                            min_size=n, max_size=n))))
+    def test_signed_perm_reads_tau(self, signed):
+        perm, signs = signed
+        n = len(perm)
+        tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
+                               for i in range(n) for j in range(n)])
+        src, sign = _signed_perm(tau)
+        vec = tuple(range(3, 3 + n))
+        assert tuple(s * vec[j] for s, j in zip(sign, src)) == tau.apply(vec)
+
+    def test_signed_perm_refuses_other_matrices(self):
+        for rows, message in (([[1, 1], [0, 1]], "signed permutation"),
+                              ([[2, 0], [0, 1]], "unimodular"),
+                              ([[1, 0], [1, 0]], "unimodular"),
+                              ([[0, 0], [0, 1]], "unimodular")):
+            with pytest.raises(ValueError, match=message):
+                _signed_perm(IntMatrix.from_rows(rows))
 
     def test_rejects_non_unimodular_tau(self):
         rd, _ = gl(3, 2)
@@ -319,6 +341,29 @@ class TestWeylWalksAgainstOracle:
         got = _to_dominant(rd.root_pairings(chi),
                            _reflector(rd.cartan_matrix().transpose()))
         assert got == rd.root_pairings(xstar_dominant_conjugate(rd, chi))
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS + [
+        lambda: unitary(9, 2), lambda: simple_group("E", 6, 2),
+        lambda: simple_group("D", 5, 3, "adjoint")])
+    def test_worklist_walk_matches_the_first_negative_scan(self, build):
+        # the opposition start and random points, in both Cartan orientations
+        rd, _ = build()
+        k = rd.num_nodes
+        rng = random.Random(k)
+        starts = [tuple(-(j + 1) for j in range(k))] + [
+            tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(20)]
+        for cartan in (rd.cartan_matrix(), rd.cartan_matrix().transpose()):
+            reflect = _reflector(cartan)
+            for p in starts:
+                assert _to_dominant(p, reflect) == \
+                    first_negative_to_dominant(p, reflect)
+
+    def test_reflector_exposes_its_sparse_columns(self):
+        rd, _ = simple_group("B", 3, 2)
+        reflect = _reflector(rd.cartan_matrix())
+        assert reflect.columns == [
+            [(j, c) for j, c in enumerate(rd.cartan_matrix().column(i)) if c]
+            for i in range(3)]
 
 
 class TestCharLattice:

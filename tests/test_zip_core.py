@@ -6,13 +6,16 @@ from pathlib import Path
 
 import pytest
 import test_root_datum
-from _oracles import basis_zeta_matrix, enumerated_census
+from _oracles import basis_zeta_matrix, dense_zeta_matrix, enumerated_census
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ziphasse import zip_core
 from ziphasse.exact_linear import IntMatrix, SelfCheckError
 from ziphasse.root_datum import (
     CONTAINS_BMINUS,
     ParabolicType,
+    build_group,
     char_lattice_of_parabolic,
     gl,
     gsp,
@@ -171,6 +174,51 @@ class TestZetaMatrix:
             zd = build_zip_datum(
                 rd, frob, parabolic=[i for i in range(k) if bits >> i & 1])
             assert zeta_matrix(zd) == basis_zeta_matrix(zd), zd.J
+
+    DENSE_ORACLE_BUILDS = [
+        lambda: unitary(4, 3), lambda: unitary(5, 2), lambda: unitary(6, 5),
+        lambda: unitary(7, 4),
+        lambda: gsp(8, 3),
+        lambda: simple_group("D", 4, 2, "adjoint"),
+        lambda: simple_group("E", 6, 3),
+        lambda: weil_restriction(3, {"builder": "gl", "n": 2}, 2),
+        lambda: weil_restriction(2, {"builder": "gl", "n": 3}, 3),
+        lambda: product_group([{"builder": "unitary", "n": 3},
+                               {"builder": "gsp", "dim": 4}], 2),
+    ]
+
+    @pytest.mark.parametrize("build", DENSE_ORACLE_BUILDS)
+    def test_matches_dense_oracle_for_every_J(self, build):
+        rd, frob = build()
+        k = rd.num_nodes
+        for bits in range(2 ** k):
+            zd = build_zip_datum(
+                rd, frob, parabolic=[i for i in range(k) if bits >> i & 1])
+            assert zeta_matrix(zd) == dense_zeta_matrix(zd), zd.J
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_dense_oracle_up_to_rank_24(self, data):
+        spec = data.draw(st.one_of(
+            st.builds(lambda n: {"builder": "gl", "n": n}, st.integers(1, 24)),
+            st.builds(lambda n: {"builder": "unitary", "n": n}, st.integers(1, 24)),
+            st.builds(lambda g: {"builder": "gsp", "dim": 2 * g}, st.integers(1, 23)),
+            st.builds(lambda s, r, iso: {"builder": "simple", "series": s,
+                                         "rank": r, "isogeny": iso},
+                      st.sampled_from("ABCD"), st.integers(4, 24),
+                      st.sampled_from(("simply_connected", "adjoint"))),
+            st.builds(lambda c, n: {"builder": "weil_restriction", "copies": c,
+                                    "inner": {"builder": "gl", "n": n}},
+                      st.integers(1, 8), st.integers(1, 3)),
+            st.builds(lambda a, b: {"builder": "product", "factors": [
+                {"builder": "unitary", "n": a}, {"builder": "gsp", "dim": 2 * b}]},
+                      st.integers(1, 12), st.integers(1, 11))))
+        q = data.draw(st.sampled_from((2, 3, 4, 5, 9, 25)))
+        rd, frob = build_group(spec, q)
+        J = data.draw(st.sets(st.integers(0, max(rd.num_nodes - 1, 0)))
+                      if rd.num_nodes else st.just(set()))
+        zd = build_zip_datum(rd, frob, parabolic=J)
+        assert zeta_matrix(zd) == dense_zeta_matrix(zd)
 
     def test_lattice_self_check_survives_optimize_flag(self):
         # swapping e2 and e3 moves (1, 1, 0) off the lattice lam_1 = lam_2
