@@ -27,7 +27,7 @@ import ziphasse
 from ziphasse.cli_report import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-COMMANDS = ("hasse", "positivity", "picard", "all")
+COMMANDS = ("hasse", "orbits", "positivity", "picard", "all")
 
 
 def load_cases():
