@@ -46,7 +46,8 @@ class _Matrix:
 
     One body serves IntMatrix and RatMatrix.  A product takes the type of
     its left factor, so IntMatrix * RatMatrix raises the TypeError of
-    IntMatrix's entry check.
+    IntMatrix's entry check.  Integer results of integer operands skip that
+    check: they come from IntMatrix._trusted.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -99,6 +100,8 @@ class _Matrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, row)]
             out.extend(acc)
+        if type(self) is IntMatrix is type(other):
+            return IntMatrix._trusted(self.rows, n, out)
         return type(self)(self.rows, n, out)
 
     def apply(self, vec: Sequence) -> tuple:
@@ -139,6 +142,16 @@ class IntMatrix(_Matrix):
         return entries
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """A matrix of entries already known to be ints, built without the
+        per-entry type check of the public constructors."""
+        mat = object.__new__(cls)
+        mat.rows, mat.cols, mat.entries, mat._hash = rows, cols, tuple(entries), None
+        if len(mat.entries) != rows * cols:
+            raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
+        return mat
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, [0] * (rows * cols))
 
@@ -147,17 +160,20 @@ class IntMatrix(_Matrix):
 
     def transpose(self) -> "IntMatrix":
         cols, entries = self.cols, self.entries
-        return IntMatrix(cols, self.rows,
-                         chain.from_iterable(entries[j::cols] for j in range(cols)))
+        return IntMatrix._trusted(
+            cols, self.rows,
+            chain.from_iterable(entries[j::cols] for j in range(cols)))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [k * x for x in self.entries])
+        _check_int(k)
+        return IntMatrix._trusted(self.rows, self.cols, [k * x for x in self.entries])
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self.entries, other.entries)])
+        make = IntMatrix._trusted if type(other) is IntMatrix else IntMatrix
+        return make(self.rows, self.cols,
+                    [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
@@ -326,11 +342,11 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
         raise SelfCheckError("zero diagonal entries of the Smith form are not last")
     flat = chain.from_iterable
     return SmithDecomposition(
-        U=IntMatrix(m, m, flat(u)),
-        D=IntMatrix(m, n, flat(a)),
-        V=IntMatrix(n, n, flat(zip(*v_cols))),
+        U=IntMatrix._trusted(m, m, flat(u)),
+        D=IntMatrix._trusted(m, n, flat(a)),
+        V=IntMatrix._trusted(n, n, flat(zip(*v_cols))),
         invariant_factors=factors,
-        V_inv=IntMatrix(n, n, flat(v_inv)),
+        V_inv=IntMatrix._trusted(n, n, flat(v_inv)),
     )
 
 
@@ -431,5 +447,5 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(mat)
     rank = len(snf.invariant_factors)
     # the rows are columns rank.. of V
-    return IntMatrix(mat.cols - rank, mat.cols,
-                     snf.V.transpose().entries[rank * mat.cols:])
+    return IntMatrix._trusted(mat.cols - rank, mat.cols,
+                              snf.V.transpose().entries[rank * mat.cols:])

@@ -14,6 +14,9 @@ isogeny types, finite products, and Weil restrictions of split groups along a
 degree-r extension.
 
 Everything constructed here is immutable and safe to share between threads.
+A RootDatum computes its Cartan data (the Cartan matrix, its reflector and
+the opposition walk) on first use and keeps them; they are deterministic
+and immutable, so a race between threads only computes them twice.
 """
 
 from __future__ import annotations
@@ -64,6 +67,24 @@ class Component:
     nodes: tuple
 
 
+class _cached:
+    """functools.cached_property without the lock that Python 3.11 takes
+    on every first read (3.12 dropped it).  The value goes straight into
+    the instance __dict__, past a frozen dataclass's __setattr__, and later
+    reads find it there without calling __get__.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class RootDatum:
     rank: int
@@ -83,12 +104,35 @@ class RootDatum:
         return self.simple_coroots.row(i)
 
     def cartan_matrix(self) -> IntMatrix:
-        """Pairing matrix <alpha_i^vee, alpha_j>.
+        """Pairing matrix <alpha_i^vee, alpha_j>, computed once per datum.
 
         The product skips the zero entries of the coroots, so it costs
         O(k^2) for coroots with a bounded number of nonzero coordinates.
         """
+        return self._cartan
+
+    # the cached values below are not dataclass fields: ==, hash and repr
+    # ignore them
+
+    @_cached
+    def _cartan(self) -> IntMatrix:
         return self.simple_coroots * self.simple_roots.transpose()
+
+    @_cached
+    def _reflect(self):
+        return _reflector(self._cartan)
+
+    @_cached
+    def _opposition(self) -> tuple:
+        """(perm, |Phi+|): the opposition walk of opposition(), and its
+        length, checked against the count read off the component series."""
+        n_pos = sum([_N_POSITIVE[c.series](len(c.nodes)) for c in self.components])
+        start = range(-1, -self.num_nodes - 1, -1)
+        end, steps = _walk(start, self._reflect.columns, n_pos)
+        if steps != n_pos:
+            raise SelfCheckError("the opposition walk took %d steps, not |Phi+| = %d"
+                                 % (steps, n_pos))
+        return tuple([x - 1 for x in end]), n_pos
 
     def coroot_pairings(self, vec: Sequence) -> tuple:
         """<alpha_i^vee, vec> for every node i; vec may be rational.
@@ -492,6 +536,13 @@ def _cartan_matrix(series: str, rank: int) -> IntMatrix:
 # root enumeration and Weyl walks in Cartan coordinates
 
 
+# |Phi+| of a component from its series and number of nodes
+_N_POSITIVE = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+               "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+               "E": {6: 36, 7: 63, 8: 120}.__getitem__, "F": lambda n: 24,
+               "G": lambda n: 6}
+
+
 def _reflector(cartan: IntMatrix):
     """The simple reflection s_i on pairing vectors: p -> p - p_i * (column i).
 
@@ -500,10 +551,12 @@ def _reflector(cartan: IntMatrix):
     pairings of a cocharacter.  Every Weyl walk of the package uses it.
     Column i is kept as its nonzero (j, c) entries, node i and its Dynkin
     neighbours, so s_i copies p once and updates only those; the columns
-    are exposed as ``reflect.columns`` for walks that update p in place.
+    are exposed as ``reflect.columns``, a tuple of tuples, for walks that
+    update p in place.
     """
-    columns = [[(j, c) for j, c in enumerate(col) if c]
-               for col in cartan.transpose().to_rows()]
+    k = cartan.cols
+    columns = tuple([tuple([(j, c) for j, c in enumerate(cartan.entries[i::k]) if c])
+                     for i in range(k)])
 
     def reflect(p, i):
         pi = p[i]
@@ -516,29 +569,45 @@ def _reflector(cartan: IntMatrix):
     return reflect
 
 
-def _to_dominant(p: tuple, reflect) -> tuple:
-    """Reflect p in nodes with a negative pairing until none is left.
+def _walk(p: tuple, columns, limit: int, nodes=None, coeffs=None) -> tuple:
+    """(end, steps): reflect p in nodes with a negative pairing until none
+    is left, counting the reflections.
 
-    The dominant W-conjugate is unique, so the order of the reflections
-    does not matter.  A worklist holds the negative nodes: s_i makes node
-    i positive and can only lower its neighbours (the off-diagonal Cartan
+    ``columns`` are a reflector's.  With ``nodes`` the walk runs on the
+    sub-diagram on that set: it reflects only in those nodes and updates
+    only their entries, so the entries of the end outside it are those of
+    p.  With ``coeffs``, the expansion of p's root in the simple roots,
+    s_i also lowers coeffs[i] by p_i, in place.
+
+    The dominant conjugate is unique, so the order of the reflections does
+    not matter.  A worklist holds the negative nodes: s_i makes node i
+    positive and can only lower its neighbours (the off-diagonal Cartan
     entries are <= 0), so a node joins the list when it turns negative.
     p is updated in place, one step costs O(degree of i).
+
+    s_i negates alpha_i and permutes the other positive roots, so each step
+    lowers by one the number of positive roots that p pairs negatively
+    with: a walk takes at most |Phi+| steps, exactly |Phi+| = l(w0) from a
+    regular antidominant p (Casselman, Invent. Math. 116, 1994), and one
+    that would take more than ``limit`` raises SelfCheckError.
     """
-    columns = reflect.columns
     p = list(p)
-    todo = [i for i, x in enumerate(p) if x < 0]
-    for _ in range(100_000):
+    if nodes is not None:
+        columns = [tuple((j, c) for j, c in col if j in nodes) for col in columns]
+    todo = [i for i, x in enumerate(p) if x < 0 and (nodes is None or i in nodes)]
+    for steps in range(limit + 1):
         if not todo:
-            return tuple(p)
+            return tuple(p), steps
         i = todo.pop()
         pi = p[i]
+        if coeffs is not None:
+            coeffs[i] -= pi
         for j, c in columns[i]:
             x = p[j]
             p[j] = x - pi * c
             if x >= 0 > p[j]:
                 todo.append(j)
-    raise ValueError("dominance walk did not terminate")
+    raise SelfCheckError("a Weyl walk took more than |Phi+| = %d steps" % limit)
 
 
 @dataclass(frozen=True)
@@ -563,7 +632,7 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
     there) is returned alongside.
     """
     k = rd.num_nodes
-    reflect = _reflector(rd.cartan_matrix())
+    reflect = rd._reflect
     frontier = [(tuple(1 if j == i else 0 for j in range(k)),
                  rd.coroot_pairings(rd.root(i))) for i in range(k)]
     seen = {c for c, _ in frontier}
@@ -620,11 +689,11 @@ def opposition(rd: RootDatum) -> tuple:
     groups", Invent. Math. 116, 1994): the weight whose coroot pairings are
     -(1, 2, ..., k) is regular antidominant, and its dominant conjugate is
     its image under w0, the weight sum_j (j + 1) omega_perm[j].  As -w0 is
-    an involution, node j of that end point pairs to perm[j] + 1.
+    an involution, node j of that end point pairs to perm[j] + 1.  The walk
+    runs once per datum (RootDatum._opposition), and its length l(w0) must
+    equal |Phi+| as read off the component series.
     """
-    start = tuple(-(j + 1) for j in range(rd.num_nodes))
-    end = _to_dominant(start, _reflector(rd.cartan_matrix()))
-    return tuple(x - 1 for x in end)
+    return rd._opposition[0]
 
 
 def opp_type(rd: RootDatum, J: Iterable) -> frozenset:

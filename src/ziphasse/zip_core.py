@@ -26,10 +26,9 @@ from .root_datum import (
     _reflector,
     _rows_or_empty,
     _signed_perm,
-    _to_dominant,
+    _walk,
     opp_type,
     opposition,
-    positive_roots,
 )
 from .weyl import min_coset_reps  # noqa: F401  re-exported; perfbench traces it here
 
@@ -144,24 +143,39 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
 def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     """central / minuscule / small_not_minuscule / neither.
 
-    Minuscule means every root pairing lies in {-1, 0, 1} (the pairing test
-    is conjugation invariant because the Weyl group permutes the roots).
+    Central means every simple-root pairing is 0.  Minuscule means every
+    root pairing lies in {-1, 0, 1}; the Weyl group permutes the roots, so
+    that holds for chi when it holds for its dominant conjugate chi+, and
+    chi+ pairs with the positive roots of a component between 0 and its
+    pairing with the highest root theta there.  theta is the dominant root
+    in the orbit of a long simple root, walked with its coefficients.
     Small means that in every simple component the dominant conjugate pairs
     positively with at most one simple root, with value 1.
     """
     chi = tuple(chi)
     if len(chi) != rd.rank:
         raise ValueError("cocharacter length does not match the rank")
-    pos = positive_roots(rd)
-    pairings = [_dot(chi, r.vector) for r in pos.roots]
-    if all(p == 0 for p in pairings):
+    pairings = rd.root_pairings(chi)
+    if not any(pairings):
         return CENTRAL
-    if all(-1 <= p <= 1 for p in pairings):
-        return MINUSCULE
-    simple_pairings = _to_dominant(rd.root_pairings(chi),
-                                   _reflector(rd.cartan_matrix().transpose()))
+    n_pos = rd._opposition[1]
+    dominant, _ = _walk(pairings, _reflector(rd.cartan_matrix().transpose()).columns,
+                        n_pos)
+    columns = rd._reflect.columns
+    tops = []
     for comp in rd.components:
-        positives = [simple_pairings[i] for i in comp.nodes if simple_pairings[i] > 0]
+        # a long node is the long end of a multiple bond: its column holds
+        # an entry <alpha_j^vee, alpha_i> <= -2; without one, all are long
+        long = next((i for i in comp.nodes if any(c < -1 for _, c in columns[i])),
+                    comp.nodes[0])
+        theta = [0] * rd.num_nodes
+        theta[long] = 1
+        _walk(rd.cartan_matrix().column(long), columns, n_pos, coeffs=theta)
+        tops.append(_dot(theta, dominant))
+    if max(tops) <= 1:
+        return MINUSCULE
+    for comp in rd.components:
+        positives = [dominant[i] for i in comp.nodes if dominant[i] > 0]
         if len(positives) > 1 or (positives and positives[0] != 1):
             return NEITHER
     return SMALL_NOT_MINUSCULE
@@ -209,7 +223,7 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
             raise SelfCheckError("twist endomorphism does not preserve the lattice")
         columns.append(coords[r:])
     k = len(columns)
-    return IntMatrix(k, k, [c[j] for j in range(k) for c in columns])
+    return IntMatrix._trusted(k, k, [c[j] for j in range(k) for c in columns])
 
 
 def s0_characters(zd: ZipDatum) -> HasseReport:
@@ -265,7 +279,7 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     (length, word) order, each with its lexicographically least reduced word.
     """
     rd = zd.rd
-    reflect = _reflector(rd.cartan_matrix())
+    reflect = rd._reflect
     points = [tuple(0 if i in zd.J else 1 for i in range(rd.num_nodes))]
     words = [()]
     position = {points[0]: 0}
@@ -277,10 +291,12 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
                 points.append(image)
                 words.append(words[pos] + (i,))
 
-    roots = positive_roots(rd).roots
-    n_pos = len(roots)
-    n_pos_j = sum(1 for r in roots
-                  if all(i in zd.J for i, x in enumerate(r.coeffs) if x))
+    # |Phi+| = l(w0) and |Phi+_J| = l(w0,J) are the lengths of two walks
+    # from regular antidominant points: the opposition walk of the datum,
+    # and -1 on J walked in the nodes of J
+    n_pos = rd._opposition[1]
+    n_pos_j = _walk(tuple(-1 if i in zd.J else 0 for i in range(rd.num_nodes)),
+                    reflect.columns, n_pos, zd.J)[1]
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
     eta_length = len(words[-1])

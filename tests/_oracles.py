@@ -15,6 +15,8 @@ coordinates on a basis of X*(L0)), solved by a Gauss-Jordan of their own.
 The dense twist matrix, the Smith form with a full pivot scan and the
 first-negative dominance walk are the bodies the library used before it
 went sparse, kept to pin that the sparse paths return the same values.
+The cocharacter classification by the list of positive roots is the one
+the library used before it read the highest roots off walks.
 """
 
 from fractions import Fraction
@@ -24,9 +26,10 @@ from math import gcd
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                                    kernel_basis)
 from ziphasse.root_datum import (ParabolicType, char_lattice_of_parabolic,
-                                 fundamental_weights)
+                                 fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
-from ziphasse.zip_core import OrbitCensus, OrbitEntry, _levi_smith
+from ziphasse.zip_core import (CENTRAL, MINUSCULE, NEITHER, SMALL_NOT_MINUSCULE,
+                               OrbitCensus, OrbitEntry, _levi_smith)
 
 
 def cofactor_det(rows):
@@ -423,3 +426,23 @@ def first_negative_to_dominant(p, reflect):
             return tuple(p)
         p = reflect(p, i)
     raise AssertionError("dominance walk did not terminate")
+
+
+def root_list_classify(rd, chi):
+    """central / minuscule / small_not_minuscule / neither from the list of
+    positive roots: central when chi pairs to 0 with every root, minuscule
+    when every pairing lies in {-1, 0, 1}; small when in every component
+    the dominant conjugate, walked in X_*, pairs positively with at most
+    one simple root, with value 1."""
+    pairings = [sum(x * y for x, y in zip(chi, r.vector))
+                for r in positive_roots(rd).roots]
+    if all(p == 0 for p in pairings):
+        return CENTRAL
+    if all(-1 <= p <= 1 for p in pairings):
+        return MINUSCULE
+    dominant = rd.root_pairings(xstar_dominant_conjugate(rd, chi))
+    for comp in rd.components:
+        positives = [dominant[i] for i in comp.nodes if dominant[i] > 0]
+        if len(positives) > 1 or (positives and positives[0] != 1):
+            return NEITHER
+    return SMALL_NOT_MINUSCULE

@@ -1,11 +1,14 @@
-"""Golden CLI outputs at high rank.
+"""Golden CLI outputs.
 
-Every document in ``golden/cases.json`` runs under ``hasse``,
+Every document in ``golden/cases.json`` runs under ``hasse``, ``orbits``,
 ``positivity``, ``picard`` and ``all``; stdout must equal
 ``golden/<name>.<command>.out`` byte for byte and the exit code must equal
-the recorded one.  The documents are GL17, U(17), GSp30, adjoint D13 and
-the Weil restrictions of GL3 (8 copies) and SL2 (20 copies), with Borel,
-parabolic and cocharacter inputs.
+the recorded one.  The documents at rank 13-24 are GL17, U(17), GSp30,
+adjoint D13 and the Weil restrictions of GL3 (8 copies) and SL2 (20
+copies), with Borel, parabolic and cocharacter inputs; their Weyl groups
+exceed the cap, so ``orbits`` exits 3 on them.  The small documents pin
+whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
+U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.
 
 To record the files again from the current code (only when an output is
 meant to change):

@@ -201,6 +201,20 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match=r"use RatMatrix\(0, n, \(\)\)"):
             RatMatrix.from_rows([])
 
+    def test_integer_operations_keep_the_type_check_at_their_edges(self):
+        # results of two IntMatrix operands skip the entry check; a
+        # rational operand or factor still meets it
+        ints = mat([[1, 2], [3, 4]])
+        rats = ints.to_rational()
+        for bad in (lambda: ints * rats, lambda: ints + rats,
+                    lambda: ints - rats, lambda: ints.scale(Fraction(1, 2)),
+                    lambda: ints.scale(1.0), lambda: ints.scale(True)):
+            with pytest.raises(TypeError, match="integer entry expected"):
+                bad()
+        assert rats * ints == rats * rats
+        with pytest.raises(ValueError, match="entry count"):
+            IntMatrix._trusted(2, 2, [1, 2, 3])
+
     def test_apply_and_transpose(self):
         m = mat([[1, 2], [3, 4]])
         assert m.apply((1, 1)) == (3, 7)
@@ -252,6 +266,18 @@ class TestKernelsAgainstOracle:
         product = left * right
         assert (product.rows, product.cols) == (left.rows, right.cols)
         assert list(product.entries) == matmul(left, right)
+
+    @SETTINGS
+    @given(int_pair())
+    def test_integer_results_equal_checked_constructions(self, pair):
+        # the unchecked constructor builds what the public one would
+        left, right = pair
+        for got in (left * right, left.transpose(), right.scale(-3),
+                    right + right, right - right.scale(2), -left):
+            assert type(got) is IntMatrix
+            assert got == IntMatrix(got.rows, got.cols, list(got.entries))
+            assert type(got.entries) is tuple
+            assert set(map(type, got.entries)) <= {int}
 
     @SETTINGS
     @given(int_pair(), st.data())

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from ziphasse.root_datum import (
     _make_frobenius,
     _reflector,
     _signed_perm,
-    _to_dominant,
+    _walk,
     build_group,
     char_lattice_of_parabolic,
     fundamental_weight_sum,
@@ -32,6 +33,7 @@ from ziphasse.root_datum import (
     gl,
     gsp,
     opp_type,
+    opposition,
     picard_torsion,
     positive_roots,
     product_group,
@@ -39,6 +41,7 @@ from ziphasse.root_datum import (
     unitary,
     weil_restriction,
 )
+from ziphasse.zip_core import build_zip_datum, classify_cocharacter, orbit_census
 
 
 class TestBuilders:
@@ -338,8 +341,9 @@ class TestWeylWalksAgainstOracle:
         rd, _ = data.draw(st.sampled_from(TestCartanAndFrobenius.BUILDS))()
         chi = data.draw(st.lists(st.integers(-3, 3),
                                  min_size=rd.rank, max_size=rd.rank))
-        got = _to_dominant(rd.root_pairings(chi),
-                           _reflector(rd.cartan_matrix().transpose()))
+        got, _ = _walk(rd.root_pairings(chi),
+                       _reflector(rd.cartan_matrix().transpose()).columns,
+                       rd._opposition[1])
         assert got == rd.root_pairings(xstar_dominant_conjugate(rd, chi))
 
     @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS + [
@@ -355,15 +359,110 @@ class TestWeylWalksAgainstOracle:
         for cartan in (rd.cartan_matrix(), rd.cartan_matrix().transpose()):
             reflect = _reflector(cartan)
             for p in starts:
-                assert _to_dominant(p, reflect) == \
+                assert _walk(p, reflect.columns, rd._opposition[1])[0] == \
                     first_negative_to_dominant(p, reflect)
 
     def test_reflector_exposes_its_sparse_columns(self):
         rd, _ = simple_group("B", 3, 2)
         reflect = _reflector(rd.cartan_matrix())
-        assert reflect.columns == [
-            [(j, c) for j, c in enumerate(rd.cartan_matrix().column(i)) if c]
-            for i in range(3)]
+        assert reflect.columns == tuple(
+            tuple((j, c) for j, c in enumerate(rd.cartan_matrix().column(i)) if c)
+            for i in range(3))
+
+
+def levi_walk_length(rd, J):
+    """Steps of the walk from -1 on J and 0 elsewhere, in the nodes of J."""
+    start = tuple(-1 if i in J else 0 for i in range(rd.num_nodes))
+    return _walk(start, rd._reflect.columns, rd._opposition[1], frozenset(J))[1]
+
+
+def root_counts(rd, J):
+    """(|Phi+|, |Phi+_J|) from the list of positive roots."""
+    roots = positive_roots(rd).roots
+    inside = sum(1 for r in roots
+                 if all(i in J for i, x in enumerate(r.coeffs) if x))
+    return len(roots), inside
+
+
+class TestWalkCounts:
+    """The opposition walk takes |Phi+| steps and the walk on J |Phi+_J|."""
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_step_counts_match_the_root_list_for_every_J(self, build):
+        rd, _ = build()
+        k = rd.num_nodes
+        assert k <= 6
+        for bits in range(2 ** k):
+            J = {i for i in range(k) if bits >> i & 1}
+            assert (rd._opposition[1], levi_walk_length(rd, J)) == \
+                root_counts(rd, J), (rd.builder_tag, J)
+
+    @pytest.mark.parametrize("rank", [7, 8])
+    def test_exceptional_maximal_parabolics(self, rank):
+        rd, _ = simple_group("E", rank, 2)
+        for outside in range(rank):
+            J = set(range(rank)) - {outside}
+            assert (rd._opposition[1], levi_walk_length(rd, J)) == \
+                root_counts(rd, J)
+
+    def test_rank_128(self):
+        # the root list takes seconds here, so the counts are the closed
+        # forms: A_n has n(n+1)/2 positive roots and C_n has n^2
+        rd, _ = unitary(128, 2)
+        assert rd._opposition[1] == 127 * 128 // 2 == 8128
+        assert levi_walk_length(rd, range(1, 127)) == 126 * 127 // 2 == 8001
+        rd, _ = gsp(254, 2)
+        assert rd._opposition[1] == 127 ** 2 == 16_129
+        assert levi_walk_length(rd, range(3, 100)) == 97 * 98 // 2 == 4753
+
+    def test_u512_opposition_runs_past_the_old_step_guard(self):
+        rd, _ = unitary(512, 2)
+        assert rd._opposition[1] == 130_816
+        assert opposition(rd) == tuple(reversed(range(511)))
+
+    def test_a_walk_longer_than_its_bound_raises(self):
+        rd, _ = simple_group("F", 4, 2)
+        start = (-1, -2, -3, -4)  # w0 = -1 on F4
+        assert _walk(start, rd._reflect.columns, 24) == ((1, 2, 3, 4), 24)
+        with pytest.raises(SelfCheckError, match="more than"):
+            _walk(start, rd._reflect.columns, 23)
+
+    @pytest.mark.parametrize("series,message", [
+        ("A", "more than"), ("E", "not |Phi+|")])
+    def test_a_wrong_series_trips_the_opposition_check(self, series, message):
+        # D6 has 30 positive roots; A6 and E6 claim 21 and 36
+        rd, _ = simple_group("D", 6, 2)
+        wrong = dataclasses.replace(
+            rd, components=(Component(series, rd.components[0].nodes),))
+        with pytest.raises(SelfCheckError, match=message):
+            opposition(wrong)
+
+
+class TestCartanCache:
+    def test_cached_values_are_shared_tuples(self):
+        rd, _ = product_group([{"builder": "unitary", "n": 4},
+                               {"builder": "simple", "series": "G", "rank": 2}], 2)
+        assert rd.cartan_matrix() is rd.cartan_matrix()
+        assert rd._reflect is rd._reflect
+        assert rd._opposition is rd._opposition
+        assert type(rd._reflect.columns) is tuple
+        assert all(type(col) is tuple and all(type(e) is tuple for e in col)
+                   for col in rd._reflect.columns)
+        perm, steps = rd._opposition
+        assert type(perm) is tuple and steps == 6 + 6
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_a_used_datum_equals_a_fresh_one(self, build):
+        used, frob = build()
+        fresh, _ = build()
+        opp_type(used, range(used.num_nodes))
+        fundamental_weight_sum(used)
+        orbit_census(build_zip_datum(used, frob, parabolic=[]))
+        classify_cocharacter(used, (1,) + (0,) * (used.rank - 1))
+        assert {"_cartan", "_reflect", "_opposition"} <= set(vars(used))
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
 
 
 class TestCharLattice:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 import test_root_datum
-from _oracles import basis_zeta_matrix, dense_zeta_matrix, enumerated_census
+from _oracles import (basis_zeta_matrix, dense_zeta_matrix, enumerated_census,
+                      root_list_classify)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,25 @@ class TestClassifyCocharacter:
         rd, _ = gl(3, 5)
         assert classify_cocharacter(rd, (1, 1, 0)) == MINUSCULE
         assert classify_cocharacter(rd, (2, 1, 0)) == NEITHER
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_root_list(self, data):
+        builds = test_root_datum.TestCartanAndFrobenius.BUILDS
+        rd, _ = data.draw(st.sampled_from(builds))()
+        chi = data.draw(st.lists(st.integers(-2, 2), min_size=rd.rank,
+                                 max_size=rd.rank))
+        assert classify_cocharacter(rd, chi) == root_list_classify(rd, chi)
+
+    @pytest.mark.parametrize("series,rank", [
+        ("E", 6), ("E", 7), ("E", 8), ("D", 5), ("B", 4), ("C", 4), ("F", 4)])
+    def test_fundamental_coweights_match_the_root_list(self, series, rank):
+        # adjoint: the roots are the unit vectors, so e_i is the fundamental
+        # coweight of node i; the minuscule ones and all others
+        rd, _ = simple_group(series, rank, 2, "adjoint")
+        for i in range(rank):
+            chi = tuple(1 if j == i else 0 for j in range(rank))
+            assert classify_cocharacter(rd, chi) == root_list_classify(rd, chi)
 
 
 class TestZetaMatrix:
@@ -397,6 +417,23 @@ class TestOrbitCensus:
             "except zip_core.CensusCheckError as exc:\n"
             "    print(exc)\n")
         assert "codimension-one orbits are not labeled" in run_optimized(script)
+
+    def test_walk_count_check_survives_optimize_flag(self):
+        # One step too many on the walk over J makes |Phi+_J| wrong.
+        script = (
+            "from ziphasse import zip_core\n"
+            "from ziphasse.root_datum import gl\n"
+            "zd = zip_core.build_zip_datum(*gl(3, 2), parabolic=[0])\n"
+            "walk = zip_core._walk\n"
+            "def longer(*args, **kwargs):\n"
+            "    end, steps = walk(*args, **kwargs)\n"
+            "    return end, steps + 1\n"
+            "zip_core._walk = longer\n"
+            "try:\n"
+            "    zip_core.orbit_census(zd)\n"
+            "except zip_core.CensusCheckError as exc:\n"
+            "    print(exc)\n")
+        assert run_optimized(script) == "eta has length 2, not l(w0) - l(w0,J)\n"
 
 
 def run_optimized(script):
