@@ -8,7 +8,10 @@ adjoint D13 and the Weil restrictions of GL3 (8 copies) and SL2 (20
 copies), with Borel, parabolic and cocharacter inputs; their Weyl groups
 exceed the cap, so ``orbits`` exits 3 on them.  The small documents pin
 whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
-U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.
+U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  On these
+(every document whose ``orbits`` exits 0), ``orbits`` and ``all`` also run
+with ``--format text``; stdout must equal ``golden/<name>.<command>.text.out``
+and the exit code the one under ``text_exit``.
 
 To record the files again from the current code (only when an output is
 meant to change):
@@ -31,28 +34,43 @@ from ziphasse.cli_report import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("hasse", "orbits", "positivity", "picard", "all")
+TEXT_COMMANDS = ("orbits", "all")
 
 
 def load_cases():
     return json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
-def run_document(command, document):
-    """(exit code, stdout) of ``ziphasse <command>`` on the document, in process."""
+def run_document(command, document, fmt="json"):
+    """(exit code, stdout) of ``ziphasse <command> --format <fmt>``, in process."""
     old = sys.stdin
     sys.stdin = io.StringIO(json.dumps(document))
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([command])
+            code = main([command, "--format", fmt])
     finally:
         sys.stdin = old
     return code, out.getvalue()
 
 
-def expected_stdout(name, command):
-    return (GOLDEN / ("%s.%s.out" % (name, command))).read_text(encoding="utf-8")
+def golden_path(name, command, fmt="json"):
+    suffix = ".text.out" if fmt == "text" else ".out"
+    return GOLDEN / ("%s.%s%s" % (name, command, suffix))
+
+
+def expected_stdout(name, command, fmt="json"):
+    return golden_path(name, command, fmt).read_text(encoding="utf-8")
+
+
+def runs(cases):
+    """(name, command, format, recorded exit code) of every golden file."""
+    for name, case in sorted(cases.items()):
+        for command in COMMANDS:
+            yield name, command, "json", case["exit"][command]
+        for command, code in sorted(case.get("text_exit", {}).items()):
+            yield name, command, "text", code
 
 
 CASES = load_cases()
@@ -67,18 +85,32 @@ def test_stdout_and_exit_code_match_golden(name, command):
     assert stdout == expected_stdout(name, command)
 
 
+@pytest.mark.parametrize("name,command", [
+    (name, command) for name, command, fmt, _ in runs(CASES) if fmt == "text"])
+def test_text_stdout_and_exit_code_match_golden(name, command):
+    case = CASES[name]
+    code, stdout = run_document(command, case["document"], "text")
+    assert code == case["text_exit"][command]
+    assert stdout == expected_stdout(name, command, "text")
+
+
+def test_every_census_document_has_text_goldens():
+    for name, case in CASES.items():
+        expected = set(TEXT_COMMANDS) if case["exit"]["orbits"] == 0 else set()
+        assert set(case.get("text_exit", {})) == expected, name
+
+
 def test_golden_outputs_survive_optimize_flag():
     # the self-checks raise, so python -O must print the same bytes
     script = (
         "import sys\n"
         "sys.path.insert(0, %r)\n"
         "import test_cli_golden as g\n"
-        "for name, case in sorted(g.CASES.items()):\n"
-        "    for command in g.COMMANDS:\n"
-        "        code, out = g.run_document(command, case['document'])\n"
-        "        if (code, out) != (case['exit'][command],\n"
-        "                           g.expected_stdout(name, command)):\n"
-        "            print(name, command)\n" % (str(Path(__file__).parent),))
+        "for name, command, fmt, code in g.runs(g.CASES):\n"
+        "    document = g.CASES[name]['document']\n"
+        "    if g.run_document(command, document, fmt) != (\n"
+        "            code, g.expected_stdout(name, command, fmt)):\n"
+        "        print(name, command, fmt)\n" % (str(Path(__file__).parent),))
     src = str(Path(ziphasse.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -92,11 +124,18 @@ def record():
     cases = load_cases()
     for name, case in sorted(cases.items()):
         case["exit"] = {}
+        case.pop("text_exit", None)
         for command in COMMANDS:
             code, stdout = run_document(command, case["document"])
             case["exit"][command] = code
-            (GOLDEN / ("%s.%s.out" % (name, command))).write_text(
-                stdout, encoding="utf-8")
+            golden_path(name, command).write_text(stdout, encoding="utf-8")
+        if case["exit"]["orbits"] == 0:
+            case["text_exit"] = {}
+            for command in TEXT_COMMANDS:
+                code, stdout = run_document(command, case["document"], "text")
+                case["text_exit"][command] = code
+                golden_path(name, command, "text").write_text(
+                    stdout, encoding="utf-8")
     (GOLDEN / "cases.json").write_text(
         json.dumps(cases, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
