@@ -16,6 +16,8 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from . import positivity, root_datum, weyl, zip_core
@@ -126,6 +128,9 @@ def parse_config(text: str) -> DatumConfig:
         raise ParseError("line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
     except RecursionError:
         raise ParseError("the document is nested too deeply")
+    except ValueError:
+        # an integer literal longer than sys.get_int_max_str_digits()
+        raise ParseError("an integer literal has too many digits")
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -293,6 +298,48 @@ def run(command: str, cfg: DatumConfig) -> Report:
 
 _escape = json.encoder.encode_basestring_ascii
 _ATOMS = {True: "true", False: "false", None: "null"}
+# Fewest rows that _table renders from one row template; below this the
+# recursive path is cheaper than building the template.
+TABLE_MIN_ROWS = 8
+
+
+def _table(rows, pad: str):
+    """The JSON texts of rows (at indent pad) from one row template, or None.
+
+    rows is a list of at least TABLE_MIN_ROWS dicts that share one set of
+    str keys, and each column is either all int (bool excluded) or all
+    lists of int; any other shape gives None and _write recurses instead.
+    """
+    if len(rows) < TABLE_MIN_ROWS:
+        return None
+    keys = rows[0].keys()
+    if not keys or set(map(len, rows)) != {len(keys)} \
+            or set(map(type, keys)) != {str}:
+        return None
+    keys = sorted(keys)
+    inner = pad + "  "
+    item = inner + "  "
+    sep = ",\n" + item
+    columns = []
+    for key in keys:
+        try:
+            column = list(map(itemgetter(key), rows))
+        except KeyError:  # a row with another key set of the same size
+            return None
+        kinds = set(map(type, column))
+        if kinds == {list}:
+            if not set(map(type, chain.from_iterable(column))) <= {int}:
+                return None
+            forms = {n: "[\n" + item + sep.join(["%d"] * n) + "\n" + inner
+                     + "]" if n else "[]" for n in set(map(len, column))}
+            column = [forms[len(v)] % tuple(v) for v in column]
+        elif kinds != {int}:
+            return None
+        columns.append(column)
+    template = "{\n" + inner + (",\n" + inner).join(
+        _escape(key).replace("%", "%%") + ": %s" for key in keys) \
+        + "\n" + pad + "}"
+    return map(template.__mod__, zip(*columns))
 
 
 def _write(value, pad: str, out: list) -> None:
@@ -302,6 +349,7 @@ def _write(value, pad: str, out: list) -> None:
     indented form never uses the C encoder.  Only dicts with str keys,
     lists, tuples, str, int, True, False and None are written; any other
     type raises TypeError (for a key, from the sort or from the escaper).
+    A list of dicts goes through _table when its length and shape allow.
     """
     kind = type(value)
     if kind is int:
@@ -334,6 +382,8 @@ def _write(value, pad: str, out: list) -> None:
             out.append(sep.join(map(str, value)))
         elif kinds == {str}:
             out.append(sep.join(map(_escape, value)))
+        elif kinds == {dict} and (rows := _table(value, inner)) is not None:
+            out.append(sep.join(rows))
         else:
             items = iter(value)
             _write(next(items), inner, out)
@@ -413,6 +463,9 @@ def main(argv=None) -> int:
                 text = handle.read()
     except OSError as exc:
         print("ziphasse: %s" % (exc,), file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print("ziphasse: %s is not UTF-8: %s" % (args.input, exc), file=sys.stderr)
         return 2
 
     try:

@@ -1,8 +1,10 @@
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,6 +329,28 @@ class TestMainEntry:
         code, out, err = run_cli(["hasse", "--input", str(path)], "")
         assert code == 0
 
+    def test_integer_literal_above_digit_limit_is_input_error(self):
+        text = json.dumps(GL2_BOREL).replace('"q": 3', '"q": ' + "7" * 5000)
+        code, out, err = run_cli(["hasse"], text)
+        assert code == 2 and out == "" and err.startswith("ziphasse: ")
+        if hasattr(sys, "get_int_max_str_digits"):
+            # without the digit limit q is read and fails the bit budget
+            assert "ParseError" in err and "too many digits" in err
+
+    def test_non_utf8_file_is_input_error(self, tmp_path):
+        raw = json.dumps(UNITARY3).encode().replace(b"3}", b"3\xff}")
+        path = tmp_path / "latin.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(["hasse", "--input", str(path)], "")
+        assert code == 2 and out == ""
+        assert err.startswith("ziphasse: %s is not UTF-8: " % (path,))
+        for args, stdin in ((["--input", str(path)], b""), ([], raw)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ziphasse", "hasse", *args],
+                input=stdin, capture_output=True)
+            assert proc.returncode == 2 and proc.stdout == b""
+            assert b"Traceback" not in proc.stderr
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ziphasse", "hasse"],
@@ -391,6 +415,129 @@ class TestRenderJsonOracle:
                 for command in COMMANDS:
                     report = run(command, cfg)
                     assert render_json(report) == oracle_json(report.data)
+
+
+TABLE_KEYS = st.one_of(
+    st.sampled_from(["word", "length", "dim", "codim", "%s", "%%", "%(a)d"]),
+    st.text(alphabet='ab%"\\é \U0001d11e', min_size=1, max_size=4))
+INT_CELLS = st.one_of(
+    st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-2**64, min_value=-2**200))
+LIST_CELLS = st.lists(INT_CELLS, max_size=4)
+ODD_ITEMS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False))
+ODD_CELLS = st.one_of(
+    ODD_ITEMS,
+    st.lists(st.booleans(), min_size=1, max_size=2),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=1, max_size=2),
+    st.lists(LIST_CELLS, min_size=1, max_size=2), st.just((1, 2)),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def tables(draw):
+    """Lists of dicts shaped like the orbit table, at most one cell or key off."""
+    keys = draw(st.lists(TABLE_KEYS, min_size=1, max_size=4, unique=True))
+    cells = {key: draw(st.sampled_from((INT_CELLS, LIST_CELLS))) for key in keys}
+    size = draw(st.integers(0, 2 * cli_report.TABLE_MIN_ROWS + 2))
+    rows = [{key: draw(cells[key]) for key in keys} for _ in range(size)]
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, size - 1))]
+        key = draw(st.sampled_from(keys))
+        flaw = draw(st.sampled_from(
+            ("odd", "odd-item", "swap", "extra", "missing", "int-key")))
+        if flaw == "odd":
+            row[key] = draw(ODD_CELLS)
+        elif flaw == "odd-item":
+            items = row[key] if type(row[key]) is list else [row[key]]
+            row[key] = items + [draw(ODD_ITEMS)]
+        elif flaw == "swap":
+            row[key] = draw(LIST_CELLS if type(row[key]) is int else INT_CELLS)
+        elif flaw == "extra":
+            row[draw(TABLE_KEYS.filter(lambda k: k not in keys))] = 0
+        elif flaw == "missing":
+            del row[key]
+        else:
+            row[1] = 0
+    return rows
+
+
+def writable(value):
+    """False when the value holds a float or a non-str key (render_json raises)."""
+    if isinstance(value, float):
+        return False
+    if isinstance(value, dict):
+        return all(type(k) is str for k in value) and all(map(writable, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(writable, value))
+    return True
+
+
+class TestTablePath:
+    """Lists of like-shaped dicts, rendered from one row template by _table."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(tables())
+    @example([{"word": [], "length": 0}] * 8)
+    @example([{"%s": [2**64, -1], '"é': True}] * 9)
+    @example([{"a": 1}] * 7 + [{"a": 1.0}])
+    @example([{"a": 1}] * 7 + [{"a": 1, 2: 0}])
+    @example([{"a": [1]}] * 8 + [{"a": [1, True]}])
+    @example([{"a": [1]}] * 8 + [{"a": [2, 0.5]}])
+    def test_matches_json_dumps_or_raises_type_error(self, rows):
+        value = {"rows": rows, "nested": [{"%t": rows}]}
+        if writable(value):
+            assert render_json(as_report(value)) == oracle_json(value)
+        else:
+            with pytest.raises(TypeError):
+                render_json(as_report(value))
+
+    def test_orbit_tables_take_the_table_path(self):
+        doc = {"q": 3, "parabolic_type": [2],
+               "group": {"builder": "simple", "series": "F", "rank": 4}}
+        data = run("orbits", parse_config(json.dumps(doc))).data
+        assert len(data["orbits"]) >= cli_report.TABLE_MIN_ROWS
+        assert list(cli_report._table(data["orbits"], "  ")) == [
+            oracle_json([row]).strip()[4:-2] for row in data["orbits"]]
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": 1}] * (cli_report.TABLE_MIN_ROWS - 1),
+        [{}] * 8,
+        [{"a": 1}] * 7 + [{"a": True}],
+        [{"a": [1]}] * 7 + [{"a": [True]}],
+        [{"a": [1]}] * 7 + [{"a": (1,)}],
+        [{"a": [1]}] * 7 + [{"a": 1}],
+        [{"a": 1}] * 7 + [{"b": 1}],
+        [{"a": 1}] * 7 + [{"a": 1, "b": 1}],
+        [{1: 1}] * 8,
+    ], ids=["short", "empty", "bool", "bool-in-list", "tuple", "mixed", "other-key",
+            "extra-key", "int-key"])
+    def test_other_shapes_fall_back(self, rows):
+        assert cli_report._table(rows, "  ") is None
+
+    def test_shape_checks_survive_optimize_flag(self):
+        script = (
+            "import json\n"
+            "from ziphasse.cli_report import Report, render_json\n"
+            "for rows in ([{'word': [1, 2], 'length': 2}] * 9,\n"
+            "             [{'a': [1]}] * 8 + [{'a': [True]}],\n"
+            "             [{'a': 1}] * 8 + [{'b': 1}],\n"
+            "             [{'a': [1]}] * 8 + [{'a': [0.5]}]):\n"
+            "    try:\n"
+            "        text = render_json(Report(rows, [], False))\n"
+            "    except TypeError:\n"
+            "        text = 'TypeError'\n"
+            "    print(text == json.dumps(rows, sort_keys=True, indent=2) + '\\n'\n"
+            "          or text)\n")
+        src = str(Path(cli_report.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\nTrue\nTrue\nTypeError\n"
 
 
 class TestOneParserPerProcess:
