@@ -275,9 +275,9 @@ def run(command: str, cfg: DatumConfig) -> Report:
         else:
             census = zip_core.orbit_census(zd)
             data["orbits"] = [
-                {"word": [i + 1 for i in o.word], "length": o.length,
-                 "dim": o.dim, "codim": o.codim}
-                for o in census.orbits
+                {"word": [i + 1 for i in word], "length": length,
+                 "dim": dim, "codim": codim}
+                for word, length, dim, codim in census.orbits
             ]
             data["codim1"] = [
                 {"node": s + 1, "orbit": pos}

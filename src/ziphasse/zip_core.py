@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                            determinant, smith_normal_form)
@@ -85,8 +85,7 @@ class HasseReport:
     L0_type: tuple
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     word: tuple
     length: int
     dim: int
@@ -132,11 +131,11 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
 
     perm = frob.root_perm
     K = opp_type(rd, frozenset(perm[j] for j in J))
-    J0 = set(J)
-    # the order of perm divides the order of tau, and J0 stays put once stable
-    for _ in range(frob.order):
-        J0 &= {perm[j] for j in J0}
-    J0 = frozenset(J0)
+    # J0 is the largest perm-stable subset of J: a pass that changes nothing
+    # means perm maps J0 onto itself, so every later pass would change nothing
+    J0 = J
+    while (smaller := J0 & {perm[j] for j in J0}) != J0:
+        J0 = smaller
     return ZipDatum(rd=rd, frob=frob, J=J, K=K, J0=J0, cochar=cochar)
 
 
@@ -280,39 +279,47 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     """
     rd = zd.rd
     reflect = rd._reflect
+    columns = reflect.columns
     points = [tuple(0 if i in zd.J else 1 for i in range(rd.num_nodes))]
     words = [()]
     position = {points[0]: 0}
-    # points grows while it is scanned, so it is the queue in discovery order
-    for pos, p in enumerate(points):
-        for i, x in enumerate(p):
-            if x > 0 and (image := reflect(p, i)) not in position:
-                position[image] = len(points)
-                points.append(image)
-                words.append(words[pos] + (i,))
+    # points and words grow while they are scanned: the queue in discovery
+    # order; s_i is applied in place, as in _walk
+    for p, word in zip(points, words):
+        for i, pi in enumerate(p):
+            if pi > 0:
+                image = list(p)
+                for j, c in columns[i]:
+                    image[j] -= pi * c
+                if (image := tuple(image)) not in position:
+                    position[image] = len(points)
+                    points.append(image)
+                    words.append(word + (i,))
 
     # |Phi+| = l(w0) and |Phi+_J| = l(w0,J) are the lengths of two walks
     # from regular antidominant points: the opposition walk of the datum,
     # and -1 on J walked in the nodes of J
     n_pos = rd._opposition[1]
     n_pos_j = _walk(tuple(-1 if i in zd.J else 0 for i in range(rd.num_nodes)),
-                    reflect.columns, n_pos, zd.J)[1]
+                    columns, n_pos, zd.J)[1]
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
-    eta_length = len(words[-1])
+    lengths = list(map(len, words))
+    eta_length = lengths[-1]
     if eta_length != n_pos - n_pos_j:
         raise CensusCheckError("eta has length %d, not l(w0) - l(w0,J)" % eta_length)
-    orbits = tuple(OrbitEntry(word=w, length=len(w), dim=len(w) + dim_p,
-                              codim=eta_length - len(w)) for w in words)
-    if sum(1 for o in orbits if o.codim == 0) != 1 or orbits[-1].dim != dim_g:
+    if lengths.count(eta_length) != 1 or eta_length + dim_p != dim_g:
         raise CensusCheckError("no unique open orbit of dimension dim G")
 
     opp = opposition(rd)
     codim1 = tuple((s, position.get(reflect(points[-1], opp[s]), -1))
                    for s in sorted(set(range(rd.num_nodes)) - zd.J))
     if sorted(pos for _, pos in codim1) != [
-            n for n, o in enumerate(orbits) if o.codim == 1]:
+            n for n, length in enumerate(lengths) if length == eta_length - 1]:
         raise CensusCheckError("the codimension-one orbits are not labeled by I \\ J")
+    dims = [n + dim_p for n in lengths]
+    codims = [eta_length - n for n in lengths]
+    orbits = tuple(map(OrbitEntry, words, lengths, dims, codims))
     return OrbitCensus(orbits=orbits, eta_length=eta_length, dim_group=dim_g,
                        dim_parabolic=dim_p, codim1_indices=codim1)
 

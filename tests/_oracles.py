@@ -16,7 +16,10 @@ The dense twist matrix, the Smith form with a full pivot scan and the
 first-negative dominance walk are the bodies the library used before it
 went sparse, kept to pin that the sparse paths return the same values.
 The cocharacter classification by the list of positive roots is the one
-the library used before it read the highest roots off walks.
+the library used before it read the highest roots off walks.  The length
+distribution of the minimal coset representatives is Macdonald's product
+over the root heights, and J0 is the full loop of tau-order intersections
+that build_zip_datum ran before it stopped at the first stable pass.
 """
 
 from fractions import Fraction
@@ -446,3 +449,39 @@ def root_list_classify(rd, chi):
         if len(positives) > 1 or (positives and positives[0] != 1):
             return NEITHER
     return SMALL_NOT_MINUSCULE
+
+
+def full_order_j0(frob, J):
+    """J0 as the intersection of J with its perm-images, taken once for
+    every power of tau up to its order, never stopping early."""
+    J0 = set(J)
+    for _ in range(frob.order):
+        J0 &= {frob.root_perm[j] for j in J0}
+    return frozenset(J0)
+
+
+def macdonald_length_counts(rd, J):
+    """Coefficients of ^J W(t), the number of minimal representatives of
+    W_J \\ W of each length (Macdonald, Math. Ann. 199, 1972):
+
+        ^J W(t) = prod over alpha in Phi+ minus Phi+_J of [ht a + 1]_t / [ht a]_t
+
+    with [m]_t = (1 - t^m) / (1 - t).  The factors 1 - t are cancelled, the
+    numerators 1 - t^(h + 1) multiplied out and the 1 - t^h divided off one
+    by one; each division must leave no remainder.
+    """
+    heights = [sum(r.coeffs) for r in positive_roots(rd).roots
+               if any(c and i not in J for i, c in enumerate(r.coeffs))]
+    poly = [1] + [0] * sum(h + 1 for h in heights)
+    top = 0
+    for h in heights:
+        top += h + 1
+        for k in range(top, h, -1):
+            poly[k] -= poly[k - h - 1]
+    for h in heights:
+        for k in range(h, top + 1):
+            poly[k] += poly[k - h]
+        if any(poly[top - h + 1:top + 1]):
+            raise AssertionError("1 - t^%d does not divide the product" % h)
+        top -= h
+    return poly[:top + 1]

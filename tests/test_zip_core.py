@@ -1,13 +1,16 @@
+import ast
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import test_root_datum
 from _oracles import (basis_zeta_matrix, dense_zeta_matrix, enumerated_census,
-                      root_list_classify)
+                      full_order_j0, macdonald_length_counts, root_list_classify)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +35,7 @@ from ziphasse.zip_core import (
     NEITHER,
     SMALL_NOT_MINUSCULE,
     NonNormalizedCocharacterError,
+    OrbitEntry,
     PicObstructionError,
     build_zip_datum,
     classify_cocharacter,
@@ -101,6 +105,20 @@ class TestBuildZipDatum:
             J = frozenset(i for i in range(k) if bits >> i & 1)
             zd = build_zip_datum(rd, frob, parabolic=J)
             assert zd.J0 == {j for j in J if all(i in J for i in orbit(j))}
+
+    @pytest.mark.parametrize("copies", [(16, 9, 5, 7), (8, 3, 5), (12, 7)],
+                             ids=["order5040", "order120", "order84"])
+    def test_j0_matches_the_full_order_loop(self, copies):
+        rd, frob = product_group([
+            {"builder": "weil_restriction", "copies": c,
+             "inner": {"builder": "gl", "n": 2}} for c in copies], 3)
+        assert frob.order == math.lcm(*copies)
+        rng = random.Random(sum(copies))
+        k = rd.num_nodes
+        for density in (0.0, 0.5, 0.8, 0.95, 1.0):
+            for _ in range(4):
+                J = frozenset(i for i in range(k) if rng.random() < density)
+                assert build_zip_datum(rd, frob, parabolic=J).J0 == full_order_j0(frob, J)
 
 
 class TestClassifyCocharacter:
@@ -434,6 +452,68 @@ class TestOrbitCensus:
             "except zip_core.CensusCheckError as exc:\n"
             "    print(exc)\n")
         assert run_optimized(script) == "eta has length 2, not l(w0) - l(w0,J)\n"
+
+
+    @pytest.mark.parametrize("series,rank,outside", [
+        ("G", 2, None), ("F", 4, None), ("B", 4, None),
+        *(("E", 6, node) for node in range(6)),
+        *(("E", 7, node) for node in range(7)),
+        ("E", 8, 1),
+    ])
+    def test_lengths_match_macdonald(self, series, rank, outside):
+        # Full-W enumeration is out of reach for E7 and E8, so the census
+        # is checked length by length against Macdonald's product: on every
+        # J when outside is None, else on the maximal parabolic without it
+        rd, frob = simple_group(series, rank, 2)
+        if outside is None:
+            subsets = [frozenset(i for i in range(rank) if bits >> i & 1)
+                       for bits in range(2 ** rank)]
+        else:
+            subsets = [frozenset(range(rank)) - {outside}]
+        for J in subsets:
+            counts = Counter(o.length for o in
+                             orbit_census(build_zip_datum(rd, frob, parabolic=J)).orbits)
+            assert [counts[n] for n in range(max(counts) + 1)] == \
+                macdonald_length_counts(rd, J), sorted(J)
+
+
+class TestOrbitEntry:
+    def test_fields_and_construction(self):
+        assert OrbitEntry._fields == ("word", "length", "dim", "codim")
+        by_keyword = OrbitEntry(word=(0, 1), length=2, dim=9, codim=0)
+        assert by_keyword == OrbitEntry((0, 1), 2, 9, 0) == ((0, 1), 2, 9, 0)
+        assert (by_keyword.word, by_keyword.length, by_keyword.dim,
+                by_keyword.codim) == ((0, 1), 2, 9, 0)
+        word, length, dim, codim = by_keyword
+        assert (word, length, dim, codim) == ((0, 1), 2, 9, 0)
+
+    def test_immutable_and_hashable(self):
+        entry = OrbitEntry((1,), 1, 8, 1)
+        with pytest.raises(AttributeError):
+            entry.codim = 0
+        assert hash(entry) == hash(((1,), 1, 8, 1))
+        assert {entry: 1}[OrbitEntry((1,), 1, 8, 1)] == 1
+
+    def test_census_entries_match_enumeration(self):
+        for build, J in ((lambda: unitary(4, 3), [1]), (lambda: gsp(6, 3), [0]),
+                         (lambda: simple_group("B", 3, 2), [])):
+            rd, frob = build()
+            zd = build_zip_datum(rd, frob, parabolic=J)
+            orbits = orbit_census(zd).orbits
+            assert all(type(o) is OrbitEntry for o in orbits)
+            assert orbits == enumerated_census(zd, enumerate_weyl(rd)).orbits
+
+    def test_readme_quick_start(self):
+        # the census line of the README's quick start gives what it shows
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+        block = block.split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        lines = block.splitlines()
+        shown = lines.index("# [(0, 7, 2), (1, 8, 1), (2, 9, 0)]")
+        assert eval(lines[shown - 1], namespace) == ast.literal_eval(lines[shown][2:])
+        assert eval(lines[shown - 1], namespace) == [(0, 7, 2), (1, 8, 1), (2, 9, 0)]
 
 
 def run_optimized(script):
