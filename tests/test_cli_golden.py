@@ -6,7 +6,11 @@ Every document in ``golden/cases.json`` runs under ``hasse``, ``orbits``,
 the recorded one.  The documents at rank 13-24 are GL17, U(17), GSp30,
 adjoint D13 and the Weil restrictions of GL3 (8 copies) and SL2 (20
 copies), with Borel, parabolic and cocharacter inputs; their Weyl groups
-exceed the cap, so ``orbits`` exits 3 on them.  The small documents pin
+exceed the cap, so ``orbits`` exits 3 on them.  So it does on the rank-74
+product of the Weil restrictions of GL2 with 16, 9, 5 and 7 copies, at
+q = 3 and q = 2^39 with J empty: its Frobenius has order 5040, which pins
+the positivity certificate's inverse twist on long signed cycles.  The
+small documents pin
 whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
 U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  On these
 (every document whose ``orbits`` exits 0), ``orbits`` and ``all`` also run
