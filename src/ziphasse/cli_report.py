@@ -189,8 +189,6 @@ def parse_config(text: str) -> DatumConfig:
 @dataclass
 class Report:
     data: dict
-    warnings: list
-    obstructed: bool
 
 
 def _nodes_out(nodes) -> list:
@@ -250,7 +248,6 @@ def run(command: str, cfg: DatumConfig) -> Report:
     data["K"] = _nodes_out(zd.K)
     data["J0"] = _nodes_out(zd.J0)
     warnings = []
-    obstructed = False
 
     if command in ("hasse", "all"):
         try:
@@ -258,7 +255,6 @@ def run(command: str, cfg: DatumConfig) -> Report:
         except zip_core.PicObstructionError as exc:
             report = exc.report
             warnings.append({"code": "PicObstruction", "detail": str(exc)})
-            obstructed = True
         data["zeta"] = [list(report.zeta.row(i)) for i in range(report.zeta.rows)]
         data["det_zeta"] = str(report.det_zeta)
         data["invariant_factors"] = [str(f) for f in report.invariant_factors]
@@ -271,7 +267,6 @@ def run(command: str, cfg: DatumConfig) -> Report:
         if order > cfg.weyl_cap:
             exc = weyl.WeylGroupTooLargeError(order, cfg.weyl_cap)
             warnings.append({"code": "WeylGroupTooLarge", "detail": str(exc)})
-            obstructed = True
         else:
             census = zip_core.orbit_census(zd)
             data["orbits"] = [
@@ -293,7 +288,7 @@ def run(command: str, cfg: DatumConfig) -> Report:
         data["picard"] = [str(f) for f in root_datum.picard_torsion(rd)]
 
     data["warnings"] = warnings
-    return Report(data=data, warnings=warnings, obstructed=obstructed)
+    return Report(data=data)
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -482,6 +477,7 @@ def main(argv=None) -> int:
         sys.stdout.write(render_json(report))
     else:
         sys.stdout.write(render_text(report))
-    for w in report.warnings:
+    warnings = report.data["warnings"]
+    for w in warnings:
         print("ziphasse: %s: %s" % (w["code"], w["detail"]), file=sys.stderr)
-    return 3 if report.obstructed else 0
+    return 3 if warnings else 0

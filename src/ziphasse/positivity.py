@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .exact_linear import (IntMatrix, RatMatrix, SelfCheckError, SingularMatrixError,
                            rational_inverse)
-from .root_datum import (CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum,
-                         _signed_perm)
+from .root_datum import CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -114,27 +113,40 @@ def zeta_inverse(zd: ZipDatum, at_borel: bool = False) -> RatMatrix:
 
 
 def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
-    """zeta^-1(lam) on X*, with zeta = id - q*tau and m the order of tau.
+    """zeta^-1(lam) on X*, with zeta = id - q*tau, one signed cycle at a time.
 
-    (id - q*tau) * sum_{d<m} q^d tau^d = 1 - q^m, so the image is
-    sum_{d<m} q^d tau^d(lam) / (1 - q^m): m - 1 applications of tau (by
-    Horner's rule) on an integer multiple of lam and one division.  tau
-    acts as the signed permutation it is, O(n) per application.  Raises
-    SingularMatrixError when q^m = 1, which no prime power q allows.
+    zeta(x) = lam reads x_i - q*sign_i*x_{src_i} = lam_i.  Along a cycle
+    i_0, i_1 = src[i_0], ... of length c whose signs multiply to eps, one
+    pass of Horner's rule gives (1 - eps*q^c) x_{i_0}, and the equations
+    taken backwards round the cycle give the other entries over the same
+    denominator, so the integers stay of size q^c.  Raises
+    SingularMatrixError when eps*q^c = 1 on some cycle, which no prime
+    power q allows.
     """
-    q, m = zd.frob.q, zd.frob.order
-    denom = 1 - q ** m
-    if denom == 0:
-        raise SingularMatrixError("q^order = 1, so 1 - q^order has no inverse")
-    src, sign = _signed_perm(zd.frob.tau)
-    qsign = [q * s for s in sign]
+    q, src = zd.frob.q, zd.frob.src
+    qsign = [q * s for s in zd.frob.sign]
     lam = _frac(lam)
     scale = lcm(*(x.denominator for x in lam))
     base = [x.numerator * (scale // x.denominator) for x in lam]
-    acc = base
-    for _ in range(m - 1):
-        acc = [b + c * acc[j] for b, c, j in zip(base, qsign, src)]
-    return tuple(Fraction(x, denom * scale) for x in acc)
+    image = [None] * len(base)
+    for start in range(len(base)):
+        if image[start] is not None:
+            continue
+        cycle = [start]
+        while src[cycle[-1]] != start:
+            cycle.append(src[cycle[-1]])
+        acc = 0
+        for i in reversed(cycle):
+            acc = base[i] + qsign[i] * acc
+        denom = 1 - prod(qsign[i] for i in cycle)
+        if denom == 0:
+            raise SingularMatrixError("eps*q^c = 1 on a signed c-cycle of tau, "
+                                      "so 1 - q*tau has no inverse")
+        image[start] = Fraction(acc, denom * scale)
+        for i in reversed(cycle[1:]):
+            acc = base[i] * denom + qsign[i] * acc
+            image[i] = Fraction(acc, denom * scale)
+    return tuple(image)
 
 
 def fundamental_zeta_matrix(zd: ZipDatum) -> IntMatrix:
@@ -185,8 +197,8 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
     certified = _in_lattice(mu, zd.J) and _signs_hold(mu, zd.J, positive=True)
     if rational:
         # Frobenius composition preserves ampleness when J is stable
-        src, sign = _signed_perm(zd.frob.tau)
-        twisted = rd.coroot_pairings([zd.frob.q * s * lam[j] for s, j in zip(sign, src)])
+        twisted = rd.coroot_pairings([zd.frob.q * s * lam[j]
+                                      for s, j in zip(zd.frob.sign, zd.frob.src)])
         if not (_in_lattice(twisted, zd.J)
                 and _signs_hold(twisted, zd.J, positive=False)):
             raise SelfCheckError("Frobenius twist of an ample character is not ample")
@@ -236,11 +248,12 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
 def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> list:
     """Coroot pairings and target nodes of the pullback of lam to each block.
 
-    tau_dual sends alpha_i^vee to alpha_perm[i]^vee, so tau^d(omega_n) pairs
-    1 with alpha^vee_{perm^d(n)} and 0 with every other coroot.  The block-j
-    pullback sum_n <alpha_n^vee, lam> q^d tau^d(omega_n), summed over the
-    nodes n outside J with d = (block of n - j) mod copies, therefore pairs
-    <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}.  No weight is built.
+    tau, its own dual, sends alpha_i^vee to alpha_perm[i]^vee, so
+    tau^d(omega_n) pairs 1 with alpha^vee_{perm^d(n)} and 0 with every other
+    coroot.  The block-j pullback sum_n <alpha_n^vee, lam> q^d tau^d(omega_n),
+    summed over the nodes n outside J with d = (block of n - j) mod copies,
+    therefore pairs <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}.  No
+    weight is built.
     """
     rd = zd.rd
     copies = rd.builder_tag[1]

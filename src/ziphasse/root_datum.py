@@ -4,9 +4,9 @@ A root datum here is a pair of lattices X* = X_* = Z^rank with the standard
 dot pairing, a list of simple roots (vectors in X*) and simple coroots
 (vectors in X_*), and a record of the Dynkin components.  The Frobenius
 structure carries the size q of the base field together with the finite-order
-lattice automorphism tau, a signed permutation matrix, through which the
-arithmetic Frobenius acts on characters; composing a character with the
-q-power isogeny corresponds to q * tau on coordinates.
+lattice automorphism tau, a signed permutation of the coordinates, through
+which the arithmetic Frobenius acts on characters; composing a character with
+the q-power isogeny corresponds to q * tau on coordinates.
 
 Builders cover the groups used downstream: general linear groups, similitude
 symplectic groups, quasi-split unitary groups, split simple groups in both
@@ -154,11 +154,26 @@ class RootDatum:
 
 @dataclass(frozen=True)
 class FrobeniusStructure:
+    """q with the signed permutation tau: (tau v)_i = sign[i] * v[src[i]].
+
+    tau permutes the simple roots by root_perm and has finite order; its
+    dual is tau itself, since a signed permutation is orthogonal.
+    """
+
     q: int
-    tau: IntMatrix
-    tau_dual: IntMatrix
+    src: tuple
+    sign: tuple
     root_perm: tuple
     order: int
+
+    @property
+    def tau(self) -> IntMatrix:
+        """tau as a dense matrix, built on each read; no pipeline reads it."""
+        n = len(self.src)
+        entries = [0] * (n * n)
+        for i, (j, s) in enumerate(zip(self.src, self.sign)):
+            entries[i * n + j] = s
+        return IntMatrix._trusted(n, n, entries)
 
 
 @dataclass(frozen=True)
@@ -213,23 +228,22 @@ def _validate_q(q):
 MAX_FROBENIUS_ORDER = 10_000
 
 
-def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure:
-    """Frobenius structure for a tau that is a signed permutation matrix.
+def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
+                    sign: Sequence) -> FrobeniusStructure:
+    """Frobenius structure for the tau with (tau v)_i = sign[i] * v[src[i]].
 
-    Every builder's tau is one: a single entry +-1 in each row, in distinct
-    columns.  Such a tau is unimodular and orthogonal, so tau_dual = tau^-T
-    is tau itself, and its order is the lcm of its cycle lengths, doubled on
-    a cycle whose signs multiply to -1.  A unimodular tau of finite order
-    that is not a signed permutation is refused too.
+    Every builder's tau is such a signed permutation.  Its order is the lcm
+    of its cycle lengths, doubled on a cycle whose signs multiply to -1.
     """
     _validate_q(q)
     n = rd.rank
-    if (tau.rows, tau.cols) != (n, n):
-        raise ValueError("tau must be a %d x %d matrix" % (n, n))
-    cols, signs = _signed_perm(tau)
+    src, sign = tuple(src), tuple(sign)
+    if sorted(src) != list(range(n)) or len(sign) != n \
+            or not set(sign) <= {1, -1}:
+        raise ValueError("tau must be a signed permutation of %d coordinates" % n)
 
     def act(vec):
-        return tuple(map(mul, signs, map(vec.__getitem__, cols)))
+        return tuple(map(mul, sign, map(vec.__getitem__, src)))
 
     roots = {rd.root(i): i for i in range(rd.num_nodes)}
     perm = []
@@ -240,50 +254,24 @@ def _make_frobenius(rd: RootDatum, q: int, tau: IntMatrix) -> FrobeniusStructure
         perm.append(roots[image])
     perm = tuple(perm)
 
-    # tau sends e_cols[i] to signs[i] * e_i; walk each cycle of that map
+    # tau sends e_src[i] to sign[i] * e_i; walk each cycle of that map
     order = 1
     seen = [False] * n
     for start in range(n):
-        length, sign, i = 0, 1, start
+        length, eps, i = 0, 1, start
         while not seen[i]:
             seen[i] = True
             length += 1
-            sign *= signs[i]
-            i = cols[i]
+            eps *= sign[i]
+            i = src[i]
         if length:
-            order = lcm(order, length if sign == 1 else 2 * length)
+            order = lcm(order, length if eps == 1 else 2 * length)
     if order > MAX_FROBENIUS_ORDER:
         raise ValueError("tau does not have small finite order")
     for i in range(rd.num_nodes):
         if act(rd.coroot(i)) != rd.coroot(perm[i]):
             raise ValueError("tau dual does not follow the root permutation")
-    return FrobeniusStructure(q=q, tau=tau, tau_dual=tau,
-                              root_perm=perm, order=order)
-
-
-def _signed_perm(tau: IntMatrix) -> tuple:
-    """(src, sign) of a square signed permutation matrix tau, so that
-    (tau v)_i = sign[i] * v[src[i]].
-
-    Reads each row once.  Raises ValueError when tau is not a signed
-    permutation matrix, naming unimodularity when a row's one nonzero
-    entry is not +-1 or a column is zero.
-    """
-    n = tau.rows
-    src, sign = [], []
-    for i in range(n):
-        row = tau.row(i)
-        if row.count(0) < n - 1:
-            raise ValueError("tau must be a signed permutation matrix")
-        x = sum(row)
-        # a row with at most one nonzero entry x makes x divide det(tau)
-        if x not in (1, -1):
-            raise ValueError("tau must be unimodular")
-        src.append(row.index(x))
-        sign.append(x)
-    if len(set(src)) != n:
-        raise ValueError("tau must be unimodular")  # it has a zero column
-    return tuple(src), tuple(sign)
+    return FrobeniusStructure(q=q, src=src, sign=sign, root_perm=perm, order=order)
 
 
 def _gl_datum(n: int, tag: tuple) -> RootDatum:
@@ -302,7 +290,7 @@ def gl(n: int, q: int):
     if n < 1:
         raise InvalidRankError("gl needs n >= 1")
     rd = _gl_datum(n, ("gl", n))
-    return rd, _make_frobenius(rd, q, IntMatrix.identity(n))
+    return rd, _make_frobenius(rd, q, range(n), (1,) * n)
 
 
 def unitary(n: int, q: int):
@@ -314,10 +302,8 @@ def unitary(n: int, q: int):
     """
     if n < 1:
         raise InvalidRankError("unitary needs n >= 1")
-    tau = IntMatrix(n, n, [-1 if i + j == n - 1 else 0
-                           for i in range(n) for j in range(n)])
     rd = _gl_datum(n, ("unitary", n))
-    return rd, _make_frobenius(rd, q, tau)
+    return rd, _make_frobenius(rd, q, range(n - 1, -1, -1), (-1,) * n)
 
 
 def gsp(dim: int, q: int):
@@ -341,7 +327,7 @@ def gsp(dim: int, q: int):
         components=(Component("C" if g >= 2 else "A", tuple(range(g))),),
         builder_tag=("gsp", dim),
     )
-    return rd, _make_frobenius(rd, q, IntMatrix.identity(n))
+    return rd, _make_frobenius(rd, q, range(n), (1,) * n)
 
 
 _ISOGENIES = ("simply_connected", "adjoint")
@@ -370,7 +356,7 @@ def simple_group(series: str, rank: int, q: int, isogeny: str = "simply_connecte
         components=(Component(series, tuple(range(rank))),),
         builder_tag=("simple", series, rank, isogeny),
     )
-    return rd, _make_frobenius(rd, q, IntMatrix.identity(rank))
+    return rd, _make_frobenius(rd, q, range(rank), (1,) * rank)
 
 
 def product_group(factor_specs: Sequence, q: int):
@@ -378,7 +364,7 @@ def product_group(factor_specs: Sequence, q: int):
     built = [build_group(s, q) for s in factor_specs]
     rds = [rd for rd, _ in built]
     rank = sum(rd.rank for rd in rds)
-    roots, coroots, comps, tau_rows = [], [], [], []
+    roots, coroots, comps, src, sign = [], [], [], [], []
     coord_off = 0
     node_off = 0
     for rd, frob in built:
@@ -388,8 +374,8 @@ def product_group(factor_specs: Sequence, q: int):
         for comp in rd.components:
             comps.append(Component(comp.series,
                                    tuple(node_off + i for i in comp.nodes)))
-        tau_rows.extend(_embed(frob.tau.row(i), coord_off, rank)
-                        for i in range(rd.rank))
+        src.extend(coord_off + j for j in frob.src)
+        sign.extend(frob.sign)
         coord_off += rd.rank
         node_off += rd.num_nodes
     rd = RootDatum(
@@ -399,7 +385,7 @@ def product_group(factor_specs: Sequence, q: int):
         components=tuple(comps),
         builder_tag=("product", tuple(r.builder_tag for r in rds)),
     )
-    return rd, _make_frobenius(rd, q, IntMatrix.from_rows(tau_rows))
+    return rd, _make_frobenius(rd, q, src, sign)
 
 
 def weil_restriction(copies: int, inner_spec, q: int):
@@ -412,7 +398,7 @@ def weil_restriction(copies: int, inner_spec, q: int):
     if copies < 1:
         raise InvalidRankError("weil_restriction needs copies >= 1")
     inner_rd, inner_frob = build_group(inner_spec, q)
-    if inner_frob.tau != IntMatrix.identity(inner_rd.rank):
+    if inner_frob.src != tuple(range(inner_rd.rank)) or -1 in inner_frob.sign:
         raise UnsupportedSeriesError("weil_restriction needs a split inner group")
     m = inner_rd.rank
     rank = copies * m
@@ -425,7 +411,6 @@ def weil_restriction(copies: int, inner_spec, q: int):
             comps.append(Component(
                 comp.series,
                 tuple(b * inner_rd.num_nodes + i for i in comp.nodes)))
-    tau_rows = [_unit(rank, (r + m) % rank, 1) for r in range(rank)]
     rd = RootDatum(
         rank=rank,
         simple_roots=_rows_or_empty(roots, rank),
@@ -433,7 +418,8 @@ def weil_restriction(copies: int, inner_spec, q: int):
         components=tuple(comps),
         builder_tag=("weil_restriction", copies, inner_rd.builder_tag),
     )
-    return rd, _make_frobenius(rd, q, IntMatrix.from_rows(tau_rows))
+    return rd, _make_frobenius(rd, q, [(r + m) % rank for r in range(rank)],
+                               (1,) * rank)
 
 
 _BUILDERS = ("gl", "unitary", "gsp", "simple", "product", "weil_restriction")

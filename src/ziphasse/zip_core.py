@@ -25,7 +25,6 @@ from .root_datum import (
     _dot,
     _reflector,
     _rows_or_empty,
-    _signed_perm,
     _walk,
     opp_type,
     opposition,
@@ -206,7 +205,7 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
     r = len(snf.invariant_factors)
     n = zd.rd.rank
     q = zd.frob.q
-    src, sign = _signed_perm(zd.frob.tau)
+    src, sign = zd.frob.src, zd.frob.sign
     qsign = [q * s for s in sign]
     inverse = [[(i, col[i]) for i in compress(range(n), col)]
                for col in snf.V_inv.transpose().to_rows()]

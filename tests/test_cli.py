@@ -121,7 +121,7 @@ class TestRun:
         assert d["invariant_factors"] == ["1", "4", "8"]
         assert d["hasse_number"] == "8"
         assert d["J"] == [1] and d["J0"] == []
-        assert not report.obstructed
+        assert not report.data["warnings"]
 
     def test_orbits_gl2(self):
         report = run("orbits", parse_config(json.dumps(GL2_BOREL)))
@@ -133,11 +133,11 @@ class TestRun:
     def test_picard_adjoint(self):
         report = run("picard", parse_config(json.dumps(PGL3_FULL)))
         assert report.data["picard"] == ["3"]
-        assert not report.obstructed  # picard alone is fine
+        assert not report.data["warnings"]  # picard alone is fine
 
     def test_pgl_obstruction(self):
         report = run("hasse", parse_config(json.dumps(PGL3_FULL)))
-        assert report.obstructed
+        assert report.data["warnings"]
         assert report.data["warnings"][0]["code"] == "PicObstruction"
         assert report.data["pic_L0_trivial"] is False
 
@@ -364,7 +364,7 @@ def oracle_json(value):
 
 
 def as_report(value):
-    return Report(data=value, warnings=[], obstructed=False)
+    return Report(data=value)
 
 
 JSON_ATOMS = st.one_of(
@@ -526,7 +526,7 @@ class TestTablePath:
             "             [{'a': 1}] * 8 + [{'b': 1}],\n"
             "             [{'a': [1]}] * 8 + [{'a': [0.5]}]):\n"
             "    try:\n"
-            "        text = render_json(Report(rows, [], False))\n"
+            "        text = render_json(Report(rows))\n"
             "    except TypeError:\n"
             "        text = 'TypeError'\n"
             "    print(text == json.dumps(rows, sort_keys=True, indent=2) + '\\n'\n"

@@ -163,6 +163,12 @@ class TestAntiampleCheck:
             antiample_check(zd, lam)
 
 
+# Res GL2 with 16, 9, 5 and 7 copies: rank 74, tau of order 5040
+ORDER_5040 = {"builder": "product", "factors": [
+    {"builder": "weil_restriction", "copies": c, "inner": {"builder": "gl", "n": 2}}
+    for c in (16, 9, 5, 7)]}
+
+
 class TestClosedFormZetaInverse:
     @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
     def test_matches_rational_inverse_for_every_J(self, build):
@@ -178,6 +184,20 @@ class TestClosedFormZetaInverse:
                                 for _ in range(rd.rank))]
             for lam in characters:
                 assert _borel_zeta_inverse_image(zd, lam) == reference.apply(lam)
+
+    @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS + [
+        lambda: root_datum.build_group(ORDER_5040, 3),
+        lambda: root_datum.build_group(ORDER_5040, 2 ** 39)])
+    def test_image_solves_the_twist_exactly(self, build):
+        rd, frob = build()
+        zd = build_zip_datum(rd, frob, parabolic=[])
+        zeta = borel_zeta_matrix(zd)
+        rng = random.Random(rd.rank)
+        characters = [(1,) + (0,) * (rd.rank - 1), (1,) * rd.rank] + [
+            tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                  for _ in range(rd.rank)) for _ in range(3)]
+        for lam in characters:
+            assert zeta.apply(_borel_zeta_inverse_image(zd, lam)) == lam
 
     def test_singular_when_q_to_the_order_is_one(self):
         rd, frob = gl(2, 3)

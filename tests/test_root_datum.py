@@ -24,7 +24,6 @@ from ziphasse.root_datum import (
     _dot,
     _make_frobenius,
     _reflector,
-    _signed_perm,
     _walk,
     build_group,
     char_lattice_of_parabolic,
@@ -147,11 +146,11 @@ class TestCartanAndFrobenius:
     @pytest.mark.parametrize("build", BUILDS)
     def test_tau_respects_pairing(self, build):
         rd, frob = build()
-        # contragredient relation: tau_dual^T * tau = identity
-        assert frob.tau_dual.transpose() * frob.tau == IntMatrix.identity(rd.rank)
+        # contragredient relation: tau_dual^T * tau = identity, with tau_dual = tau
+        assert frob.tau.transpose() * frob.tau == IntMatrix.identity(rd.rank)
         for i in range(rd.num_nodes):
             assert frob.tau.apply(rd.root(i)) == rd.root(frob.root_perm[i])
-            assert frob.tau_dual.apply(rd.coroot(i)) == rd.coroot(frob.root_perm[i])
+            assert frob.tau.apply(rd.coroot(i)) == rd.coroot(frob.root_perm[i])
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
@@ -160,43 +159,24 @@ class TestCartanAndFrobenius:
     def test_signed_perm_reads_tau(self, signed):
         perm, signs = signed
         n = len(perm)
-        tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
-                               for i in range(n) for j in range(n)])
-        src, sign = _signed_perm(tau)
+        frob = _make_frobenius(torus(n), 3, perm, signs)
+        assert frob.tau == IntMatrix(n, n, [signs[i] if j == perm[i] else 0
+                                            for i in range(n) for j in range(n)])
         vec = tuple(range(3, 3 + n))
-        assert tuple(s * vec[j] for s, j in zip(sign, src)) == tau.apply(vec)
+        assert tuple(s * vec[j] for s, j in zip(frob.sign, frob.src)) == \
+            frob.tau.apply(vec)
 
-    def test_signed_perm_refuses_other_matrices(self):
-        for rows, message in (([[1, 1], [0, 1]], "signed permutation"),
-                              ([[2, 0], [0, 1]], "unimodular"),
-                              ([[1, 0], [1, 0]], "unimodular"),
-                              ([[0, 0], [0, 1]], "unimodular")):
-            with pytest.raises(ValueError, match=message):
-                _signed_perm(IntMatrix.from_rows(rows))
-
-    def test_rejects_non_unimodular_tau(self):
-        rd, _ = gl(3, 2)
-        with pytest.raises(ValueError, match="tau must be unimodular"):
-            _make_frobenius(rd, 2, IntMatrix.identity(3).scale(2))
+    def test_rejects_src_and_sign_off_signed_permutations(self):
+        for src, sign in (((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1, 2)),
+                          ((0,), (1,)), ((1, 0), (-1,))):
+            with pytest.raises(ValueError, match="must be a signed permutation"):
+                _make_frobenius(torus(2), 2, src, sign)
 
     def test_rejects_tau_off_the_simple_roots(self):
         rd, _ = gl(3, 2)
-        swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # alpha_1 -> -alpha_1
+        # swapping e1 and e2 sends alpha_1 to -alpha_1
         with pytest.raises(ValueError, match="does not permute the simple roots"):
-            _make_frobenius(rd, 2, swap)
-
-    def test_rejects_tau_of_infinite_order(self):
-        # refused by the signed-permutation reading before any order is computed
-        shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-        with pytest.raises(ValueError, match="must be a signed permutation"):
-            _make_frobenius(torus(2), 2, shear)
-
-    def test_rejects_finite_order_tau_off_signed_permutations(self):
-        # unimodular of order 3, but the first column is not a signed unit vector
-        rotation = IntMatrix.from_rows([[0, -1], [1, -1]])
-        assert rotation * rotation * rotation == IntMatrix.identity(2)
-        with pytest.raises(ValueError, match="must be a signed permutation"):
-            _make_frobenius(torus(2), 2, rotation)
+            _make_frobenius(rd, 2, (1, 0, 2), (1, 1, 1))
 
     def test_rejects_signed_permutation_of_large_order(self):
         # cycles of lengths 2, 3, 5, 7, 11 and 13: order 30030 > 10000
@@ -205,18 +185,15 @@ class TestCartanAndFrobenius:
             cycle_of += [start + (i + 1) % length for i in range(length)]
             start += length
         n = len(cycle_of)
-        tau = IntMatrix(n, n, [1 if j == cycle_of[i] else 0
-                               for i in range(n) for j in range(n)])
         with pytest.raises(ValueError, match="does not have small finite order"):
-            _make_frobenius(torus(n), 2, tau)
+            _make_frobenius(torus(n), 2, cycle_of, (1,) * n)
         # without the 13-cycle the order is 2310, which is accepted
-        small = IntMatrix(28, 28, [tau.at(i, j) for i in range(28) for j in range(28)])
-        assert _make_frobenius(torus(28), 2, small).order == 2310
+        assert _make_frobenius(torus(28), 2, cycle_of[:28], (1,) * 28).order == 2310
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_matches_power_loop_oracle(self, build):
         rd, frob = build()
-        assert (frob.tau_dual, frob.root_perm, frob.order) == \
+        assert (frob.tau, frob.root_perm, frob.order) == \
             power_loop_frobenius(rd, frob.tau)
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -228,8 +205,8 @@ class TestCartanAndFrobenius:
         n = len(perm)
         tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
                                for i in range(n) for j in range(n)])
-        frob = _make_frobenius(torus(n), 3, tau)
-        assert (frob.tau_dual, frob.root_perm, frob.order) == \
+        frob = _make_frobenius(torus(n), 3, perm, signs)
+        assert (frob.tau, frob.root_perm, frob.order) == \
             power_loop_frobenius(torus(n), tau)
 
     @pytest.mark.parametrize("build", BUILDS)

@@ -261,13 +261,13 @@ class TestZetaMatrix:
         # swapping e2 and e3 moves (1, 1, 0) off the lattice lam_1 = lam_2
         script = (
             "import dataclasses\n"
-            "from ziphasse.exact_linear import IntMatrix, SelfCheckError\n"
+            "from ziphasse.exact_linear import SelfCheckError\n"
             "from ziphasse.root_datum import gl\n"
             "from ziphasse.zip_core import build_zip_datum, zeta_matrix\n"
             "rd, frob = gl(3, 2)\n"
             "zd = build_zip_datum(rd, frob, parabolic=[0])\n"
-            "swap = IntMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])\n"
-            "zd = dataclasses.replace(zd, frob=dataclasses.replace(frob, tau=swap))\n"
+            "swap = dataclasses.replace(frob, src=(0, 2, 1))\n"
+            "zd = dataclasses.replace(zd, frob=swap)\n"
             "try:\n"
             "    print(zeta_matrix(zd))\n"
             "except SelfCheckError as exc:\n"
