@@ -10,7 +10,9 @@ exceed the cap, so ``orbits`` exits 3 on them.  So it does on the rank-74
 product of the Weil restrictions of GL2 with 16, 9, 5 and 7 copies, at
 q = 3 and q = 2^39 with J empty: its Frobenius has order 5040, which pins
 the positivity certificate's inverse twist on long signed cycles.  The
-small documents pin
+rank-12 product of U(3), Res GL2 x2, GSp4 and adjoint B2, each wrapped in
+30 single-factor products, at the largest 40-bit prime q with J = {1, 3},
+pins a document at the nesting and q budgets.  The small documents pin
 whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
 U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  On these
 (every document whose ``orbits`` exits 0), ``orbits`` and ``all`` also run
