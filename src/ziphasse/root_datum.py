@@ -11,7 +11,9 @@ the q-power isogeny corresponds to q * tau on coordinates.
 Builders cover the groups used downstream: general linear groups, similitude
 symplectic groups, quasi-split unitary groups, split simple groups in both
 isogeny types, finite products, and Weil restrictions of split groups along a
-degree-r extension.
+degree-r extension.  Each is one call to build_group, which assembles
+factors and inner groups from their lattice parts and makes the Frobenius
+structure once, for the whole group.
 
 Everything constructed here is immutable and safe to share between threads.
 A RootDatum computes its Cartan data (the Cartan matrix, its reflector and
@@ -126,7 +128,7 @@ class RootDatum:
     def _opposition(self) -> tuple:
         """(perm, |Phi+|): the opposition walk of opposition(), and its
         length, checked against the count read off the component series."""
-        n_pos = sum([_N_POSITIVE[c.series](len(c.nodes)) for c in self.components])
+        n_pos = sum([d - 1 for d in _degrees(self)])
         start = range(-1, -self.num_nodes - 1, -1)
         end, steps = _walk(start, self._reflect.columns, n_pos)
         if steps != n_pos:
@@ -234,6 +236,9 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
 
     Every builder's tau is such a signed permutation.  Its order is the lcm
     of its cycle lengths, doubled on a cycle whose signs multiply to -1.
+    build_group makes it once per group: the tau of a product or Weil
+    restriction is block-diagonal up to the block shift, so a factor that
+    fails a check here makes the whole group fail it.
     """
     _validate_q(q)
     n = rd.rank
@@ -274,23 +279,9 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
     return FrobeniusStructure(q=q, src=src, sign=sign, root_perm=perm, order=order)
 
 
-def _gl_datum(n: int, tag: tuple) -> RootDatum:
-    roots = [_unit(n, i, 1, i + 1, -1) for i in range(n - 1)]
-    return RootDatum(
-        rank=n,
-        simple_roots=_rows_or_empty(roots, n),
-        simple_coroots=_rows_or_empty(roots, n),
-        components=(Component("A", tuple(range(n - 1))),) if n > 1 else (),
-        builder_tag=tag,
-    )
-
-
 def gl(n: int, q: int):
     """GL_n with the standard diagonal torus: X* = Z^n, alpha_i = e_i - e_{i+1}."""
-    if n < 1:
-        raise InvalidRankError("gl needs n >= 1")
-    rd = _gl_datum(n, ("gl", n))
-    return rd, _make_frobenius(rd, q, range(n), (1,) * n)
+    return build_group({"builder": "gl", "n": n}, q)
 
 
 def unitary(n: int, q: int):
@@ -300,10 +291,7 @@ def unitary(n: int, q: int):
     tau(e_i) = -e_{n+1-i}, which permutes the simple roots by the diagram
     flip.
     """
-    if n < 1:
-        raise InvalidRankError("unitary needs n >= 1")
-    rd = _gl_datum(n, ("unitary", n))
-    return rd, _make_frobenius(rd, q, range(n - 1, -1, -1), (-1,) * n)
+    return build_group({"builder": "unitary", "n": n}, q)
 
 
 def gsp(dim: int, q: int):
@@ -312,22 +300,7 @@ def gsp(dim: int, q: int):
     Coordinates: e_0..e_{g-1} are the torus weights, e_g is the similitude
     multiplier.  The long simple root is 2e_{g-1} - e_g.
     """
-    if dim < 2 or dim % 2:
-        raise InvalidRankError("gsp needs an even dim >= 2")
-    g = dim // 2
-    n = g + 1
-    roots = [_unit(n, i, 1, i + 1, -1) for i in range(g - 1)]
-    roots.append(_unit(n, g - 1, 2, g, -1))
-    coroots = [_unit(n, i, 1, i + 1, -1) for i in range(g - 1)]
-    coroots.append(_unit(n, g - 1, 1))
-    rd = RootDatum(
-        rank=n,
-        simple_roots=IntMatrix.from_rows(roots),
-        simple_coroots=IntMatrix.from_rows(coroots),
-        components=(Component("C" if g >= 2 else "A", tuple(range(g))),),
-        builder_tag=("gsp", dim),
-    )
-    return rd, _make_frobenius(rd, q, range(n), (1,) * n)
+    return build_group({"builder": "gsp", "dim": dim}, q)
 
 
 _ISOGENIES = ("simply_connected", "adjoint")
@@ -340,52 +313,13 @@ def simple_group(series: str, rank: int, q: int, isogeny: str = "simply_connecte
     matrix, coroots = standard basis).  adjoint: X* is the root lattice
     (roots = standard basis, coroots = rows of the Cartan matrix).
     """
-    if isogeny not in _ISOGENIES:
-        raise UnsupportedSeriesError("isogeny must be one of %s" % (_ISOGENIES,))
-    cartan = _cartan_matrix(series, rank)
-    if isogeny == "simply_connected":
-        roots = cartan.transpose()
-        coroots = IntMatrix.identity(rank)
-    else:
-        roots = IntMatrix.identity(rank)
-        coroots = cartan
-    rd = RootDatum(
-        rank=rank,
-        simple_roots=roots,
-        simple_coroots=coroots,
-        components=(Component(series, tuple(range(rank))),),
-        builder_tag=("simple", series, rank, isogeny),
-    )
-    return rd, _make_frobenius(rd, q, range(rank), (1,) * rank)
+    return build_group({"builder": "simple", "series": series, "rank": rank,
+                        "isogeny": isogeny}, q)
 
 
 def product_group(factor_specs: Sequence, q: int):
     """Direct product of builder specs sharing one q."""
-    built = [build_group(s, q) for s in factor_specs]
-    rds = [rd for rd, _ in built]
-    rank = sum(rd.rank for rd in rds)
-    roots, coroots, comps, src, sign = [], [], [], [], []
-    coord_off = 0
-    node_off = 0
-    for rd, frob in built:
-        for i in range(rd.num_nodes):
-            roots.append(_embed(rd.root(i), coord_off, rank))
-            coroots.append(_embed(rd.coroot(i), coord_off, rank))
-        for comp in rd.components:
-            comps.append(Component(comp.series,
-                                   tuple(node_off + i for i in comp.nodes)))
-        src.extend(coord_off + j for j in frob.src)
-        sign.extend(frob.sign)
-        coord_off += rd.rank
-        node_off += rd.num_nodes
-    rd = RootDatum(
-        rank=rank,
-        simple_roots=_rows_or_empty(roots, rank),
-        simple_coroots=_rows_or_empty(coroots, rank),
-        components=tuple(comps),
-        builder_tag=("product", tuple(r.builder_tag for r in rds)),
-    )
-    return rd, _make_frobenius(rd, q, src, sign)
+    return build_group({"builder": "product", "factors": factor_specs}, q)
 
 
 def weil_restriction(copies: int, inner_spec, q: int):
@@ -395,34 +329,8 @@ def weil_restriction(copies: int, inner_spec, q: int):
     shifts block b to block b-1, so that composing a block-b character with
     Frobenius lands in block b-1 scaled by q.
     """
-    if copies < 1:
-        raise InvalidRankError("weil_restriction needs copies >= 1")
-    inner_rd, inner_frob = build_group(inner_spec, q)
-    if inner_frob.src != tuple(range(inner_rd.rank)) or -1 in inner_frob.sign:
-        raise UnsupportedSeriesError("weil_restriction needs a split inner group")
-    m = inner_rd.rank
-    rank = copies * m
-    roots, coroots, comps = [], [], []
-    for b in range(copies):
-        for i in range(inner_rd.num_nodes):
-            roots.append(_embed(inner_rd.root(i), b * m, rank))
-            coroots.append(_embed(inner_rd.coroot(i), b * m, rank))
-        for comp in inner_rd.components:
-            comps.append(Component(
-                comp.series,
-                tuple(b * inner_rd.num_nodes + i for i in comp.nodes)))
-    rd = RootDatum(
-        rank=rank,
-        simple_roots=_rows_or_empty(roots, rank),
-        simple_coroots=_rows_or_empty(coroots, rank),
-        components=tuple(comps),
-        builder_tag=("weil_restriction", copies, inner_rd.builder_tag),
-    )
-    return rd, _make_frobenius(rd, q, [(r + m) % rank for r in range(rank)],
-                               (1,) * rank)
-
-
-_BUILDERS = ("gl", "unitary", "gsp", "simple", "product", "weil_restriction")
+    return build_group({"builder": "weil_restriction", "copies": copies,
+                        "inner": inner_spec}, q)
 
 
 def build_group(spec: Mapping, q: int):
@@ -435,25 +343,99 @@ def build_group(spec: Mapping, q: int):
          "isogeny": "simply_connected"}
         {"builder": "weil_restriction", "copies": 3,
          "inner": {"builder": "gl", "n": 2}}
+
+    Factors and inner groups are built as lattice parts only (_parts), and
+    the Frobenius structure is made once, for the whole group, so q is
+    checked once.
     """
+    rd, src, sign = _parts(spec)
+    return rd, _make_frobenius(rd, q, src, sign)
+
+
+def _parts(spec: Mapping) -> tuple:
+    """(RootDatum, src, sign) of a builder description: the datum and the
+    signed permutation of its tau, with no Frobenius structure made."""
     try:
         kind = spec["builder"]
     except (TypeError, KeyError):
         raise UnsupportedSeriesError("builder description needs a 'builder' key")
-    if kind == "gl":
-        return gl(spec["n"], q)
-    if kind == "unitary":
-        return unitary(spec["n"], q)
-    if kind == "gsp":
-        return gsp(spec["dim"], q)
-    if kind == "simple":
-        return simple_group(spec["series"], spec["rank"], q,
-                            spec.get("isogeny", "simply_connected"))
     if kind == "product":
-        return product_group(spec["factors"], q)
+        parts = [_parts(s) for s in spec["factors"]]
+        rds = [rd for rd, _, _ in parts]
+        src, sign = [], []
+        for _, part_src, part_sign in parts:
+            src += [len(src) + j for j in part_src]
+            sign += part_sign
+        tag = ("product", tuple(rd.builder_tag for rd in rds))
+        return _direct_sum(rds, tag), src, sign
     if kind == "weil_restriction":
-        return weil_restriction(spec["copies"], spec["inner"], q)
-    raise UnsupportedSeriesError("unknown builder %r" % (kind,))
+        copies = spec["copies"]
+        if copies < 1:
+            raise InvalidRankError("weil_restriction needs copies >= 1")
+        inner, inner_src, inner_sign = _parts(spec["inner"])
+        if list(inner_src) != list(range(inner.rank)) or -1 in inner_sign:
+            raise UnsupportedSeriesError("weil_restriction needs a split inner group")
+        rd = _direct_sum([inner] * copies,
+                         ("weil_restriction", copies, inner.builder_tag))
+        m, rank = inner.rank, rd.rank
+        return rd, [(r + m) % rank for r in range(rank)], (1,) * rank
+    if kind in ("gl", "unitary"):
+        n = spec["n"]
+        if n < 1:
+            raise InvalidRankError("%s needs n >= 1" % kind)
+        roots = coroots = _rows_or_empty(
+            [_unit(n, i, 1, i + 1, -1) for i in range(n - 1)], n)
+        comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
+        tag = (kind, n)
+    elif kind == "gsp":
+        dim = spec["dim"]
+        if dim < 2 or dim % 2:
+            raise InvalidRankError("gsp needs an even dim >= 2")
+        g = dim // 2
+        n = g + 1
+        roots = [_unit(n, i, 1, i + 1, -1) for i in range(g - 1)]
+        coroots = IntMatrix.from_rows(roots + [_unit(n, g - 1, 1)])
+        roots = IntMatrix.from_rows(roots + [_unit(n, g - 1, 2, g, -1)])
+        comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
+        tag = ("gsp", dim)
+    elif kind == "simple":
+        series, n = spec["series"], spec["rank"]
+        isogeny = spec.get("isogeny", "simply_connected")
+        if isogeny not in _ISOGENIES:
+            raise UnsupportedSeriesError("isogeny must be one of %s" % (_ISOGENIES,))
+        cartan = _cartan_matrix(series, n)
+        if isogeny == "simply_connected":
+            roots, coroots = cartan.transpose(), IntMatrix.identity(n)
+        else:
+            roots, coroots = IntMatrix.identity(n), cartan
+        comps = (Component(series, tuple(range(n))),)
+        tag = ("simple", series, n, isogeny)
+    else:
+        raise UnsupportedSeriesError("unknown builder %r" % (kind,))
+    rd = RootDatum(rank=n, simple_roots=roots, simple_coroots=coroots,
+                   components=comps, builder_tag=tag)
+    if kind == "unitary":
+        return rd, range(n - 1, -1, -1), (-1,) * n
+    return rd, range(n), (1,) * n
+
+
+def _direct_sum(data: Sequence, tag: tuple) -> RootDatum:
+    """The data side by side: block b of the lattice, of the simple roots
+    and coroots and of the components is data[b]'s."""
+    rank = sum(rd.rank for rd in data)
+    roots, coroots, comps = [], [], []
+    offset = nodes = 0
+    for rd in data:
+        left, right = (0,) * offset, (0,) * (rank - offset - rd.rank)
+        roots += [left + rd.root(i) + right for i in range(rd.num_nodes)]
+        coroots += [left + rd.coroot(i) + right for i in range(rd.num_nodes)]
+        comps += [Component(c.series, tuple(nodes + i for i in c.nodes))
+                  for c in rd.components]
+        offset += rd.rank
+        nodes += rd.num_nodes
+    return RootDatum(rank=rank, simple_roots=_rows_or_empty(roots, rank),
+                     simple_coroots=_rows_or_empty(coroots, rank),
+                     components=tuple(comps), builder_tag=tag)
 
 
 def _unit(n, *pairs_flat):
@@ -462,13 +444,6 @@ def _unit(n, *pairs_flat):
     for idx in it:
         v[idx] = next(it)
     return tuple(v)
-
-
-def _embed(vec, offset, rank):
-    out = [0] * rank
-    for i, x in enumerate(vec):
-        out[offset + i] = x
-    return tuple(out)
 
 
 def _rows_or_empty(rows, rank):
@@ -522,11 +497,20 @@ def _cartan_matrix(series: str, rank: int) -> IntMatrix:
 # root enumeration and Weyl walks in Cartan coordinates
 
 
-# |Phi+| of a component from its series and number of nodes
-_N_POSITIVE = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
-               "C": lambda n: n * n, "D": lambda n: n * (n - 1),
-               "E": {6: 36, 7: 63, 8: 120}.__getitem__, "F": lambda n: 24,
-               "G": lambda n: 6}
+# Degrees of the basic invariants of the Weyl group of a component, from its
+# series and number of nodes (Humphreys, "Reflection groups and Coxeter
+# groups", 3.7): |Phi+| = sum(d - 1) and |W| = prod(d).
+_DEGREES = {"A": lambda n: range(2, n + 2), "B": lambda n: range(2, 2 * n + 1, 2),
+            "C": lambda n: range(2, 2 * n + 1, 2),
+            "D": lambda n: [*range(2, 2 * n - 1, 2), n],
+            "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                  8: (2, 8, 12, 14, 18, 20, 24, 30)}.__getitem__,
+            "F": lambda n: (2, 6, 8, 12), "G": lambda n: (2, 6)}
+
+
+def _degrees(rd: RootDatum) -> list:
+    """The degrees of the Weyl group of rd, component by component."""
+    return [d for c in rd.components for d in _DEGREES[c.series](len(c.nodes))]
 
 
 def _reflector(cartan: IntMatrix):

@@ -10,10 +10,10 @@ word of that length).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import prod
 
 from .exact_linear import IntMatrix
-from .root_datum import RootDatum, reflection_matrix
+from .root_datum import RootDatum, _degrees, reflection_matrix
 
 
 class WeylGroupTooLargeError(ValueError):
@@ -28,29 +28,10 @@ class WeylGroupTooLargeError(ValueError):
 
 DEFAULT_CAP = 1_000_000
 
-_EXCEPTIONAL_ORDERS = {
-    ("E", 6): 51_840,
-    ("E", 7): 2_903_040,
-    ("E", 8): 696_729_600,
-    ("F", 4): 1_152,
-    ("G", 2): 12,
-}
-
 
 def classical_order(rd: RootDatum) -> int:
-    """Product of the classical Weyl group orders of the components."""
-    total = 1
-    for comp in rd.components:
-        n = len(comp.nodes)
-        if comp.series == "A":
-            total *= factorial(n + 1)
-        elif comp.series in ("B", "C"):
-            total *= 2 ** n * factorial(n)
-        elif comp.series == "D":
-            total *= 2 ** (n - 1) * factorial(n)
-        else:
-            total *= _EXCEPTIONAL_ORDERS[(comp.series, n)]
-    return total
+    """|W|, the product of the degrees of the Weyl group of every component."""
+    return prod(_degrees(rd))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,15 @@ The cocharacter classification by the list of positive roots is the one
 the library used before it read the highest roots off walks.  The length
 distribution of the minimal coset representatives is Macdonald's product
 over the root heights, and J0 is the full loop of tau-order intersections
-that build_zip_datum ran before it stopped at the first stable pass.
+that build_zip_datum ran before it stopped at the first stable pass.  With
+J0 empty the invariant factors of the twist are read off the signed cycles
+of the dense tau, one Z/(q^c - eps) per cycle, and put in normal form by
+gcd/lcm exchanges, with no Smith form.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                                    kernel_basis)
@@ -485,3 +488,38 @@ def macdonald_length_counts(rd, J):
             raise AssertionError("1 - t^%d does not divide the product" % h)
         top -= h
     return poly[:top + 1]
+
+
+def normal_form(diagonal):
+    """Invariant factors above 1 of the diagonal matrix with these entries:
+    each pair (a, b) becomes (gcd, lcm), which keeps the product and the
+    exponents of every prime, until each entry divides the next."""
+    d = list(diagonal)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(f for f in d if f > 1)
+
+
+def tau_cycle_invariant_factors(frob):
+    """Invariant factors above 1 of chi -> chi - q*tau(chi) on all of X*.
+
+    As a Z[tau]-module X* is the sum over the signed cycles of tau of
+    Z[x]/(x^c - eps), c the length of the cycle and eps the product of its
+    signs, so the cokernel is the sum of the Z/(q^c - eps).  The cycles are
+    read off the rows of the dense matrix frob.tau, each with one entry +-1.
+    """
+    rows = frob.tau.to_rows()
+    seen = [False] * len(rows)
+    diagonal = []
+    for start in range(len(rows)):
+        length, eps, i = 0, 1, start
+        while not seen[i]:
+            seen[i] = True
+            [(i, s)] = [(j, x) for j, x in enumerate(rows[i]) if x]
+            if s not in (1, -1):
+                raise AssertionError("tau is not a signed permutation")
+            length, eps = length + 1, eps * s
+        if length:
+            diagonal.append(abs(frob.q ** length - eps))
+    return normal_form(diagonal)

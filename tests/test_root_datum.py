@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from _oracles import (central_solve_weights, coefficient_closure,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ziphasse import root_datum
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError,
                                    solve_rational)
 from ziphasse.root_datum import (
@@ -113,6 +115,145 @@ class TestBuilders:
     def test_weil_needs_split_inner(self):
         with pytest.raises(UnsupportedSeriesError):
             weil_restriction(2, {"builder": "unitary", "n": 3}, 3)
+
+
+def nested(spec, depth):
+    """spec wrapped in depth single-factor products."""
+    for _ in range(depth):
+        spec = {"builder": "product", "factors": [spec]}
+    return spec
+
+
+GL2 = {"builder": "gl", "n": 2}
+GOLDEN_Q = 1099511627689  # 2^40 - 87, the largest 40-bit prime
+GOLDEN_NESTED = json.loads(
+    (Path(__file__).parent / "golden" / "cases.json").read_text(encoding="utf-8")
+)["nested30x4_q40bit"]["document"]["group"]
+# nested products and Weil restrictions, up to rank 24
+NESTED_SPECS = [
+    GOLDEN_NESTED,
+    {"builder": "weil_restriction", "copies": 3, "inner": nested(
+        {"builder": "product", "factors": [
+            GL2, {"builder": "simple", "series": "B", "rank": 2,
+                  "isogeny": "adjoint"}]}, 2)},
+    {"builder": "product", "factors": [
+        {"builder": "weil_restriction", "copies": 6, "inner": nested(GL2, 2)},
+        nested({"builder": "unitary", "n": 4}, 3), {"builder": "gsp", "dim": 6}]},
+    {"builder": "product", "factors": [
+        {"builder": "simple", "series": "D", "rank": 4, "isogeny": "adjoint"},
+        {"builder": "unitary", "n": 6},
+        nested({"builder": "weil_restriction", "copies": 7, "inner": GL2}, 1)]},
+    {"builder": "product", "factors": [{"builder": "gl", "n": 1}] * 24},
+]
+
+
+def _leaf_specs(split):
+    simple = st.tuples(st.sampled_from([("A", 1), ("A", 3), ("B", 2), ("C", 3),
+                                        ("D", 4), ("G", 2)]),
+                       st.sampled_from(("simply_connected", "adjoint")))
+    leaves = [
+        st.builds(lambda n: {"builder": "gl", "n": n}, st.integers(1, 4)),
+        st.builds(lambda d: {"builder": "gsp", "dim": d}, st.sampled_from((2, 4, 6))),
+        simple.map(lambda s: {"builder": "simple", "series": s[0][0],
+                              "rank": s[0][1], "isogeny": s[1]}),
+    ]
+    if not split:
+        leaves.append(st.builds(lambda n: {"builder": "unitary", "n": n},
+                                st.integers(1, 5)))
+    return st.one_of(leaves)
+
+
+def _products(children):
+    return st.lists(children, min_size=1, max_size=3).map(
+        lambda fs: {"builder": "product", "factors": fs})
+
+
+# the builder grammar; a Weil restriction only ever wraps a split group,
+# a product of split leaves
+SPLIT_SPECS = st.recursive(_leaf_specs(True), _products, max_leaves=3)
+BUILDER_SPECS = st.recursive(
+    _leaf_specs(False),
+    lambda ch: st.one_of(_products(ch), st.tuples(st.integers(1, 3), SPLIT_SPECS).map(
+        lambda ci: {"builder": "weil_restriction", "copies": ci[0], "inner": ci[1]})),
+    max_leaves=5)
+
+
+def assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+class TestOneFrobeniusPerGroup:
+    """build_group makes the Frobenius once, for the whole group: factors
+    and inner groups are built as (datum, src, sign)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"is_prime_power": 0, "_make_frobenius": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(root_datum, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(root_datum, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("spec", NESTED_SPECS)
+    def test_q_is_factored_once_and_frobenius_made_once(self, spec, calls):
+        rd, frob = build_group(spec, GOLDEN_Q)
+        assert calls == {"is_prime_power": 1, "_make_frobenius": 1}
+        assert frob.q == GOLDEN_Q and len(frob.src) == rd.rank <= 24
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(BUILDER_SPECS)
+    def test_every_grammar_spec_makes_one_frobenius(self, spec):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            made = []
+            inner = root_datum._make_frobenius
+            monkeypatch.setattr(root_datum, "_make_frobenius",
+                                lambda *args: made.append(1) or inner(*args))
+            build_group(spec, 4)
+        assert made == [1]
+
+    PUBLIC = [
+        (lambda q: gl(3, q), {"builder": "gl", "n": 3}),
+        (lambda q: unitary(4, q), {"builder": "unitary", "n": 4}),
+        (lambda q: gsp(6, q), {"builder": "gsp", "dim": 6}),
+        (lambda q: simple_group("B", 3, q),
+         {"builder": "simple", "series": "B", "rank": 3}),
+        (lambda q: simple_group("C", 3, q, "adjoint"),
+         {"builder": "simple", "series": "C", "rank": 3, "isogeny": "adjoint"}),
+        (lambda q: product_group(GOLDEN_NESTED["factors"], q), GOLDEN_NESTED),
+        (lambda q: weil_restriction(3, NESTED_SPECS[1]["inner"], q),
+         NESTED_SPECS[1]),
+    ]
+
+    @pytest.mark.parametrize("build,spec", PUBLIC)
+    def test_public_builders_equal_build_group(self, build, spec):
+        for got, expected in zip(build(9), build_group(spec, 9)):
+            assert_same_fields(got, expected)
+
+    def test_a_bad_group_is_reported_before_a_bad_q(self):
+        with pytest.raises(InvalidRankError):
+            build_group({"builder": "product", "factors": [
+                GL2, {"builder": "gl", "n": 0}]}, 6)
+        with pytest.raises(InvalidQError):
+            build_group({"builder": "product", "factors": [GL2, GL2]}, 6)
+
+    def test_a_nested_non_split_inner_group_is_refused(self):
+        with pytest.raises(UnsupportedSeriesError,
+                           match="weil_restriction needs a split inner group"):
+            weil_restriction(2, nested({"builder": "unitary", "n": 3}, 3), 3)
+
+    def test_the_order_check_holds_for_the_whole_group(self):
+        # Weil restrictions of 2, 3, 5, 7, 11 and 13 copies: each factor
+        # has a small order, the product has order 30030 > 10000
+        factors = [{"builder": "weil_restriction", "copies": c,
+                    "inner": {"builder": "gl", "n": 1}}
+                   for c in (2, 3, 5, 7, 11, 13)]
+        with pytest.raises(ValueError, match="does not have small finite order"):
+            product_group(factors, 2)
+        assert product_group(factors[:5], 2)[1].order == 2310
 
 
 class TestCartanAndFrobenius:

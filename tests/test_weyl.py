@@ -33,6 +33,27 @@ def test_enumeration_matches_order_formula(name, build, order):
     assert len(W) == order
 
 
+# closed-form Weyl group orders per series, the reference for the degree table
+CLOSED_FORMS = {"A": lambda n: factorial(n + 1), "B": lambda n: 2 ** n * factorial(n),
+                "C": lambda n: 2 ** n * factorial(n),
+                "D": lambda n: 2 ** (n - 1) * factorial(n)}
+EXCEPTIONAL_ORDERS = {("E", 6): 51_840, ("E", 7): 2_903_040, ("E", 8): 696_729_600,
+                      ("F", 4): 1_152, ("G", 2): 12}
+
+
+@pytest.mark.parametrize("series,first", [("A", 1), ("B", 2), ("C", 2), ("D", 3)])
+def test_degree_products_match_the_closed_forms(series, first):
+    for rank in range(first, 41):
+        rd, _ = simple_group(series, rank, 2, "adjoint")
+        assert classical_order(rd) == CLOSED_FORMS[series](rank)
+
+
+@pytest.mark.parametrize("series,rank", sorted(EXCEPTIONAL_ORDERS))
+def test_degree_products_match_the_exceptional_orders(series, rank):
+    rd, _ = simple_group(series, rank, 2)
+    assert classical_order(rd) == EXCEPTIONAL_ORDERS[series, rank]
+
+
 def test_cap():
     rd, _ = simple_group("E", 8, 2)
     with pytest.raises(WeylGroupTooLargeError):

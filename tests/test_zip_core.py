@@ -4,13 +4,15 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 import test_root_datum
 from _oracles import (basis_zeta_matrix, dense_zeta_matrix, enumerated_census,
-                      full_order_j0, macdonald_length_counts, root_list_classify)
-from hypothesis import given, settings
+                      full_order_j0, macdonald_length_counts, normal_form,
+                      root_list_classify, tau_cycle_invariant_factors)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ziphasse import zip_core
@@ -566,3 +568,107 @@ class TestPicRank:
                 rank_p = char_lattice_of_parabolic(
                     rd, ParabolicType(frozenset(J), CONTAINS_BMINUS)).rows
                 assert pic_rank(zd) == rd.num_nodes - len(J) == rank_p - rank_g
+
+
+def twist_factors(rd, frob, J):
+    """Invariant factors above 1 of the twist on X*(L0), also when Pic(L0)
+    obstructs."""
+    zd = build_zip_datum(rd, frob, parabolic=J)
+    try:
+        report = s0_characters(zd)
+    except PicObstructionError as exc:
+        report = exc.report
+    return tuple(f for f in report.invariant_factors if f > 1)
+
+
+def split_nodes(rds, J):
+    """J in the node indices of each factor of a product."""
+    out, offset = [], 0
+    for rd in rds:
+        out.append([j - offset for j in J if offset <= j < offset + rd.num_nodes])
+        offset += rd.num_nodes
+    return out
+
+
+def convolve(counts):
+    """Length counts of a product of cosets: the lengths add."""
+    total = Counter({0: 1})
+    for factor in counts:
+        nxt = Counter()
+        for a, m in total.items():
+            for b, n in factor.items():
+                nxt[a + b] += m * n
+        total = nxt
+    return total
+
+
+ORACLE_SPECS = test_root_datum.NESTED_SPECS
+ORACLE_PRODUCTS = [s for s in ORACLE_SPECS if s["builder"] == "product"] + [
+    {"builder": "product",
+     "factors": [ORACLE_SPECS[1], {"builder": "unitary", "n": 5}]}]
+
+
+class TestProductAndCycleOracles:
+    """Closed forms for the block assembly of products and Weil restrictions.
+
+    A product's twist is block-diagonal, so its invariant factors above 1
+    are the normal form of its factors' with J split per factor; its
+    minimal coset representatives are tuples of the factors', so the orbit
+    count multiplies, the lengths add and so does pic_rank.  With J empty
+    the invariant factors come from the signed cycles of the dense tau.
+    """
+
+    def check_product(self, factor_specs, q, J, max_orbits=10_000):
+        """Check the product oracle; True when the census was compared too."""
+        rd, frob = product_group(factor_specs, q)
+        parts = [build_group(s, q) for s in factor_specs]
+        local = split_nodes([part_rd for part_rd, _ in parts], J)
+        assert twist_factors(rd, frob, J) == normal_form(chain.from_iterable(
+            twist_factors(*part, part_J) for part, part_J in zip(parts, local)))
+        zd = build_zip_datum(rd, frob, parabolic=J)
+        factor_zds = [build_zip_datum(*part, parabolic=part_J)
+                      for part, part_J in zip(parts, local)]
+        assert pic_rank(zd) == sum(map(pic_rank, factor_zds))
+        counts = [Counter(o.length for o in orbit_census(z).orbits)
+                  for z in factor_zds]
+        orbits = math.prod(sum(c.values()) for c in counts)
+        if orbits > max_orbits:
+            return False
+        census = orbit_census(zd)
+        assert len(census.orbits) == orbits
+        assert Counter(o.length for o in census.orbits) == convolve(counts)
+        return True
+
+    @pytest.mark.parametrize("q", [2, 9])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_j_empty_factors_match_the_tau_cycles(self, spec, q):
+        rd, frob = build_group(spec, q)
+        assert twist_factors(rd, frob, []) == tau_cycle_invariant_factors(frob)
+
+    @pytest.mark.parametrize("spec", ORACLE_PRODUCTS)
+    def test_products_match_their_factors(self, spec):
+        rd, _ = build_group(spec, 2)
+        rng = random.Random(rd.rank)
+        nodes = range(rd.num_nodes)
+        # every node, every node but the first of each component, and random J
+        choices = [list(nodes), [i for c in rd.components for i in c.nodes[1:]]]
+        choices += [[i for i in nodes if rng.random() < 0.5] for _ in range(4)]
+        compared = [self.check_product(spec["factors"], q, J)
+                    for J in choices for q in (2, 9)]
+        assert compared[:4] == [True] * 4
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(test_root_datum.BUILDER_SPECS, st.sampled_from((2, 3, 4, 9, 25)))
+    def test_j_empty_over_the_builder_grammar(self, spec, q):
+        rd, frob = build_group(spec, q)
+        assume(rd.rank <= 24)
+        assert twist_factors(rd, frob, []) == tau_cycle_invariant_factors(frob)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(test_root_datum.BUILDER_SPECS, min_size=2, max_size=3),
+           st.sampled_from((2, 3, 4, 9, 25)), st.randoms(use_true_random=False))
+    def test_products_over_the_builder_grammar(self, factors, q, rng):
+        rd, _ = product_group(factors, q)
+        assume(rd.rank <= 24)
+        self.check_product(factors, q,
+                           [i for i in range(rd.num_nodes) if rng.random() < 0.5])
