@@ -35,21 +35,11 @@ COMMANDS = ("hasse", "orbits", "positivity", "picard", "all")
 
 # Largest rank of X* a document may ask for; checked before anything is built.
 MAX_RANK = 128
-# Deepest nesting of product / weil_restriction groups a document may use.
-MAX_DEPTH = 32
 # Largest bit length of q; is_prime_power factors q by trial division.
 MAX_Q_BITS = 40
 
 _TOP_KEYS = {"q", "group", "cocharacter", "parabolic_type", "options"}
 _OPTION_KEYS = {"weyl_cap", "format"}
-_GROUP_KEYS = {
-    "gl": {"n"},
-    "unitary": {"n"},
-    "gsp": {"dim"},
-    "simple": {"series", "rank", "isogeny"},
-    "product": {"factors"},
-    "weil_restriction": {"copies", "inner"},
-}
 
 
 @dataclass
@@ -57,7 +47,7 @@ class DatumConfig:
     q: int
     group: dict
     cocharacter: Optional[tuple]
-    parabolic_type: Optional[tuple]  # 0-based
+    parabolic_type: Optional[tuple]  # 0-based, sorted
     weyl_cap: int
     fmt: Optional[str]
 
@@ -66,58 +56,6 @@ def _require_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError("%s must be an integer, got %r" % (what, value))
     return value
-
-
-def _validate_group(spec, depth=0) -> dict:
-    """Validated copy of a group spec; depth counts the enclosing groups."""
-    if not isinstance(spec, dict):
-        raise ValidationError("group must be an object")
-    builder = spec.get("builder")
-    if builder not in _GROUP_KEYS:
-        raise ValidationError("unknown builder %r" % (builder,))
-    if builder in ("product", "weil_restriction") and depth >= MAX_DEPTH:
-        raise ValidationError("groups are nested more than %d deep" % (MAX_DEPTH,))
-    allowed = _GROUP_KEYS[builder] | {"builder"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValidationError("unknown group keys %s" % (sorted(unknown),))
-    out = {"builder": builder}
-    if builder in ("gl", "unitary"):
-        out["n"] = _require_int(spec.get("n"), "n")
-    elif builder == "gsp":
-        out["dim"] = _require_int(spec.get("dim"), "dim")
-    elif builder == "simple":
-        out["series"] = spec.get("series")
-        out["rank"] = _require_int(spec.get("rank"), "rank")
-        out["isogeny"] = spec.get("isogeny", "simply_connected")
-        if not isinstance(out["series"], str):
-            raise ValidationError("series must be a string")
-        if out["isogeny"] not in ("simply_connected", "adjoint"):
-            raise ValidationError("isogeny must be simply_connected or adjoint")
-    elif builder == "product":
-        factors = spec.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise ValidationError("factors must be a non-empty list")
-        out["factors"] = [_validate_group(f, depth + 1) for f in factors]
-    elif builder == "weil_restriction":
-        out["copies"] = _require_int(spec.get("copies"), "copies")
-        out["inner"] = _validate_group(spec.get("inner"), depth + 1)
-    return out
-
-
-def _lattice_rank(group: dict) -> int:
-    """Rank of X* for a validated group spec, read off without building it.
-
-    Negative sizes count as 0 here; the builders reject them.
-    """
-    builder = group["builder"]
-    if builder == "product":
-        return sum(_lattice_rank(f) for f in group["factors"])
-    if builder == "weil_restriction":
-        return max(group["copies"], 0) * _lattice_rank(group["inner"])
-    if builder == "gsp":
-        return max(group["dim"] // 2 + 1, 0)
-    return max(group["rank" if builder == "simple" else "n"], 0)
 
 
 def parse_config(text: str) -> DatumConfig:
@@ -145,7 +83,13 @@ def parse_config(text: str) -> DatumConfig:
                               % (q.bit_length(), MAX_Q_BITS))
     if "group" not in doc:
         raise ValidationError("missing group")
-    group = _validate_group(doc["group"])
+    try:
+        group, rank = root_datum.check_group(doc["group"])
+    except ValueError as exc:
+        raise ValidationError(str(exc))
+    if rank > MAX_RANK:
+        raise ValidationError("the group has rank %d, above the budget of %d"
+                              % (rank, MAX_RANK))
 
     has_cochar = "cocharacter" in doc
     has_parab = "parabolic_type" in doc
@@ -226,12 +170,12 @@ def run(command: str, cfg: DatumConfig) -> Report:
     """Run the requested pipelines and assemble a flat report."""
     if command not in COMMANDS:
         raise ValidationError("unknown command %r" % (command,))
-    rank = _lattice_rank(cfg.group)
-    if rank > MAX_RANK:
-        raise ValidationError("the group has rank %d, above the budget of %d"
-                              % (rank, MAX_RANK))
     try:
         rd, frob = root_datum.build_group(cfg.group, cfg.q)
+        nodes = cfg.parabolic_type
+        if nodes and nodes[-1] >= rd.num_nodes:
+            raise ValidationError("parabolic_type index %d is out of range 1..%d"
+                                  % (nodes[-1] + 1, rd.num_nodes))
         zd = zip_core.build_zip_datum(
             rd, frob,
             cocharacter=cfg.cocharacter,

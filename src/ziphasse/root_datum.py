@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import inf, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .exact_linear import (
     IntMatrix,
@@ -42,11 +42,11 @@ from .exact_linear import (
 
 
 class UnsupportedSeriesError(ValueError):
-    """Unknown builder or Dynkin series."""
+    """Malformed builder description: unknown builder, key or Dynkin series."""
 
 
 class InvalidRankError(ValueError):
-    """Rank out of range for the requested series."""
+    """A size that is not an int or is out of range, or too deep a nesting."""
 
 
 class InvalidQError(ValueError):
@@ -218,11 +218,6 @@ def is_prime_power(q: int) -> bool:
     return q == 1
 
 
-def _validate_q(q):
-    if not isinstance(q, int) or isinstance(q, bool) or not is_prime_power(q):
-        raise InvalidQError("q must be a prime power >= 2, got %r" % (q,))
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -240,7 +235,8 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
     restriction is block-diagonal up to the block shift, so a factor that
     fails a check here makes the whole group fail it.
     """
-    _validate_q(q)
+    if not isinstance(q, int) or isinstance(q, bool) or not is_prime_power(q):
+        raise InvalidQError("q must be a prime power >= 2, got %r" % (q,))
     n = rd.rank
     src, sign = tuple(src), tuple(sign)
     if sorted(src) != list(range(n)) or len(sign) != n \
@@ -303,9 +299,6 @@ def gsp(dim: int, q: int):
     return build_group({"builder": "gsp", "dim": dim}, q)
 
 
-_ISOGENIES = ("simply_connected", "adjoint")
-
-
 def simple_group(series: str, rank: int, q: int, isogeny: str = "simply_connected"):
     """Split simple group of the given Dynkin series and isogeny type.
 
@@ -319,7 +312,7 @@ def simple_group(series: str, rank: int, q: int, isogeny: str = "simply_connecte
 
 def product_group(factor_specs: Sequence, q: int):
     """Direct product of builder specs sharing one q."""
-    return build_group({"builder": "product", "factors": factor_specs}, q)
+    return build_group({"builder": "product", "factors": list(factor_specs)}, q)
 
 
 def weil_restriction(copies: int, inner_spec, q: int):
@@ -333,7 +326,7 @@ def weil_restriction(copies: int, inner_spec, q: int):
                         "inner": inner_spec}, q)
 
 
-def build_group(spec: Mapping, q: int):
+def build_group(spec: dict, q: int):
     """Build (RootDatum, FrobeniusStructure) from a builder description.
 
     The description mirrors the CLI input format, e.g.::
@@ -344,21 +337,101 @@ def build_group(spec: Mapping, q: int):
         {"builder": "weil_restriction", "copies": 3,
          "inner": {"builder": "gl", "n": 2}}
 
+    check_group refuses a malformed description before anything is built.
     Factors and inner groups are built as lattice parts only (_parts), and
     the Frobenius structure is made once, for the whole group, so q is
     checked once.
     """
-    rd, src, sign = _parts(spec)
+    rd, src, sign = _parts(check_group(spec)[0])
     return rd, _make_frobenius(rd, q, src, sign)
 
 
-def _parts(spec: Mapping) -> tuple:
-    """(RootDatum, src, sign) of a builder description: the datum and the
-    signed permutation of its tau, with no Frobenius structure made."""
-    try:
-        kind = spec["builder"]
-    except (TypeError, KeyError):
-        raise UnsupportedSeriesError("builder description needs a 'builder' key")
+# Deepest nesting of product / weil_restriction groups a description may use.
+MAX_DEPTH = 32
+
+# The keys of each builder's description besides "builder".
+_GROUP_KEYS = {
+    "gl": {"n"},
+    "unitary": {"n"},
+    "gsp": {"dim"},
+    "simple": {"series", "rank", "isogeny"},
+    "product": {"factors"},
+    "weil_restriction": {"copies", "inner"},
+}
+# The least and the greatest rank of each Dynkin series.
+_SERIES_RANKS = {"A": (1, inf), "B": (2, inf), "C": (2, inf), "D": (3, inf),
+                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
+def _size(spec: dict, key: str) -> int:
+    value = spec.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidRankError("%s must be an integer, got %r" % (key, value))
+    return value
+
+
+def check_group(spec, depth: int = 0) -> tuple:
+    """(copy, rank): a checked copy of a builder description and the rank of
+    its X*, read off without building anything.
+
+    Raises UnsupportedSeriesError or InvalidRankError on every fault that
+    the description alone decides; depth counts the enclosing groups.  The
+    copy has the default isogeny filled in, and check_group returns it as is.
+    """
+    if not isinstance(spec, dict):
+        raise UnsupportedSeriesError("group must be an object")
+    kind = spec.get("builder")
+    if not isinstance(kind, str) or kind not in _GROUP_KEYS:
+        raise UnsupportedSeriesError("unknown builder %r" % (kind,))
+    if kind in ("product", "weil_restriction") and depth >= MAX_DEPTH:
+        raise InvalidRankError("groups are nested more than %d deep" % (MAX_DEPTH,))
+    unknown = set(spec) - _GROUP_KEYS[kind] - {"builder"}
+    if unknown:
+        raise UnsupportedSeriesError("unknown group keys %s" % (sorted(unknown),))
+    out = {"builder": kind}
+    if kind in ("gl", "unitary"):
+        rank = out["n"] = _size(spec, "n")
+        if rank < 1:
+            raise InvalidRankError("%s needs n >= 1" % kind)
+    elif kind == "gsp":
+        dim = out["dim"] = _size(spec, "dim")
+        if dim < 2 or dim % 2:
+            raise InvalidRankError("gsp needs an even dim >= 2")
+        rank = dim // 2 + 1
+    elif kind == "simple":
+        series = out["series"] = spec.get("series")
+        rank = out["rank"] = _size(spec, "rank")
+        isogeny = out["isogeny"] = spec.get("isogeny", "simply_connected")
+        if not isinstance(series, str):
+            raise UnsupportedSeriesError("series must be a string")
+        if isogeny not in ("simply_connected", "adjoint"):
+            raise UnsupportedSeriesError("isogeny must be simply_connected or adjoint")
+        if series not in _SERIES_RANKS:
+            raise UnsupportedSeriesError("unknown series %r" % (series,))
+        least, most = _SERIES_RANKS[series]
+        if not least <= rank <= most:
+            raise InvalidRankError("series %s does not have rank %d" % (series, rank))
+    elif kind == "product":
+        factors = spec.get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise UnsupportedSeriesError("factors must be a non-empty list")
+        checked = [check_group(f, depth + 1) for f in factors]
+        out["factors"] = [f for f, _ in checked]
+        rank = sum(r for _, r in checked)
+    else:
+        copies = out["copies"] = _size(spec, "copies")
+        if copies < 1:
+            raise InvalidRankError("weil_restriction needs copies >= 1")
+        out["inner"], inner_rank = check_group(spec.get("inner"), depth + 1)
+        rank = copies * inner_rank
+    return out, rank
+
+
+def _parts(spec: dict) -> tuple:
+    """(RootDatum, src, sign) of a checked builder description: the datum
+    and the signed permutation of its tau, with no Frobenius structure made.
+    Its one refusal, a non-split inner group, needs the inner tau."""
+    kind = spec["builder"]
     if kind == "product":
         parts = [_parts(s) for s in spec["factors"]]
         rds = [rd for rd, _, _ in parts]
@@ -370,8 +443,6 @@ def _parts(spec: Mapping) -> tuple:
         return _direct_sum(rds, tag), src, sign
     if kind == "weil_restriction":
         copies = spec["copies"]
-        if copies < 1:
-            raise InvalidRankError("weil_restriction needs copies >= 1")
         inner, inner_src, inner_sign = _parts(spec["inner"])
         if list(inner_src) != list(range(inner.rank)) or -1 in inner_sign:
             raise UnsupportedSeriesError("weil_restriction needs a split inner group")
@@ -381,16 +452,12 @@ def _parts(spec: Mapping) -> tuple:
         return rd, [(r + m) % rank for r in range(rank)], (1,) * rank
     if kind in ("gl", "unitary"):
         n = spec["n"]
-        if n < 1:
-            raise InvalidRankError("%s needs n >= 1" % kind)
         roots = coroots = _rows_or_empty(
             [_unit(n, i, 1, i + 1, -1) for i in range(n - 1)], n)
         comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
         tag = (kind, n)
     elif kind == "gsp":
         dim = spec["dim"]
-        if dim < 2 or dim % 2:
-            raise InvalidRankError("gsp needs an even dim >= 2")
         g = dim // 2
         n = g + 1
         roots = [_unit(n, i, 1, i + 1, -1) for i in range(g - 1)]
@@ -398,11 +465,8 @@ def _parts(spec: Mapping) -> tuple:
         roots = IntMatrix.from_rows(roots + [_unit(n, g - 1, 2, g, -1)])
         comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
         tag = ("gsp", dim)
-    elif kind == "simple":
-        series, n = spec["series"], spec["rank"]
-        isogeny = spec.get("isogeny", "simply_connected")
-        if isogeny not in _ISOGENIES:
-            raise UnsupportedSeriesError("isogeny must be one of %s" % (_ISOGENIES,))
+    else:
+        series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
         cartan = _cartan_matrix(series, n)
         if isogeny == "simply_connected":
             roots, coroots = cartan.transpose(), IntMatrix.identity(n)
@@ -410,8 +474,6 @@ def _parts(spec: Mapping) -> tuple:
             roots, coroots = IntMatrix.identity(n), cartan
         comps = (Component(series, tuple(range(n))),)
         tag = ("simple", series, n, isogeny)
-    else:
-        raise UnsupportedSeriesError("unknown builder %r" % (kind,))
     rd = RootDatum(rank=n, simple_roots=roots, simple_coroots=coroots,
                    components=comps, builder_tag=tag)
     if kind == "unitary":
@@ -453,14 +515,7 @@ def _rows_or_empty(rows, rank):
 
 
 def _cartan_matrix(series: str, rank: int) -> IntMatrix:
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise InvalidRankError("rank must be an integer")
-    bounds = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
-    if series not in bounds:
-        raise UnsupportedSeriesError("unknown series %r" % (series,))
-    if rank < bounds[series] or (series == "E" and rank > 8) \
-            or (series == "F" and rank != 4) or (series == "G" and rank != 2):
-        raise InvalidRankError("series %s does not have rank %d" % (series, rank))
+    """The Cartan matrix of a series at a rank that check_group accepts."""
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def bond(i, j):

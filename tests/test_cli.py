@@ -201,6 +201,13 @@ class TestMainEntry:
         assert doc["warnings"][0]["code"] == "PicObstruction"
         assert "PicObstruction" in err
 
+    def test_node_out_of_range_is_named_as_written(self):
+        doc = {"q": 3, "group": {"builder": "gl", "n": 3}, "parabolic_type": [5]}
+        code, out, err = run_cli(["hasse"], json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err == ("ziphasse: ValidationError: parabolic_type index 5 is out "
+                       "of range 1..2\n")
+
     def test_weyl_cap_flag(self):
         code, out, err = run_cli(["orbits", "--weyl-cap", "2"], json.dumps(UNITARY3))
         assert code == 3

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,12 +14,13 @@ from _oracles import (central_solve_weights, coefficient_closure,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ziphasse import root_datum
+from ziphasse import cli_report, root_datum
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError,
                                    solve_rational)
 from ziphasse.root_datum import (
     CONTAINS_B,
     CONTAINS_BMINUS,
+    MAX_DEPTH,
     Component,
     InvalidQError,
     InvalidRankError,
@@ -29,6 +33,7 @@ from ziphasse.root_datum import (
     _walk,
     build_group,
     char_lattice_of_parabolic,
+    check_group,
     fundamental_weight_sum,
     fundamental_weights,
     gl,
@@ -254,6 +259,142 @@ class TestOneFrobeniusPerGroup:
         with pytest.raises(ValueError, match="does not have small finite order"):
             product_group(factors, 2)
         assert product_group(factors[:5], 2)[1].order == 2310
+
+
+def weil_tower(spec, depth):
+    """spec inside depth nested one-copy Weil restrictions."""
+    for _ in range(depth):
+        spec = {"builder": "weil_restriction", "copies": 1, "inner": spec}
+    return spec
+
+
+# Descriptions that check_group refuses, each with a piece of its message.
+MALFORMED = {
+    "n_bool": ({"builder": "gl", "n": True}, "n must be an integer, got True"),
+    "n_float": ({"builder": "unitary", "n": 3.0}, "n must be an integer"),
+    "n_str": ({"builder": "gl", "n": "3"}, "n must be an integer, got '3'"),
+    "dim_float": ({"builder": "gsp", "dim": 4.0}, "dim must be an integer"),
+    "rank_bool": ({"builder": "simple", "series": "A", "rank": False},
+                  "rank must be an integer"),
+    "copies_str": ({"builder": "weil_restriction", "copies": "2", "inner": GL2},
+                   "copies must be an integer"),
+    "n_zero": ({"builder": "gl", "n": 0}, "gl needs n >= 1"),
+    "dim_odd": ({"builder": "gsp", "dim": 5}, "gsp needs an even dim >= 2"),
+    "copies_zero": ({"builder": "weil_restriction", "copies": 0, "inner": GL2},
+                    "weil_restriction needs copies >= 1"),
+    "F5": ({"builder": "simple", "series": "F", "rank": 5},
+           "series F does not have rank 5"),
+    "series_X": ({"builder": "simple", "series": "X", "rank": 2},
+                 "unknown series 'X'"),
+    "series_list": ({"builder": "simple", "series": ["A"], "rank": 2},
+                    "series must be a string"),
+    "isogeny": ({"builder": "simple", "series": "A", "rank": 2, "isogeny": "sc"},
+                "isogeny must be simply_connected or adjoint"),
+    "unknown_key": ({"builder": "gl", "n": 2, "m": 1}, "unknown group keys ['m']"),
+    "unknown_inner_key": (nested(dict(GL2, dim=4), 2), "unknown group keys ['dim']"),
+    "factors_empty": ({"builder": "product", "factors": []},
+                      "factors must be a non-empty list"),
+    "factors_dict": ({"builder": "product", "factors": GL2},
+                     "factors must be a non-empty list"),
+    "factors_missing": ({"builder": "product"}, "factors must be a non-empty list"),
+    "group_list": ([GL2], "group must be an object"),
+    "group_str": ("gl", "group must be an object"),
+    "inner_list": ({"builder": "weil_restriction", "copies": 2, "inner": [GL2]},
+                   "group must be an object"),
+    "inner_missing": ({"builder": "weil_restriction", "copies": 2},
+                      "group must be an object"),
+    "builder_missing": ({"n": 3}, "unknown builder None"),
+    "builder_list": ({"builder": ["gl"], "n": 3}, "unknown builder ['gl']"),
+    "builder_so": ({"builder": "so", "n": 3}, "unknown builder 'so'"),
+    "products_33_deep": (nested(GL2, MAX_DEPTH + 1), "more than 32 deep"),
+    "weil_33_deep": (weil_tower(GL2, MAX_DEPTH + 1), "more than 32 deep"),
+}
+
+
+def cli_hasse(spec):
+    """(exit code, stdout, stderr) of cli_report.main on spec, in process."""
+    doc = {"q": 3, "group": spec, "parabolic_type": []}
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_report.main(["hasse"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def corrupted_specs(draw):
+    """A BUILDER_SPECS description with one group broken: a key of it set
+    to a value of the wrong type or size, or an unknown key added."""
+    spec = json.loads(json.dumps(draw(BUILDER_SPECS)))
+    groups, todo = [], [spec]
+    while todo:
+        groups.append(todo.pop())
+        todo += groups[-1].get("factors", [])
+        if "inner" in groups[-1]:
+            todo.append(groups[-1]["inner"])
+    group = draw(st.sampled_from(groups))
+    key = draw(st.sampled_from(sorted(group) + ["extra"]))
+    group[key] = draw(st.sampled_from((True, 2.0, "2", None, [], {}, 0, -2)))
+    return spec
+
+
+class TestGroupGrammar:
+    """check_group is the one reading of a builder description: the library
+    and the CLI accept the same descriptions and refuse the same ones."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(BUILDER_SPECS, st.sampled_from((2, 3, 4)))
+    def test_the_copy_builds_the_same_group_of_the_same_rank(self, spec, q):
+        copy, rank = check_group(spec)
+        assert check_group(copy) == (copy, rank)
+        built = build_group(spec, q)
+        assert built[0].rank == rank
+        for got, expected in zip(build_group(copy, q), built):
+            assert_same_fields(got, expected)
+
+    def test_the_copy_fills_in_the_isogeny_and_leaves_the_input_alone(self):
+        spec = nested({"builder": "simple", "series": "B", "rank": 3}, 2)
+        text = json.dumps(spec)
+        copy, rank = check_group(spec)
+        assert rank == 3 and json.dumps(spec) == text
+        assert copy["factors"][0]["factors"][0]["isogeny"] == "simply_connected"
+
+    def test_the_rank_is_read_without_building(self, monkeypatch):
+        monkeypatch.setattr(root_datum, "_parts", None)
+        spec = {"builder": "product", "factors": [
+            {"builder": "weil_restriction", "copies": 10**9,
+             "inner": {"builder": "gsp", "dim": 4}},
+            {"builder": "simple", "series": "E", "rank": 8}]}
+        assert check_group(spec)[1] == 3 * 10**9 + 8
+
+    def test_nesting_at_the_budget_is_accepted(self):
+        for spec in (nested(GL2, MAX_DEPTH), weil_tower(GL2, MAX_DEPTH)):
+            assert check_group(spec)[1] == 2
+            assert build_group(spec, 3)[0].rank == 2
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_library_and_cli_refuse_a_malformed_description(self, name):
+        spec, message = MALFORMED[name]
+        with pytest.raises((InvalidRankError, UnsupportedSeriesError)) as info:
+            build_group(spec, 3)
+        assert message in str(info.value)
+        code, out, err = cli_hasse(spec)
+        assert code == 2 and out == ""
+        assert err.startswith("ziphasse: ValidationError: ") and message in err
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(corrupted_specs())
+    def test_a_corrupted_description_is_refused_by_both(self, spec):
+        with pytest.raises((InvalidRankError, UnsupportedSeriesError)) as info:
+            check_group(spec)
+        with pytest.raises(type(info.value)):
+            build_group(spec, 3)
+        code, out, err = cli_hasse(spec)
+        assert (code, out) == (2, "")
+        assert err == "ziphasse: ValidationError: %s\n" % (info.value,)
 
 
 class TestCartanAndFrobenius:
