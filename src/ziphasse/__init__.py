@@ -12,7 +12,6 @@ everything can be shared freely across threads.
 from .exact_linear import (
     IntMatrix,
     NonSquareError,
-    RatMatrix,
     SingularMatrixError,
     SmithDecomposition,
     determinant,
@@ -97,4 +96,4 @@ from .positivity import (
     zeta_inverse,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -53,9 +53,11 @@ class DatumConfig:
 
 
 def _require_int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError("%s must be an integer, got %r" % (what, value))
-    return value
+    """root_datum.require_int, its refusal raised as a ValidationError."""
+    try:
+        return root_datum.require_int(value, what)
+    except root_datum.InvalidRankError as exc:
+        raise ValidationError(str(exc))
 
 
 def parse_config(text: str) -> DatumConfig:

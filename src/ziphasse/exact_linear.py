@@ -1,9 +1,10 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Matrices are immutable and arbitrary precision: entries are Python ints or
-``fractions.Fraction`` values (kept in lowest terms with positive denominator
-by the Fraction type itself).  No operation in this module ever touches
-floating point.
+Matrices are immutable with arbitrary-precision int entries.  One Smith
+decomposition gives the invariant factors, the kernel, the inverse (as an
+integer matrix over one denominator) and the exact ``fractions.Fraction``
+solution of a linear system; Bareiss elimination gives the determinant
+independently.  No operation in this module ever touches floating point.
 """
 
 from __future__ import annotations
@@ -33,32 +34,25 @@ def _check_int(x):
     return x
 
 
-def _check_rational(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError("exact rational entry expected, got %r" % (x,))
+class IntMatrix:
+    """Immutable integer matrix, stored row-major.
 
-
-class _Matrix:
-    """Immutable row-major matrix; a subclass coerces the entries with _coerce.
-
-    One body serves IntMatrix and RatMatrix.  A product takes the type of
-    its left factor, so IntMatrix * RatMatrix raises the TypeError of
-    IntMatrix's entry check.  Integer results of integer operands skip that
-    check: they come from IntMatrix._trusted.
+    The public constructors check every entry.  Products, sums and scalings
+    of IntMatrix operands hold ints already and skip that check: they come
+    from _trusted.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
-        self.rows = rows
-        self.cols = cols
-        self.entries = self._coerce(entries)
-        if rows < 0 or cols < 0 or len(self.entries) != rows * cols:
+        entries = tuple(entries)
+        # one pass over the types; the slow loop names the first bad entry
+        if set(map(type, entries)) - {int}:
+            for x in entries:
+                _check_int(x)
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
-        self._hash = None
+        self.rows, self.cols, self.entries, self._hash = rows, cols, entries, None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]):
@@ -84,7 +78,7 @@ class _Matrix:
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def __mul__(self, other: "_Matrix"):
+    def __mul__(self, other: "IntMatrix"):
         """Row i is the combination sum_k a_ik * (row k of other) with the
         zero a_ik skipped, so the cost follows the nonzeros of ``self``: a
         signed permutation times an n x n matrix costs O(n^2).
@@ -100,9 +94,7 @@ class _Matrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, row)]
             out.extend(acc)
-        if type(self) is IntMatrix is type(other):
-            return IntMatrix._trusted(self.rows, n, out)
-        return type(self)(self.rows, n, out)
+        return IntMatrix._trusted(self.rows, n, out)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector; accepts int or Fraction coordinates."""
@@ -125,21 +117,6 @@ class _Matrix:
     def __repr__(self) -> str:
         return "%s(%d, %d, %r)" % (type(self).__name__, self.rows, self.cols,
                                    list(self.entries))
-
-
-class IntMatrix(_Matrix):
-    """Immutable integer matrix, stored row-major."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _coerce(entries) -> tuple:
-        entries = tuple(entries)
-        # one pass over the types; the slow loop names the first bad entry
-        if set(map(type, entries)) - {int}:
-            for x in entries:
-                _check_int(x)
-        return entries
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
@@ -171,32 +148,14 @@ class IntMatrix(_Matrix):
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        make = IntMatrix._trusted if type(other) is IntMatrix else IntMatrix
-        return make(self.rows, self.cols,
-                    [a + b for a, b in zip(self.entries, other.entries)])
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
-
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, self.entries)
-
-
-class RatMatrix(_Matrix):
-    """Immutable matrix of exact rationals."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _coerce(entries) -> tuple:
-        return tuple(_check_rational(x) for x in entries)
-
-    def scale(self, k) -> "RatMatrix":
-        k = _check_rational(k)
-        return RatMatrix(self.rows, self.cols, [k * x for x in self.entries])
 
 
 @dataclass(frozen=True)
@@ -389,57 +348,45 @@ def determinant(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _gauss_jordan(mat, rhs: Sequence[Sequence]) -> list:
-    """Rows of the unique X with mat @ X = rhs, by elimination on [mat | rhs].
+def rational_inverse(mat: IntMatrix) -> tuple:
+    """(N, d) with mat * N = d * I: the exact inverse of mat is N / d.
 
-    ``rhs`` is given row by row, one entry per target column.  Raises
-    SingularMatrixError when the columns of ``mat`` are linearly dependent or
-    some target is not in their span.  Eliminating below the pivots before
-    back-substituting keeps the fill-in of a tree-like matrix in its band.
+    With U * mat * V = D the Smith form, mat^-1 = V * D^-1 * U, so N is
+    V * diag(d / d_i) * U for d the largest invariant factor.  d is the
+    exponent of coker mat, which is the least common denominator of mat^-1:
+    N / d is in lowest terms.
     """
-    m, n = mat.rows, mat.cols
-    aug = [[Fraction(x) for x in mat.row(i)] + [Fraction(x) for x in rhs[i]]
-           for i in range(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, m) if aug[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("columns are not linearly independent")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for i in range(col + 1, m):
-            if aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    if any(x != 0 for row in aug[n:] for x in row[n:]):
-        raise SingularMatrixError("inconsistent system")
-    for col in reversed(range(n)):
-        for i in range(col):
-            if aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug[:n]]
-
-
-def rational_inverse(mat) -> RatMatrix:
-    """Exact inverse of a square IntMatrix or RatMatrix."""
     if mat.rows != mat.cols:
         raise NonSquareError("inverse of a %dx%d matrix" % (mat.rows, mat.cols))
+    snf = smith_normal_form(mat)
+    factors = snf.invariant_factors
+    if len(factors) < mat.cols:
+        raise SingularMatrixError("columns are not linearly independent")
+    d = factors[-1] if factors else 1
     n = mat.rows
-    rows = _gauss_jordan(mat, [[1 if i == j else 0 for j in range(n)]
-                               for i in range(n)])
-    return RatMatrix(n, n, [x for row in rows for x in row])
+    scaled_u = IntMatrix._trusted(n, n, [d // f * x for i, f in enumerate(factors)
+                                         for x in snf.U.row(i)])
+    return snf.V * scaled_u, d
 
 
-def solve_rational(mat, target: Sequence) -> tuple:
-    """Unique exact solution x of mat @ x = target.
+def solve_rational(mat: IntMatrix, target: Sequence) -> tuple:
+    """Unique exact solution x of mat @ x = target, as Fractions.
 
+    With U * mat * V = D the Smith form, x = V * y where y_i = (U t)_i / d_i.
     Requires the columns of ``mat`` to be linearly independent and the system
-    to be consistent; otherwise SingularMatrixError is raised.
+    to be consistent, that is (U t)_i = 0 past the rank; otherwise
+    SingularMatrixError is raised.
     """
     if len(target) != mat.rows:
         raise ValueError("target length does not match row count")
-    return tuple(row[0] for row in _gauss_jordan(mat, [[t] for t in target]))
+    snf = smith_normal_form(mat)
+    factors = snf.invariant_factors
+    if len(factors) < mat.cols:
+        raise SingularMatrixError("columns are not linearly independent")
+    ut = snf.U.apply(target)
+    if any(ut[len(factors):]):
+        raise SingularMatrixError("inconsistent system")
+    return snf.V.apply([Fraction(x, f) for x, f in zip(ut, factors)])
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:

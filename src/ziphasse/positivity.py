@@ -17,8 +17,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .exact_linear import (IntMatrix, RatMatrix, SelfCheckError, SingularMatrixError,
-                           rational_inverse)
+from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError, rational_inverse
 from .root_datum import CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum
 from .zip_core import (
     CENTRAL,
@@ -101,11 +100,11 @@ def borel_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     return IntMatrix.identity(zd.rd.rank) - zd.frob.tau.scale(zd.frob.q)
 
 
-def zeta_inverse(zd: ZipDatum, at_borel: bool = False) -> RatMatrix:
-    """Exact inverse of the twist endomorphism.
+def zeta_inverse(zd: ZipDatum, at_borel: bool = False) -> tuple:
+    """Exact inverse of the twist endomorphism as (N, d), the inverse being N / d.
 
     With at_borel the matrix lives on the full character lattice; otherwise
-    on the chosen basis of X*(L0).
+    on the chosen basis of X*(L0), where d is the Hasse number.
     """
     if at_borel:
         return rational_inverse(borel_zeta_matrix(zd))
@@ -166,12 +165,9 @@ def fundamental_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     ])
 
 
-def fundamental_zeta_inverse(zd: ZipDatum) -> RatMatrix:
+def fundamental_zeta_inverse(zd: ZipDatum) -> tuple:
+    """(N, d): the inverse of fundamental_zeta_matrix is N / d."""
     return rational_inverse(fundamental_zeta_matrix(zd))
-
-
-def _is_rational_case(zd: ZipDatum) -> bool:
-    return {zd.frob.root_perm[j] for j in zd.J} == set(zd.J)
 
 
 def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
@@ -186,7 +182,8 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
     lam = _frac(lam)
     if is_ample(rd, pt, lam) != AMPLE:
         raise PreconditionViolatedError("an ample character of P is required")
-    rational = _is_rational_case(zd)
+    # J0 is the largest Frobenius-stable subset of J
+    rational = zd.J0 == zd.J
     if not rational:
         if zd.cochar is None or classify_cocharacter(rd, zd.cochar) not in (
                 CENTRAL, MINUSCULE, SMALL_NOT_MINUSCULE):
@@ -215,7 +212,7 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
     with Frobenius-stable J.
     """
     rd = zd.rd
-    if not _is_rational_case(zd):
+    if zd.J0 != zd.J:
         raise NotRationalCaseError(
             "J is not Frobenius-stable; use weil_pullback_check for "
             "Weil-restriction data")

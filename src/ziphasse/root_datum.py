@@ -363,10 +363,10 @@ _SERIES_RANKS = {"A": (1, inf), "B": (2, inf), "C": (2, inf), "D": (3, inf),
                  "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-def _size(spec: dict, key: str) -> int:
-    value = spec.get(key)
+def require_int(value, what: str) -> int:
+    """value, when it is an int and not a bool; raises InvalidRankError otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidRankError("%s must be an integer, got %r" % (key, value))
+        raise InvalidRankError("%s must be an integer, got %r" % (what, value))
     return value
 
 
@@ -390,17 +390,17 @@ def check_group(spec, depth: int = 0) -> tuple:
         raise UnsupportedSeriesError("unknown group keys %s" % (sorted(unknown),))
     out = {"builder": kind}
     if kind in ("gl", "unitary"):
-        rank = out["n"] = _size(spec, "n")
+        rank = out["n"] = require_int(spec.get("n"), "n")
         if rank < 1:
             raise InvalidRankError("%s needs n >= 1" % kind)
     elif kind == "gsp":
-        dim = out["dim"] = _size(spec, "dim")
+        dim = out["dim"] = require_int(spec.get("dim"), "dim")
         if dim < 2 or dim % 2:
             raise InvalidRankError("gsp needs an even dim >= 2")
         rank = dim // 2 + 1
     elif kind == "simple":
         series = out["series"] = spec.get("series")
-        rank = out["rank"] = _size(spec, "rank")
+        rank = out["rank"] = require_int(spec.get("rank"), "rank")
         isogeny = out["isogeny"] = spec.get("isogeny", "simply_connected")
         if not isinstance(series, str):
             raise UnsupportedSeriesError("series must be a string")
@@ -419,7 +419,7 @@ def check_group(spec, depth: int = 0) -> tuple:
         out["factors"] = [f for f, _ in checked]
         rank = sum(r for _, r in checked)
     else:
-        copies = out["copies"] = _size(spec, "copies")
+        copies = out["copies"] = require_int(spec.get("copies"), "copies")
         if copies < 1:
             raise InvalidRankError("weil_restriction needs copies >= 1")
         out["inner"], inner_rank = check_group(spec.get("inner"), depth + 1)
@@ -750,11 +750,12 @@ def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
     if not wanted:
         return {}
     try:
-        inverse = rational_inverse(rd.cartan_matrix())
+        inverse, d = rational_inverse(rd.cartan_matrix())
     except SingularMatrixError as exc:
         raise SingularCartanError(str(exc))
     roots_t = rd.simple_roots.transpose()
-    return {i: roots_t.apply(inverse.column(i)) for i in wanted}
+    return {i: tuple(Fraction(x, d) for x in roots_t.apply(inverse.column(i)))
+            for i in wanted}
 
 
 def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:

@@ -219,6 +219,21 @@ class TestMainEntry:
         assert code == 2 and out == ""
         assert "ValidationError" in err and "weyl_cap" in err
 
+    @pytest.mark.parametrize("doc,message", [
+        (dict(GL2_BOREL, q=True), "q must be an integer, got True"),
+        (dict(GL2_BOREL, q=3.0), "q must be an integer, got 3.0"),
+        ({"q": 3, "group": {"builder": "gl", "n": 2}, "cocharacter": [1, True]},
+         "cocharacter entry must be an integer, got True"),
+        (dict(GL2_BOREL, parabolic_type=["1"]),
+         "parabolic_type entry must be an integer, got '1'"),
+        (dict(GL2_BOREL, options={"weyl_cap": True}),
+         "weyl_cap must be an integer, got True"),
+    ], ids=["q_true", "q_float", "cocharacter_true", "parabolic_str", "weyl_cap_true"])
+    def test_non_integer_is_input_error(self, doc, message):
+        code, out, err = run_cli(["hasse"], json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err == "ziphasse: ValidationError: %s\n" % message
+
     def test_weyl_cap_flag_below_one_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(UNITARY3)))
         with pytest.raises(SystemExit) as info:
@@ -364,6 +379,85 @@ class TestMainEntry:
             input=json.dumps(UNITARY3), capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hasse_number"] == "8"
+
+
+# Values of the wrong JSON type for any field of a document.
+WRONG = st.one_of(
+    st.none(), st.booleans(), st.floats(-4, 4, width=16), st.text(max_size=2),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 2), max_size=1))
+# Small groups with the rank of X* and the number of simple roots.
+GROUPS = [
+    ({"builder": "gl", "n": 2}, 2, 1),
+    ({"builder": "unitary", "n": 3}, 3, 2),
+    ({"builder": "gsp", "dim": 4}, 3, 2),
+    ({"builder": "simple", "series": "G", "rank": 2}, 2, 2),
+    ({"builder": "simple", "series": "A", "rank": 2, "isogeny": "adjoint"}, 2, 2),
+    ({"builder": "product", "factors": [{"builder": "gl", "n": 1},
+                                        {"builder": "unitary", "n": 2}]}, 3, 1),
+    ({"builder": "weil_restriction", "copies": 2,
+      "inner": {"builder": "gl", "n": 2}}, 4, 2),
+]
+
+
+@st.composite
+def valid_documents(draw):
+    """q, a group of GROUPS and a cocharacter or parabolic type that fits it."""
+    group, rank, nodes = draw(st.sampled_from(GROUPS))
+    doc = {"q": draw(st.sampled_from([2, 3, 4, 5, 2 ** 39])), "group": group}
+    if draw(st.booleans()):
+        doc["cocharacter"] = draw(st.lists(st.integers(-1, 1), min_size=rank,
+                                           max_size=rank))
+    else:
+        doc["parabolic_type"] = draw(st.lists(st.integers(1, nodes), unique=True))
+    if draw(st.booleans()):
+        doc["options"] = draw(st.fixed_dictionaries({}, optional={
+            "weyl_cap": st.integers(1, 20), "format": st.sampled_from(["json", "text"])}))
+    return doc
+
+
+VALID = valid_documents()
+# Faulty values of each field: wrong-typed, out of range or over budget.
+FAULTS = {
+    "q": st.one_of(st.integers(-2, 1), st.sampled_from([6, 2 ** 40 + 15, 6 ** 20]), WRONG),
+    "group": st.one_of(st.sampled_from([
+        {"builder": "gl", "n": True},
+        {"builder": "gl"},
+        {"builder": "spin", "n": 2},
+        {"builder": "gl", "n": 200},
+        {"builder": "product", "factors": []},
+    ]), WRONG),
+    "cocharacter": st.one_of(st.lists(st.one_of(st.integers(-2, 2), WRONG),
+                                      min_size=1, max_size=5), WRONG),
+    "parabolic_type": st.one_of(st.lists(st.one_of(st.integers(-1, 6), WRONG),
+                                         min_size=1, max_size=4), WRONG),
+    "options": st.one_of(st.fixed_dictionaries({}, optional={
+        "weyl_cap": st.one_of(st.integers(-1, 0), WRONG),
+        "format": st.one_of(st.just("xml"), WRONG),
+        "colour": st.integers()}), WRONG),
+    "extra": st.integers(),
+}
+ONE_FAULT = VALID.flatmap(lambda doc: st.sampled_from(sorted(FAULTS)).flatmap(
+    lambda key: FAULTS[key].map(lambda value: dict(doc, **{key: value}))))
+# Malformed JSON: a document cut short, or a few arbitrary characters.
+MALFORMED = st.one_of(
+    ONE_FAULT.map(json.dumps).flatmap(
+        lambda text: st.integers(1, len(text) - 1).map(lambda k: text[:k])),
+    st.text(max_size=6))
+TEXTS = st.one_of(VALID.map(json.dumps), ONE_FAULT.map(json.dumps), MALFORMED)
+
+
+class TestWholeDocuments:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(TEXTS, st.sampled_from(COMMANDS))
+    def test_exit_codes_and_determinism(self, text, command):
+        # an uncaught exception (exit code 1) fails the test by propagating
+        first = run_cli([command], text)
+        code, out, _ = first
+        assert code in (0, 2, 3)
+        assert run_cli([command], text) == first
+        if code == 2:
+            assert out == ""
 
 
 def oracle_json(value):

@@ -1,16 +1,16 @@
 import itertools
+import math
 import random
 
 import pytest
-from _oracles import (apply, cofactor_det, full_scan_smith_normal_form, matmul,
-                      minors_invariant_factors)
-from hypothesis import given, settings
+from _oracles import (apply, cofactor_det, full_scan_smith_normal_form, gauss_jordan,
+                      matmul, minors_invariant_factors)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ziphasse.exact_linear import (
     IntMatrix,
     NonSquareError,
-    RatMatrix,
     SingularMatrixError,
     determinant,
     kernel_basis,
@@ -126,24 +126,26 @@ class TestDeterminant:
 
 class TestRationalInverse:
     def test_hb_d2(self):
-        inv = rational_inverse(HB_D2_Q2)
-        expected = RatMatrix.from_rows([
-            [Fraction(-1, 3), Fraction(-2, 3)],
-            [Fraction(-2, 3), Fraction(-1, 3)],
-        ])
-        assert inv == expected
+        # the inverse is [[-1/3, -2/3], [-2/3, -1/3]]
+        assert rational_inverse(HB_D2_Q2) == (mat([[-1, -2], [-2, -1]]), 3)
 
     def test_identity(self):
-        assert rational_inverse(IntMatrix.identity(3)) == RatMatrix.identity(3)
+        assert rational_inverse(IntMatrix.identity(3)) == (IntMatrix.identity(3), 1)
 
     def test_scalar(self):
         m = IntMatrix.identity(2).scale(1 - 5)
-        inv = rational_inverse(m)
-        assert inv == RatMatrix.identity(2).scale(Fraction(-1, 4))
+        assert rational_inverse(m) == (-IntMatrix.identity(2), 4)
+
+    def test_empty(self):
+        assert rational_inverse(IntMatrix(0, 0, ())) == (IntMatrix(0, 0, ()), 1)
 
     def test_singular(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="not linearly independent"):
             rational_inverse(mat([[1, 2], [2, 4]]))
+
+    def test_non_square(self):
+        with pytest.raises(NonSquareError, match="inverse of a 2x3 matrix"):
+            rational_inverse(IntMatrix.zero(2, 3))
 
     def test_round_trip_exact(self):
         rng = random.Random(19)
@@ -152,8 +154,42 @@ class TestRationalInverse:
             m = IntMatrix(n, n, [rng.randrange(-6, 7) for _ in range(n * n)])
             if determinant(m) == 0:
                 continue
-            prod = m.to_rational() * rational_inverse(m)
-            assert prod == RatMatrix.identity(n)
+            inverse, d = rational_inverse(m)
+            assert m * inverse == IntMatrix.identity(n).scale(d)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.integers(-6, 6), min_size=n * n, max_size=n * n).map(
+            lambda entries: IntMatrix(n, n, entries))))
+    def test_matches_gauss_jordan_in_lowest_terms(self, m):
+        if determinant(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                rational_inverse(m)
+            return
+        inverse, d = rational_inverse(m)
+        assert d == (smith_normal_form(m).invariant_factors or (1,))[-1]
+        assert m * inverse == IntMatrix.identity(m.rows).scale(d)
+        assert math.gcd(d, *inverse.entries) == 1
+        if m.rows:
+            identity = IntMatrix.identity(m.rows).to_rows()
+            assert gauss_jordan(m.to_rows(), identity) == [
+                [Fraction(x, d) for x in row] for row in inverse.to_rows()]
+
+
+@st.composite
+def full_column_rank(draw):
+    """A matrix with independent columns: the rows of a nonsingular square
+    block and of up to three more random rows, shuffled."""
+    cols = draw(st.integers(0, 4))
+    extra = draw(st.integers(0, 3))
+    entry = st.integers(-5, 5)
+    top = IntMatrix(cols, cols, draw(st.lists(entry, min_size=cols * cols,
+                                              max_size=cols * cols)))
+    assume(determinant(top) != 0)
+    rows = top.to_rows() + [draw(st.lists(entry, min_size=cols, max_size=cols))
+                            for _ in range(extra)]
+    rows = draw(st.permutations(rows))
+    return IntMatrix(len(rows), cols, [x for row in rows for x in row])
 
 
 class TestSolveAndKernel:
@@ -161,11 +197,43 @@ class TestSolveAndKernel:
         m = mat([[1, 0], [0, 2], [1, 1]])
         x = solve_rational(m, (3, 4, 5))
         assert x == (Fraction(3), Fraction(2))
+        assert all(type(v) is Fraction for v in x)
 
     def test_solve_inconsistent(self):
         m = mat([[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="inconsistent system"):
             solve_rational(m, (0, 0, 1))
+
+    def test_solve_dependent_columns(self):
+        m = mat([[1, 2], [2, 4], [3, 6]])
+        with pytest.raises(SingularMatrixError, match="not linearly independent"):
+            solve_rational(m, (1, 2, 3))
+
+    def test_solve_length_mismatch(self):
+        with pytest.raises(ValueError, match="target length"):
+            solve_rational(mat([[1, 0], [0, 1]]), (1, 2, 3))
+
+    def test_solve_refuses_a_float_target(self):
+        with pytest.raises(TypeError):
+            solve_rational(mat([[1, 0], [0, 2]]), (0.5, 1))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(full_column_rank(), st.data())
+    def test_solve_random_full_column_rank(self, m, data):
+        # a consistent target, integral or Fraction-valued, is solved exactly
+        x = tuple(data.draw(st.lists(
+            st.one_of(st.integers(-9, 9), st.fractions(max_denominator=7)),
+            min_size=m.cols, max_size=m.cols)))
+        target = m.apply(x)
+        got = solve_rational(m, target)
+        assert got == x
+        assert all(type(v) is Fraction for v in got)
+        if m.rows > m.cols:
+            # a nonzero k with m^T k = 0 is orthogonal to the column span, so
+            # target + k lies off it
+            k = kernel_basis(m.transpose()).row(0)
+            with pytest.raises(SingularMatrixError, match="inconsistent system"):
+                solve_rational(m, [t + y for t, y in zip(target, k)])
 
     def test_kernel_is_saturated(self):
         m = mat([[1, -1, 0], [0, 1, -1]])
@@ -183,35 +251,24 @@ class TestMatrixBasics:
     def test_no_floats(self):
         with pytest.raises(TypeError):
             IntMatrix(1, 1, [1.0])
-        with pytest.raises(TypeError):
-            RatMatrix(1, 1, [0.5])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             IntMatrix(2, 2, [1, 2, 3])
 
-    def test_the_two_matrix_types_stay_apart(self):
-        ints = mat([[1, 2], [3, 4]])
-        rats = ints.to_rational()
-        assert ints != rats and rats != ints
-        assert repr(ints) == "IntMatrix(2, 2, [1, 2, 3, 4])"
-        assert repr(rats).startswith("RatMatrix(2, 2, [Fraction(1, 1), ")
-        with pytest.raises(TypeError, match="integer entry expected"):
-            ints * rats
-        with pytest.raises(ValueError, match=r"use RatMatrix\(0, n, \(\)\)"):
-            RatMatrix.from_rows([])
+    def test_repr_and_empty_from_rows(self):
+        assert repr(mat([[1, 2], [3, 4]])) == "IntMatrix(2, 2, [1, 2, 3, 4])"
+        with pytest.raises(ValueError, match=r"use IntMatrix\(0, n, \(\)\)"):
+            IntMatrix.from_rows([])
 
     def test_integer_operations_keep_the_type_check_at_their_edges(self):
         # results of two IntMatrix operands skip the entry check; a
-        # rational operand or factor still meets it
+        # non-integer factor still meets it
         ints = mat([[1, 2], [3, 4]])
-        rats = ints.to_rational()
-        for bad in (lambda: ints * rats, lambda: ints + rats,
-                    lambda: ints - rats, lambda: ints.scale(Fraction(1, 2)),
+        for bad in (lambda: ints.scale(Fraction(1, 2)),
                     lambda: ints.scale(1.0), lambda: ints.scale(True)):
             with pytest.raises(TypeError, match="integer entry expected"):
                 bad()
-        assert rats * ints == rats * rats
         with pytest.raises(ValueError, match="entry count"):
             IntMatrix._trusted(2, 2, [1, 2, 3])
 
@@ -281,26 +338,12 @@ class TestKernelsAgainstOracle:
 
     @SETTINGS
     @given(int_pair(), st.data())
-    def test_rat_product(self, pair, data):
-        left, right = pair
-        rat_left = RatMatrix(left.rows, left.cols,
-                             data.draw(dense(left.rows, left.cols, FRACTIONS)))
-        rat_right = right.to_rational()
-        for a, b in ((rat_left, rat_right), (rat_left, right), (left.to_rational(), rat_right)):
-            product = a * b
-            assert isinstance(product, RatMatrix)
-            assert (product.rows, product.cols) == (a.rows, b.cols)
-            assert list(product.entries) == matmul(a, b)
-
-    @SETTINGS
-    @given(int_pair(), st.data())
     def test_apply_and_transpose(self, pair, data):
         mat = pair[0]
         ints = data.draw(dense(mat.cols, 1))
         fracs = data.draw(dense(mat.cols, 1, FRACTIONS))
         for vec in (ints, tuple(fracs)):
             assert mat.apply(vec) == apply(mat, vec)
-            assert mat.to_rational().apply(vec) == apply(mat, vec)
         assert all(type(x) is int for x in mat.apply(ints))
         t = mat.transpose()
         assert (t.rows, t.cols) == (mat.cols, mat.rows)
@@ -313,17 +356,15 @@ class TestKernelsAgainstOracle:
             left = IntMatrix(r, k, list(range(1, r * k + 1)))
             right = IntMatrix(k, c, list(range(1, k * c + 1)))
             assert list((left * right).entries) == matmul(left, right)
-            rat = (left.to_rational() * right).entries
-            assert list(rat) == matmul(left, right)
             assert left.apply([Fraction(1, 3)] * k) == apply(left, [Fraction(1, 3)] * k)
             assert left.transpose().transpose() == left
 
     def test_shape_mismatch_errors_are_unchanged(self):
-        for a in (mat([[1, 2], [3, 4]]), mat([[1, 2], [3, 4]]).to_rational()):
-            with pytest.raises(ValueError, match="shape mismatch in matrix product"):
-                a * IntMatrix(3, 1, [1, 2, 3])
-            with pytest.raises(ValueError, match="vector length does not match column count"):
-                a.apply((1, 2, 3))
+        a = mat([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="shape mismatch in matrix product"):
+            a * IntMatrix(3, 1, [1, 2, 3])
+        with pytest.raises(ValueError, match="vector length does not match column count"):
+            a.apply((1, 2, 3))
 
 
 @st.composite

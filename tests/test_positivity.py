@@ -7,7 +7,7 @@ import test_root_datum
 from _oracles import xstar_block_pullbacks
 
 from ziphasse import root_datum
-from ziphasse.exact_linear import IntMatrix, RatMatrix, SingularMatrixError
+from ziphasse.exact_linear import IntMatrix, SingularMatrixError
 from ziphasse.positivity import (
     AMPLE,
     ANTIAMPLE,
@@ -39,7 +39,7 @@ from ziphasse.root_datum import (
     unitary,
     weil_restriction,
 )
-from ziphasse.zip_core import build_zip_datum
+from ziphasse.zip_core import PicObstructionError, build_zip_datum, s0_characters
 
 
 def ample_character(rd, J, coeffs):
@@ -49,6 +49,13 @@ def ample_character(rd, J, coeffs):
     for i, c in zip(sorted(weights), coeffs):
         vec = [x + c * w for x, w in zip(vec, weights[i])]
     return tuple(vec)
+
+
+def every_J(rd, frob):
+    """The zip datum of every parabolic type J of (rd, frob)."""
+    k = rd.num_nodes
+    for bits in range(2 ** k):
+        yield build_zip_datum(rd, frob, parabolic=[i for i in range(k) if bits >> i & 1])
 
 
 def random_ample(rd, J, rng):
@@ -91,26 +98,37 @@ class TestZetaInverse:
     def test_split_scalar(self):
         rd, frob = gl(3, 5)
         zd = build_zip_datum(rd, frob, parabolic=[0])
-        inv = zeta_inverse(zd)
-        assert inv == RatMatrix.identity(2).scale(Fraction(-1, 4))
+        # zeta = -4 * id, so its inverse is -id / 4
+        assert zeta_inverse(zd) == (-IntMatrix.identity(2), 4)
 
     def test_unitary3_borel(self):
         rd, frob = unitary(3, 3)
         zd = build_zip_datum(rd, frob, parabolic=[0])
-        inv = zeta_inverse(zd, at_borel=True)
-        prod = borel_zeta_matrix(zd).to_rational() * inv
-        assert prod == RatMatrix.identity(3)
+        inverse, d = zeta_inverse(zd, at_borel=True)
+        assert borel_zeta_matrix(zd) * inverse == IntMatrix.identity(3).scale(d)
+
+    @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
+    def test_denominator_is_the_hasse_number_for_every_J(self, build):
+        # the exponent of coker zeta is the least common denominator of zeta^-1
+        for zd in every_J(*build()):
+            try:
+                report = s0_characters(zd)
+            except PicObstructionError as exc:
+                report = exc.report
+            inverse, d = zeta_inverse(zd)
+            assert d == report.hasse_number, zd.J
+            assert report.zeta * inverse == IntMatrix.identity(report.zeta.rows).scale(d)
 
     def test_hb_fundamental_inverse(self):
         for d, q in ((2, 2), (3, 2), (2, 3)):
             rd, frob = weil_restriction(d, {"builder": "gl", "n": 2}, q)
             zd = build_zip_datum(rd, frob, parabolic=[])
-            inv = fundamental_zeta_inverse(zd)
-            denom = q ** d - 1
+            inverse, denom = fundamental_zeta_inverse(zd)
+            assert denom == q ** d - 1
             for i in range(d):
                 for j in range(d):
                     power = (j - i) % d
-                    assert inv.at(i, j) == Fraction(-q ** power, denom)
+                    assert inverse.at(i, j) == -q ** power
 
 
 class TestFundamentalZeta:
@@ -174,16 +192,14 @@ class TestClosedFormZetaInverse:
     def test_matches_rational_inverse_for_every_J(self, build):
         rd, frob = build()
         rng = random.Random(rd.rank)
-        k = rd.num_nodes
-        reference = zeta_inverse(build_zip_datum(rd, frob, parabolic=[]), at_borel=True)
-        for bits in range(2 ** k):
-            zd = build_zip_datum(rd, frob,
-                                 parabolic=[i for i in range(k) if bits >> i & 1])
+        inverse, d = zeta_inverse(build_zip_datum(rd, frob, parabolic=[]), at_borel=True)
+        for zd in every_J(rd, frob):
             characters = [random_ample(rd, zd.J, rng),
                           tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
                                 for _ in range(rd.rank))]
             for lam in characters:
-                assert _borel_zeta_inverse_image(zd, lam) == reference.apply(lam)
+                assert _borel_zeta_inverse_image(zd, lam) == tuple(
+                    Fraction(x, d) for x in inverse.apply(lam))
 
     @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS + [
         lambda: root_datum.build_group(ORDER_5040, 3),
@@ -236,6 +252,23 @@ class TestHasseDivisorCoeffs:
         pairings = rd.coroot_pairings(lam)
         assert rep.borel_coefficients == tuple(p / (frob.q - 1) for p in pairings)
         assert rep.verdict == CERTIFIED_NEGATIVE
+
+    @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
+    def test_refused_exactly_when_J_is_not_frobenius_stable(self, build):
+        # a parabolic-input datum has no cocharacter, so antiample_check
+        # covers it only when J is Frobenius-stable, as hasse_divisor_coeffs does
+        rd, frob = build()
+        rng = random.Random(rd.rank)
+        for zd in every_J(rd, frob):
+            lam = random_ample(rd, zd.J, rng)
+            if {frob.root_perm[j] for j in zd.J} == set(zd.J):
+                assert hasse_divisor_coeffs(zd, lam).input_character == lam
+                assert antiample_check(zd, lam) in (True, False)
+            else:
+                with pytest.raises(NotRationalCaseError):
+                    hasse_divisor_coeffs(zd, lam)
+                with pytest.raises(PreconditionViolatedError):
+                    antiample_check(zd, lam)
 
     def test_rejects_unstable_types(self):
         rd, frob = unitary(3, 3)
