@@ -88,12 +88,10 @@ from .positivity import (
     PreconditionViolatedError,
     antiample_check,
     borel_zeta_matrix,
-    fundamental_zeta_inverse,
     fundamental_zeta_matrix,
     hasse_divisor_coeffs,
     is_ample,
     weil_pullback_check,
-    zeta_inverse,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -7,7 +7,8 @@ The certificates below check the computable positivity statements: the
 inverse of the twist endomorphism sends ample characters to antiample ones,
 the divisor coefficients of an ample character at Borel level are negative,
 and for Weil restrictions the block pullbacks of an ample character stay
-ample.  Every sign is read from the coroot pairings of one vector.
+ample.  Every verdict is one sign rule (_verdict) on the coroot pairings
+of one vector.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError, rational_inverse
-from .root_datum import CONTAINS_B, CONTAINS_BMINUS, ParabolicType, RootDatum
+from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError
+from .root_datum import CONTAINS_B, ParabolicType, RootDatum
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -26,7 +27,7 @@ from .zip_core import (
     SMALL_NOT_MINUSCULE,
     ZipDatum,
     classify_cocharacter,
-    zeta_matrix,
+    zeta_matrix,  # noqa: F401  re-exported; perfbench traces it here
 )
 
 
@@ -65,16 +66,23 @@ def _frac(vec: Sequence) -> tuple:
     return tuple(Fraction(x) for x in vec)
 
 
-def _in_lattice(pairings: Sequence, J) -> bool:
-    return all(pairings[j] == 0 for j in J)
+def _verdict(pairings: Sequence, J, ample_sign: int = -1) -> str:
+    """The one sign rule, read from the coroot pairings of a character.
 
-
-def _signs_hold(pairings: Sequence, J, positive: bool) -> bool:
-    """Strict sign test on the nodes outside J; vacuously true if none."""
-    outside = (p for i, p in enumerate(pairings) if i not in J)
-    if positive:
-        return all(p > 0 for p in outside)
-    return all(p < 0 for p in outside)
+    not_in_lattice when some pairing on J is nonzero; ample when every
+    pairing outside J has the sign ample_sign (vacuously so when J holds
+    every node), antiample when every one has the opposite sign.
+    """
+    if any(pairings[j] for j in J):
+        return NOT_IN_LATTICE
+    outside = [p for i, p in enumerate(pairings) if i not in J]
+    if not outside:
+        return AMPLE
+    if all(p < 0 for p in outside):
+        return AMPLE if ample_sign < 0 else ANTIAMPLE
+    if all(p > 0 for p in outside):
+        return ANTIAMPLE if ample_sign < 0 else AMPLE
+    return NEITHER
 
 
 def is_ample(rd: RootDatum, pt: ParabolicType, lam: Sequence) -> str:
@@ -84,31 +92,13 @@ def is_ample(rd: RootDatum, pt: ParabolicType, lam: Sequence) -> str:
     containing the upper Borel, ample means strictly positive pairings on the
     remaining nodes; for the lower Borel the signs flip.
     """
-    pairings = rd.coroot_pairings(_frac(lam))
-    if not _in_lattice(pairings, pt.J):
-        return NOT_IN_LATTICE
-    ample_positive = pt.orientation == CONTAINS_B
-    if _signs_hold(pairings, pt.J, positive=ample_positive):
-        return AMPLE
-    if _signs_hold(pairings, pt.J, positive=not ample_positive):
-        return ANTIAMPLE
-    return NEITHER
+    sign = 1 if pt.orientation == CONTAINS_B else -1
+    return _verdict(rd.coroot_pairings(_frac(lam)), pt.J, sign)
 
 
 def borel_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     """The twist endomorphism id - q*tau on all of X*."""
     return IntMatrix.identity(zd.rd.rank) - zd.frob.tau.scale(zd.frob.q)
-
-
-def zeta_inverse(zd: ZipDatum, at_borel: bool = False) -> tuple:
-    """Exact inverse of the twist endomorphism as (N, d), the inverse being N / d.
-
-    With at_borel the matrix lives on the full character lattice; otherwise
-    on the chosen basis of X*(L0), where d is the Hasse number.
-    """
-    if at_borel:
-        return rational_inverse(borel_zeta_matrix(zd))
-    return rational_inverse(zeta_matrix(zd))
 
 
 def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
@@ -124,7 +114,6 @@ def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
     """
     q, src = zd.frob.q, zd.frob.src
     qsign = [q * s for s in zd.frob.sign]
-    lam = _frac(lam)
     scale = lcm(*(x.denominator for x in lam))
     base = [x.numerator * (scale // x.denominator) for x in lam]
     image = [None] * len(base)
@@ -165,11 +154,6 @@ def fundamental_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     ])
 
 
-def fundamental_zeta_inverse(zd: ZipDatum) -> tuple:
-    """(N, d): the inverse of fundamental_zeta_matrix is N / d."""
-    return rational_inverse(fundamental_zeta_matrix(zd))
-
-
 def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
     """Certify that the twist-inverse of an ample character is antiample.
 
@@ -178,9 +162,8 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
     particular minuscule) cocharacter.
     """
     rd = zd.rd
-    pt = ParabolicType(zd.J, CONTAINS_BMINUS)
     lam = _frac(lam)
-    if is_ample(rd, pt, lam) != AMPLE:
+    if _verdict(rd.coroot_pairings(lam), zd.J) != AMPLE:
         raise PreconditionViolatedError("an ample character of P is required")
     # J0 is the largest Frobenius-stable subset of J
     rational = zd.J0 == zd.J
@@ -191,13 +174,12 @@ def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:
                 "need Frobenius-stable parabolics or a small cocharacter")
     # mu and twisted are the coroot pairings of zeta^-1(lam) and q*tau(lam)
     mu = rd.coroot_pairings(_borel_zeta_inverse_image(zd, lam))
-    certified = _in_lattice(mu, zd.J) and _signs_hold(mu, zd.J, positive=True)
+    certified = _verdict(mu, zd.J, +1) == AMPLE
     if rational:
         # Frobenius composition preserves ampleness when J is stable
         twisted = rd.coroot_pairings([zd.frob.q * s * lam[j]
                                       for s, j in zip(zd.frob.sign, zd.frob.src)])
-        if not (_in_lattice(twisted, zd.J)
-                and _signs_hold(twisted, zd.J, positive=False)):
+        if _verdict(twisted, zd.J) != AMPLE:
             raise SelfCheckError("Frobenius twist of an ample character is not ample")
     return certified
 
@@ -217,21 +199,18 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
             "J is not Frobenius-stable; use weil_pullback_check for "
             "Weil-restriction data")
     lam = _frac(lam)
-    member = _in_lattice(rd.coroot_pairings(lam), zd.J)
+    member = _verdict(rd.coroot_pairings(lam), zd.J) != NOT_IN_LATTICE
     mu = _borel_zeta_inverse_image(zd, lam)
     mu_pairings = rd.coroot_pairings(mu)
     coeffs = tuple(-p for p in mu_pairings)
     negative = sum(1 for c in coeffs if c < 0)
     if not member:
         verdict = NOT_APPLICABLE
-    elif not zd.J:
-        verdict = CERTIFIED_NEGATIVE if all(c < 0 for c in coeffs) else MIXED
     else:
         outside = rd.num_nodes - len(zd.J)
         certified = all(c <= 0 for c in coeffs) and negative == outside
         verdict = CERTIFIED_NEGATIVE if certified else MIXED
-    antiample = member and _in_lattice(mu_pairings, zd.J) \
-        and _signs_hold(mu_pairings, zd.J, positive=True)
+    antiample = member and _verdict(mu_pairings, zd.J, +1) == AMPLE
     return PositivityReport(
         input_character=lam,
         zeta_inverse_image=mu,
@@ -249,8 +228,8 @@ def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> list:
     tau^d(omega_n) pairs 1 with alpha^vee_{perm^d(n)} and 0 with every other
     coroot.  The block-j pullback sum_n <alpha_n^vee, lam> q^d tau^d(omega_n),
     summed over the nodes n outside J with d = (block of n - j) mod copies,
-    therefore pairs <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}.  No
-    weight is built.
+    therefore pairs <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}, and
+    block j is the block of that target node.  No weight is built.
     """
     rd = zd.rd
     copies = rd.builder_tag[1]
@@ -260,7 +239,7 @@ def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> list:
     for node in sorted(set(range(rd.num_nodes)) - zd.J):
         target = node
         for d in range(copies):
-            pulled, targets = blocks[(node // per_block - d) % copies]
+            pulled, targets = blocks[target // per_block]
             pulled[target] += pairings[node] * zd.frob.q ** d
             targets.add(target)
             target = zd.frob.root_perm[target]
@@ -282,8 +261,6 @@ def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
     if tag[0] != "weil_restriction":
         raise NotWeilRestrictionError("builder is %r" % (tag[0],))
     copies = tag[1]
-    if rd.num_nodes == 0:
-        return True
     per_block = rd.num_nodes // copies
 
     # one missing node per maximal factor, none for full factors
@@ -293,11 +270,9 @@ def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
             raise NotWeilRestrictionError(
                 "factor %d is neither maximal nor the full group" % (b,))
 
-    pt = ParabolicType(zd.J, CONTAINS_BMINUS)
     lam = _frac(lam)
-    if is_ample(rd, pt, lam) != AMPLE:
+    if _verdict(rd.coroot_pairings(lam), zd.J) != AMPLE:
         raise PreconditionViolatedError("an ample character of P is required")
     nodes = frozenset(range(rd.num_nodes))
-    return all(_in_lattice(pulled, nodes - targets)
-               and _signs_hold(pulled, nodes - targets, positive=False)
+    return all(_verdict(pulled, nodes - targets) == AMPLE
                for pulled, targets in _block_pullbacks(zd, lam))

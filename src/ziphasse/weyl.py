@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .exact_linear import IntMatrix
+from .exact_linear import IntMatrix, SelfCheckError
 from .root_datum import RootDatum, _degrees, reflection_matrix
 
 
@@ -86,10 +86,12 @@ def enumerate_weyl(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
                     elements.append(WeylElement(mat, el.word + (i,), el.length + 1))
                     nxt.append(index[mat])
         frontier = nxt
-    assert len(elements) == expected, "enumeration disagrees with the order formula"
+    if len(elements) != expected:
+        raise SelfCheckError("enumeration disagrees with the order formula")
     top = max(el.length for el in elements)
     longest = [i for i, el in enumerate(elements) if el.length == top]
-    assert len(longest) == 1, "longest element is not unique"
+    if len(longest) != 1:
+        raise SelfCheckError("longest element is not unique")
     return WeylGroup(rd=rd, generators=gens, elements=tuple(elements),
                      index=index, w0_index=longest[0])
 
@@ -110,7 +112,8 @@ def longest_element(W: WeylGroup, J) -> int:
     best = max(members, key=lambda i: W.elements[i].length)
     ties = [i for i in members
             if W.elements[i].length == W.elements[best].length]
-    assert len(ties) == 1, "longest element of W_J is not unique"
+    if len(ties) != 1:
+        raise SelfCheckError("longest element of W_J is not unique")
     return best
 
 
@@ -129,5 +132,6 @@ def min_coset_reps(W: WeylGroup, J) -> CosetReps:
             reps.append(idx)
     reps.sort(key=lambda i: (W.elements[i].length, W.elements[i].word))
     order_j = len(subgroup_indices(W, J))
-    assert len(reps) * order_j == len(W.elements)
+    if len(reps) * order_j != len(W.elements):
+        raise SelfCheckError("coset representatives times |W_J| is not |W|")
     return CosetReps(J=J, reps=tuple((i, W.elements[i].length) for i in reps))

@@ -16,7 +16,9 @@ The dense twist matrix, the Smith form with a full pivot scan and the
 first-negative dominance walk are the bodies the library used before it
 went sparse, kept to pin that the sparse paths return the same values.
 The cocharacter classification by the list of positive roots is the one
-the library used before it read the highest roots off walks.  The length
+the library used before it read the highest roots off walks, and the
+ampleness verdict is its old lattice test and strict sign test, the
+polarity flipped by hand.  The length
 distribution of the minimal coset representatives is Macdonald's product
 over the root heights, and J0 is the full loop of tau-order intersections
 that build_zip_datum ran before it stopped at the first stable pass.  With
@@ -31,7 +33,8 @@ from math import gcd, lcm
 
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                                    kernel_basis)
-from ziphasse.root_datum import (ParabolicType, char_lattice_of_parabolic,
+from ziphasse.positivity import AMPLE, ANTIAMPLE, NOT_IN_LATTICE
+from ziphasse.root_datum import (CONTAINS_B, ParabolicType, char_lattice_of_parabolic,
                                  fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import (CENTRAL, MINUSCULE, NEITHER, SMALL_NOT_MINUSCULE,
@@ -432,6 +435,31 @@ def first_negative_to_dominant(p, reflect):
             return tuple(p)
         p = reflect(p, i)
     raise AssertionError("dominance walk did not terminate")
+
+
+def _in_lattice(pairings, J):
+    return all(pairings[j] == 0 for j in J)
+
+
+def _signs_hold(pairings, J, positive):
+    """Strict sign test on the nodes outside J; vacuously true if none."""
+    outside = (p for i, p in enumerate(pairings) if i not in J)
+    if positive:
+        return all(p > 0 for p in outside)
+    return all(p < 0 for p in outside)
+
+
+def two_helper_verdict(pairings, J, orientation):
+    """ample / antiample / neither / not_in_lattice for the coroot pairings
+    of a character of the parabolic of type J and the given orientation."""
+    if not _in_lattice(pairings, J):
+        return NOT_IN_LATTICE
+    ample_positive = orientation == CONTAINS_B
+    if _signs_hold(pairings, J, positive=ample_positive):
+        return AMPLE
+    if _signs_hold(pairings, J, positive=not ample_positive):
+        return ANTIAMPLE
+    return NEITHER
 
 
 def root_list_classify(rd, chi):

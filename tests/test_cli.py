@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_root_datum import BUILDER_SPECS
 
 from ziphasse import cli_report, root_datum
 from ziphasse.cli_report import (
@@ -447,10 +448,22 @@ MALFORMED = st.one_of(
 TEXTS = st.one_of(VALID.map(json.dumps), ONE_FAULT.map(json.dumps), MALFORMED)
 
 
+@st.composite
+def grammar_documents(draw):
+    """A group of the whole builder grammar at rank <= 10, a J of its nodes
+    and a small census cap, so that orbits/all stay cheap or exit 3."""
+    group = draw(BUILDER_SPECS.filter(lambda spec: root_datum.check_group(spec)[1] <= 10))
+    q = draw(st.sampled_from([2, 3, 4, 5, 2 ** 39]))
+    nodes = root_datum.build_group(group, q)[0].num_nodes
+    J = draw(st.lists(st.integers(1, nodes), unique=True)) if nodes else []
+    return {"q": q, "group": group, "parabolic_type": J,
+            "options": {"weyl_cap": draw(st.integers(1, 1000)),
+                        "format": draw(st.sampled_from(["json", "text"]))}}
+
+
 class TestWholeDocuments:
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(TEXTS, st.sampled_from(COMMANDS))
-    def test_exit_codes_and_determinism(self, text, command):
+    @staticmethod
+    def check(text, command):
         # an uncaught exception (exit code 1) fails the test by propagating
         first = run_cli([command], text)
         code, out, _ = first
@@ -458,6 +471,16 @@ class TestWholeDocuments:
         assert run_cli([command], text) == first
         if code == 2:
             assert out == ""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(TEXTS, st.sampled_from(COMMANDS))
+    def test_exit_codes_and_determinism(self, text, command):
+        self.check(text, command)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(grammar_documents().map(json.dumps), st.sampled_from(COMMANDS))
+    def test_every_grammar_group_as_a_document(self, text, command):
+        self.check(text, command)
 
 
 def oracle_json(value):

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 import test_root_datum
-from _oracles import xstar_block_pullbacks
+from _oracles import two_helper_verdict, xstar_block_pullbacks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ziphasse import root_datum
-from ziphasse.exact_linear import IntMatrix, SingularMatrixError
+from ziphasse import positivity, root_datum
+from ziphasse.exact_linear import IntMatrix, SingularMatrixError, rational_inverse
 from ziphasse.positivity import (
     AMPLE,
     ANTIAMPLE,
@@ -20,14 +22,14 @@ from ziphasse.positivity import (
     PreconditionViolatedError,
     _block_pullbacks,
     _borel_zeta_inverse_image,
+    _verdict,
     antiample_check,
     borel_zeta_matrix,
-    fundamental_zeta_inverse,
     fundamental_zeta_matrix,
     hasse_divisor_coeffs,
     is_ample,
     weil_pullback_check,
-    zeta_inverse,
+    zeta_matrix,
 )
 from ziphasse.root_datum import (
     CONTAINS_B,
@@ -94,17 +96,83 @@ class TestIsAmple:
         assert is_ample(rd, ParabolicType(frozenset(), CONTAINS_B), lam) == ANTIAMPLE
 
 
+PAIRING_VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4),
+                           st.just(0), st.just(Fraction(0)))
+
+
+@st.composite
+def pairings_and_types(draw):
+    """Coroot pairings (ints and Fractions, zeros included) and a J of their
+    nodes, often J holding every node."""
+    pairings = draw(st.lists(PAIRING_VALUES, max_size=8))
+    nodes = range(len(pairings))
+    every = frozenset(nodes)
+    J = draw(st.one_of(st.just(every), st.frozensets(st.sampled_from(nodes)))
+             if pairings else st.just(every))
+    return pairings, J
+
+
+class TestOneSignRule:
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(pairings_and_types(), st.sampled_from((CONTAINS_B, CONTAINS_BMINUS)))
+    def test_matches_the_two_helper_rule(self, case, orientation):
+        pairings, J = case
+        sign = 1 if orientation == CONTAINS_B else -1
+        assert _verdict(pairings, J, sign) == two_helper_verdict(pairings, J, orientation)
+
+    @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
+    def test_is_ample_matches_the_two_helper_rule(self, build):
+        rd, frob = build()
+        rng = random.Random(rd.rank)
+        for zd in every_J(rd, frob):
+            for lam in (random_ample(rd, zd.J, rng),
+                        tuple(rng.randrange(-2, 3) for _ in range(rd.rank))):
+                pairings = rd.coroot_pairings(lam)
+                for orientation in (CONTAINS_B, CONTAINS_BMINUS):
+                    pt = ParabolicType(zd.J, orientation)
+                    assert is_ample(rd, pt, lam) == two_helper_verdict(
+                        pairings, zd.J, orientation)
+
+    @pytest.mark.parametrize("spec,q,lam", [
+        ({"builder": "gl", "n": 3}, 5, (1, 1, 1)),
+        ({"builder": "unitary", "n": 3}, 3, (2, 2, 2)),
+        ({"builder": "gsp", "dim": 4}, 3, (0, 0, 0)),
+        ({"builder": "weil_restriction", "copies": 2,
+          "inner": {"builder": "gl", "n": 2}}, 3, (1, 1, 0, 0)),
+    ], ids=["GL3", "U3", "GSp4", "ResGL2x2"])
+    def test_J_holding_every_node_is_vacuously_certified(self, spec, q, lam):
+        rd, frob = root_datum.build_group(spec, q)
+        zd = build_zip_datum(rd, frob, parabolic=range(rd.num_nodes))
+        assert zd.J0 == zd.J == frozenset(range(rd.num_nodes))
+        assert antiample_check(zd, lam) is True
+        report = hasse_divisor_coeffs(zd, lam)
+        assert report.antiample_certified is True
+        assert report.verdict == CERTIFIED_NEGATIVE
+
+    def test_no_certificate_builds_a_parabolic_type(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a certificate built a ParabolicType")
+
+        monkeypatch.setattr(positivity, "ParabolicType", forbidden)
+        rd, frob = weil_restriction(2, {"builder": "gl", "n": 2}, 3)
+        zd = build_zip_datum(rd, frob, parabolic=[])
+        lam = random_ample(rd, zd.J, random.Random(11))
+        assert antiample_check(zd, lam) is True
+        assert hasse_divisor_coeffs(zd, lam).verdict == CERTIFIED_NEGATIVE
+        assert weil_pullback_check(zd, lam) is True
+
+
 class TestZetaInverse:
     def test_split_scalar(self):
         rd, frob = gl(3, 5)
         zd = build_zip_datum(rd, frob, parabolic=[0])
         # zeta = -4 * id, so its inverse is -id / 4
-        assert zeta_inverse(zd) == (-IntMatrix.identity(2), 4)
+        assert rational_inverse(zeta_matrix(zd)) == (-IntMatrix.identity(2), 4)
 
     def test_unitary3_borel(self):
         rd, frob = unitary(3, 3)
         zd = build_zip_datum(rd, frob, parabolic=[0])
-        inverse, d = zeta_inverse(zd, at_borel=True)
+        inverse, d = rational_inverse(borel_zeta_matrix(zd))
         assert borel_zeta_matrix(zd) * inverse == IntMatrix.identity(3).scale(d)
 
     @pytest.mark.parametrize("build", test_root_datum.TestCartanAndFrobenius.BUILDS)
@@ -115,7 +183,7 @@ class TestZetaInverse:
                 report = s0_characters(zd)
             except PicObstructionError as exc:
                 report = exc.report
-            inverse, d = zeta_inverse(zd)
+            inverse, d = rational_inverse(zeta_matrix(zd))
             assert d == report.hasse_number, zd.J
             assert report.zeta * inverse == IntMatrix.identity(report.zeta.rows).scale(d)
 
@@ -123,7 +191,7 @@ class TestZetaInverse:
         for d, q in ((2, 2), (3, 2), (2, 3)):
             rd, frob = weil_restriction(d, {"builder": "gl", "n": 2}, q)
             zd = build_zip_datum(rd, frob, parabolic=[])
-            inverse, denom = fundamental_zeta_inverse(zd)
+            inverse, denom = rational_inverse(fundamental_zeta_matrix(zd))
             assert denom == q ** d - 1
             for i in range(d):
                 for j in range(d):
@@ -192,7 +260,7 @@ class TestClosedFormZetaInverse:
     def test_matches_rational_inverse_for_every_J(self, build):
         rd, frob = build()
         rng = random.Random(rd.rank)
-        inverse, d = zeta_inverse(build_zip_datum(rd, frob, parabolic=[]), at_borel=True)
+        inverse, d = rational_inverse(borel_zeta_matrix(build_zip_datum(rd, frob, parabolic=[])))
         for zd in every_J(rd, frob):
             characters = [random_ample(rd, zd.J, rng),
                           tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
@@ -220,7 +288,7 @@ class TestClosedFormZetaInverse:
         zd = dataclasses.replace(build_zip_datum(rd, frob, parabolic=[]),
                                  frob=dataclasses.replace(frob, q=1))
         with pytest.raises(SingularMatrixError):
-            zeta_inverse(zd, at_borel=True)
+            rational_inverse(borel_zeta_matrix(zd))
         with pytest.raises(SingularMatrixError):
             _borel_zeta_inverse_image(zd, (1, 0))
 
@@ -336,6 +404,12 @@ class TestWeilPullback:
         rng = random.Random(13)
         for _ in range(5):
             assert weil_pullback_check(zd, random_ample(rd, zd.J, rng)) is True
+
+    def test_datum_without_nodes_is_certified(self):
+        rd, frob = weil_restriction(3, {"builder": "gl", "n": 1}, 2)
+        zd = build_zip_datum(rd, frob, parabolic=[])
+        assert rd.num_nodes == 0
+        assert weil_pullback_check(zd, (1, -2, 5)) is True
 
     def test_rejects_non_weil(self):
         rd, frob = gl(3, 2)

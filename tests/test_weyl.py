@@ -1,7 +1,10 @@
+import dataclasses
 from math import factorial
 
 import pytest
 
+from ziphasse import root_datum, weyl
+from ziphasse.exact_linear import SelfCheckError
 from ziphasse.root_datum import gl, gsp, simple_group, weil_restriction
 from ziphasse.weyl import (
     WeylGroupTooLargeError,
@@ -230,3 +233,36 @@ def test_codim1_layer_is_eta_times_opposed_generator():
                 assert W.elements[idx].length == eta_len - 1
                 labeled.add(idx)
             assert labeled == {i for i, l in reps.reps if l == eta_len - 1}
+
+
+class TestSelfChecks:
+    """Each self-check of the enumeration raises SelfCheckError, so it also
+    holds under python -O."""
+
+    def test_order_formula(self, monkeypatch):
+        monkeypatch.setattr(weyl, "classical_order", lambda rd: 7)
+        with pytest.raises(SelfCheckError, match="order formula"):
+            enumerate_weyl(gl(3, 2)[0])
+
+    def test_unique_longest_element(self, monkeypatch):
+        # s_1 and the 3-cycle s_1 s_2 generate S3 with three elements of
+        # top BFS length: s_1 c, c s_1 and c^2
+        reflection = root_datum.reflection_matrix
+        monkeypatch.setattr(weyl, "reflection_matrix", lambda rd, i: (
+            reflection(rd, 0) * reflection(rd, 1) if i else reflection(rd, 0)))
+        with pytest.raises(SelfCheckError, match="longest element is not unique"):
+            enumerate_weyl(gl(3, 2)[0])
+
+    def test_unique_longest_element_of_W_J(self):
+        W = enumerate_weyl(gl(3, 2)[0])
+        doubled = dataclasses.replace(
+            W, elements=W.elements + (W.elements[W.w0_index],))
+        with pytest.raises(SelfCheckError, match="of W_J is not unique"):
+            longest_element(doubled, frozenset({0, 1}))
+
+    def test_coset_count(self, monkeypatch):
+        inner = weyl.subgroup_indices
+        monkeypatch.setattr(weyl, "subgroup_indices",
+                            lambda W, J: inner(W, J) + [0])
+        with pytest.raises(SelfCheckError, match="coset representatives"):
+            min_coset_reps(enumerate_weyl(gl(3, 2)[0]), frozenset({0}))
