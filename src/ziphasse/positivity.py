@@ -229,21 +229,27 @@ def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> list:
     coroot.  The block-j pullback sum_n <alpha_n^vee, lam> q^d tau^d(omega_n),
     summed over the nodes n outside J with d = (block of n - j) mod copies,
     therefore pairs <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}, and
-    block j is the block of that target node.  No weight is built.
+    block j is the block of that target node.  No weight is built: the
+    sums are integer numerators over the lcm of lam's denominators, with
+    the powers q^d made once, and each entry makes one Fraction at the end.
     """
     rd = zd.rd
     copies = rd.builder_tag[1]
     per_block = rd.num_nodes // copies
-    pairings = rd.coroot_pairings(lam)
+    scale = lcm(*(x.denominator for x in lam))
+    pairings = rd.coroot_pairings([x.numerator * (scale // x.denominator) for x in lam])
+    powers = [zd.frob.q ** d for d in range(copies)]
+    perm = zd.frob.root_perm
     blocks = [([0] * rd.num_nodes, set()) for _ in range(copies)]
     for node in sorted(set(range(rd.num_nodes)) - zd.J):
         target = node
-        for d in range(copies):
+        for power in powers:
             pulled, targets = blocks[target // per_block]
-            pulled[target] += pairings[node] * zd.frob.q ** d
+            pulled[target] += pairings[node] * power
             targets.add(target)
-            target = zd.frob.root_perm[target]
-    return [(tuple(pulled), frozenset(targets)) for pulled, targets in blocks]
+            target = perm[target]
+    return [(tuple([Fraction(x, scale) for x in pulled]), frozenset(targets))
+            for pulled, targets in blocks]
 
 
 def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:

@@ -2,11 +2,12 @@
 
 A root datum here is a pair of lattices X* = X_* = Z^rank with the standard
 dot pairing, a list of simple roots (vectors in X*) and simple coroots
-(vectors in X_*), and a record of the Dynkin components.  The Frobenius
-structure carries the size q of the base field together with the finite-order
-lattice automorphism tau, a signed permutation of the coordinates, through
-which the arithmetic Frobenius acts on characters; composing a character with
-the q-power isogeny corresponds to q * tau on coordinates.
+(vectors in X_*), each kept as its nonzero (coordinate, value) entries, and
+a record of the Dynkin components.  The Frobenius structure carries the size
+q of the base field together with the finite-order lattice automorphism tau,
+a signed permutation of the coordinates, through which the arithmetic
+Frobenius acts on characters; composing a character with the q-power
+isogeny corresponds to q * tau on coordinates.
 
 Builders cover the groups used downstream: general linear groups, similitude
 symplectic groups, quasi-split unitary groups, split simple groups in both
@@ -16,9 +17,10 @@ factors and inner groups from their lattice parts and makes the Frobenius
 structure once, for the whole group.
 
 Everything constructed here is immutable and safe to share between threads.
-A RootDatum computes its Cartan data (the Cartan matrix, its reflector and
-the opposition walk) on first use and keeps them; they are deterministic
-and immutable, so a race between threads only computes them twice.
+A RootDatum computes its dense root and coroot matrices and its Cartan data
+(the Cartan matrix, its reflector and the opposition walk) on first use and
+keeps them; they are deterministic and immutable, so a race between threads
+only computes them twice.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .exact_linear import (
     IntMatrix,
     SelfCheckError,
     SingularMatrixError,
+    _check_int,
     kernel_basis,
     rational_inverse,
     smith_normal_form,
@@ -89,15 +92,34 @@ class _cached:
 
 @dataclass(frozen=True)
 class RootDatum:
+    """A based root datum on X* = X_* = Z^rank.
+
+    Simple root i is root_entries[i], the tuple of its nonzero (coordinate,
+    value) entries in increasing coordinate order, and simple coroot i is
+    coroot_entries[i] in the same form.  The builders' roots and coroots
+    have at most three nonzero coordinates, so building, checking and
+    pairing them costs O(nnz), not O(rank) per root.  simple_roots and
+    simple_coroots are the dense matrices, made on first read for the
+    Smith forms and the root enumeration.
+    """
+
     rank: int
-    simple_roots: IntMatrix
-    simple_coroots: IntMatrix
+    root_entries: tuple
+    coroot_entries: tuple
     components: tuple
     builder_tag: tuple
 
+    def __post_init__(self):
+        values = [x for rows in (self.root_entries, self.coroot_entries)
+                  for row in rows for _, x in row]
+        # IntMatrix's int check, on the entries
+        if set(map(type, values)) - {int}:
+            for x in values:
+                _check_int(x)
+
     @property
     def num_nodes(self) -> int:
-        return self.simple_roots.rows
+        return len(self.root_entries)
 
     def root(self, i: int) -> tuple:
         return self.simple_roots.row(i)
@@ -108,8 +130,9 @@ class RootDatum:
     def cartan_matrix(self) -> IntMatrix:
         """Pairing matrix <alpha_i^vee, alpha_j>, computed once per datum.
 
-        The product skips the zero entries of the coroots, so it costs
-        O(k^2) for coroots with a bounded number of nonzero coordinates.
+        It is summed over the coordinates that coroot i and root j share,
+        so it costs O(k^2) for the zero matrix plus one product per pair of
+        nonzero entries on a common coordinate.
         """
         return self._cartan
 
@@ -117,8 +140,26 @@ class RootDatum:
     # ignore them
 
     @_cached
+    def simple_roots(self) -> IntMatrix:
+        return _dense(self.root_entries, self.rank)
+
+    @_cached
+    def simple_coroots(self) -> IntMatrix:
+        return _dense(self.coroot_entries, self.rank)
+
+    @_cached
     def _cartan(self) -> IntMatrix:
-        return self.simple_coroots * self.simple_roots.transpose()
+        k = self.num_nodes
+        on_coord = {}
+        for j, row in enumerate(self.root_entries):
+            for a, x in row:
+                on_coord.setdefault(a, []).append((j, x))
+        entries = [0] * (k * k)
+        for i, row in enumerate(self.coroot_entries):
+            for a, y in row:
+                for j, x in on_coord.get(a, ()):
+                    entries[i * k + j] += y * x
+        return IntMatrix._trusted(k, k, entries)
 
     @_cached
     def _reflect(self):
@@ -142,16 +183,33 @@ class RootDatum:
         A rational vec is paired as integer numerators over the lcm of its
         denominators, so each pairing makes one Fraction.
         """
-        coroots = [self.coroot(i) for i in range(self.num_nodes)]
-        if Fraction not in set(map(type, vec)):
-            return tuple(_dot(c, vec) for c in coroots)
-        scale = lcm(*(x.denominator for x in vec))
-        nums = [x.numerator * (scale // x.denominator) for x in vec]
-        return tuple(Fraction(_dot(c, nums), scale) for c in coroots)
+        return _pairings(self.coroot_entries, vec)
 
     def root_pairings(self, covec: Sequence) -> tuple:
-        """<covec, alpha_i> for every node i."""
-        return tuple(_dot(covec, self.root(i)) for i in range(self.num_nodes))
+        """<covec, alpha_i> for every node i, paired as coroot_pairings."""
+        return _pairings(self.root_entries, covec)
+
+
+def _dense(rows: Sequence, rank: int) -> IntMatrix:
+    """The matrix whose row i has the nonzero entries rows[i]."""
+    entries = [0] * (len(rows) * rank)
+    for i, row in enumerate(rows):
+        for a, x in row:
+            entries[i * rank + a] = x
+    return IntMatrix._trusted(len(rows), rank, entries)
+
+
+def _pairings(rows: Sequence, vec: Sequence) -> tuple:
+    """sum(x * vec[a] for (a, x) in row) for every row of nonzero entries.
+
+    With a Fraction in vec every pairing is a Fraction, as in a dense dot:
+    integer numerators over the lcm of the denominators, one Fraction each.
+    """
+    if Fraction not in set(map(type, vec)):
+        return tuple([sum([x * vec[a] for a, x in row]) for row in rows])
+    scale = lcm(*(x.denominator for x in vec))
+    nums = [x.numerator * (scale // x.denominator) for x in vec]
+    return tuple([Fraction(sum([x * nums[a] for a, x in row]), scale) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -243,13 +301,16 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
             or not set(sign) <= {1, -1}:
         raise ValueError("tau must be a signed permutation of %d coordinates" % n)
 
-    def act(vec):
-        return tuple(map(mul, sign, map(vec.__getitem__, src)))
+    # tau sends e_a to sign[i] * e_i with src[i] = a, i = dest[a]
+    dest = sorted(range(n), key=src.__getitem__)
 
-    roots = {rd.root(i): i for i in range(rd.num_nodes)}
+    def act(row):
+        return tuple(sorted([(dest[a], sign[dest[a]] * x) for a, x in row]))
+
+    roots = {row: i for i, row in enumerate(rd.root_entries)}
     perm = []
-    for i in range(rd.num_nodes):
-        image = act(rd.root(i))
+    for row in rd.root_entries:
+        image = act(row)
         if image not in roots:
             raise ValueError("tau does not permute the simple roots")
         perm.append(roots[image])
@@ -269,8 +330,9 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
             order = lcm(order, length if eps == 1 else 2 * length)
     if order > MAX_FROBENIUS_ORDER:
         raise ValueError("tau does not have small finite order")
-    for i in range(rd.num_nodes):
-        if act(rd.coroot(i)) != rd.coroot(perm[i]):
+    coroots = rd.coroot_entries
+    for i, row in enumerate(coroots):
+        if act(row) != coroots[perm[i]]:
             raise ValueError("tau dual does not follow the root permutation")
     return FrobeniusStructure(q=q, src=src, sign=sign, root_perm=perm, order=order)
 
@@ -452,29 +514,30 @@ def _parts(spec: dict) -> tuple:
         return rd, [(r + m) % rank for r in range(rank)], (1,) * rank
     if kind in ("gl", "unitary"):
         n = spec["n"]
-        roots = coroots = _rows_or_empty(
-            [_unit(n, i, 1, i + 1, -1) for i in range(n - 1)], n)
+        roots = coroots = tuple([((i, 1), (i + 1, -1)) for i in range(n - 1)])
         comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
         tag = (kind, n)
     elif kind == "gsp":
         dim = spec["dim"]
         g = dim // 2
         n = g + 1
-        roots = [_unit(n, i, 1, i + 1, -1) for i in range(g - 1)]
-        coroots = IntMatrix.from_rows(roots + [_unit(n, g - 1, 1)])
-        roots = IntMatrix.from_rows(roots + [_unit(n, g - 1, 2, g, -1)])
+        chain = tuple([((i, 1), (i + 1, -1)) for i in range(g - 1)])
+        roots = chain + (((g - 1, 2), (g, -1)),)
+        coroots = chain + (((g - 1, 1),),)
         comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
         tag = ("gsp", dim)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
         cartan = _cartan_matrix(series, n)
+        units = tuple([((i, 1),) for i in range(n)])
         if isogeny == "simply_connected":
-            roots, coroots = cartan.transpose(), IntMatrix.identity(n)
+            # root i is column i of the Cartan matrix
+            roots, coroots = _nonzeros(cartan.transpose()), units
         else:
-            roots, coroots = IntMatrix.identity(n), cartan
+            roots, coroots = units, _nonzeros(cartan)
         comps = (Component(series, tuple(range(n))),)
         tag = ("simple", series, n, isogeny)
-    rd = RootDatum(rank=n, simple_roots=roots, simple_coroots=coroots,
+    rd = RootDatum(rank=n, root_entries=roots, coroot_entries=coroots,
                    components=comps, builder_tag=tag)
     if kind == "unitary":
         return rd, range(n - 1, -1, -1), (-1,) * n
@@ -483,29 +546,26 @@ def _parts(spec: dict) -> tuple:
 
 def _direct_sum(data: Sequence, tag: tuple) -> RootDatum:
     """The data side by side: block b of the lattice, of the simple roots
-    and coroots and of the components is data[b]'s."""
-    rank = sum(rd.rank for rd in data)
+    and coroots and of the components is data[b]'s, its coordinates and
+    nodes shifted past the blocks before it."""
     roots, coroots, comps = [], [], []
     offset = nodes = 0
     for rd in data:
-        left, right = (0,) * offset, (0,) * (rank - offset - rd.rank)
-        roots += [left + rd.root(i) + right for i in range(rd.num_nodes)]
-        coroots += [left + rd.coroot(i) + right for i in range(rd.num_nodes)]
+        for out, rows in ((roots, rd.root_entries), (coroots, rd.coroot_entries)):
+            out += [tuple([(a + offset, x) for a, x in row]) for row in rows]
         comps += [Component(c.series, tuple(nodes + i for i in c.nodes))
                   for c in rd.components]
         offset += rd.rank
         nodes += rd.num_nodes
-    return RootDatum(rank=rank, simple_roots=_rows_or_empty(roots, rank),
-                     simple_coroots=_rows_or_empty(coroots, rank),
-                     components=tuple(comps), builder_tag=tag)
+    return RootDatum(rank=offset, root_entries=tuple(roots),
+                     coroot_entries=tuple(coroots), components=tuple(comps),
+                     builder_tag=tag)
 
 
-def _unit(n, *pairs_flat):
-    v = [0] * n
-    it = iter(pairs_flat)
-    for idx in it:
-        v[idx] = next(it)
-    return tuple(v)
+def _nonzeros(mat: IntMatrix) -> tuple:
+    """The rows of mat as their nonzero (column, value) entries."""
+    return tuple([tuple([(a, x) for a, x in enumerate(mat.row(i)) if x])
+                  for i in range(mat.rows)])
 
 
 def _rows_or_empty(rows, rank):
@@ -772,9 +832,9 @@ def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
         return tuple(Fraction(0) for _ in range(rd.rank))
     nums, denom = _forest_solve(rd.cartan_matrix(), target)
     acc = [0] * rd.rank
-    for i, num in enumerate(nums):
-        if num:
-            acc = [x + num * y for x, y in zip(acc, rd.root(i))]
+    for num, row in zip(nums, rd.root_entries):
+        for a, x in row:
+            acc[a] += num * x
     return tuple(Fraction(x, denom) for x in acc)
 
 

@@ -6,7 +6,9 @@ gcd-of-k-by-k-minors definition, the orbit census is read off the full
 Weyl group enumeration, the Weil pullback is built in X* from
 fundamental weights and dense powers of tau, the Frobenius structure
 comes from a determinant test and the dense powers of tau, and matrix
-products are the textbook triple loop.  The positive roots come from a
+products are the textbook triple loop.  dense_group is the builders'
+construction as it was before the data kept only their nonzero entries:
+rank-length rows, zero-padded blocks and a dense tau.  The positive roots come from a
 closure on their coefficients alone and the dominant conjugate of a
 cocharacter from a walk in X_*, both recomputing every pairing from the
 Cartan matrix or the roots at each step.  The fundamental weights and the twist matrix come
@@ -27,6 +29,7 @@ of the dense tau, one Z/(q^c - eps) per cycle, and put in normal form by
 gcd/lcm exchanges, with no Smith form.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -34,7 +37,8 @@ from math import gcd, lcm
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                                    kernel_basis)
 from ziphasse.positivity import AMPLE, ANTIAMPLE, NOT_IN_LATTICE
-from ziphasse.root_datum import (CONTAINS_B, ParabolicType, char_lattice_of_parabolic,
+from ziphasse.root_datum import (CONTAINS_B, Component, ParabolicType, _cartan_matrix,
+                                 char_lattice_of_parabolic, check_group,
                                  fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import (CENTRAL, MINUSCULE, NEITHER, SMALL_NOT_MINUSCULE,
@@ -110,6 +114,119 @@ def power_loop_frobenius(rd, tau):
     assert all(apply(tau_dual, rd.coroot(i)) == rd.coroot(perm[i])
                for i in range(rd.num_nodes)), "tau dual does not follow perm"
     return tau_dual, perm, order
+
+
+@dataclass(frozen=True)
+class DenseDatum:
+    """A root datum with its simple roots and coroots as dense rank-length
+    rows, the form the library kept before it stored only the nonzeros."""
+
+    rank: int
+    simple_roots: IntMatrix
+    simple_coroots: IntMatrix
+    components: tuple
+    builder_tag: tuple
+
+    @property
+    def num_nodes(self):
+        return self.simple_roots.rows
+
+    def root(self, i):
+        return self.simple_roots.row(i)
+
+    def coroot(self, i):
+        return self.simple_coroots.row(i)
+
+
+def _unit(n, *pairs_flat):
+    v = [0] * n
+    it = iter(pairs_flat)
+    for idx in it:
+        v[idx] = next(it)
+    return tuple(v)
+
+
+def _rows(rows, rank):
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ())
+
+
+def _padded_sum(parts, tag):
+    """The data side by side, every row padded with zeros to the full rank,
+    and their taus as one block-diagonal matrix."""
+    rank = sum(rd.rank for rd, _ in parts)
+    roots, coroots, comps, tau = [], [], [], [0] * (rank * rank)
+    offset = nodes = 0
+    for rd, part_tau in parts:
+        left, right = (0,) * offset, (0,) * (rank - offset - rd.rank)
+        roots += [left + rd.root(i) + right for i in range(rd.num_nodes)]
+        coroots += [left + rd.coroot(i) + right for i in range(rd.num_nodes)]
+        comps += [Component(c.series, tuple(nodes + i for i in c.nodes))
+                  for c in rd.components]
+        for a in range(rd.rank):
+            for b in range(rd.rank):
+                tau[(offset + a) * rank + offset + b] = part_tau.at(a, b)
+        offset += rd.rank
+        nodes += rd.num_nodes
+    datum = DenseDatum(rank, _rows(roots, rank), _rows(coroots, rank),
+                       tuple(comps), tag)
+    return datum, IntMatrix(rank, rank, tau)
+
+
+def dense_group(spec):
+    """(DenseDatum, tau) of a builder description, tau a dense matrix.
+
+    The dense construction: unit vectors for gl, unitary and gsp, the rows
+    and columns of the Cartan matrix for simple groups, and zero-padded
+    blocks for products and Weil restrictions.  tau is the identity, the
+    negated antidiagonal for unitary, block-diagonal for a product and the
+    block shift (block b to block b-1) for a Weil restriction of a split
+    group.
+    """
+    spec = check_group(spec)[0]
+    kind = spec["builder"]
+    if kind == "product":
+        tag_parts = [dense_group(f) for f in spec["factors"]]
+        tag = ("product", tuple(rd.builder_tag for rd, _ in tag_parts))
+        return _padded_sum(tag_parts, tag)
+    if kind == "weil_restriction":
+        copies = spec["copies"]
+        inner, inner_tau = dense_group(spec["inner"])
+        assert inner_tau == IntMatrix.identity(inner.rank), "non-split inner group"
+        datum, _ = _padded_sum([(inner, inner_tau)] * copies,
+                               ("weil_restriction", copies, inner.builder_tag))
+        m, rank = inner.rank, datum.rank
+        tau = IntMatrix(rank, rank, [1 if b == (a + m) % rank else 0
+                                     for a in range(rank) for b in range(rank)])
+        return datum, tau
+    if kind in ("gl", "unitary"):
+        n = spec["n"]
+        roots = coroots = _rows([_unit(n, i, 1, i + 1, -1) for i in range(n - 1)], n)
+        comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
+        tag = (kind, n)
+    elif kind == "gsp":
+        dim = spec["dim"]
+        g = dim // 2
+        n = g + 1
+        chain = [_unit(n, i, 1, i + 1, -1) for i in range(g - 1)]
+        coroots = IntMatrix.from_rows(chain + [_unit(n, g - 1, 1)])
+        roots = IntMatrix.from_rows(chain + [_unit(n, g - 1, 2, g, -1)])
+        comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
+        tag = ("gsp", dim)
+    else:
+        series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
+        cartan = _cartan_matrix(series, n)
+        if isogeny == "simply_connected":
+            roots, coroots = cartan.transpose(), IntMatrix.identity(n)
+        else:
+            roots, coroots = IntMatrix.identity(n), cartan
+        comps = (Component(series, tuple(range(n))),)
+        tag = ("simple", series, n, isogeny)
+    if kind == "unitary":
+        tau = IntMatrix(n, n, [-1 if a + b == n - 1 else 0
+                               for a in range(n) for b in range(n)])
+    else:
+        tau = IntMatrix.identity(n)
+    return DenseDatum(n, roots, coroots, comps, tag), tau
 
 
 def same_lattice(basis_a, basis_b):

@@ -8,10 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _oracles import (central_solve_weights, coefficient_closure,
+from _oracles import (central_solve_weights, coefficient_closure, dense_group,
                       first_negative_to_dominant, power_loop_frobenius,
                       same_lattice, xstar_dominant_conjugate)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ziphasse import cli_report, root_datum
@@ -460,6 +460,16 @@ class TestCartanAndFrobenius:
         with pytest.raises(ValueError, match="does not permute the simple roots"):
             _make_frobenius(rd, 2, (1, 0, 2), (1, 1, 1))
 
+    def test_rejects_tau_whose_dual_leaves_the_coroots(self):
+        # the swap fixes the root e1 + e2 but sends the coroot e1 to e2
+        rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)),),
+                       coroot_entries=(((0, 1),),), components=(Component("A", (0,)),),
+                       builder_tag=("hand-made", 2))
+        with pytest.raises(ValueError,
+                           match="tau dual does not follow the root permutation"):
+            _make_frobenius(rd, 2, (1, 0), (1, 1))
+        assert _make_frobenius(rd, 2, (0, 1), (1, 1)).root_perm == (0,)
+
     def test_rejects_signed_permutation_of_large_order(self):
         # cycles of lengths 2, 3, 5, 7, 11 and 13: order 30030 > 10000
         cycle_of, start = [], 0
@@ -556,9 +566,50 @@ class TestCartanAndFrobenius:
             assert rank == rd.num_nodes
 
 
+class TestDenseReference:
+    """The nonzero entries against the dense rank-length construction."""
+
+    G2_BLOCKS = {"builder": "product", "factors": [
+        {"builder": "simple", "series": "G", "rank": 2},
+        {"builder": "weil_restriction", "copies": 2, "inner": {
+            "builder": "simple", "series": "G", "rank": 2, "isogeny": "adjoint"}}]}
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(BUILDER_SPECS, st.sampled_from(("int", "fraction", "mixed")),
+           st.integers(0, 2 ** 16))
+    @example(G2_BLOCKS, "mixed", 0)
+    @example({"builder": "unitary", "n": 5}, "fraction", 1)
+    def test_every_grammar_spec_matches_the_dense_construction(self, spec, kind, seed):
+        rd, frob = build_group(spec, 3)
+        dense, tau = dense_group(spec)
+        assert (rd.simple_roots, rd.simple_coroots) == \
+            (dense.simple_roots, dense.simple_coroots)
+        assert (rd.components, rd.builder_tag) == (dense.components, dense.builder_tag)
+        k = dense.num_nodes
+        assert rd.cartan_matrix().entries == tuple(
+            _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
+        _, perm, order = power_loop_frobenius(dense, tau)
+        assert (frob.tau, frob.root_perm, frob.order) == (tau, perm, order)
+        rng = random.Random(seed)
+        vec = [rng.randint(-50, 50) for _ in range(rd.rank)]
+        if kind != "int":
+            vec = [Fraction(x, rng.randint(1, 30))
+                   if kind == "fraction" or rng.random() < 0.5 else x for x in vec]
+        for got, expected in (
+                (rd.coroot_pairings(vec), [_dot(dense.coroot(i), vec) for i in range(k)]),
+                (rd.root_pairings(vec), [_dot(vec, dense.root(i)) for i in range(k)])):
+            assert got == tuple(expected)
+            assert list(map(type, got)) == list(map(type, expected))
+
+    def test_a_non_int_entry_is_refused(self):
+        with pytest.raises(TypeError, match="integer entry expected"):
+            RootDatum(rank=2, root_entries=(((0, 1), (1, Fraction(-1))),),
+                      coroot_entries=(((0, 1), (1, -1)),), components=(),
+                      builder_tag=("hand-made", 2))
+
+
 def torus(rank):
-    return RootDatum(rank=rank, simple_roots=IntMatrix(0, rank, ()),
-                     simple_coroots=IntMatrix(0, rank, ()), components=(),
+    return RootDatum(rank=rank, root_entries=(), coroot_entries=(), components=(),
                      builder_tag=("torus", rank))
 
 
@@ -843,8 +894,9 @@ class TestFundamentalWeights:
 
 def affine_a2():
     """The affine datum of type A2~: three nodes bonded in a triangle."""
-    cartan = IntMatrix.from_rows([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-    return RootDatum(rank=3, simple_roots=cartan, simple_coroots=IntMatrix.identity(3),
+    roots = tuple(tuple((j, 2 if i == j else -1) for j in range(3)) for i in range(3))
+    return RootDatum(rank=3, root_entries=roots,
+                     coroot_entries=(((0, 1),), ((1, 1),), ((2, 1),)),
                      components=(Component("A~", (0, 1, 2)),),
                      builder_tag=("affine", "A", 2))
 
