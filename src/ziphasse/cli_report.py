@@ -16,8 +16,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Optional
 
 from . import positivity, root_datum, weyl, zip_core
@@ -215,11 +213,7 @@ def run(command: str, cfg: DatumConfig) -> Report:
             warnings.append({"code": "WeylGroupTooLarge", "detail": str(exc)})
         else:
             census = zip_core.orbit_census(zd)
-            data["orbits"] = [
-                {"word": [i + 1 for i in word], "length": length,
-                 "dim": dim, "codim": codim}
-                for word, length, dim, codim in census.orbits
-            ]
+            data["orbits"] = census  # written as its orbit table
             data["codim1"] = [
                 {"node": s + 1, "orbit": pos}
                 for s, pos in census.codim1_indices
@@ -239,48 +233,31 @@ def run(command: str, cfg: DatumConfig) -> Report:
 
 _escape = json.encoder.encode_basestring_ascii
 _ATOMS = {True: "true", False: "false", None: "null"}
-# Fewest rows that _table renders from one row template; below this the
-# recursive path is cheaper than building the template.
-TABLE_MIN_ROWS = 8
 
 
-def _table(rows, pad: str):
-    """The JSON texts of rows (at indent pad) from one row template, or None.
+def _word_texts(words, open_: str, sep: str, close: str) -> list:
+    """The text of each word, its letters 1-based between open_ and close
+    and joined by sep, from one string per letter made once; "[]" when
+    the word is empty."""
+    top = max(map(max, filter(None, words)), default=0)
+    letters = [str(i) for i in range(1, top + 2)]
+    at = letters.__getitem__
+    return [open_ + sep.join(map(at, w)) + close if w else "[]" for w in words]
 
-    rows is a list of at least TABLE_MIN_ROWS dicts that share one set of
-    str keys, and each column is either all int (bool excluded) or all
-    lists of int; any other shape gives None and _write recurses instead.
-    """
-    if len(rows) < TABLE_MIN_ROWS:
-        return None
-    keys = rows[0].keys()
-    if not keys or set(map(len, rows)) != {len(keys)} \
-            or set(map(type, keys)) != {str}:
-        return None
-    keys = sorted(keys)
+
+def _orbit_table(census, pad: str) -> str:
+    """The JSON text of the orbits of census at indent pad: the list of
+    {"codim", "dim", "length", "word"} rows, word 1-based, that json.dumps
+    would write, each row made from one template."""
     inner = pad + "  "
-    item = inner + "  "
-    sep = ",\n" + item
-    columns = []
-    for key in keys:
-        try:
-            column = list(map(itemgetter(key), rows))
-        except KeyError:  # a row with another key set of the same size
-            return None
-        kinds = set(map(type, column))
-        if kinds == {list}:
-            if not set(map(type, chain.from_iterable(column))) <= {int}:
-                return None
-            forms = {n: "[\n" + item + sep.join(["%d"] * n) + "\n" + inner
-                     + "]" if n else "[]" for n in set(map(len, column))}
-            column = [forms[len(v)] % tuple(v) for v in column]
-        elif kinds != {int}:
-            return None
-        columns.append(column)
-    template = "{\n" + inner + (",\n" + inner).join(
-        _escape(key).replace("%", "%%") + ": %s" for key in keys) \
-        + "\n" + pad + "}"
-    return map(template.__mod__, zip(*columns))
+    key = inner + "  "
+    item = key + "  "
+    row = ("{\n" + key + '"codim": %d,\n' + key + '"dim": %d,\n' + key
+           + '"length": %d,\n' + key + '"word": %s\n' + inner + "}")
+    rows = map(row.__mod__, zip(
+        census.codims, census.dims, census.lengths,
+        _word_texts(census.words, "[\n" + item, ",\n" + item, "\n" + key + "]")))
+    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
 
 
 def _write(value, pad: str, out: list) -> None:
@@ -290,7 +267,7 @@ def _write(value, pad: str, out: list) -> None:
     indented form never uses the C encoder.  Only dicts with str keys,
     lists, tuples, str, int, True, False and None are written; any other
     type raises TypeError (for a key, from the sort or from the escaper).
-    A list of dicts goes through _table when its length and shape allow.
+    An OrbitCensus is written as its orbit table.
     """
     kind = type(value)
     if kind is int:
@@ -323,8 +300,6 @@ def _write(value, pad: str, out: list) -> None:
             out.append(sep.join(map(str, value)))
         elif kinds == {str}:
             out.append(sep.join(map(_escape, value)))
-        elif kinds == {dict} and (rows := _table(value, inner)) is not None:
-            out.append(sep.join(rows))
         else:
             items = iter(value)
             _write(next(items), inner, out)
@@ -334,6 +309,8 @@ def _write(value, pad: str, out: list) -> None:
         out.append("\n" + pad + "]")
     elif kind is bool or value is None:
         out.append(_ATOMS[value])
+    elif kind is zip_core.OrbitCensus:
+        out.append(_orbit_table(value, pad))
     else:
         raise TypeError("%s is not written as JSON" % (kind.__name__,))
 
@@ -358,12 +335,13 @@ def render_text(report: Report) -> str:
                         d["s0_order"], d["det_zeta"], d["pic_L0_trivial"]))
         lines.append("zeta: %s" % (d["zeta"],))
     if "orbits" in d:
+        census = d["orbits"]
         lines.append("orbits: count=%d eta_length=%d codim1=%d pic_rank=%d"
-                     % (len(d["orbits"]), d["eta_length"], len(d["codim1"]),
+                     % (len(census.words), d["eta_length"], len(d["codim1"]),
                         d["pic_rank"]))
-        for o in d["orbits"]:
-            lines.append("  orbit word=%s length=%d dim=%d codim=%d"
-                         % (o["word"], o["length"], o["dim"], o["codim"]))
+        lines.extend(map("  orbit word=%s length=%d dim=%d codim=%d".__mod__, zip(
+            _word_texts(census.words, "[", ", ", "]"),
+            census.lengths, census.dims, census.codims)))
     if "positivity" in d:
         for entry in d["positivity"]:
             lines.append("positivity: %s" % (json.dumps(entry, sort_keys=True),))

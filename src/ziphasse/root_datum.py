@@ -148,22 +148,39 @@ class RootDatum:
         return _dense(self.coroot_entries, self.rank)
 
     @_cached
-    def _cartan(self) -> IntMatrix:
-        k = self.num_nodes
+    def _cartan_entries(self) -> tuple:
+        """(rows, columns) of the Cartan matrix as their nonzero entries:
+        rows[i] holds (j, <alpha_i^vee, alpha_j>) and columns[j] holds
+        (i, <alpha_i^vee, alpha_j>), both in increasing index order."""
         on_coord = {}
         for j, row in enumerate(self.root_entries):
             for a, x in row:
                 on_coord.setdefault(a, []).append((j, x))
-        entries = [0] * (k * k)
+        rows = []
+        columns = [[] for _ in self.root_entries]
         for i, row in enumerate(self.coroot_entries):
+            sums = {}
             for a, y in row:
                 for j, x in on_coord.get(a, ()):
-                    entries[i * k + j] += y * x
-        return IntMatrix._trusted(k, k, entries)
+                    sums[j] = sums.get(j, 0) + y * x
+            nonzero = tuple([(j, sums[j]) for j in sorted(sums) if sums[j]])
+            rows.append(nonzero)
+            for j, c in nonzero:
+                columns[j].append((i, c))
+        return tuple(rows), tuple(map(tuple, columns))
+
+    @_cached
+    def _cartan(self) -> IntMatrix:
+        return _dense(self._cartan_entries[0], self.num_nodes)
 
     @_cached
     def _reflect(self):
-        return _reflector(self._cartan)
+        return _reflector(self._cartan_entries[1])
+
+    @_cached
+    def _coreflect(self):
+        """_reflect on root pairings: the reflector of the transpose."""
+        return _reflector(self._cartan_entries[0])
 
     @_cached
     def _opposition(self) -> tuple:
@@ -628,21 +645,18 @@ def _degrees(rd: RootDatum) -> list:
     return [d for c in rd.components for d in _DEGREES[c.series](len(c.nodes))]
 
 
-def _reflector(cartan: IntMatrix):
+def _reflector(columns: tuple):
     """The simple reflection s_i on pairing vectors: p -> p - p_i * (column i).
 
-    With rd.cartan_matrix(), whose entry (j, i) is <alpha_j^vee, alpha_i>, p
-    holds the coroot pairings of a weight; with its transpose, the root
-    pairings of a cocharacter.  Every Weyl walk of the package uses it.
-    Column i is kept as its nonzero (j, c) entries, node i and its Dynkin
-    neighbours, so s_i copies p once and updates only those; the columns
-    are exposed as ``reflect.columns``, a tuple of tuples, for walks that
-    update p in place.
+    columns[i] is column i of a Cartan matrix as its nonzero (j, c)
+    entries, node i and its Dynkin neighbours, so s_i copies p once and
+    updates only those.  rd._reflect takes the columns of
+    rd.cartan_matrix(), whose entry (j, i) is <alpha_j^vee, alpha_i>, and
+    moves the coroot pairings of a weight; rd._coreflect takes those of its
+    transpose and moves the root pairings of a cocharacter.  Every Weyl
+    walk of the package uses one of the two; the columns are exposed as
+    ``reflect.columns`` for walks that update p in place.
     """
-    k = cartan.cols
-    columns = tuple([tuple([(j, c) for j, c in enumerate(cartan.entries[i::k]) if c])
-                     for i in range(k)])
-
     def reflect(p, i):
         pi = p[i]
         q = list(p)

@@ -23,7 +23,6 @@ from .root_datum import (
     FrobeniusStructure,
     RootDatum,
     _dot,
-    _reflector,
     _rows_or_empty,
     _walk,
     opp_type,
@@ -93,11 +92,21 @@ class OrbitEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class OrbitCensus:
-    orbits: tuple
+    """Orbit n as columns: words[n] (0-based), lengths[n], dims[n], codims[n]."""
+
+    words: tuple
+    lengths: tuple
+    dims: tuple
+    codims: tuple
     eta_length: int
     dim_group: int
     dim_parabolic: int
     codim1_indices: tuple  # pairs (node in I \ J, orbit position)
+
+    @property
+    def orbits(self) -> tuple:
+        """One OrbitEntry per orbit, zipped from the columns on each read."""
+        return tuple(map(OrbitEntry, self.words, self.lengths, self.dims, self.codims))
 
 
 def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
@@ -157,8 +166,7 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     if not any(pairings):
         return CENTRAL
     n_pos = rd._opposition[1]
-    dominant, _ = _walk(pairings, _reflector(rd.cartan_matrix().transpose()).columns,
-                        n_pos)
+    dominant, _ = _walk(pairings, rd._coreflect.columns, n_pos)
     columns = rd._reflect.columns
     tops = []
     for comp in rd.components:
@@ -303,7 +311,7 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
                     columns, n_pos, zd.J)[1]
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
-    lengths = list(map(len, words))
+    lengths = tuple(map(len, words))
     eta_length = lengths[-1]
     if eta_length != n_pos - n_pos_j:
         raise CensusCheckError("eta has length %d, not l(w0) - l(w0,J)" % eta_length)
@@ -316,10 +324,10 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     if sorted(pos for _, pos in codim1) != [
             n for n, length in enumerate(lengths) if length == eta_length - 1]:
         raise CensusCheckError("the codimension-one orbits are not labeled by I \\ J")
-    dims = [n + dim_p for n in lengths]
-    codims = [eta_length - n for n in lengths]
-    orbits = tuple(map(OrbitEntry, words, lengths, dims, codims))
-    return OrbitCensus(orbits=orbits, eta_length=eta_length, dim_group=dim_g,
+    return OrbitCensus(words=tuple(words), lengths=lengths,
+                       dims=tuple([n + dim_p for n in lengths]),
+                       codims=tuple([eta_length - n for n in lengths]),
+                       eta_length=eta_length, dim_group=dim_g,
                        dim_parabolic=dim_p, codim1_indices=codim1)
 
 

@@ -26,9 +26,12 @@ over the root heights, and J0 is the full loop of tau-order intersections
 that build_zip_datum ran before it stopped at the first stable pass.  With
 J0 empty the invariant factors of the twist are read off the signed cycles
 of the dense tau, one Z/(q^c - eps) per cycle, and put in normal form by
-gcd/lcm exchanges, with no Smith form.
+gcd/lcm exchanges, with no Smith form.  row_data and row_text are the CLI's
+orbit rows as it made them before it wrote the census as columns: one dict
+and one 1-based word list per orbit, and the text formatter that read them.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,7 +45,7 @@ from ziphasse.root_datum import (CONTAINS_B, Component, ParabolicType, _cartan_m
                                  fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import (CENTRAL, MINUSCULE, NEITHER, SMALL_NOT_MINUSCULE,
-                               OrbitCensus, OrbitEntry, _levi_smith)
+                               OrbitCensus, _levi_smith)
 
 
 def cofactor_det(rows):
@@ -279,15 +282,16 @@ def enumerated_census(zd, W):
     w0_j = W.elements[longest_element(W, zd.J)]
     dim_p = zd.rd.rank + w0.length + w0_j.length
     eta_length = reps.reps[-1][1]
-    orbits = tuple(
-        OrbitEntry(word=W.elements[idx].word, length=length,
-                   dim=length + dim_p, codim=eta_length - length)
-        for idx, length in reps.reps)
+    lengths = tuple(length for _, length in reps.reps)
     positions = {idx: pos for pos, (idx, _) in enumerate(reps.reps)}
     codim1 = tuple(
         (s, positions[W.index[w0_j.matrix * W.generators[s] * w0.matrix]])
         for s in sorted(set(range(zd.rd.num_nodes)) - zd.J))
-    return OrbitCensus(orbits=orbits, eta_length=eta_length,
+    return OrbitCensus(words=tuple(W.elements[idx].word for idx, _ in reps.reps),
+                       lengths=lengths,
+                       dims=tuple(length + dim_p for length in lengths),
+                       codims=tuple(eta_length - length for length in lengths),
+                       eta_length=eta_length,
                        dim_group=zd.rd.rank + 2 * w0.length,
                        dim_parabolic=dim_p, codim1_indices=codim1)
 
@@ -668,3 +672,42 @@ def tau_cycle_invariant_factors(frob):
         if length:
             diagonal.append(abs(frob.q ** length - eps))
     return normal_form(diagonal)
+
+
+def row_data(data):
+    """A report's data with its OrbitCensus expanded into one dict per orbit."""
+    if "orbits" not in data:
+        return data
+    return dict(data, orbits=[
+        {"word": [i + 1 for i in word], "length": length, "dim": dim, "codim": codim}
+        for word, length, dim, codim in data["orbits"].orbits])
+
+
+def row_text(data):
+    """The text rendering of row_data(data), as the row-based formatter made it."""
+    d = row_data(data)
+    lines = []
+    group = json.dumps(d["group"], sort_keys=True)
+    lines.append("datum: q=%d group=%s" % (d["q"], group))
+    lines.append("types: J=%s K=%s J0=%s" % (d["J"], d["K"], d["J0"]))
+    if "hasse_number" in d:
+        lines.append("hasse: invariant_factors=%s hasse_number=%s s0_order=%s "
+                     "det_zeta=%s pic_L0_trivial=%s"
+                     % (d["invariant_factors"], d["hasse_number"],
+                        d["s0_order"], d["det_zeta"], d["pic_L0_trivial"]))
+        lines.append("zeta: %s" % (d["zeta"],))
+    if "orbits" in d:
+        lines.append("orbits: count=%d eta_length=%d codim1=%d pic_rank=%d"
+                     % (len(d["orbits"]), d["eta_length"], len(d["codim1"]),
+                        d["pic_rank"]))
+        for o in d["orbits"]:
+            lines.append("  orbit word=%s length=%d dim=%d codim=%d"
+                         % (o["word"], o["length"], o["dim"], o["codim"]))
+    if "positivity" in d:
+        for entry in d["positivity"]:
+            lines.append("positivity: %s" % (json.dumps(entry, sort_keys=True),))
+    if "picard" in d:
+        lines.append("picard: torsion=%s" % (d["picard"],))
+    for w in d.get("warnings", []):
+        lines.append("warning: %s: %s" % (w["code"], w["detail"]))
+    return "\n".join(lines) + "\n"

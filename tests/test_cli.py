@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from _oracles import row_data, row_text
 from test_root_datum import BUILDER_SPECS
 
-from ziphasse import cli_report, root_datum
+from ziphasse import cli_report, root_datum, weyl, zip_core
 from ziphasse.cli_report import (
     COMMANDS,
     ParseError,
@@ -127,7 +128,7 @@ class TestRun:
     def test_orbits_gl2(self):
         report = run("orbits", parse_config(json.dumps(GL2_BOREL)))
         d = report.data
-        assert len(d["orbits"]) == 2
+        assert len(d["orbits"].words) == 2
         assert len(d["codim1"]) == 1
         assert d["pic_rank"] == 1
 
@@ -538,7 +539,7 @@ class TestRenderJsonOracle:
                     {"q": 3, "group": group, "parabolic_type": list(J)}))
                 for command in COMMANDS:
                     report = run(command, cfg)
-                    assert render_json(report) == oracle_json(report.data)
+                    assert render_json(report) == oracle_json(row_data(report.data))
 
 
 TABLE_KEYS = st.one_of(
@@ -565,7 +566,7 @@ def tables(draw):
     """Lists of dicts shaped like the orbit table, at most one cell or key off."""
     keys = draw(st.lists(TABLE_KEYS, min_size=1, max_size=4, unique=True))
     cells = {key: draw(st.sampled_from((INT_CELLS, LIST_CELLS))) for key in keys}
-    size = draw(st.integers(0, 2 * cli_report.TABLE_MIN_ROWS + 2))
+    size = draw(st.integers(0, 18))
     rows = [{key: draw(cells[key]) for key in keys} for _ in range(size)]
     if rows and draw(st.booleans()):
         row = rows[draw(st.integers(0, size - 1))]
@@ -599,8 +600,8 @@ def writable(value):
     return True
 
 
-class TestTablePath:
-    """Lists of like-shaped dicts, rendered from one row template by _table."""
+class TestLikeShapedRows:
+    """Lists of like-shaped dicts go through the recursive writer."""
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(tables())
@@ -618,16 +619,8 @@ class TestTablePath:
             with pytest.raises(TypeError):
                 render_json(as_report(value))
 
-    def test_orbit_tables_take_the_table_path(self):
-        doc = {"q": 3, "parabolic_type": [2],
-               "group": {"builder": "simple", "series": "F", "rank": 4}}
-        data = run("orbits", parse_config(json.dumps(doc))).data
-        assert len(data["orbits"]) >= cli_report.TABLE_MIN_ROWS
-        assert list(cli_report._table(data["orbits"], "  ")) == [
-            oracle_json([row]).strip()[4:-2] for row in data["orbits"]]
-
     @pytest.mark.parametrize("rows", [
-        [{"a": 1}] * (cli_report.TABLE_MIN_ROWS - 1),
+        [{"a": 1}] * 7,
         [{}] * 8,
         [{"a": 1}] * 7 + [{"a": True}],
         [{"a": [1]}] * 7 + [{"a": [True]}],
@@ -635,11 +628,14 @@ class TestTablePath:
         [{"a": [1]}] * 7 + [{"a": 1}],
         [{"a": 1}] * 7 + [{"b": 1}],
         [{"a": 1}] * 7 + [{"a": 1, "b": 1}],
-        [{1: 1}] * 8,
     ], ids=["short", "empty", "bool", "bool-in-list", "tuple", "mixed", "other-key",
-            "extra-key", "int-key"])
-    def test_other_shapes_fall_back(self, rows):
-        assert cli_report._table(rows, "  ") is None
+            "extra-key"])
+    def test_other_shapes_match_json_dumps(self, rows):
+        assert render_json(as_report(rows)) == oracle_json(rows)
+
+    def test_int_keys_raise_type_error(self):
+        with pytest.raises(TypeError):
+            render_json(as_report([{1: 1}] * 8))
 
     def test_shape_checks_survive_optimize_flag(self):
         script = (
@@ -662,6 +658,75 @@ class TestTablePath:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\nTrue\nTrue\nTypeError\n"
+
+
+@st.composite
+def census_documents(draw):
+    """A grammar group with |W| <= 2000 and at most 6 nodes, and a q.
+
+    Every J of such a group has |W_J \\ W| <= 2000 orbits.
+    """
+    group = draw(BUILDER_SPECS.filter(lambda spec: root_datum.check_group(spec)[1] <= 12))
+    rd, _ = root_datum.build_group(group, 3)
+    if rd.num_nodes > 6 or weyl.classical_order(rd) > 2000:
+        reject()
+    return {"q": draw(st.sampled_from([2, 3, 2 ** 39])), "group": group}, rd.num_nodes
+
+
+def census_reports(doc, nodes):
+    """The orbits report of doc for every J, J = all nodes included."""
+    for size in range(nodes + 1):
+        for J in itertools.combinations(range(1, nodes + 1), size):
+            yield run("orbits", parse_config(json.dumps(dict(doc, parabolic_type=J))))
+
+
+class TestOrbitWriter:
+    """run() hands the OrbitCensus to the writers, which read its columns.
+
+    The texts are compared as lists of lines: a failure then names the
+    first line that differs, where a diff of two long strings takes minutes.
+    """
+
+    F4 = ({"q": 3, "group": {"builder": "simple", "series": "F", "rank": 4}}, 4)
+    GSP6 = ({"q": 2, "group": {"builder": "gsp", "dim": 6}}, 3)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(census_documents())
+    @example(F4)
+    @example(GSP6)
+    def test_json_matches_the_row_dicts(self, doc_nodes):
+        for report in census_reports(*doc_nodes):
+            assert render_json(report).splitlines(True) == \
+                oracle_json(row_data(report.data)).splitlines(True)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(census_documents())
+    @example(F4)
+    @example(GSP6)
+    def test_text_matches_the_row_formatter(self, doc_nodes):
+        for report in census_reports(*doc_nodes):
+            assert render_text(report).splitlines(True) == \
+                row_text(report.data).splitlines(True)
+
+    def test_one_orbit_when_J_holds_every_node(self):
+        doc = {"q": 3, "group": {"builder": "gl", "n": 3}, "parabolic_type": [1, 2]}
+        report = run("orbits", parse_config(json.dumps(doc)))
+        assert report.data["orbits"].words == ((),)
+        assert '"word": []' in render_json(report)
+        assert "  orbit word=[] length=0 dim=9 codim=0\n" in render_text(report)
+        assert render_json(report).splitlines(True) == \
+            oracle_json(row_data(report.data)).splitlines(True)
+
+    def test_census_is_written_at_any_indent(self):
+        doc = {"q": 3, "parabolic_type": [2],
+               "group": {"builder": "simple", "series": "F", "rank": 4}}
+        census = run("orbits", parse_config(json.dumps(doc))).data["orbits"]
+        assert type(census) is zip_core.OrbitCensus
+        rows = row_data({"orbits": census})["orbits"]
+        value = {"top": census, "nested": [[{"%d": census}], census]}
+        expanded = {"top": rows, "nested": [[{"%d": rows}], rows]}
+        assert render_json(as_report(value)).splitlines(True) == \
+            oracle_json(expanded).splitlines(True)
 
 
 class TestOneParserPerProcess:

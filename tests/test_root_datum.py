@@ -29,7 +29,6 @@ from ziphasse.root_datum import (
     UnsupportedSeriesError,
     _dot,
     _make_frobenius,
-    _reflector,
     _walk,
     build_group,
     char_lattice_of_parabolic,
@@ -601,6 +600,21 @@ class TestDenseReference:
             assert got == tuple(expected)
             assert list(map(type, got)) == list(map(type, expected))
 
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(BUILDER_SPECS)
+    @example(G2_BLOCKS)
+    @example({"builder": "gsp", "dim": 6})
+    def test_reflector_columns_match_a_dense_scan(self, spec):
+        rd, _ = build_group(spec, 3)
+        dense, _ = dense_group(spec)
+        k = dense.num_nodes
+        cartan = [[_dot(dense.coroot(i), dense.root(j)) for j in range(k)]
+                  for i in range(k)]
+        assert rd._reflect.columns == tuple(
+            tuple((j, cartan[j][i]) for j in range(k) if cartan[j][i]) for i in range(k))
+        assert rd._coreflect.columns == tuple(
+            tuple((j, cartan[i][j]) for j in range(k) if cartan[i][j]) for i in range(k))
+
     def test_a_non_int_entry_is_refused(self):
         with pytest.raises(TypeError, match="integer entry expected"):
             RootDatum(rank=2, root_entries=(((0, 1), (1, Fraction(-1))),),
@@ -651,8 +665,7 @@ class TestWeylWalksAgainstOracle:
         rd, _ = data.draw(st.sampled_from(TestCartanAndFrobenius.BUILDS))()
         chi = data.draw(st.lists(st.integers(-3, 3),
                                  min_size=rd.rank, max_size=rd.rank))
-        got, _ = _walk(rd.root_pairings(chi),
-                       _reflector(rd.cartan_matrix().transpose()).columns,
+        got, _ = _walk(rd.root_pairings(chi), rd._coreflect.columns,
                        rd._opposition[1])
         assert got == rd.root_pairings(xstar_dominant_conjugate(rd, chi))
 
@@ -666,18 +679,40 @@ class TestWeylWalksAgainstOracle:
         rng = random.Random(k)
         starts = [tuple(-(j + 1) for j in range(k))] + [
             tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(20)]
-        for cartan in (rd.cartan_matrix(), rd.cartan_matrix().transpose()):
-            reflect = _reflector(cartan)
+        for reflect in (rd._reflect, rd._coreflect):
             for p in starts:
                 assert _walk(p, reflect.columns, rd._opposition[1])[0] == \
                     first_negative_to_dominant(p, reflect)
 
     def test_reflector_exposes_its_sparse_columns(self):
         rd, _ = simple_group("B", 3, 2)
-        reflect = _reflector(rd.cartan_matrix())
-        assert reflect.columns == tuple(
-            tuple((j, c) for j, c in enumerate(rd.cartan_matrix().column(i)) if c)
-            for i in range(3))
+        cartan = rd.cartan_matrix()
+        # node 2 is short: <alpha_2^vee, alpha_1> = -2 sits in column 1
+        assert rd._reflect.columns == (
+            ((0, 2), (1, -1)), ((0, -1), (1, 2), (2, -2)), ((1, -1), (2, 2)))
+        assert rd._coreflect.columns == (
+            ((0, 2), (1, -1)), ((0, -1), (1, 2), (2, -1)), ((1, -2), (2, 2)))
+        for reflect, matrix in ((rd._reflect, cartan), (rd._coreflect, cartan.transpose())):
+            assert reflect.columns == tuple(
+                tuple((j, c) for j, c in enumerate(matrix.column(i)) if c)
+                for i in range(3))
+
+    def test_reflector_columns_are_nonzero_and_in_node_order(self):
+        # A2 with its simple roots on swapped coordinates: the Cartan sum
+        # meets node 1 before node 0
+        rd = RootDatum(rank=2, root_entries=(((1, 1),), ((0, 1),)),
+                       coroot_entries=(((0, -1), (1, 2)), ((0, 2), (1, -1))),
+                       components=(Component("A", (0, 1)),), builder_tag=("hand-made", 2))
+        assert rd._reflect.columns == rd._coreflect.columns == (
+            ((0, 2), (1, -1)), ((0, -1), (1, 2)))
+        # A1 x A1 on e0 + e1 and e0 - e1: the two nodes share both
+        # coordinates, and their pairings sum to 0
+        rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
+                       coroot_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
+                       components=(Component("A", (0,)), Component("A", (1,))),
+                       builder_tag=("hand-made", 2))
+        assert rd.cartan_matrix().to_rows() == [[2, 0], [0, 2]]
+        assert rd._reflect.columns == rd._coreflect.columns == (((0, 2),), ((1, 2),))
 
 
 def levi_walk_length(rd, J):

@@ -503,6 +503,16 @@ class TestOrbitEntry:
             assert all(type(o) is OrbitEntry for o in orbits)
             assert orbits == enumerated_census(zd, enumerate_weyl(rd)).orbits
 
+    def test_census_columns_are_tuples_and_read_only(self):
+        rd, frob = gsp(6, 3)
+        census = orbit_census(build_zip_datum(rd, frob, parabolic=[0]))
+        columns = (census.words, census.lengths, census.dims, census.codims)
+        assert [type(c) for c in columns] == [tuple] * 4
+        assert census.orbits == tuple(zip(*columns))
+        for name in ("words", "orbits"):
+            with pytest.raises(AttributeError):
+                setattr(census, name, ())
+
     def test_readme_quick_start(self):
         # the census line of the README's quick start gives what it shows
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
