@@ -14,7 +14,10 @@ rank-12 product of U(3), Res GL2 x2, GSp4 and adjoint B2, each wrapped in
 30 single-factor products, at the largest 40-bit prime q with J = {1, 3},
 pins a document at the nesting and q budgets.  The small documents pin
 whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
-U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  On these
+U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  Three more
+pin the positivity entry of one Weil restriction written in different
+ways, at q = 3: Res GL3 x3 as a one-factor product and beside GL2, with
+J = {1, 3, 6}, and Res_2 (GL2 x GL3) with J = {2, 6}.  On these
 (every document whose ``orbits`` exits 0), ``orbits`` and ``all`` also run
 with ``--format text``; stdout must equal ``golden/<name>.<command>.text.out``
 and the exit code the one under ``text_exit``.
