@@ -6,9 +6,9 @@ the Levi (strictly positively for a parabolic containing the upper Borel).
 The certificates below check the computable positivity statements: the
 inverse of the twist endomorphism sends ample characters to antiample ones,
 the divisor coefficients of an ample character at Borel level are negative,
-and for Weil restrictions the block pullbacks of an ample character stay
-ample.  Every verdict is one sign rule (_verdict) on the coroot pairings
-of one vector.
+and for products of Weil restrictions the pullbacks of an ample character
+to the copies stay ample.  Every verdict is one sign rule (_verdict) on the
+coroot pairings of one vector.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class NotRationalCaseError(ValueError):
 
 
 class NotWeilRestrictionError(ValueError):
-    """Pullback certificate only applies to Weil-restriction builders."""
+    """The pullback certificate does not apply: a tau-cycle of simple roots
+    meets one Dynkin component twice, or a component misses two nodes of J."""
 
 
 AMPLE = "ample"
@@ -101,6 +102,14 @@ def borel_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     return IntMatrix.identity(zd.rd.rank) - zd.frob.tau.scale(zd.frob.q)
 
 
+def _cycle(perm: Sequence, start: int) -> list:
+    """start, perm[start], perm[perm[start]], ... up to the return to start."""
+    cycle = [start]
+    while perm[cycle[-1]] != start:
+        cycle.append(perm[cycle[-1]])
+    return cycle
+
+
 def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
     """zeta^-1(lam) on X*, with zeta = id - q*tau, one signed cycle at a time.
 
@@ -120,9 +129,7 @@ def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
     for start in range(len(base)):
         if image[start] is not None:
             continue
-        cycle = [start]
-        while src[cycle[-1]] != start:
-            cycle.append(src[cycle[-1]])
+        cycle = _cycle(src, start)
         acc = 0
         for i in reversed(cycle):
             acc = base[i] + qsign[i] * acc
@@ -221,64 +228,63 @@ def hasse_divisor_coeffs(zd: ZipDatum, lam: Sequence) -> PositivityReport:
     )
 
 
-def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> list:
-    """Coroot pairings and target nodes of the pullback of lam to each block.
+def _block_pullbacks(zd: ZipDatum, lam: Sequence) -> tuple:
+    """Coroot pairings and target nodes of the pullback of lam to the copies.
 
     tau, its own dual, sends alpha_i^vee to alpha_perm[i]^vee, so
     tau^d(omega_n) pairs 1 with alpha^vee_{perm^d(n)} and 0 with every other
-    coroot.  The block-j pullback sum_n <alpha_n^vee, lam> q^d tau^d(omega_n),
-    summed over the nodes n outside J with d = (block of n - j) mod copies,
-    therefore pairs <alpha_n^vee, lam> q^d with alpha^vee_{perm^d(n)}, and
-    block j is the block of that target node.  No weight is built: the
-    sums are integer numerators over the lcm of lam's denominators, with
-    the powers q^d made once, and each entry makes one Fraction at the end.
+    coroot.  So walking the cycle of each node n outside J adds
+    <alpha_n^vee, lam> q^d at its d-th node; the copies share no node, so
+    their pullbacks are one vector.  The sums are integer numerators over
+    the lcm of lam's denominators, with one Fraction per entry at the end.
     """
-    rd = zd.rd
-    copies = rd.builder_tag[1]
-    per_block = rd.num_nodes // copies
+    rd, perm, q = zd.rd, zd.frob.root_perm, zd.frob.q
     scale = lcm(*(x.denominator for x in lam))
     pairings = rd.coroot_pairings([x.numerator * (scale // x.denominator) for x in lam])
-    powers = [zd.frob.q ** d for d in range(copies)]
-    perm = zd.frob.root_perm
-    blocks = [([0] * rd.num_nodes, set()) for _ in range(copies)]
-    for node in sorted(set(range(rd.num_nodes)) - zd.J):
-        target = node
-        for power in powers:
-            pulled, targets = blocks[target // per_block]
-            pulled[target] += pairings[node] * power
+    pulled = [0] * rd.num_nodes
+    targets = set()
+    for node in set(range(rd.num_nodes)) - zd.J:
+        for d, target in enumerate(_cycle(perm, node)):
+            pulled[target] += pairings[node] * q ** d
             targets.add(target)
-            target = perm[target]
-    return [(tuple([Fraction(x, scale) for x in pulled]), frozenset(targets))
-            for pulled, targets in blocks]
+    return tuple([Fraction(x, scale) for x in pulled]), frozenset(targets)
 
 
 def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
-    """Blockwise pullback certificate for Weil-restriction data.
+    """Pullback certificate for products of Weil restrictions of split groups.
 
-    For each block j the ample character lam = sum a_i * omega_i pulls back
-    to sum_i a_i q^{d(i,j)} tau^{d(i,j)}(omega_i) supported on block j, where
-    d(i, j) is the cyclic distance from block i down to block j.  The
-    certificate checks that every such pullback is ample for the intersected
-    parabolic of its block.  Each pullback is built and tested as a vector
-    of coroot pairings (see _block_pullbacks).
+    Read off tau, not off how the group was written: an orbit of c Dynkin
+    components is Res_c of a split simple group exactly when perm^c fixes
+    its nodes, that is when every perm-cycle in it meets c distinct
+    components, one node per copy.  The datum qualifies when every cycle
+    does and each component misses at most one node of J (a maximal or
+    full parabolic in each copy); otherwise NotWeilRestrictionError.
+
+    The certificate reads only coroot pairings, which tau moves by
+    root_perm, so Res_c (G x H) and Res_c G x Res_c H get one answer and
+    the maximal rule is per component.  Each node n outside J adds
+    a_n q^d tau^d(omega_n) to the pullback to the copy of its d-th cycle
+    node, with a_n = <alpha_n^vee, lam> < 0 for an ample lam, and every
+    pullback must be ample for its copy's parabolic.  Each of its pairings
+    is a sum of terms a_n q^d < 0, so the answer is True whenever the
+    check applies: the applicability rule carries the content.
     """
-    rd = zd.rd
-    tag = rd.builder_tag
-    if tag[0] != "weil_restriction":
-        raise NotWeilRestrictionError("builder is %r" % (tag[0],))
-    copies = tag[1]
-    per_block = rd.num_nodes // copies
-
-    # one missing node per maximal factor, none for full factors
-    for b in range(copies):
-        gap = set(range(b * per_block, (b + 1) * per_block)) - zd.J
-        if len(gap) > 1:
+    rd, perm = zd.rd, zd.frob.root_perm
+    component = {node: c for c, comp in enumerate(rd.components) for node in comp.nodes}
+    for node in range(rd.num_nodes):
+        met = [component[i] for i in _cycle(perm, node)]
+        if len(set(met)) < len(met):
             raise NotWeilRestrictionError(
-                "factor %d is neither maximal nor the full group" % (b,))
+                "the cycle of node %d meets one component twice" % (node,))
+
+    # one missing node per maximal component, none for full ones
+    for c, comp in enumerate(rd.components):
+        if len(set(comp.nodes) - zd.J) > 1:
+            raise NotWeilRestrictionError(
+                "component %d is neither maximal nor the full group" % (c,))
 
     lam = _frac(lam)
     if _verdict(rd.coroot_pairings(lam), zd.J) != AMPLE:
         raise PreconditionViolatedError("an ample character of P is required")
-    nodes = frozenset(range(rd.num_nodes))
-    return all(_verdict(pulled, nodes - targets) == AMPLE
-               for pulled, targets in _block_pullbacks(zd, lam))
+    pulled, targets = _block_pullbacks(zd, lam)
+    return _verdict(pulled, frozenset(range(rd.num_nodes)) - targets) == AMPLE

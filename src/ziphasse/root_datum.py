@@ -107,7 +107,6 @@ class RootDatum:
     root_entries: tuple
     coroot_entries: tuple
     components: tuple
-    builder_tag: tuple
 
     def __post_init__(self):
         values = [x for rows in (self.root_entries, self.coroot_entries)
@@ -513,27 +512,23 @@ def _parts(spec: dict) -> tuple:
     kind = spec["builder"]
     if kind == "product":
         parts = [_parts(s) for s in spec["factors"]]
-        rds = [rd for rd, _, _ in parts]
         src, sign = [], []
         for _, part_src, part_sign in parts:
             src += [len(src) + j for j in part_src]
             sign += part_sign
-        tag = ("product", tuple(rd.builder_tag for rd in rds))
-        return _direct_sum(rds, tag), src, sign
+        return _direct_sum([rd for rd, _, _ in parts]), src, sign
     if kind == "weil_restriction":
         copies = spec["copies"]
         inner, inner_src, inner_sign = _parts(spec["inner"])
         if list(inner_src) != list(range(inner.rank)) or -1 in inner_sign:
             raise UnsupportedSeriesError("weil_restriction needs a split inner group")
-        rd = _direct_sum([inner] * copies,
-                         ("weil_restriction", copies, inner.builder_tag))
+        rd = _direct_sum([inner] * copies)
         m, rank = inner.rank, rd.rank
         return rd, [(r + m) % rank for r in range(rank)], (1,) * rank
     if kind in ("gl", "unitary"):
         n = spec["n"]
         roots = coroots = tuple([((i, 1), (i + 1, -1)) for i in range(n - 1)])
         comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
-        tag = (kind, n)
     elif kind == "gsp":
         dim = spec["dim"]
         g = dim // 2
@@ -542,7 +537,6 @@ def _parts(spec: dict) -> tuple:
         roots = chain + (((g - 1, 2), (g, -1)),)
         coroots = chain + (((g - 1, 1),),)
         comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
-        tag = ("gsp", dim)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
         cartan = _cartan_matrix(series, n)
@@ -553,15 +547,13 @@ def _parts(spec: dict) -> tuple:
         else:
             roots, coroots = units, _nonzeros(cartan)
         comps = (Component(series, tuple(range(n))),)
-        tag = ("simple", series, n, isogeny)
-    rd = RootDatum(rank=n, root_entries=roots, coroot_entries=coroots,
-                   components=comps, builder_tag=tag)
+    rd = RootDatum(n, roots, coroots, comps)
     if kind == "unitary":
         return rd, range(n - 1, -1, -1), (-1,) * n
     return rd, range(n), (1,) * n
 
 
-def _direct_sum(data: Sequence, tag: tuple) -> RootDatum:
+def _direct_sum(data: Sequence) -> RootDatum:
     """The data side by side: block b of the lattice, of the simple roots
     and coroots and of the components is data[b]'s, its coordinates and
     nodes shifted past the blocks before it."""
@@ -574,9 +566,7 @@ def _direct_sum(data: Sequence, tag: tuple) -> RootDatum:
                   for c in rd.components]
         offset += rd.rank
         nodes += rd.num_nodes
-    return RootDatum(rank=offset, root_entries=tuple(roots),
-                     coroot_entries=tuple(coroots), components=tuple(comps),
-                     builder_tag=tag)
+    return RootDatum(offset, tuple(roots), tuple(coroots), tuple(comps))
 
 
 def _nonzeros(mat: IntMatrix) -> tuple:

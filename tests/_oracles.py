@@ -26,7 +26,9 @@ over the root heights, and J0 is the full loop of tau-order intersections
 that build_zip_datum ran before it stopped at the first stable pass.  With
 J0 empty the invariant factors of the twist are read off the signed cycles
 of the dense tau, one Z/(q^c - eps) per cycle, and put in normal form by
-gcd/lcm exchanges, with no Smith form.  row_data and row_text are the CLI's
+gcd/lcm exchanges, with no Smith form.  weil_factor_relabelling matches
+the nodes of a Weil restriction of a product with those of the product of
+the Weil restrictions by counting, with no datum.  row_data and row_text are the CLI's
 orbit rows as it made them before it wrote the census as columns: one dict
 and one 1-based word list per orbit, and the text formatter that read them.
 """
@@ -128,7 +130,6 @@ class DenseDatum:
     simple_roots: IntMatrix
     simple_coroots: IntMatrix
     components: tuple
-    builder_tag: tuple
 
     @property
     def num_nodes(self):
@@ -153,7 +154,7 @@ def _rows(rows, rank):
     return IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ())
 
 
-def _padded_sum(parts, tag):
+def _padded_sum(parts):
     """The data side by side, every row padded with zeros to the full rank,
     and their taus as one block-diagonal matrix."""
     rank = sum(rd.rank for rd, _ in parts)
@@ -171,7 +172,7 @@ def _padded_sum(parts, tag):
         offset += rd.rank
         nodes += rd.num_nodes
     datum = DenseDatum(rank, _rows(roots, rank), _rows(coroots, rank),
-                       tuple(comps), tag)
+                       tuple(comps))
     return datum, IntMatrix(rank, rank, tau)
 
 
@@ -188,15 +189,12 @@ def dense_group(spec):
     spec = check_group(spec)[0]
     kind = spec["builder"]
     if kind == "product":
-        tag_parts = [dense_group(f) for f in spec["factors"]]
-        tag = ("product", tuple(rd.builder_tag for rd, _ in tag_parts))
-        return _padded_sum(tag_parts, tag)
+        return _padded_sum([dense_group(f) for f in spec["factors"]])
     if kind == "weil_restriction":
         copies = spec["copies"]
         inner, inner_tau = dense_group(spec["inner"])
         assert inner_tau == IntMatrix.identity(inner.rank), "non-split inner group"
-        datum, _ = _padded_sum([(inner, inner_tau)] * copies,
-                               ("weil_restriction", copies, inner.builder_tag))
+        datum, _ = _padded_sum([(inner, inner_tau)] * copies)
         m, rank = inner.rank, datum.rank
         tau = IntMatrix(rank, rank, [1 if b == (a + m) % rank else 0
                                      for a in range(rank) for b in range(rank)])
@@ -205,7 +203,6 @@ def dense_group(spec):
         n = spec["n"]
         roots = coroots = _rows([_unit(n, i, 1, i + 1, -1) for i in range(n - 1)], n)
         comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
-        tag = (kind, n)
     elif kind == "gsp":
         dim = spec["dim"]
         g = dim // 2
@@ -214,7 +211,6 @@ def dense_group(spec):
         coroots = IntMatrix.from_rows(chain + [_unit(n, g - 1, 1)])
         roots = IntMatrix.from_rows(chain + [_unit(n, g - 1, 2, g, -1)])
         comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
-        tag = ("gsp", dim)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
         cartan = _cartan_matrix(series, n)
@@ -223,13 +219,12 @@ def dense_group(spec):
         else:
             roots, coroots = IntMatrix.identity(n), cartan
         comps = (Component(series, tuple(range(n))),)
-        tag = ("simple", series, n, isogeny)
     if kind == "unitary":
         tau = IntMatrix(n, n, [-1 if a + b == n - 1 else 0
                                for a in range(n) for b in range(n)])
     else:
         tau = IntMatrix.identity(n)
-    return DenseDatum(n, roots, coroots, comps, tag), tau
+    return DenseDatum(n, roots, coroots, comps), tau
 
 
 def same_lattice(basis_a, basis_b):
@@ -296,15 +291,15 @@ def enumerated_census(zd, W):
                        dim_parabolic=dim_p, codim1_indices=codim1)
 
 
-def xstar_block_pullbacks(zd, lam):
-    """The pullback of lam to each block of a Weil restriction, in X*.
+def xstar_block_pullbacks(zd, lam, copies):
+    """The pullback of lam to each block of a Weil restriction with the
+    given number of copies, in X*.
 
     Block j gets sum_n <alpha_n^vee, lam> q^d tau^d(omega_n) over the nodes
     n outside J, with d = (block of n - j) mod copies, together with the
     nodes perm^d(n) it is meant to be supported on.
     """
     rd = zd.rd
-    copies = rd.builder_tag[1]
     per_block = rd.num_nodes // copies
     weights = fundamental_weights(rd, zd.J)
     pairings = rd.coroot_pairings(lam)
@@ -325,6 +320,36 @@ def xstar_block_pullbacks(zd, lam):
             targets.add(perm_powers[dist][node])
         blocks.append((tuple(vec), frozenset(targets)))
     return blocks
+
+
+def weil_factor_relabelling(copies, node_counts):
+    """relabel[i] is the node of Res G_1 x ... x Res G_r that node i of
+    Res (G_1 x ... x G_r) is, both with the given number of copies and G_f
+    with node_counts[f] nodes.  The first group lays its nodes out copy by
+    copy, each copy factor by factor; the second factor by factor, each
+    factor copy by copy.
+    """
+    relabel = []
+    for copy in range(copies):
+        start = 0
+        for count in node_counts:
+            relabel += [start + copy * count + j for j in range(count)]
+            start += copies * count
+    return relabel
+
+
+def relabelled_positivity(entry, relabel):
+    """The fields of a CLI positivity entry that a relabelling of the nodes
+    keeps: kind, verdict, certified, antiample_certified, negative_count
+    and the Borel coefficients, moved from node i to node relabel[i]."""
+    coeffs = entry.get("borel_coefficients")
+    if coeffs is not None:
+        moved = [None] * len(coeffs)
+        for i, c in enumerate(coeffs):
+            moved[relabel[i]] = c
+        coeffs = moved
+    return (entry["kind"], entry["verdict"], entry.get("certified"),
+            entry.get("antiample_certified"), entry.get("negative_count"), coeffs)
 
 
 def gauss_jordan(rows, rhs):

@@ -539,7 +539,8 @@ class TestRenderJsonOracle:
                     {"q": 3, "group": group, "parabolic_type": list(J)}))
                 for command in COMMANDS:
                     report = run(command, cfg)
-                    assert render_json(report) == oracle_json(row_data(report.data))
+                    assert render_json(report).splitlines(True) == \
+                        oracle_json(row_data(report.data)).splitlines(True), (J, command)
 
 
 TABLE_KEYS = st.one_of(

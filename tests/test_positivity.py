@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 import test_root_datum
-from _oracles import two_helper_verdict, xstar_block_pullbacks
-from hypothesis import given, settings
+from _oracles import (relabelled_positivity, two_helper_verdict, weil_factor_relabelling,
+                      xstar_block_pullbacks)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ziphasse import positivity, root_datum
+from ziphasse import cli_report, positivity, root_datum
 from ziphasse.exact_linear import IntMatrix, SingularMatrixError, rational_inverse
 from ziphasse.positivity import (
     AMPLE,
@@ -42,6 +43,11 @@ from ziphasse.root_datum import (
     weil_restriction,
 )
 from ziphasse.zip_core import PicObstructionError, build_zip_datum, s0_characters
+
+
+RES2_GL3_U4 = {"builder": "product", "factors": [
+    {"builder": "weil_restriction", "copies": 2, "inner": {"builder": "gl", "n": 3}},
+    {"builder": "unitary", "n": 4}]}
 
 
 def ample_character(rd, J, coeffs):
@@ -411,11 +417,23 @@ class TestWeilPullback:
         assert rd.num_nodes == 0
         assert weil_pullback_check(zd, (1, -2, 5)) is True
 
-    def test_rejects_non_weil(self):
+    def test_split_group_qualifies_as_one_copy(self):
         rd, frob = gl(3, 2)
         zd = build_zip_datum(rd, frob, parabolic=[0])
-        with pytest.raises(NotWeilRestrictionError):
-            weil_pullback_check(zd, (0, 0, 0))
+        assert weil_pullback_check(zd, random_ample(rd, zd.J, random.Random(2))) is True
+
+    @pytest.mark.parametrize("spec,J", [
+        ({"builder": "unitary", "n": 3}, [0]),
+        (RES2_GL3_U4, [0, 4, 6]),
+        # every component misses one node: only the flip's cycles refuse it,
+        # although the missing node of U(4) is the middle one, which it fixes
+        (RES2_GL3_U4, [0, 2, 4, 6]),
+    ], ids=["U3", "Res2GL3xU4", "Res2GL3xU4-maximal"])
+    def test_rejects_a_cycle_meeting_one_component_twice(self, spec, J):
+        rd, frob = root_datum.build_group(spec, 3)
+        zd = build_zip_datum(rd, frob, parabolic=J)
+        with pytest.raises(NotWeilRestrictionError, match="meets one component twice"):
+            weil_pullback_check(zd, random_ample(rd, zd.J, random.Random(4)))
 
     def test_rejects_non_maximal_factor(self):
         rd, frob = weil_restriction(2, {"builder": "gl", "n": 4}, 2)
@@ -423,6 +441,16 @@ class TestWeilPullback:
         lam = random_ample(rd, zd.J, random.Random(9))
         with pytest.raises(NotWeilRestrictionError):
             weil_pullback_check(zd, lam)
+
+    def test_maximal_rule_is_per_component(self):
+        # each copy of GL2 x GL3 misses one node of each factor
+        rd, frob = weil_restriction(2, {"builder": "product", "factors": [
+            {"builder": "gl", "n": 2}, {"builder": "gl", "n": 3}]}, 3)
+        zd = build_zip_datum(rd, frob, parabolic=[1, 5])
+        assert weil_pullback_check(zd, random_ample(rd, zd.J, random.Random(6))) is True
+        zd = build_zip_datum(rd, frob, parabolic=[5])  # GL3 of copy 0 misses 2 nodes
+        with pytest.raises(NotWeilRestrictionError, match="component 1 is neither"):
+            weil_pullback_check(zd, random_ample(rd, zd.J, random.Random(6)))
 
     @pytest.mark.parametrize("copies,inner", [
         (3, {"builder": "gl", "n": 2}),
@@ -440,9 +468,11 @@ class TestWeilPullback:
                 tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
                       for _ in range(rd.rank)) for _ in range(2)]
             for lam in characters:
-                expected = [(rd.coroot_pairings(vec), targets)
-                            for vec, targets in xstar_block_pullbacks(zd, lam)]
-                assert _block_pullbacks(zd, lam) == expected, (J, lam)
+                blocks = xstar_block_pullbacks(zd, lam, copies)
+                summed = [sum(xs) for xs in zip(*(vec for vec, _ in blocks))]
+                targets = frozenset().union(*(t for _, t in blocks))
+                assert _block_pullbacks(zd, lam) == (
+                    rd.coroot_pairings(summed), targets), (J, lam)
 
     def test_pullback_needs_no_weights_or_tau_powers(self, monkeypatch):
         rd, frob = weil_restriction(3, {"builder": "gl", "n": 3}, 2)
@@ -455,3 +485,65 @@ class TestWeilPullback:
         monkeypatch.setattr(root_datum, "fundamental_weights", forbidden)
         monkeypatch.setattr(IntMatrix, "__mul__", forbidden)
         assert weil_pullback_check(zd, lam) is True
+
+
+class TestWritingInvariance:
+    """The positivity entry of every J depends on the group and its
+    Frobenius, not on how the description writes them."""
+
+    @staticmethod
+    def assert_same_on_every_J(spec, other, relabel=None):
+        """Node i of spec is node relabel[i] of other (the same node when
+        relabel is None)."""
+        rd, frob = root_datum.build_group(spec, 3)
+        other_rd, other_frob = root_datum.build_group(other, 3)
+        unmoved = range(rd.num_nodes)
+        relabel = unmoved if relabel is None else relabel
+        for zd in every_J(rd, frob):
+            other_zd = build_zip_datum(other_rd, other_frob,
+                                       parabolic=[relabel[j] for j in zd.J])
+            got = relabelled_positivity(cli_report._positivity_section(zd)[0], relabel)
+            expected = relabelled_positivity(
+                cli_report._positivity_section(other_zd)[0], unmoved)
+            assert got == expected, sorted(zd.J)
+
+    @pytest.mark.parametrize("spec", [
+        {"builder": "weil_restriction", "copies": 3, "inner": {"builder": "gl", "n": 3}},
+        {"builder": "unitary", "n": 4},
+        {"builder": "weil_restriction", "copies": 2, "inner": {"builder": "product", "factors": [
+            {"builder": "gl", "n": 2}, {"builder": "gl", "n": 3}]}},
+        {"builder": "product", "factors": [
+            {"builder": "gsp", "dim": 4},
+            {"builder": "weil_restriction", "copies": 2, "inner": {
+                "builder": "simple", "series": "B", "rank": 2, "isogeny": "adjoint"}}]},
+    ], ids=["ResGL3x3", "U4", "Res2(GL2xGL3)", "GSp4xRes2adjB2"])
+    def test_one_factor_product_matches_the_factor(self, spec):
+        self.assert_same_on_every_J(spec, {"builder": "product", "factors": [spec]})
+
+    @pytest.mark.parametrize("copies,factors", [
+        (2, [{"builder": "gl", "n": 2}, {"builder": "gl", "n": 3}]),
+        (3, [{"builder": "gl", "n": 3}, {"builder": "gl", "n": 2}]),
+        (2, [{"builder": "simple", "series": "A", "rank": 1}, {"builder": "gsp", "dim": 4}]),
+        (2, [{"builder": "gl", "n": 2}, {"builder": "gl", "n": 2}, {"builder": "gl", "n": 3}]),
+    ], ids=["Res2(GL2xGL3)", "Res3(GL3xGL2)", "Res2(SL2xGSp4)", "Res2(GL2xGL2xGL3)"])
+    def test_restriction_of_a_product_matches_the_product_of_restrictions(
+            self, copies, factors):
+        written = {"builder": "weil_restriction", "copies": copies,
+                   "inner": {"builder": "product", "factors": factors}}
+        split = {"builder": "product", "factors": [
+            {"builder": "weil_restriction", "copies": copies, "inner": f} for f in factors]}
+        counts = [root_datum.build_group(f, 3)[0].num_nodes for f in factors]
+        self.assert_same_on_every_J(written, split, weil_factor_relabelling(copies, counts))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(test_root_datum.BUILDER_SPECS)
+    def test_every_grammar_spec_matches_its_one_factor_product(self, spec):
+        assume(root_datum.build_group(spec, 3)[0].num_nodes <= 6)
+        self.assert_same_on_every_J(spec, {"builder": "product", "factors": [spec]})
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(1, 3), st.lists(test_root_datum.SPLIT_SPECS, min_size=2, max_size=3))
+    def test_every_grammar_restriction_of_a_product_matches(self, copies, factors):
+        assume(copies * sum(root_datum.build_group(f, 3)[0].num_nodes for f in factors) <= 7)
+        self.test_restriction_of_a_product_matches_the_product_of_restrictions(
+            copies, factors)

@@ -95,8 +95,8 @@ class TestBuilders:
         assert len(rd.components) == 2
 
     def test_build_group_dispatch(self):
-        rd, _ = build_group({"builder": "unitary", "n": 3}, 3)
-        assert rd.builder_tag == ("unitary", 3)
+        rd, frob = build_group({"builder": "unitary", "n": 3}, 3)
+        assert rd == gl(3, 3)[0] and frob.sign == (-1,) * 3
         with pytest.raises(UnsupportedSeriesError):
             build_group({"builder": "so"}, 3)
 
@@ -462,8 +462,7 @@ class TestCartanAndFrobenius:
     def test_rejects_tau_whose_dual_leaves_the_coroots(self):
         # the swap fixes the root e1 + e2 but sends the coroot e1 to e2
         rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)),),
-                       coroot_entries=(((0, 1),),), components=(Component("A", (0,)),),
-                       builder_tag=("hand-made", 2))
+                       coroot_entries=(((0, 1),),), components=(Component("A", (0,)),))
         with pytest.raises(ValueError,
                            match="tau dual does not follow the root permutation"):
             _make_frobenius(rd, 2, (1, 0), (1, 1))
@@ -583,7 +582,7 @@ class TestDenseReference:
         dense, tau = dense_group(spec)
         assert (rd.simple_roots, rd.simple_coroots) == \
             (dense.simple_roots, dense.simple_coroots)
-        assert (rd.components, rd.builder_tag) == (dense.components, dense.builder_tag)
+        assert rd.components == dense.components
         k = dense.num_nodes
         assert rd.cartan_matrix().entries == tuple(
             _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
@@ -599,6 +598,15 @@ class TestDenseReference:
                 (rd.root_pairings(vec), [_dot(vec, dense.root(i)) for i in range(k)])):
             assert got == tuple(expected)
             assert list(map(type, got)) == list(map(type, expected))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(BUILDER_SPECS)
+    @example({"builder": "weil_restriction", "copies": 3, "inner": {"builder": "gl", "n": 3}})
+    def test_a_one_factor_product_is_its_factor(self, spec):
+        # the datum records no description, only roots, coroots and
+        # components, so the pair (datum, Frobenius) is the factor's
+        assert build_group({"builder": "product", "factors": [spec]}, 3) == \
+            build_group(spec, 3)
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(BUILDER_SPECS)
@@ -618,13 +626,11 @@ class TestDenseReference:
     def test_a_non_int_entry_is_refused(self):
         with pytest.raises(TypeError, match="integer entry expected"):
             RootDatum(rank=2, root_entries=(((0, 1), (1, Fraction(-1))),),
-                      coroot_entries=(((0, 1), (1, -1)),), components=(),
-                      builder_tag=("hand-made", 2))
+                      coroot_entries=(((0, 1), (1, -1)),), components=())
 
 
 def torus(rank):
-    return RootDatum(rank=rank, root_entries=(), coroot_entries=(), components=(),
-                     builder_tag=("torus", rank))
+    return RootDatum(rank=rank, root_entries=(), coroot_entries=(), components=())
 
 
 class TestPositiveRoots:
@@ -702,15 +708,14 @@ class TestWeylWalksAgainstOracle:
         # meets node 1 before node 0
         rd = RootDatum(rank=2, root_entries=(((1, 1),), ((0, 1),)),
                        coroot_entries=(((0, -1), (1, 2)), ((0, 2), (1, -1))),
-                       components=(Component("A", (0, 1)),), builder_tag=("hand-made", 2))
+                       components=(Component("A", (0, 1)),))
         assert rd._reflect.columns == rd._coreflect.columns == (
             ((0, 2), (1, -1)), ((0, -1), (1, 2)))
         # A1 x A1 on e0 + e1 and e0 - e1: the two nodes share both
         # coordinates, and their pairings sum to 0
         rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
                        coroot_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
-                       components=(Component("A", (0,)), Component("A", (1,))),
-                       builder_tag=("hand-made", 2))
+                       components=(Component("A", (0,)), Component("A", (1,))))
         assert rd.cartan_matrix().to_rows() == [[2, 0], [0, 2]]
         assert rd._reflect.columns == rd._coreflect.columns == (((0, 2),), ((1, 2),))
 
@@ -740,7 +745,7 @@ class TestWalkCounts:
         for bits in range(2 ** k):
             J = {i for i in range(k) if bits >> i & 1}
             assert (rd._opposition[1], levi_walk_length(rd, J)) == \
-                root_counts(rd, J), (rd.builder_tag, J)
+                root_counts(rd, J), J
 
     @pytest.mark.parametrize("rank", [7, 8])
     def test_exceptional_maximal_parabolics(self, rank):
@@ -932,8 +937,7 @@ def affine_a2():
     roots = tuple(tuple((j, 2 if i == j else -1) for j in range(3)) for i in range(3))
     return RootDatum(rank=3, root_entries=roots,
                      coroot_entries=(((0, 1),), ((1, 1),), ((2, 1),)),
-                     components=(Component("A~", (0, 1, 2)),),
-                     builder_tag=("affine", "A", 2))
+                     components=(Component("A~", (0, 1, 2)),))
 
 
 class TestPicardTorsion:

@@ -162,20 +162,23 @@ def _simple_types(max_rank):
 def test_opposition_agrees_with_enumeration():
     # -w0 read off the enumerated longest element is the oracle
     from ziphasse.root_datum import opposition
-    data = [gl(3, 2)[0], gsp(4, 3)[0], simple_group("G", 2, 2)[0],
-            simple_group("D", 4, 2, "adjoint")[0]]
+    specs = [{"builder": "gl", "n": 3}, {"builder": "gsp", "dim": 4},
+             {"builder": "simple", "series": "G", "rank": 2},
+             {"builder": "simple", "series": "D", "rank": 4, "isogeny": "adjoint"}]
     for series, rank in _simple_types(5):
         for isogeny in ("simply_connected", "adjoint"):
-            rd = simple_group(series, rank, 2, isogeny)[0]
-            if classical_order(rd) <= 1920:
-                data.append(rd)
-    for rd in data:
+            specs.append({"builder": "simple", "series": series, "rank": rank,
+                          "isogeny": isogeny})
+    for spec in specs:
+        rd = root_datum.build_group(spec, 2)[0]
+        if classical_order(rd) > 1920:
+            continue
         W = enumerate_weyl(rd)
         w0 = W.elements[W.w0_index].matrix
         roots = {rd.root(i): i for i in range(rd.num_nodes)}
         expected = tuple(roots[tuple(-x for x in w0.apply(rd.root(j)))]
                          for j in range(rd.num_nodes))
-        assert opposition(rd) == expected, rd.builder_tag
+        assert opposition(rd) == expected, spec
 
 
 def test_opposition_matches_bourbaki_table():
@@ -192,7 +195,7 @@ def test_opposition_matches_bourbaki_table():
             expected = nodes
         for isogeny in ("simply_connected", "adjoint"):
             rd = simple_group(series, rank, 2, isogeny)[0]
-            assert opposition(rd) == tuple(expected), rd.builder_tag
+            assert opposition(rd) == tuple(expected), (series, rank, isogeny)
 
 
 def test_torus_degenerates_gracefully():
