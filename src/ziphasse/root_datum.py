@@ -17,17 +17,17 @@ factors and inner groups from their lattice parts and makes the Frobenius
 structure once, for the whole group.
 
 Everything constructed here is immutable and safe to share between threads.
-A RootDatum computes its dense root and coroot matrices and its Cartan data
-(the Cartan matrix, its reflector and the opposition walk) on first use and
-keeps them; they are deterministic and immutable, so a race between threads
-only computes them twice.
+A RootDatum computes its Cartan data on first use and keeps it: the nonzero
+rows and columns of the Cartan matrix, which every walk and solve reads,
+and the opposition walk.  The dense root, coroot and Cartan matrices are
+views made only when read.  All are deterministic and immutable, so a race
+between threads only computes them twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import inf, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -99,8 +99,8 @@ class RootDatum:
     coroot_entries[i] in the same form.  The builders' roots and coroots
     have at most three nonzero coordinates, so building, checking and
     pairing them costs O(nnz), not O(rank) per root.  simple_roots and
-    simple_coroots are the dense matrices, made on first read for the
-    Smith forms and the root enumeration.
+    simple_coroots are the dense matrices, made on first read; no walk,
+    solve or Smith form of the pipelines reads them.
     """
 
     rank: int
@@ -127,12 +127,9 @@ class RootDatum:
         return self.simple_coroots.row(i)
 
     def cartan_matrix(self) -> IntMatrix:
-        """Pairing matrix <alpha_i^vee, alpha_j>, computed once per datum.
-
-        It is summed over the coordinates that coroot i and root j share,
-        so it costs O(k^2) for the zero matrix plus one product per pair of
-        nonzero entries on a common coordinate.
-        """
+        """Pairing matrix <alpha_i^vee, alpha_j>, made once per datum from
+        the rows of _cartan_entries; the pipelines read those nonzeros, not
+        this dense view."""
         return self._cartan
 
     # the cached values below are not dataclass fields: ==, hash and repr
@@ -173,21 +170,12 @@ class RootDatum:
         return _dense(self._cartan_entries[0], self.num_nodes)
 
     @_cached
-    def _reflect(self):
-        return _reflector(self._cartan_entries[1])
-
-    @_cached
-    def _coreflect(self):
-        """_reflect on root pairings: the reflector of the transpose."""
-        return _reflector(self._cartan_entries[0])
-
-    @_cached
     def _opposition(self) -> tuple:
         """(perm, |Phi+|): the opposition walk of opposition(), and its
         length, checked against the count read off the component series."""
         n_pos = sum([d - 1 for d in _degrees(self)])
         start = range(-1, -self.num_nodes - 1, -1)
-        end, steps = _walk(start, self._reflect.columns, n_pos)
+        end, steps = _walk(start, self._cartan_entries[1], n_pos)
         if steps != n_pos:
             raise SelfCheckError("the opposition walk took %d steps, not |Phi+| = %d"
                                  % (steps, n_pos))
@@ -575,12 +563,6 @@ def _nonzeros(mat: IntMatrix) -> tuple:
                   for i in range(mat.rows)])
 
 
-def _rows_or_empty(rows, rank):
-    if not rows:
-        return IntMatrix(0, rank, ())
-    return IntMatrix.from_rows(rows)
-
-
 def _cartan_matrix(series: str, rank: int) -> IntMatrix:
     """The Cartan matrix of a series at a rank that check_group accepts."""
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -635,38 +617,40 @@ def _degrees(rd: RootDatum) -> list:
     return [d for c in rd.components for d in _DEGREES[c.series](len(c.nodes))]
 
 
-def _reflector(columns: tuple):
-    """The simple reflection s_i on pairing vectors: p -> p - p_i * (column i).
+def _reflect(p: tuple, i: int, columns) -> tuple:
+    """s_i on a pairing vector: p - p_i * (column i), as a new tuple.
 
-    columns[i] is column i of a Cartan matrix as its nonzero (j, c)
-    entries, node i and its Dynkin neighbours, so s_i copies p once and
-    updates only those.  rd._reflect takes the columns of
-    rd.cartan_matrix(), whose entry (j, i) is <alpha_j^vee, alpha_i>, and
-    moves the coroot pairings of a weight; rd._coreflect takes those of its
-    transpose and moves the root pairings of a cocharacter.  Every Weyl
-    walk of the package uses one of the two; the columns are exposed as
-    ``reflect.columns`` for walks that update p in place.
+    columns[i] holds the nonzero (j, c) entries of column i of a Cartan
+    matrix, node i and its Dynkin neighbours, so s_i copies p once and
+    updates only those; _walk says which columns move which pairings.
     """
-    def reflect(p, i):
-        pi = p[i]
-        q = list(p)
-        for j, c in columns[i]:
-            q[j] -= pi * c
-        return tuple(q)
+    pi = p[i]
+    q = list(p)
+    for j, c in columns[i]:
+        q[j] -= pi * c
+    return tuple(q)
 
-    reflect.columns = columns
-    return reflect
+
+def _unpack(entries: Sequence, k: int) -> list:
+    """The length-k vector whose nonzero (index, value) entries are entries."""
+    vec = [0] * k
+    for j, x in entries:
+        vec[j] = x
+    return vec
 
 
 def _walk(p: tuple, columns, limit: int, nodes=None, coeffs=None) -> tuple:
     """(end, steps): reflect p in nodes with a negative pairing until none
     is left, counting the reflections.
 
-    ``columns`` are a reflector's.  With ``nodes`` the walk runs on the
-    sub-diagram on that set: it reflects only in those nodes and updates
-    only their entries, so the entries of the end outside it are those of
-    p.  With ``coeffs``, the expansion of p's root in the simple roots,
-    s_i also lowers coeffs[i] by p_i, in place.
+    ``columns`` are the Cartan nonzeros of the datum (_cartan_entries):
+    its columns, with entry (j, i) = <alpha_j^vee, alpha_i>, move the
+    coroot pairings of a weight, and its rows, the columns of the
+    transpose, move the root pairings of a cocharacter.  With ``nodes`` the walk runs
+    on the sub-diagram on that set: it reflects only in those nodes and
+    updates only their entries, so the entries of the end outside it are
+    those of p.  With ``coeffs``, the expansion of p's root in the simple
+    roots, s_i also lowers coeffs[i] by p_i, in place.
 
     The dominant conjugate is unique, so the order of the reflections does
     not matter.  A worklist holds the negative nodes: s_i makes node i
@@ -715,15 +699,16 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
     """All positive roots by reflection closure of the simple roots.
 
     Each root carries its expansion c in the simple roots and its coroot
-    pairings p: s_i lowers c_i by p_i and moves p by _reflector.  The
-    vectors are one product, the coefficient rows times the simple roots.
-    The highest root of every component (the unique root of maximal height
-    there) is returned alongside.
+    pairings p, for alpha_i column i of the Cartan matrix: s_i lowers c_i
+    by p_i and moves p by _reflect.  The vectors are one product, the
+    coefficient rows times the simple roots.  The highest root of every
+    component (the unique root of maximal height there) is returned
+    alongside.
     """
     k = rd.num_nodes
-    reflect = rd._reflect
+    columns = rd._cartan_entries[1]
     frontier = [(tuple(1 if j == i else 0 for j in range(k)),
-                 rd.coroot_pairings(rd.root(i))) for i in range(k)]
+                 _unpack(columns[i], k)) for i in range(k)]
     seen = {c for c, _ in frontier}
     while frontier:
         nxt = []
@@ -734,13 +719,14 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
                 c2 = c[:i] + (c[i] - pi,) + c[i + 1:]
                 if c2 not in seen:
                     seen.add(c2)
-                    nxt.append((c2, reflect(p, i)))
+                    nxt.append((c2, _reflect(p, i, columns)))
         frontier = nxt
         if len(seen) > 100_000:
             raise ValueError("root system does not look finite")
 
     ordered = sorted(seen, key=lambda c: (sum(c), c))
-    vectors = _rows_or_empty(ordered, k) * rd.simple_roots
+    coeffs = IntMatrix._trusted(len(ordered), k, [x for c in ordered for x in c])
+    vectors = coeffs * rd.simple_roots
     roots = [Root(vector=vectors.row(n), coeffs=c) for n, c in enumerate(ordered)]
 
     highest = []
@@ -767,8 +753,7 @@ def char_lattice_of_parabolic(rd: RootDatum, pt: ParabolicType) -> IntMatrix:
     for j in J:
         if not 0 <= j < rd.num_nodes:
             raise ValueError("node %r out of range" % (j,))
-    constraint = _rows_or_empty([rd.coroot(j) for j in J], rd.rank)
-    return kernel_basis(constraint)
+    return kernel_basis(_dense([rd.coroot_entries[j] for j in J], rd.rank))
 
 
 def opposition(rd: RootDatum) -> tuple:
@@ -834,7 +819,7 @@ def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     target = [0 if i in J else 1 for i in range(rd.num_nodes)]
     if not any(target):
         return tuple(Fraction(0) for _ in range(rd.rank))
-    nums, denom = _forest_solve(rd.cartan_matrix(), target)
+    nums, denom = _forest_solve(rd._cartan_entries[0], target)
     acc = [0] * rd.rank
     for num, row in zip(nums, rd.root_entries):
         for a, x in row:
@@ -842,10 +827,11 @@ def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     return tuple(Fraction(x, denom) for x in acc)
 
 
-def _forest_solve(cartan: IntMatrix, target: Sequence) -> tuple:
-    """(nums, denom) with cartan @ nums = denom * target, in integers, for a
-    Cartan matrix whose graph (i ~ j when entry (i, j) or (j, i) is nonzero)
-    is a forest.
+def _forest_solve(rows: Sequence, target: Sequence) -> tuple:
+    """(nums, denom) with A @ nums = denom * target, in integers, for the
+    Cartan matrix A whose row i has the nonzero (j, A_ij) entries rows[i],
+    and whose graph (i ~ j when entry (i, j) or (j, i) is nonzero) is a
+    forest.
 
     Leaf elimination without division: a leaf l with its one remaining
     neighbour p replaces p's equation by pivot_l * (p's) - coefficient *
@@ -854,15 +840,17 @@ def _forest_solve(cartan: IntMatrix, target: Sequence) -> tuple:
     times the lcm of those determinants is integral: back-substitution
     divides exactly.  Raises SelfCheckError when the graph has a cycle or a
     division is not exact, and SingularCartanError on a zero pivot; none of
-    these happens for finite type.
+    these happens for finite type.  Each row is read once as a dict, so
+    the solve costs O(k) for the O(k) nonzeros of a forest.
     """
-    k = cartan.rows
-    nbrs = [set(compress(range(k), cartan.row(i))) - {i} for i in range(k)]
+    k = len(rows)
+    cartan = [dict(row) for row in rows]
+    nbrs = [set(row) - {i} for i, row in enumerate(cartan)]
     for i in range(k):
         for j in nbrs[i]:
             nbrs[j].add(i)
     degree = [len(n) for n in nbrs]
-    pivot = [cartan.at(i, i) for i in range(k)]
+    pivot = [cartan[i].get(i, 0) for i in range(k)]
     scale = [1] * k  # equation i is scale[i] times row i of the system
     rhs = list(target)
     removed = [False] * k
@@ -876,8 +864,8 @@ def _forest_solve(cartan: IntMatrix, target: Sequence) -> tuple:
         if pivot[i] == 0:
             raise SingularCartanError("zero pivot at node %d of the Cartan matrix" % i)
         if parent is not None:
-            a = scale[parent] * cartan.at(parent, i)
-            b = scale[i] * cartan.at(i, parent)
+            a = scale[parent] * cartan[parent].get(i, 0)
+            b = scale[i] * cartan[i].get(parent, 0)
             pivot[parent] = pivot[i] * pivot[parent] - a * b
             rhs[parent] = pivot[i] * rhs[parent] - a * rhs[i]
             scale[parent] *= pivot[i]
@@ -891,7 +879,7 @@ def _forest_solve(cartan: IntMatrix, target: Sequence) -> tuple:
     for i, parent in reversed(steps):
         value = rhs[i] * denom
         if parent is not None:
-            value -= scale[i] * cartan.at(i, parent) * nums[parent]
+            value -= scale[i] * cartan[i].get(parent, 0) * nums[parent]
         nums[i], rest = divmod(value, pivot[i])
         if rest:
             raise SelfCheckError("leaf elimination left a remainder at node %d" % i)

@@ -22,8 +22,10 @@ from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
 from .root_datum import (
     FrobeniusStructure,
     RootDatum,
+    _dense,
     _dot,
-    _rows_or_empty,
+    _reflect,
+    _unpack,
     _walk,
     opp_type,
     opposition,
@@ -166,8 +168,8 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     if not any(pairings):
         return CENTRAL
     n_pos = rd._opposition[1]
-    dominant, _ = _walk(pairings, rd._coreflect.columns, n_pos)
-    columns = rd._reflect.columns
+    rows, columns = rd._cartan_entries
+    dominant, _ = _walk(pairings, rows, n_pos)
     tops = []
     for comp in rd.components:
         # a long node is the long end of a multiple bond: its column holds
@@ -176,7 +178,7 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
                     comp.nodes[0])
         theta = [0] * rd.num_nodes
         theta[long] = 1
-        _walk(rd.cartan_matrix().column(long), columns, n_pos, coeffs=theta)
+        _walk(_unpack(columns[long], rd.num_nodes), columns, n_pos, coeffs=theta)
         tops.append(_dot(theta, dominant))
     if max(tops) <= 1:
         return MINUSCULE
@@ -192,8 +194,8 @@ def _levi_smith(zd: ZipDatum) -> SmithDecomposition:
 
     Columns |J0|.. of V are char_lattice_of_parabolic's basis of X*(L0).
     """
-    rows = [zd.rd.coroot(j) for j in sorted(zd.J0)]
-    return smith_normal_form(_rows_or_empty(rows, zd.rd.rank))
+    rows = [zd.rd.coroot_entries[j] for j in sorted(zd.J0)]
+    return smith_normal_form(_dense(rows, zd.rd.rank))
 
 
 def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMatrix:
@@ -285,8 +287,7 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     (length, word) order, each with its lexicographically least reduced word.
     """
     rd = zd.rd
-    reflect = rd._reflect
-    columns = reflect.columns
+    columns = rd._cartan_entries[1]
     points = [tuple(0 if i in zd.J else 1 for i in range(rd.num_nodes))]
     words = [()]
     position = {points[0]: 0}
@@ -319,7 +320,7 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
         raise CensusCheckError("no unique open orbit of dimension dim G")
 
     opp = opposition(rd)
-    codim1 = tuple((s, position.get(reflect(points[-1], opp[s]), -1))
+    codim1 = tuple((s, position.get(_reflect(points[-1], opp[s], columns), -1))
                    for s in sorted(set(range(rd.num_nodes)) - zd.J))
     if sorted(pos for _, pos in codim1) != [
             n for n, length in enumerate(lengths) if length == eta_length - 1]:

@@ -16,7 +16,8 @@ from their defining Fraction systems (coroots plus central directions; the
 coordinates on a basis of X*(L0)), solved by a Gauss-Jordan of their own.
 The dense twist matrix, the Smith form with a full pivot scan and the
 first-negative dominance walk are the bodies the library used before it
-went sparse, kept to pin that the sparse paths return the same values.
+went sparse, kept to pin that the sparse paths return the same values;
+the walk reflects with the dense Cartan matrix read entry by entry.
 The cocharacter classification by the list of positive roots is the one
 the library used before it read the highest roots off walks, and the
 ampleness verdict is its old lattice test and strict sign test, the
@@ -572,14 +573,17 @@ def full_scan_smith_normal_form(mat):
     )
 
 
-def first_negative_to_dominant(p, reflect):
+def first_negative_to_dominant(p, matrix):
     """Reflect p in its first node with a negative pairing until none is
-    left, scanning p from the start on every step."""
+    left, scanning p from the start on every step: s_i sends p_j to
+    p_j - p_i * matrix[j][i], the dense matrix read entry by entry (a
+    Cartan matrix for coroot pairings, its transpose for root pairings)."""
+    k = len(p)
     for _ in range(100_000):
         i = next((i for i, x in enumerate(p) if x < 0), None)
         if i is None:
             return tuple(p)
-        p = reflect(p, i)
+        p = [p[j] - p[i] * matrix.at(j, i) for j in range(k)]
     raise AssertionError("dominance walk did not terminate")
 
 

@@ -46,7 +46,8 @@ from ziphasse.root_datum import (
     unitary,
     weil_restriction,
 )
-from ziphasse.zip_core import build_zip_datum, classify_cocharacter, orbit_census
+from ziphasse.zip_core import (PicObstructionError, build_zip_datum,
+                               classify_cocharacter, orbit_census, s0_characters)
 
 
 class TestBuilders:
@@ -618,9 +619,10 @@ class TestDenseReference:
         k = dense.num_nodes
         cartan = [[_dot(dense.coroot(i), dense.root(j)) for j in range(k)]
                   for i in range(k)]
-        assert rd._reflect.columns == tuple(
+        rows, columns = rd._cartan_entries
+        assert columns == tuple(
             tuple((j, cartan[j][i]) for j in range(k) if cartan[j][i]) for i in range(k))
-        assert rd._coreflect.columns == tuple(
+        assert rows == tuple(
             tuple((j, cartan[i][j]) for j in range(k) if cartan[i][j]) for i in range(k))
 
     def test_a_non_int_entry_is_refused(self):
@@ -671,7 +673,7 @@ class TestWeylWalksAgainstOracle:
         rd, _ = data.draw(st.sampled_from(TestCartanAndFrobenius.BUILDS))()
         chi = data.draw(st.lists(st.integers(-3, 3),
                                  min_size=rd.rank, max_size=rd.rank))
-        got, _ = _walk(rd.root_pairings(chi), rd._coreflect.columns,
+        got, _ = _walk(rd.root_pairings(chi), rd._cartan_entries[0],
                        rd._opposition[1])
         assert got == rd.root_pairings(xstar_dominant_conjugate(rd, chi))
 
@@ -679,27 +681,32 @@ class TestWeylWalksAgainstOracle:
         lambda: unitary(9, 2), lambda: simple_group("E", 6, 2),
         lambda: simple_group("D", 5, 3, "adjoint")])
     def test_worklist_walk_matches_the_first_negative_scan(self, build):
-        # the opposition start and random points, in both Cartan orientations
+        # the opposition start and random points, in both Cartan orientations:
+        # the columns of A move weights, its rows (the columns of A^T)
+        # cocharacters, and the oracle reads A entry by entry
         rd, _ = build()
         k = rd.num_nodes
         rng = random.Random(k)
         starts = [tuple(-(j + 1) for j in range(k))] + [
             tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(20)]
-        for reflect in (rd._reflect, rd._coreflect):
+        rows, columns = rd._cartan_entries
+        cartan = rd.cartan_matrix()
+        for entries, matrix in ((columns, cartan), (rows, cartan.transpose())):
             for p in starts:
-                assert _walk(p, reflect.columns, rd._opposition[1])[0] == \
-                    first_negative_to_dominant(p, reflect)
+                assert _walk(p, entries, rd._opposition[1])[0] == \
+                    first_negative_to_dominant(p, matrix)
 
     def test_reflector_exposes_its_sparse_columns(self):
         rd, _ = simple_group("B", 3, 2)
         cartan = rd.cartan_matrix()
         # node 2 is short: <alpha_2^vee, alpha_1> = -2 sits in column 1
-        assert rd._reflect.columns == (
+        rows, columns = rd._cartan_entries
+        assert columns == (
             ((0, 2), (1, -1)), ((0, -1), (1, 2), (2, -2)), ((1, -1), (2, 2)))
-        assert rd._coreflect.columns == (
+        assert rows == (
             ((0, 2), (1, -1)), ((0, -1), (1, 2), (2, -1)), ((1, -2), (2, 2)))
-        for reflect, matrix in ((rd._reflect, cartan), (rd._coreflect, cartan.transpose())):
-            assert reflect.columns == tuple(
+        for entries, matrix in ((columns, cartan), (rows, cartan.transpose())):
+            assert entries == tuple(
                 tuple((j, c) for j, c in enumerate(matrix.column(i)) if c)
                 for i in range(3))
 
@@ -709,7 +716,7 @@ class TestWeylWalksAgainstOracle:
         rd = RootDatum(rank=2, root_entries=(((1, 1),), ((0, 1),)),
                        coroot_entries=(((0, -1), (1, 2)), ((0, 2), (1, -1))),
                        components=(Component("A", (0, 1)),))
-        assert rd._reflect.columns == rd._coreflect.columns == (
+        assert rd._cartan_entries[1] == rd._cartan_entries[0] == (
             ((0, 2), (1, -1)), ((0, -1), (1, 2)))
         # A1 x A1 on e0 + e1 and e0 - e1: the two nodes share both
         # coordinates, and their pairings sum to 0
@@ -717,13 +724,13 @@ class TestWeylWalksAgainstOracle:
                        coroot_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
                        components=(Component("A", (0,)), Component("A", (1,))))
         assert rd.cartan_matrix().to_rows() == [[2, 0], [0, 2]]
-        assert rd._reflect.columns == rd._coreflect.columns == (((0, 2),), ((1, 2),))
+        assert rd._cartan_entries[1] == rd._cartan_entries[0] == (((0, 2),), ((1, 2),))
 
 
 def levi_walk_length(rd, J):
     """Steps of the walk from -1 on J and 0 elsewhere, in the nodes of J."""
     start = tuple(-1 if i in J else 0 for i in range(rd.num_nodes))
-    return _walk(start, rd._reflect.columns, rd._opposition[1], frozenset(J))[1]
+    return _walk(start, rd._cartan_entries[1], rd._opposition[1], frozenset(J))[1]
 
 
 def root_counts(rd, J):
@@ -773,9 +780,9 @@ class TestWalkCounts:
     def test_a_walk_longer_than_its_bound_raises(self):
         rd, _ = simple_group("F", 4, 2)
         start = (-1, -2, -3, -4)  # w0 = -1 on F4
-        assert _walk(start, rd._reflect.columns, 24) == ((1, 2, 3, 4), 24)
+        assert _walk(start, rd._cartan_entries[1], 24) == ((1, 2, 3, 4), 24)
         with pytest.raises(SelfCheckError, match="more than"):
-            _walk(start, rd._reflect.columns, 23)
+            _walk(start, rd._cartan_entries[1], 23)
 
     @pytest.mark.parametrize("series,message", [
         ("A", "more than"), ("E", "not |Phi+|")])
@@ -793,11 +800,12 @@ class TestCartanCache:
         rd, _ = product_group([{"builder": "unitary", "n": 4},
                                {"builder": "simple", "series": "G", "rank": 2}], 2)
         assert rd.cartan_matrix() is rd.cartan_matrix()
-        assert rd._reflect is rd._reflect
+        assert rd._cartan_entries is rd._cartan_entries
         assert rd._opposition is rd._opposition
-        assert type(rd._reflect.columns) is tuple
-        assert all(type(col) is tuple and all(type(e) is tuple for e in col)
-                   for col in rd._reflect.columns)
+        for entries in rd._cartan_entries:
+            assert type(entries) is tuple
+            assert all(type(col) is tuple and all(type(e) is tuple for e in col)
+                       for col in entries)
         perm, steps = rd._opposition
         assert type(perm) is tuple and steps == 6 + 6
 
@@ -809,10 +817,25 @@ class TestCartanCache:
         fundamental_weight_sum(used)
         orbit_census(build_zip_datum(used, frob, parabolic=[]))
         classify_cocharacter(used, (1,) + (0,) * (used.rank - 1))
-        assert {"_cartan", "_reflect", "_opposition"} <= set(vars(used))
+        assert {"_cartan_entries", "_opposition"} <= set(vars(used))
         assert used == fresh and fresh == used
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_the_pipeline_makes_no_dense_matrix(self, build):
+        # every walk and solve reads the Cartan nonzeros, and the Smith
+        # forms only the coroot entries they need
+        rd, frob = build()
+        for J in ((), (0,), range(1, rd.num_nodes)):
+            zd = build_zip_datum(rd, frob, parabolic=J)
+            with contextlib.suppress(PicObstructionError):
+                s0_characters(zd)
+            orbit_census(zd)
+            fundamental_weight_sum(rd, zd.J)
+            cli_report._positivity_section(zd)
+        classify_cocharacter(rd, (2,) + (0,) * (rd.rank - 1))
+        assert not {"_cartan", "simple_roots", "simple_coroots"} & set(vars(rd))
 
 
 class TestCharLattice:
@@ -945,6 +968,20 @@ class TestPicardTorsion:
         for n in range(2, 7):
             rd, _ = simple_group("A", n - 1, 2, "adjoint")
             assert picard_torsion(rd) == (n,)
+
+    # The fundamental group of the adjoint group, the weight lattice over
+    # the root lattice, from Bourbaki, Lie Groups and Lie Algebras, ch. VI,
+    # plates I-IX; written out here, so a wrong Cartan table shows.
+    BOURBAKI = (
+        [("A", n, (n + 1,)) for n in range(1, 9)]
+        + [(series, n, (2,)) for series in "BC" for n in range(2, 9)]
+        + [("D", n, (2, 2) if n % 2 == 0 else (4,)) for n in range(3, 10)]
+        + [("E", 6, (3,)), ("E", 7, (2,)), ("E", 8, ()), ("F", 4, ()), ("G", 2, ())])
+
+    @pytest.mark.parametrize("series,rank,torsion", BOURBAKI)
+    def test_adjoint_series_match_bourbaki(self, series, rank, torsion):
+        assert picard_torsion(simple_group(series, rank, 2, "adjoint")[0]) == torsion
+        assert picard_torsion(simple_group(series, rank, 2)[0]) == ()
 
     def test_trivial_cases(self):
         for n in (2, 3, 5):
