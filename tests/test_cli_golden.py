@@ -31,6 +31,7 @@ meant to change):
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -109,6 +110,35 @@ def test_every_census_document_has_text_goldens():
     for name, case in CASES.items():
         expected = set(TEXT_COMMANDS) if case["exit"]["orbits"] == 0 else set()
         assert set(case.get("text_exit", {})) == expected, name
+
+
+# Censuses too large to keep as golden files, pinned by the byte count and
+# SHA-256 of their ``orbits`` stdout: GL7 with J empty (5,040 orbits) at
+# q = 2, and E8 without alpha_2 (17,280 orbits) with the cap lifted to |W(E8)|.
+LARGE_CENSUSES = {
+    "gl7_borel": {"q": 2, "group": {"builder": "gl", "n": 7}, "parabolic_type": []},
+    "e8_no_a2": {"q": 2, "group": {"builder": "simple", "series": "E", "rank": 8},
+                 "parabolic_type": [1, 3, 4, 5, 6, 7, 8],
+                 "options": {"weyl_cap": 696729600}},
+}
+LARGE_DIGESTS = [
+    ("gl7_borel", "json", 1042412,
+     "ce47c949069215c361bb9ff7dea6487a88b4c1bee969afa6cfd5dd172b915a82"),
+    ("gl7_borel", "text", 356587,
+     "7e3312566da6466dcc10c5bf51c610386f9dca3ea5b7480952db83eaa4356916"),
+    ("e8_no_a2", "json", 10351144,
+     "0f9f629e9fa89b13abc87b4f55588f45dae4648dfa61ae7c127d6bff62ce40f9"),
+    ("e8_no_a2", "text", 3093254,
+     "e523790cd52faaf4c46f7b4f4a679d01758850622f5c699b58f4edd628e80e95"),
+]
+
+
+@pytest.mark.parametrize("name,fmt,size,sha", LARGE_DIGESTS)
+def test_large_census_matches_its_digest(name, fmt, size, sha):
+    code, stdout = run_document("orbits", LARGE_CENSUSES[name], fmt)
+    data = stdout.encode("utf-8")
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha)
 
 
 def test_golden_outputs_survive_optimize_flag():
