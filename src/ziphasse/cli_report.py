@@ -5,8 +5,8 @@ deterministic report in JSON (integers that may grow with q^d are serialized
 as decimal strings) or a plain-text rendering of the same numbers.  Node
 indices are 1-based on the wire and 0-based internally.
 
-Exit codes: 0 success, 2 input error, 3 computation obstruction (a partial
-report is still written).
+Exit codes: 0 success, 2 input error or output error (the report could not
+be written), 3 computation obstruction (a partial report is still written).
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -235,33 +237,52 @@ _escape = json.encoder.encode_basestring_ascii
 _ATOMS = {True: "true", False: "false", None: "null"}
 
 
-def _word_texts(words, open_: str, sep: str, close: str) -> list:
-    """The text of each word, its letters 1-based between open_ and close
-    and joined by sep, from one string per letter made once; "[]" when
-    the word is empty."""
-    top = max(map(max, filter(None, words)), default=0)
-    letters = [str(i) for i in range(1, top + 2)]
-    at = letters.__getitem__
-    return [open_ + sep.join(map(at, w)) + close if w else "[]" for w in words]
+def _levels(census, open_: str, sep: str):
+    """(start, bodies) for each length l >= 1 of census: the position of
+    its first orbit, and the text of each word of length l, its letters
+    1-based after open_ and joined by sep, with no closing bracket.
+
+    The orbits are in (length, word) order, so the orbits of one length are
+    consecutive, and each word is its parent's, one length shorter, plus one
+    letter: its body is the parent's body, sep and the letter.  Only the
+    bodies of the previous length are kept.
+    """
+    parents, letters, lengths = census.parents, census.letters, census.lengths
+    names = [str(i) for i in range(1, max(letters) + 2)]
+    # the empty word's body is open_, and a first letter follows it directly
+    bodies, before, glued = [open_], 0, names
+    start, count = 1, len(lengths)
+    while start < count:
+        stop = bisect_right(lengths, lengths[start], start)
+        bodies = [bodies[p - before] + glued[i]
+                  for p, i in zip(parents[start:stop], letters[start:stop])]
+        yield start, bodies
+        before, glued = start, [sep + name for name in names]
+        start = stop
 
 
-def _orbit_table(census, pad: str) -> str:
-    """The JSON text of the orbits of census at indent pad: the list of
+def _orbit_table(census, pad: str, emit) -> None:
+    """Emit the JSON text of the orbits of census at indent pad: the list of
     {"codim", "dim", "length", "word"} rows, word 1-based, that json.dumps
-    would write, each row made from one template."""
+    would write.  The rows of one length share codim, dim and length, so
+    each length is one chunk: one head, and its word bodies in one join."""
     inner = pad + "  "
     key = inner + "  "
     item = key + "  "
-    row = ("{\n" + key + '"codim": %d,\n' + key + '"dim": %d,\n' + key
-           + '"length": %d,\n' + key + '"word": %s\n' + inner + "}")
-    rows = map(row.__mod__, zip(
-        census.codims, census.dims, census.lengths,
-        _word_texts(census.words, "[\n" + item, ",\n" + item, "\n" + key + "]")))
-    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+    head = ("{\n" + key + '"codim": %d,\n' + key + '"dim": %d,\n' + key
+            + '"length": %d,\n' + key + '"word": ')
+    tail = "\n" + inner + "}"
+    close = "\n" + key + "]" + tail
+    emit("[\n" + inner + head % (census.codims[0], census.dims[0], 0) + "[]" + tail)
+    for start, bodies in _levels(census, "[\n" + item, ",\n" + item):
+        row = ",\n" + inner + head % (
+            census.codims[start], census.dims[start], census.lengths[start])
+        emit(row + (close + row).join(bodies) + close)
+    emit("\n" + pad + "]")
 
 
-def _write(value, pad: str, out: list) -> None:
-    """Append the JSON text of value to out; pad indents the line it starts on.
+def _write(value, pad: str, emit) -> None:
+    """Emit the JSON text of value in chunks; pad indents the line it starts on.
 
     The same bytes as json.dumps(value, sort_keys=True, indent=2), whose
     indented form never uses the C encoder.  Only dicts with str keys,
@@ -271,85 +292,107 @@ def _write(value, pad: str, out: list) -> None:
     """
     kind = type(value)
     if kind is int:
-        out.append(str(value))
+        emit(str(value))
     elif kind is str:
-        out.append(_escape(value))
+        emit(_escape(value))
     elif kind is dict:
         if not value:
-            out.append("{}")
+            emit("{}")
             return
         inner = pad + "  "
         sep = ",\n" + inner
         lead = "{\n" + inner
         for key in sorted(value):
-            out.append(lead)
-            out.append(_escape(key))
-            out.append(": ")
-            _write(value[key], inner, out)
+            emit(lead + _escape(key) + ": ")
+            _write(value[key], inner, emit)
             lead = sep
-        out.append("\n" + pad + "}")
+        emit("\n" + pad + "}")
     elif kind is list or kind is tuple:
         if not value:
-            out.append("[]")
+            emit("[]")
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        out.append("[\n" + inner)
         kinds = set(map(type, value))
         if kinds == {int}:
-            out.append(sep.join(map(str, value)))
+            emit("[\n" + inner + sep.join(map(str, value)) + "\n" + pad + "]")
         elif kinds == {str}:
-            out.append(sep.join(map(_escape, value)))
+            emit("[\n" + inner + sep.join(map(_escape, value)) + "\n" + pad + "]")
         else:
+            emit("[\n" + inner)
             items = iter(value)
-            _write(next(items), inner, out)
+            _write(next(items), inner, emit)
             for item in items:
-                out.append(sep)
-                _write(item, inner, out)
-        out.append("\n" + pad + "]")
+                emit(sep)
+                _write(item, inner, emit)
+            emit("\n" + pad + "]")
     elif kind is bool or value is None:
-        out.append(_ATOMS[value])
+        emit(_ATOMS[value])
     elif kind is zip_core.OrbitCensus:
-        out.append(_orbit_table(value, pad))
+        _orbit_table(value, pad, emit)
     else:
         raise TypeError("%s is not written as JSON" % (kind.__name__,))
 
 
+def write_json(report: Report, stream) -> None:
+    """Write the JSON text of report to a text stream, in chunks: the orbit
+    table goes out one length at a time and is never held whole."""
+    _write(report.data, "", stream.write)
+    stream.write("\n")
+
+
 def render_json(report: Report) -> str:
+    """The JSON text of report: the chunks of write_json, joined."""
     out = []
-    _write(report.data, "", out)
+    _write(report.data, "", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def render_text(report: Report) -> str:
+def _write_text(report: Report, emit) -> None:
+    """Emit the plain-text rendering of report, one chunk per line, and the
+    orbit lines one chunk per length as in _orbit_table."""
     d = report.data
-    lines = []
     group = json.dumps(d["group"], sort_keys=True)
-    lines.append("datum: q=%d group=%s" % (d["q"], group))
-    lines.append("types: J=%s K=%s J0=%s" % (d["J"], d["K"], d["J0"]))
+    emit("datum: q=%d group=%s\n" % (d["q"], group))
+    emit("types: J=%s K=%s J0=%s\n" % (d["J"], d["K"], d["J0"]))
     if "hasse_number" in d:
-        lines.append("hasse: invariant_factors=%s hasse_number=%s s0_order=%s "
-                     "det_zeta=%s pic_L0_trivial=%s"
-                     % (d["invariant_factors"], d["hasse_number"],
-                        d["s0_order"], d["det_zeta"], d["pic_L0_trivial"]))
-        lines.append("zeta: %s" % (d["zeta"],))
+        emit("hasse: invariant_factors=%s hasse_number=%s s0_order=%s "
+             "det_zeta=%s pic_L0_trivial=%s\n"
+             % (d["invariant_factors"], d["hasse_number"],
+                d["s0_order"], d["det_zeta"], d["pic_L0_trivial"]))
+        emit("zeta: %s\n" % (d["zeta"],))
     if "orbits" in d:
         census = d["orbits"]
-        lines.append("orbits: count=%d eta_length=%d codim1=%d pic_rank=%d"
-                     % (len(census.words), d["eta_length"], len(d["codim1"]),
-                        d["pic_rank"]))
-        lines.extend(map("  orbit word=%s length=%d dim=%d codim=%d".__mod__, zip(
-            _word_texts(census.words, "[", ", ", "]"),
-            census.lengths, census.dims, census.codims)))
+        emit("orbits: count=%d eta_length=%d codim1=%d pic_rank=%d\n"
+             % (len(census.lengths), d["eta_length"], len(d["codim1"]),
+                d["pic_rank"]))
+        row = "  orbit word="
+        tail = "] length=%d dim=%d codim=%d\n"
+        emit(row + "[" + tail % (0, census.dims[0], census.codims[0]))
+        for start, bodies in _levels(census, "[", ", "):
+            close = tail % (census.lengths[start], census.dims[start],
+                            census.codims[start])
+            emit(row + (close + row).join(bodies) + close)
     if "positivity" in d:
         for entry in d["positivity"]:
-            lines.append("positivity: %s" % (json.dumps(entry, sort_keys=True),))
+            emit("positivity: %s\n" % (json.dumps(entry, sort_keys=True),))
     if "picard" in d:
-        lines.append("picard: torsion=%s" % (d["picard"],))
+        emit("picard: torsion=%s\n" % (d["picard"],))
     for w in d.get("warnings", []):
-        lines.append("warning: %s: %s" % (w["code"], w["detail"]))
-    return "\n".join(lines) + "\n"
+        emit("warning: %s: %s\n" % (w["code"], w["detail"]))
+
+
+def write_text(report: Report, stream) -> None:
+    """Write the plain-text rendering of report to a text stream, in chunks."""
+    _write_text(report, stream.write)
+
+
+def render_text(report: Report) -> str:
+    """The plain-text rendering of report: the chunks of write_text, joined."""
+    out = []
+    _write_text(report, out.append)
+    return "".join(out)
 
 
 @functools.cache
@@ -397,10 +440,16 @@ def main(argv=None) -> int:
         return 2
 
     fmt = args.format or cfg.fmt or "json"
-    if fmt == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    try:
+        (write_json if fmt == "json" else write_text)(report, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # as the Python docs advise on SIGPIPE: the flush at exit then
+            # writes to os.devnull instead of raising on the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("ziphasse: cannot write the report: %s" % (exc,), file=sys.stderr)
+        return 2
     warnings = report.data["warnings"]
     for w in warnings:
         print("ziphasse: %s: %s" % (w["code"], w["detail"]), file=sys.stderr)

@@ -24,7 +24,6 @@ from .root_datum import (
     RootDatum,
     _dense,
     _dot,
-    _reflect,
     _unpack,
     _walk,
     opp_type,
@@ -94,9 +93,17 @@ class OrbitEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class OrbitCensus:
-    """Orbit n as columns: words[n] (0-based), lengths[n], dims[n], codims[n]."""
+    """The orbits as the breadth-first tree of their words, plus columns.
 
-    words: tuple
+    Orbit n (0-based) has the word words[n] = words[parents[n]] + (letters[n],);
+    orbit 0 is the empty word, with parent and letter -1.  So parents[n] < n
+    and lengths[n] = lengths[parents[n]] + 1, and an orbit's word is never
+    stored: ``words`` and ``orbits`` rebuild the words on each read.
+    lengths[n], dims[n] and codims[n] are the columns of the orbit table.
+    """
+
+    parents: tuple
+    letters: tuple
     lengths: tuple
     dims: tuple
     codims: tuple
@@ -106,8 +113,16 @@ class OrbitCensus:
     codim1_indices: tuple  # pairs (node in I \ J, orbit position)
 
     @property
+    def words(self) -> tuple:
+        """The word of each orbit, letters 0-based, built from the tree."""
+        words = [()]
+        for parent, letter in zip(self.parents[1:], self.letters[1:]):
+            words.append(words[parent] + (letter,))
+        return tuple(words)
+
+    @property
     def orbits(self) -> tuple:
-        """One OrbitEntry per orbit, zipped from the columns on each read."""
+        """One OrbitEntry per orbit, zipped from the words and columns on each read."""
         return tuple(map(OrbitEntry, self.words, self.lengths, self.dims, self.codims))
 
 
@@ -284,52 +299,75 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     off J, and the letter i lengthens w iff the point pairs positively with
     i.  Prefixes of minimal representatives are minimal (Bjorner-Brenti
     2.4-2.5), so a breadth-first walk with ascending letters meets them in
-    (length, word) order, each with its lexicographically least reduced word.
+    (length, word) order, each with its lexicographically least reduced word,
+    which is its parent's word plus one letter: the census keeps that tree.
+
+    A point is packed into one int, coordinate j in the field of ``width``
+    bits at bit width * j, stored plus ``bias``.  Every coordinate obeys
+    |<w^-1 lambda, alpha_j^vee>| = |<lambda, w alpha_j^vee>| <= |Phi+|:
+    w alpha_j^vee is a coroot, lambda pairs 0 or 1 with each simple coroot,
+    and the coefficients of a coroot sum to its height, at most |Phi+|.  The
+    fields hold bias - |Phi+| >= 0 up to bias + |Phi+| < 2^width, so they
+    never carry into each other, and s_i is p - p_i * column_i, column i of
+    the Cartan matrix packed the same way with no bias.  With bias
+    2^(width-1) - 1 a coordinate is positive iff the top bit of its field
+    is set.
     """
     rd = zd.rd
+    k = rd.num_nodes
     columns = rd._cartan_entries[1]
-    points = [tuple(0 if i in zd.J else 1 for i in range(rd.num_nodes))]
-    words = [()]
+    n_pos = rd._opposition[1]
+    width = n_pos.bit_length() + 1
+    bias = (1 << width - 1) - 1
+    mask = (1 << width) - 1
+    # per letter i: (i, shift of field i, packed column i, top bit of field i)
+    steps = [(i, width * i, sum(c << width * j for j, c in columns[i]),
+              1 << width * i + width - 1) for i in range(k)]
+    points = [sum(bias + (i not in zd.J) << width * i for i in range(k))]
+    parents, letters, lengths = [-1], [-1], [0]
     position = {points[0]: 0}
-    # points and words grow while they are scanned: the queue in discovery
-    # order; s_i is applied in place, as in _walk
-    for p, word in zip(points, words):
-        for i, pi in enumerate(p):
-            if pi > 0:
-                image = list(p)
-                for j, c in columns[i]:
-                    image[j] -= pi * c
-                if (image := tuple(image)) not in position:
+    # the lists grow while points is scanned: the queue in discovery order
+    for n, p in enumerate(points):
+        length = lengths[n] + 1
+        for i, shift, column, top in steps:
+            if p & top:
+                image = p - ((p >> shift & mask) - bias) * column
+                if image not in position:
                     position[image] = len(points)
                     points.append(image)
-                    words.append(word + (i,))
+                    parents.append(n)
+                    letters.append(i)
+                    lengths.append(length)
 
     # |Phi+| = l(w0) and |Phi+_J| = l(w0,J) are the lengths of two walks
     # from regular antidominant points: the opposition walk of the datum,
     # and -1 on J walked in the nodes of J
-    n_pos = rd._opposition[1]
-    n_pos_j = _walk(tuple(-1 if i in zd.J else 0 for i in range(rd.num_nodes)),
+    n_pos_j = _walk(tuple(-1 if i in zd.J else 0 for i in range(k)),
                     columns, n_pos, zd.J)[1]
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
-    lengths = tuple(map(len, words))
     eta_length = lengths[-1]
     if eta_length != n_pos - n_pos_j:
         raise CensusCheckError("eta has length %d, not l(w0) - l(w0,J)" % eta_length)
     if lengths.count(eta_length) != 1 or eta_length + dim_p != dim_g:
         raise CensusCheckError("no unique open orbit of dimension dim G")
 
+    eta = points[-1]
     opp = opposition(rd)
-    codim1 = tuple((s, position.get(_reflect(points[-1], opp[s], columns), -1))
-                   for s in sorted(set(range(rd.num_nodes)) - zd.J))
+    codim1 = []
+    for s in sorted(set(range(k)) - zd.J):
+        _, shift, column, _ = steps[opp[s]]
+        image = eta - ((eta >> shift & mask) - bias) * column
+        codim1.append((s, position.get(image, -1)))
     if sorted(pos for _, pos in codim1) != [
             n for n, length in enumerate(lengths) if length == eta_length - 1]:
         raise CensusCheckError("the codimension-one orbits are not labeled by I \\ J")
-    return OrbitCensus(words=tuple(words), lengths=lengths,
+    return OrbitCensus(parents=tuple(parents), letters=tuple(letters),
+                       lengths=tuple(lengths),
                        dims=tuple([n + dim_p for n in lengths]),
                        codims=tuple([eta_length - n for n in lengths]),
                        eta_length=eta_length, dim_group=dim_g,
-                       dim_parabolic=dim_p, codim1_indices=codim1)
+                       dim_parabolic=dim_p, codim1_indices=tuple(codim1))
 
 
 def pic_rank(zd: ZipDatum) -> int:

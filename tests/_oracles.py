@@ -283,7 +283,12 @@ def enumerated_census(zd, W):
     codim1 = tuple(
         (s, positions[W.index[w0_j.matrix * W.generators[s] * w0.matrix]])
         for s in sorted(set(range(zd.rd.num_nodes)) - zd.J))
-    return OrbitCensus(words=tuple(W.elements[idx].word for idx, _ in reps.reps),
+    words = [W.elements[idx].word for idx, _ in reps.reps]
+    # the BFS tree read off the words through a prefix index: a word whose
+    # prefix is not a representative raises KeyError
+    prefix = {word: pos for pos, word in enumerate(words)}
+    return OrbitCensus(parents=tuple(prefix[w[:-1]] if w else -1 for w in words),
+                       letters=tuple(w[-1] if w else -1 for w in words),
                        lengths=lengths,
                        dims=tuple(length + dim_p for length in lengths),
                        codims=tuple(eta_length - length for length in lengths),

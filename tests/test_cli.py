@@ -2,9 +2,11 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -23,11 +25,14 @@ from ziphasse.cli_report import (
     render_json,
     render_text,
     run,
+    write_json,
+    write_text,
 )
 
 
 UNITARY3 = {"q": 3, "group": {"builder": "unitary", "n": 3}, "parabolic_type": [1]}
 GL2_BOREL = {"q": 3, "group": {"builder": "gl", "n": 2}, "parabolic_type": []}
+GL7_BOREL = {"q": 2, "group": {"builder": "gl", "n": 7}, "parabolic_type": []}
 HB3 = {"q": 2,
        "group": {"builder": "weil_restriction", "copies": 3,
                  "inner": {"builder": "gl", "n": 2}},
@@ -375,6 +380,42 @@ class TestMainEntry:
             assert proc.returncode == 2 and proc.stdout == b""
             assert b"Traceback" not in proc.stderr
 
+    # python -m enters at __main__; the console script calls main directly
+    ENTRY_POINTS = {
+        "module": ["-m", "ziphasse"],
+        "script": ["-c", "import sys; from ziphasse.cli_report import main; "
+                         "sys.exit(main())"],
+    }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("command", ["hasse", "orbits"])
+    def test_write_error_exits_two_without_traceback(self, entry, command):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, *self.ENTRY_POINTS[entry], command],
+                input=json.dumps(GL7_BOREL).encode(), stdout=full,
+                stderr=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"ziphasse: cannot write the report: ")
+        assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_pipe_closed_after_one_byte_exits_two_without_traceback(self, entry):
+        # the orbit table of GL7 (1 MB) overfills the pipe before it closes
+        proc = subprocess.Popen(
+            [sys.executable, *self.ENTRY_POINTS[entry], "orbits"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdin.write(json.dumps(GL7_BOREL).encode())
+        proc.stdin.close()
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith(b"ziphasse: cannot write the report: ")
+        assert err.count(b"\n") == 1 and b"Traceback" not in err
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ziphasse", "hasse"],
@@ -681,6 +722,13 @@ def census_reports(doc, nodes):
             yield run("orbits", parse_config(json.dumps(dict(doc, parabolic_type=J))))
 
 
+def streamed(write, report):
+    """What write(report, stream) writes to a StringIO."""
+    stream = io.StringIO()
+    write(report, stream)
+    return stream.getvalue()
+
+
 class TestOrbitWriter:
     """run() hands the OrbitCensus to the writers, which read its columns.
 
@@ -699,6 +747,7 @@ class TestOrbitWriter:
         for report in census_reports(*doc_nodes):
             assert render_json(report).splitlines(True) == \
                 oracle_json(row_data(report.data)).splitlines(True)
+            assert streamed(write_json, report) == render_json(report)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(census_documents())
@@ -708,6 +757,7 @@ class TestOrbitWriter:
         for report in census_reports(*doc_nodes):
             assert render_text(report).splitlines(True) == \
                 row_text(report.data).splitlines(True)
+            assert streamed(write_text, report) == render_text(report)
 
     def test_one_orbit_when_J_holds_every_node(self):
         doc = {"q": 3, "group": {"builder": "gl", "n": 3}, "parabolic_type": [1, 2]}
@@ -717,6 +767,25 @@ class TestOrbitWriter:
         assert "  orbit word=[] length=0 dim=9 codim=0\n" in render_text(report)
         assert render_json(report).splitlines(True) == \
             oracle_json(row_data(report.data)).splitlines(True)
+        assert streamed(write_json, report) == render_json(report)
+        assert streamed(write_text, report) == render_text(report)
+
+    def test_orbit_table_is_streamed_one_length_at_a_time(self):
+        report = run("orbits", parse_config(json.dumps(GL7_BOREL)))
+        writes = []
+        write_json(report, SimpleNamespace(write=writes.append))
+        text = "".join(writes)
+        assert text == render_json(report)
+        census = report.data["orbits"]
+        assert sum('"word"' in w for w in writes) >= census.eta_length + 1
+        # the text of one length runs from its first row to the next length's
+        rows = [m.start() for m in re.finditer(r'\{\n {6}"codim"', text)]
+        assert len(rows) == len(census.lengths) == 5040
+        firsts = [n for n, length in enumerate(census.lengths)
+                  if n == 0 or census.lengths[n - 1] != length]
+        ends = [rows[n] for n in firsts[1:]] + [text.index("\n  ]", rows[-1])]
+        largest = max(end - rows[n] for n, end in zip(firsts, ends))
+        assert max(map(len, writes)) <= largest
 
     def test_census_is_written_at_any_indent(self):
         doc = {"q": 3, "parabolic_type": [2],
@@ -728,6 +797,7 @@ class TestOrbitWriter:
         expanded = {"top": rows, "nested": [[{"%d": rows}], rows]}
         assert render_json(as_report(value)).splitlines(True) == \
             oracle_json(expanded).splitlines(True)
+        assert streamed(write_json, as_report(value)) == render_json(as_report(value))
 
 
 class TestOneParserPerProcess:

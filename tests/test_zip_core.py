@@ -412,6 +412,24 @@ class TestOrbitCensus:
             zd = build_zip_datum(rd, frob, parabolic=J)
             assert orbit_census(zd) == enumerated_census(zd, W), J
 
+    @pytest.mark.parametrize("build,J", [
+        (lambda: gl(7, 2), []), (lambda: simple_group("G", 2, 2), []),
+        (lambda: simple_group("E", 8, 2), [0, 2, 3, 4, 5, 6, 7]),
+        (lambda: simple_group("B", 5, 2), [1, 3]), (lambda: gl(3, 2), [0, 1]),
+    ], ids=["GL7-borel", "G2-borel", "E8-without-alpha2", "B5-J24", "GL3-full"])
+    def test_tree_invariants(self, build, J):
+        rd, frob = build()
+        census = orbit_census(build_zip_datum(rd, frob, parabolic=J))
+        parents, letters, lengths = census.parents, census.letters, census.lengths
+        assert [type(c) for c in (parents, letters)] == [tuple] * 2
+        assert len(parents) == len(letters) == len(lengths)
+        assert (parents[0], letters[0], lengths[0]) == (-1, -1, 0)
+        words = census.words
+        for n in range(1, len(parents)):
+            assert 0 <= parents[n] < n
+            assert lengths[n] == lengths[parents[n]] + 1
+            assert words[n] == words[parents[n]] + (letters[n],)
+
     @pytest.mark.parametrize("rank,outside,count", [
         (6, [0], 27), (7, [6], 56), (8, [1], 17_280), (6, range(6), 51_840),
     ], ids=["E6-maximal", "E7-maximal", "E8-without-alpha2", "E6-borel"])
