@@ -249,6 +249,7 @@ def _levels(census, open_: str, sep: str):
     """
     parents, letters, lengths = census.parents, census.letters, census.lengths
     names = [str(i) for i in range(1, max(letters) + 2)]
+    following = [sep + name for name in names]
     # the empty word's body is open_, and a first letter follows it directly
     bodies, before, glued = [open_], 0, names
     start, count = 1, len(lengths)
@@ -257,7 +258,7 @@ def _levels(census, open_: str, sep: str):
         bodies = [bodies[p - before] + glued[i]
                   for p, i in zip(parents[start:stop], letters[start:stop])]
         yield start, bodies
-        before, glued = start, [sep + name for name in names]
+        before, glued = start, following
         start = stop
 
 
