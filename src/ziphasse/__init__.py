@@ -94,4 +94,4 @@ from .positivity import (
     weil_pullback_check,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"

@@ -35,10 +35,9 @@ from typing import Iterable, Sequence
 from .exact_linear import (
     IntMatrix,
     SelfCheckError,
-    SingularMatrixError,
+    SmithDecomposition,
     _check_int,
     kernel_basis,
-    rational_inverse,
     smith_normal_form,
     solve_rational,  # noqa: F401  re-exported; perfbench traces it here
 )
@@ -790,35 +789,33 @@ def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
 def fundamental_weights(rd: RootDatum, J: Iterable = ()) -> dict:
     """Fundamental weights omega_i for i outside J, as exact rational vectors.
 
-    omega_i = sum_j (A^-1)_ji alpha_j, A the Cartan matrix: it pairs with
-    alpha_j^vee to the Kronecker delta and vanishes against the central
-    directions of X_*, which makes it unique for non-semisimple data.
+    omega_i = _weight(rd, e_i) pairs with alpha_j^vee to the Kronecker delta
+    and vanishes against the central directions of X_*, which makes it
+    unique for non-semisimple data.
     """
     J = frozenset(J)
-    wanted = [i for i in range(rd.num_nodes) if i not in J]
-    if not wanted:
-        return {}
-    try:
-        inverse, d = rational_inverse(rd.cartan_matrix())
-    except SingularMatrixError as exc:
-        raise SingularCartanError(str(exc))
-    roots_t = rd.simple_roots.transpose()
-    return {i: tuple(Fraction(x, d) for x in roots_t.apply(inverse.column(i)))
-            for i in wanted}
+    k = rd.num_nodes
+    return {i: _weight(rd, [1 if j == i else 0 for j in range(k)])
+            for i in range(k) if i not in J}
 
 
 def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     """sum(omega_i for i outside J) with the normalization of fundamental_weights.
 
-    sum_j c_j alpha_j with A c the indicator of the nodes outside J, A the
-    Cartan matrix, solved on the Dynkin forest of A (_forest_solve) as
-    integer numerators over one common denominator; the empty sum is the
-    zero vector.
+    One _weight solve for the indicator of the nodes outside J; the empty
+    sum is the zero vector.
     """
     J = frozenset(J)
     target = [0 if i in J else 1 for i in range(rd.num_nodes)]
     if not any(target):
         return tuple(Fraction(0) for _ in range(rd.rank))
+    return _weight(rd, target)
+
+
+def _weight(rd: RootDatum, target: Sequence) -> tuple:
+    """sum_j c_j alpha_j with A c = target, A the Cartan matrix, solved on
+    the Dynkin forest of A (_forest_solve) as integer numerators over one
+    common denominator and summed over the nonzeros of the roots."""
     nums, denom = _forest_solve(rd._cartan_entries[0], target)
     acc = [0] * rd.rank
     for num, row in zip(nums, rd.root_entries):
@@ -891,5 +888,13 @@ def picard_torsion(rd: RootDatum) -> tuple:
 
     Empty exactly when the derived group is simply connected.
     """
-    snf = smith_normal_form(rd.simple_coroots)
+    snf = _coroot_smith(rd, range(rd.num_nodes))
     return tuple(f for f in snf.invariant_factors if f > 1)
+
+
+def _coroot_smith(rd: RootDatum, nodes: Iterable) -> SmithDecomposition:
+    """Smith form of the coroot rows of nodes in increasing order, made from
+    their nonzeros (0 x rank for no nodes); for the nodes J0 of a Levi,
+    columns |J0|.. of V are char_lattice_of_parabolic's basis of X*(L0)."""
+    rows = [rd.coroot_entries[j] for j in sorted(nodes)]
+    return smith_normal_form(_dense(rows, rd.rank))

@@ -22,7 +22,7 @@ from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
 from .root_datum import (
     FrobeniusStructure,
     RootDatum,
-    _dense,
+    _coroot_smith,
     _dot,
     _unpack,
     _walk,
@@ -204,29 +204,20 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     return SMALL_NOT_MINUSCULE
 
 
-def _levi_smith(zd: ZipDatum) -> SmithDecomposition:
-    """Smith form of the J0 coroot rows (0 x rank when J0 is empty).
-
-    Columns |J0|.. of V are char_lattice_of_parabolic's basis of X*(L0).
-    """
-    rows = [zd.rd.coroot_entries[j] for j in sorted(zd.J0)]
-    return smith_normal_form(_dense(rows, zd.rd.rank))
-
-
 def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMatrix:
-    """Matrix of chi -> chi - q*tau(chi) on the chosen basis of X*(L0).
+    """Matrix of chi -> chi - q*tau(chi) on the basis of X*(L0) in columns
+    r.. of V, for snf = _coroot_smith(rd, J0), passed or made here.
 
     The lattice is tau-stable because the root permutation fixes J0, so the
     restriction has integer entries: the coordinates of an image y are
-    entries r.. of V^-1 y, and its entries 0..r-1 vanish.  ``snf`` is
-    _levi_smith(zd) when the caller has it already.
+    entries r.. of V^-1 y, and its entries 0..r-1 vanish.
 
     The work follows the nonzeros: tau acts as the signed permutation it
     is, and V^-1 y is summed as y_j times column j of V^-1 over the
     nonzero y_j, each column kept as its nonzero entries.
     """
     if snf is None:
-        snf = _levi_smith(zd)
+        snf = _coroot_smith(zd.rd, zd.J0)
     r = len(snf.invariant_factors)
     n = zd.rd.rank
     q = zd.frob.q
@@ -255,9 +246,9 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     When the derived group of L0 is simply connected the cokernel is the
     character group of the finite stabilizer; otherwise PicObstructionError
     is raised, carrying the same report flagged as unreliable.  One Smith
-    form of the J0 coroots serves both the lattice and the torsion.
+    form of the J0 coroots, _coroot_smith, serves the lattice and the torsion.
     """
-    levi = _levi_smith(zd)
+    levi = _coroot_smith(zd.rd, zd.J0)
     zeta = zeta_matrix(zd, levi)
     det = determinant(zeta)
     if det == 0:

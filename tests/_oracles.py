@@ -44,11 +44,11 @@ from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition
                                    kernel_basis)
 from ziphasse.positivity import AMPLE, ANTIAMPLE, NOT_IN_LATTICE
 from ziphasse.root_datum import (CONTAINS_B, Component, ParabolicType, _cartan_matrix,
-                                 char_lattice_of_parabolic, check_group,
+                                 _coroot_smith, char_lattice_of_parabolic, check_group,
                                  fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import (CENTRAL, MINUSCULE, NEITHER, SMALL_NOT_MINUSCULE,
-                               OrbitCensus, _levi_smith)
+                               OrbitCensus)
 
 
 def cofactor_det(rows):
@@ -463,7 +463,7 @@ def dense_zeta_matrix(zd):
     """chi -> chi - q tau(chi) on the Smith basis of X*(L0), by dense
     matrix-vector products: column a of V, its image under tau.apply, and
     the coordinates V_inv.apply(image), of which entries r.. are kept."""
-    snf = _levi_smith(zd)
+    snf = _coroot_smith(zd.rd, zd.J0)
     r = len(snf.invariant_factors)
     q, tau = zd.frob.q, zd.frob.tau
     columns = []

@@ -1,0 +1,58 @@
+"""Every name that a module of src/ziphasse imports is read in that module.
+
+This is a linter's unused-import rule (F401) written with the stdlib ast, so
+tier-1 needs no linter.  __init__.py is skipped, because it imports to
+re-export, and so is an import on a line marked ``# noqa: F401``: a name
+that other code looks up in that module.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "ziphasse").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every name that source imports and never reads."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append((alias.lineno, name))
+    return unused
+
+
+def test_the_check_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from math import (\n"
+        "    gcd,\n"
+        "    lcm,  # noqa: F401  re-exported\n"
+        "    prod,\n"
+        ")\n"
+        "from fractions import Fraction\n"
+        "def f(x: Fraction):\n"
+        "    return os.path.join(str(gcd(x, 2)))\n")
+    assert unused_imports(source) == [(3, "j"), (7, "prod")]
+
+
+def test_the_package_has_modules_to_check():
+    assert {"root_datum.py", "zip_core.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []

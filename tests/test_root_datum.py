@@ -833,8 +833,10 @@ class TestCartanCache:
                 s0_characters(zd)
             orbit_census(zd)
             fundamental_weight_sum(rd, zd.J)
+            fundamental_weights(rd, zd.J)
             cli_report._positivity_section(zd)
         classify_cocharacter(rd, (2,) + (0,) * (rd.rank - 1))
+        picard_torsion(rd)
         assert not {"_cartan", "simple_roots", "simple_coroots"} & set(vars(rd))
 
 
@@ -934,10 +936,19 @@ class TestFundamentalWeights:
             assert got == roots_t.apply(solve_rational(rd.cartan_matrix(), target))
             central = central_solve_weights(rd, J).values()
             assert got == tuple(sum(col) for col in zip(*central)), J
+            weights = fundamental_weights(rd, J)
+            assert sorted(weights) == [i for i in range(k) if i not in J]
+            for i, omega in weights.items():
+                e_i = [1 if j == i else 0 for j in range(k)]
+                assert omega == roots_t.apply(solve_rational(rd.cartan_matrix(), e_i))
 
     def test_forest_check_refuses_affine_a2(self):
         with pytest.raises(SelfCheckError, match="not a forest"):
             fundamental_weight_sum(affine_a2(), ())
+
+    def test_fundamental_weights_refuse_affine_a2(self):
+        with pytest.raises(SelfCheckError, match="not a forest"):
+            fundamental_weights(affine_a2())
 
     def test_forest_check_survives_optimize_flag(self):
         from test_zip_core import run_optimized
