@@ -90,8 +90,7 @@ from .positivity import (
     borel_zeta_matrix,
     fundamental_zeta_matrix,
     hasse_divisor_coeffs,
-    is_ample,
     weil_pullback_check,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"

@@ -81,7 +81,6 @@ class HasseReport:
     s0_order: int
     hasse_number: int
     pic_L0_trivial: bool
-    L0_type: tuple
 
 
 class OrbitEntry(NamedTuple):
@@ -265,7 +264,6 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
         s0_order=order,
         hasse_number=factors[-1] if factors else 1,
         pic_L0_trivial=not torsion,
-        L0_type=tuple(sorted(zd.J0)),
     )
     if torsion:
         raise PicObstructionError(report, torsion)

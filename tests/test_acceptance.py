@@ -9,11 +9,13 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from _oracles import enumerated_census, minors_invariant_factors
+from _oracles import (enumerated_census, minors_invariant_factors, two_helper_verdict,
+                      xstar_block_pullbacks)
 
 from ziphasse.cli_report import main as cli_main, parse_config, render_json, run
 from ziphasse.exact_linear import IntMatrix, determinant, rational_inverse, smith_normal_form
 from ziphasse.positivity import (
+    AMPLE,
     CERTIFIED_NEGATIVE,
     antiample_check,
     borel_zeta_matrix,
@@ -261,9 +263,15 @@ def test_criterion_9_weil_pullback():
             cases.append((pair, [1, 2]))  # different node per block
         for (rd, frob), J in cases:
             zd = build_zip_datum(rd, frob, parabolic=J)
+            copies = len(rd.components)
+            every = frozenset(range(rd.num_nodes))
             for _ in range(10):
                 lam = seeded_ample(rd, zd.J, rng)
                 assert weil_pullback_check(zd, lam) is True
+                # the pullback to each copy, computed in X*, is ample there
+                for vec, targets in xstar_block_pullbacks(zd, lam, copies):
+                    assert two_helper_verdict(rd.coroot_pairings(vec), every - targets,
+                                              CONTAINS_BMINUS) == AMPLE
 
 
 def test_criterion_10_classification():

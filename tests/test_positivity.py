@@ -9,7 +9,7 @@ from _oracles import (relabelled_positivity, two_helper_verdict, weil_factor_rel
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ziphasse import cli_report, positivity, root_datum
+from ziphasse import cli_report, root_datum
 from ziphasse.exact_linear import IntMatrix, SingularMatrixError, rational_inverse
 from ziphasse.positivity import (
     AMPLE,
@@ -17,18 +17,17 @@ from ziphasse.positivity import (
     CERTIFIED_NEGATIVE,
     MIXED,
     NEITHER,
+    NOT_APPLICABLE,
     NOT_IN_LATTICE,
     NotRationalCaseError,
     NotWeilRestrictionError,
     PreconditionViolatedError,
-    _block_pullbacks,
     _borel_zeta_inverse_image,
     _verdict,
     antiample_check,
     borel_zeta_matrix,
     fundamental_zeta_matrix,
     hasse_divisor_coeffs,
-    is_ample,
     weil_pullback_check,
     zeta_matrix,
 )
@@ -71,6 +70,12 @@ def random_ample(rd, J, rng):
     coeffs = [Fraction(-rng.randrange(1, 10), rng.randrange(1, 4))
               for _ in range(outside)]
     return ample_character(rd, J, coeffs)
+
+
+def is_ample(rd, pt, lam):
+    """The sign rule on lam's coroot pairings, oriented as pt."""
+    sign = 1 if pt.orientation == CONTAINS_B else -1
+    return _verdict(rd.coroot_pairings(lam), pt.J, sign)
 
 
 class TestIsAmple:
@@ -159,7 +164,7 @@ class TestOneSignRule:
         def forbidden(*args, **kwargs):
             raise AssertionError("a certificate built a ParabolicType")
 
-        monkeypatch.setattr(positivity, "ParabolicType", forbidden)
+        monkeypatch.setattr(root_datum, "ParabolicType", forbidden)
         rd, frob = weil_restriction(2, {"builder": "gl", "n": 2}, 3)
         zd = build_zip_datum(rd, frob, parabolic=[])
         lam = random_ample(rd, zd.J, random.Random(11))
@@ -336,7 +341,7 @@ class TestHasseDivisorCoeffs:
         for zd in every_J(rd, frob):
             lam = random_ample(rd, zd.J, rng)
             if {frob.root_perm[j] for j in zd.J} == set(zd.J):
-                assert hasse_divisor_coeffs(zd, lam).input_character == lam
+                assert hasse_divisor_coeffs(zd, lam).verdict != NOT_APPLICABLE
                 assert antiample_check(zd, lam) in (True, False)
             else:
                 with pytest.raises(NotRationalCaseError):
@@ -457,22 +462,28 @@ class TestWeilPullback:
         (2, {"builder": "gl", "n": 3}),
         (2, {"builder": "gsp", "dim": 4}),
     ], ids=["GL2x3", "GL3x2", "GSp4x2"])
-    def test_block_pairings_match_xstar_pullback(self, copies, inner):
+    def test_pullbacks_of_ample_characters_are_ample_whenever_the_check_applies(
+            self, copies, inner):
+        # each copy is one component and every cycle meets each copy once, so
+        # the check applies exactly when no copy misses two nodes of J; then
+        # the X* pullback to every copy is ample for that copy's parabolic
         rd, frob = weil_restriction(copies, inner, 3)
         rng = random.Random(copies)
-        k = rd.num_nodes
-        for bits in range(2 ** k):
-            J = [i for i in range(k) if bits >> i & 1]
-            zd = build_zip_datum(rd, frob, parabolic=J)
-            characters = [random_ample(rd, zd.J, rng) for _ in range(2)] + [
-                tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-                      for _ in range(rd.rank)) for _ in range(2)]
-            for lam in characters:
-                blocks = xstar_block_pullbacks(zd, lam, copies)
-                summed = [sum(xs) for xs in zip(*(vec for vec, _ in blocks))]
-                targets = frozenset().union(*(t for _, t in blocks))
-                assert _block_pullbacks(zd, lam) == (
-                    rd.coroot_pairings(summed), targets), (J, lam)
+        every = frozenset(range(rd.num_nodes))
+        for zd in every_J(rd, frob):
+            lam = random_ample(rd, zd.J, rng)
+            if any(len(set(comp.nodes) - zd.J) > 1 for comp in rd.components):
+                with pytest.raises(NotWeilRestrictionError):
+                    weil_pullback_check(zd, lam)
+                continue
+            for lam in [lam, random_ample(rd, zd.J, rng)]:
+                assert weil_pullback_check(zd, lam) is True
+                for vec, targets in xstar_block_pullbacks(zd, lam, copies):
+                    assert _verdict(rd.coroot_pairings(vec), every - targets) == AMPLE, (
+                        sorted(zd.J), lam)
+            if zd.J != every:
+                with pytest.raises(PreconditionViolatedError):
+                    weil_pullback_check(zd, tuple(-x for x in lam))
 
     def test_pullback_needs_no_weights_or_tau_powers(self, monkeypatch):
         rd, frob = weil_restriction(3, {"builder": "gl", "n": 3}, 2)

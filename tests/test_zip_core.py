@@ -532,15 +532,24 @@ class TestOrbitEntry:
                 setattr(census, name, ())
 
     def test_readme_quick_start(self):
-        # the census line of the README's quick start gives what it shows
+        # every value the README's quick start shows is what its line gives:
+        # "expr  # value" on one line, or the value commented on the next
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
         block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
         block = block.split("```", 1)[0]
         namespace = {}
         exec(block, namespace)
         lines = block.splitlines()
-        shown = lines.index("# [(0, 7, 2), (1, 8, 1), (2, 9, 0)]")
-        assert eval(lines[shown - 1], namespace) == [(0, 7, 2), (1, 8, 1), (2, 9, 0)]
+        shown = []
+        for i, line in enumerate(lines):
+            expr, _, comment = line.partition("#")
+            if expr.strip() and "=" not in expr and comment:
+                shown.append((expr, comment.split("==")[0]))
+            elif not expr.strip() and comment and i:
+                shown.append((lines[i - 1], comment))
+        assert len(shown) == 4
+        for expr, value in shown:
+            assert eval(expr, namespace) == eval(value, namespace), expr
 
 
 def run_optimized(script):
