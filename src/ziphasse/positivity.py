@@ -20,6 +20,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError
+from .root_datum import _dense
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -87,7 +88,9 @@ def _verdict(pairings: Sequence, J, ample_sign: int = -1) -> str:
 
 def borel_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     """The twist endomorphism id - q*tau on all of X*."""
-    return IntMatrix.identity(zd.rd.rank) - zd.frob.tau.scale(zd.frob.q)
+    n = zd.rd.rank
+    tau = _dense([((j, s),) for j, s in zip(zd.frob.src, zd.frob.sign)], n)
+    return IntMatrix.identity(n) - tau.scale(zd.frob.q)
 
 
 def _cycle(perm: Sequence, start: int) -> list:

@@ -19,8 +19,7 @@ structure once, for the whole group.
 Everything constructed here is immutable and safe to share between threads.
 A RootDatum computes its Cartan data on first use and keeps it: the nonzero
 rows and columns of the Cartan matrix, which every walk and solve reads,
-and the opposition walk.  The dense root, coroot and Cartan matrices are
-views made only when read.  All are deterministic and immutable, so a race
+and the opposition walk.  Both are deterministic and immutable, so a race
 between threads only computes them twice.
 """
 
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -71,24 +71,6 @@ class Component:
     nodes: tuple
 
 
-class _cached:
-    """functools.cached_property without the lock that Python 3.11 takes
-    on every first read (3.12 dropped it).  The value goes straight into
-    the instance __dict__, past a frozen dataclass's __setattr__, and later
-    reads find it there without calling __get__.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """A based root datum on X* = X_* = Z^rank.
@@ -97,9 +79,7 @@ class RootDatum:
     value) entries in increasing coordinate order, and simple coroot i is
     coroot_entries[i] in the same form.  The builders' roots and coroots
     have at most three nonzero coordinates, so building, checking and
-    pairing them costs O(nnz), not O(rank) per root.  simple_roots and
-    simple_coroots are the dense matrices, made on first read; no walk,
-    solve or Smith form of the pipelines reads them.
+    pairing them costs O(nnz), not O(rank) per root.
     """
 
     rank: int
@@ -119,30 +99,10 @@ class RootDatum:
     def num_nodes(self) -> int:
         return len(self.root_entries)
 
-    def root(self, i: int) -> tuple:
-        return self.simple_roots.row(i)
-
-    def coroot(self, i: int) -> tuple:
-        return self.simple_coroots.row(i)
-
-    def cartan_matrix(self) -> IntMatrix:
-        """Pairing matrix <alpha_i^vee, alpha_j>, made once per datum from
-        the rows of _cartan_entries; the pipelines read those nonzeros, not
-        this dense view."""
-        return self._cartan
-
     # the cached values below are not dataclass fields: ==, hash and repr
     # ignore them
 
-    @_cached
-    def simple_roots(self) -> IntMatrix:
-        return _dense(self.root_entries, self.rank)
-
-    @_cached
-    def simple_coroots(self) -> IntMatrix:
-        return _dense(self.coroot_entries, self.rank)
-
-    @_cached
+    @cached_property
     def _cartan_entries(self) -> tuple:
         """(rows, columns) of the Cartan matrix as their nonzero entries:
         rows[i] holds (j, <alpha_i^vee, alpha_j>) and columns[j] holds
@@ -164,11 +124,7 @@ class RootDatum:
                 columns[j].append((i, c))
         return tuple(rows), tuple(map(tuple, columns))
 
-    @_cached
-    def _cartan(self) -> IntMatrix:
-        return _dense(self._cartan_entries[0], self.num_nodes)
-
-    @_cached
+    @cached_property
     def _opposition(self) -> tuple:
         """(perm, |Phi+|): the opposition walk of opposition(), and its
         length, checked against the count read off the component series."""
@@ -228,15 +184,6 @@ class FrobeniusStructure:
     sign: tuple
     root_perm: tuple
     order: int
-
-    @property
-    def tau(self) -> IntMatrix:
-        """tau as a dense matrix, built on each read; no pipeline reads it."""
-        n = len(self.src)
-        entries = [0] * (n * n)
-        for i, (j, s) in enumerate(zip(self.src, self.sign)):
-            entries[i * n + j] = s
-        return IntMatrix._trusted(n, n, entries)
 
 
 @dataclass(frozen=True)
@@ -725,7 +672,7 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
 
     ordered = sorted(seen, key=lambda c: (sum(c), c))
     coeffs = IntMatrix._trusted(len(ordered), k, [x for c in ordered for x in c])
-    vectors = coeffs * rd.simple_roots
+    vectors = coeffs * _dense(rd.root_entries, rd.rank)
     roots = [Root(vector=vectors.row(n), coeffs=c) for n, c in enumerate(ordered)]
 
     highest = []
@@ -777,9 +724,9 @@ def opp_type(rd: RootDatum, J: Iterable) -> frozenset:
 
 def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
     """Simple reflection s_i on X*: lam -> lam - <alpha_i^vee, lam> alpha_i."""
-    root = rd.root(i)
-    coroot = rd.coroot(i)
     n = rd.rank
+    root = _unpack(rd.root_entries[i], n)
+    coroot = _unpack(rd.coroot_entries[i], n)
     return IntMatrix(n, n, [
         (1 if a == b else 0) - root[a] * coroot[b]
         for a in range(n) for b in range(n)

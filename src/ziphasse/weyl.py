@@ -75,7 +75,8 @@ def enumerate_weyl(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     elements = [WeylElement(ident, (), 0)]
     index = {ident: 0}
     frontier = [0]
-    while frontier:
+    # stop past the expected order, so a wrong generator cannot run on
+    while frontier and len(elements) <= expected:
         nxt = []
         for idx in frontier:
             el = elements[idx]

@@ -29,6 +29,7 @@ from .root_datum import (
     opp_type,
     opposition,
 )
+from .weyl import classical_order
 from .weyl import min_coset_reps  # noqa: F401  re-exported; perfbench traces it here
 
 
@@ -315,8 +316,11 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     points = [sum(bias + (i not in zd.J) << width * i for i in range(k))]
     parents, letters, lengths = [-1], [-1], [0]
     position = {points[0]: 0}
-    # the lists grow while points is scanned: the queue in discovery order
-    for n, p in enumerate(points):
+    # the lists grow while points is scanned: the queue in discovery order.
+    # There are |W_J \ W| <= |W| points; the scan stops at |W| of them, so a
+    # walk that leaves the orbit set cannot run on (range takes any int)
+    order = classical_order(rd)
+    for n, p in zip(range(order), points):
         length = lengths[n] + 1
         for i, shift, column, top in steps:
             if p & top:
@@ -327,6 +331,8 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
                     parents.append(n)
                     letters.append(i)
                     lengths.append(length)
+    if len(points) > order:
+        raise CensusCheckError("the census holds more than |W| = %d points" % order)
 
     # |Phi+| = l(w0) and |Phi+_J| = l(w0,J) are the lengths of two walks
     # from regular antidominant points: the opposition walk of the datum,

@@ -8,7 +8,11 @@ fundamental weights and dense powers of tau, the Frobenius structure
 comes from a determinant test and the dense powers of tau, and matrix
 products are the textbook triple loop.  dense_group is the builders'
 construction as it was before the data kept only their nonzero entries:
-rank-length rows, zero-padded blocks and a dense tau.  The positive roots come from a
+rank-length rows, zero-padded blocks and a dense tau.  The library keeps
+root data only as their nonzero entries and tau only as src and sign, so
+DenseDatum is now the only dense form of a datum: dense_datum, dense_tau
+and DenseDatum.cartan_matrix make the dense views the tests compare
+against, entry by entry, from those entries.  The positive roots come from a
 closure on their coefficients alone and the dominant conjugate of a
 cocharacter from a walk in X_*, both recomputing every pairing from the
 Cartan matrix or the roots at each step.  The fundamental weights and the twist matrix come
@@ -99,7 +103,8 @@ def apply(a, vec):
 
 
 def power_loop_frobenius(rd, tau):
-    """(tau_dual, root_perm, order) of any unimodular tau of finite order.
+    """(tau_dual, root_perm, order) of any unimodular tau of finite order on
+    the DenseDatum rd.
 
     |det tau| = 1 by cofactor expansion, the root permutation from dense
     images of the simple roots, the order as the first power of tau that is
@@ -141,6 +146,38 @@ class DenseDatum:
 
     def coroot(self, i):
         return self.simple_coroots.row(i)
+
+    def cartan_matrix(self):
+        """<alpha_i^vee, alpha_j> at (i, j), the dot of a dense coroot row
+        and a dense root row."""
+        k = self.num_nodes
+        return IntMatrix(k, k, [sum(x * y for x, y in zip(self.coroot(i), self.root(j)))
+                                for i in range(k) for j in range(k)])
+
+
+def dense_rows(entries, rank):
+    """The matrix with rank columns whose row i holds the nonzero
+    (index, value) pairs entries[i] and zeros elsewhere."""
+    rows = [[0] * rank for _ in entries]
+    for row, pairs in zip(rows, entries):
+        for a, x in pairs:
+            row[a] = x
+    return _rows(rows, rank)
+
+
+def dense_datum(rd):
+    """The DenseDatum of a library RootDatum, its root and coroot entries
+    written out as rank-length rows."""
+    return DenseDatum(rd.rank, dense_rows(rd.root_entries, rd.rank),
+                      dense_rows(rd.coroot_entries, rd.rank), rd.components)
+
+
+def dense_tau(frob):
+    """tau as a dense matrix, read off src and sign: row i holds sign[i] in
+    column src[i], so (tau v)_i = sign[i] * v[src[i]]."""
+    n = len(frob.src)
+    return IntMatrix(n, n, [s if j == a else 0
+                            for a, s in zip(frob.src, frob.sign) for j in range(n)])
 
 
 def _unit(n, *pairs_flat):
@@ -309,10 +346,11 @@ def xstar_block_pullbacks(zd, lam, copies):
     per_block = rd.num_nodes // copies
     weights = fundamental_weights(rd, zd.J)
     pairings = rd.coroot_pairings(lam)
+    tau = dense_tau(zd.frob)
     tau_powers = [IntMatrix.identity(rd.rank)]
     perm_powers = [tuple(range(rd.num_nodes))]
     for _ in range(copies - 1):
-        tau_powers.append(zd.frob.tau * tau_powers[-1])
+        tau_powers.append(tau * tau_powers[-1])
         perm_powers.append(tuple(zd.frob.root_perm[i] for i in perm_powers[-1]))
     blocks = []
     for j in range(copies):
@@ -383,8 +421,9 @@ def central_solve_weights(rd, J=()):
     followed by a basis of the central directions of X_* (the kernel of
     pairing against all simple roots): omega_i pairs to delta_ij with the
     coroots and to 0 with the central directions."""
-    central = kernel_basis(rd.simple_roots)
-    system = [rd.coroot(i) for i in range(rd.num_nodes)] + [
+    dense = dense_datum(rd)
+    central = kernel_basis(dense.simple_roots)
+    system = [dense.coroot(i) for i in range(rd.num_nodes)] + [
         central.row(i) for i in range(central.rows)]
     wanted = [i for i in range(rd.num_nodes) if i not in J]
     ident = [[1 if a == i else 0 for i in wanted] for a in range(rd.rank)]
@@ -399,10 +438,11 @@ def basis_zeta_matrix(zd):
     k = basis.rows
     if k == 0:
         return IntMatrix(0, 0, ())
+    tau = dense_tau(zd.frob)
     images = []
     for a in range(k):
         vec = basis.row(a)
-        images.append([x - zd.frob.q * y for x, y in zip(vec, zd.frob.tau.apply(vec))])
+        images.append([x - zd.frob.q * y for x, y in zip(vec, apply(tau, vec))])
     # row j of the solution holds the j-th basis coordinate of every image
     coeffs = [c for row in gauss_jordan(basis.transpose().to_rows(),
                                         [list(r) for r in zip(*images)])
@@ -418,7 +458,8 @@ def coefficient_closure(rd):
     sum_i c_i alpha_i coordinate by coordinate.  highest holds the unique
     root of maximal height of each component."""
     k = rd.num_nodes
-    cartan = rd.cartan_matrix()
+    dense = dense_datum(rd)
+    cartan = dense.cartan_matrix()
     seen = {tuple(1 if j == i else 0 for j in range(k)) for i in range(k)}
     frontier = list(seen)
     while frontier:
@@ -431,7 +472,7 @@ def coefficient_closure(rd):
                     seen.add(c2)
                     nxt.append(c2)
         frontier = nxt
-    roots = [(c, tuple(sum(c[i] * rd.root(i)[a] for i in range(k))
+    roots = [(c, tuple(sum(c[i] * dense.root(i)[a] for i in range(k))
                        for a in range(rd.rank)))
              for c in sorted(seen, key=lambda c: (sum(c), c))]
     highest = []
@@ -449,13 +490,14 @@ def xstar_dominant_conjugate(rd, chi):
     """The dominant W-conjugate of the cocharacter chi, walked in X_*:
     reflect chi -> chi - <chi, alpha_i> alpha_i^vee in the first simple root
     it pairs negatively with, recomputing every root pairing at each step."""
+    dense = dense_datum(rd)
     vec = list(chi)
     for _ in range(100_000):
         pairings = rd.root_pairings(vec)
         i = next((i for i, p in enumerate(pairings) if p < 0), None)
         if i is None:
             return tuple(vec)
-        vec = [x - pairings[i] * c for x, c in zip(vec, rd.coroot(i))]
+        vec = [x - pairings[i] * c for x, c in zip(vec, dense.coroot(i))]
     raise AssertionError("dominance walk did not terminate")
 
 
@@ -465,7 +507,7 @@ def dense_zeta_matrix(zd):
     the coordinates V_inv.apply(image), of which entries r.. are kept."""
     snf = _coroot_smith(zd.rd, zd.J0)
     r = len(snf.invariant_factors)
-    q, tau = zd.frob.q, zd.frob.tau
+    q, tau = zd.frob.q, dense_tau(zd.frob)
     columns = []
     for a in range(r, zd.rd.rank):
         vec = snf.V.column(a)
@@ -690,9 +732,9 @@ def tau_cycle_invariant_factors(frob):
     As a Z[tau]-module X* is the sum over the signed cycles of tau of
     Z[x]/(x^c - eps), c the length of the cycle and eps the product of its
     signs, so the cokernel is the sum of the Z/(q^c - eps).  The cycles are
-    read off the rows of the dense matrix frob.tau, each with one entry +-1.
+    read off the rows of the dense tau, each with one entry +-1.
     """
-    rows = frob.tau.to_rows()
+    rows = dense_tau(frob).to_rows()
     seen = [False] * len(rows)
     diagonal = []
     for start in range(len(rows)):

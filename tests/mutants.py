@@ -1,0 +1,175 @@
+"""The mutant registry: deliberate faults in src/ziphasse and the tests that
+must catch them.
+
+Each record names a file under src/ziphasse, a text that occurs there
+exactly once, the text that replaces it, and the pytest node ids expected
+to fail.  For every record the runner copies src to a temporary directory,
+applies the record to the copy (never to the tree itself) and runs the
+named ids with -x under PYTHONPATH=<copy>, in a child process limited by a
+timeout and by an address-space limit that acts on the child only.  A
+record is
+
+    killed    when a named test fails,
+    survived  when they all pass, or the child times out or ends otherwise,
+    stale     when its text no longer occurs exactly once, or pytest cannot
+              find a named test.
+
+Run from anywhere:
+
+    python tests/mutants.py
+
+It first runs every named test on an unmutated copy, which must pass.  It
+prints one line per record and exits 1 when any record survived or is
+stale.  The file is not named test_*, so pytest does not collect it.
+"""
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+MEMORY_BYTES = 2 << 30
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    # the census's point field fixed at 2 bits: the fields carry into each
+    # other and the walk leaves the orbit set, until the |W| bound stops it
+    Mutant("zip_core.py",
+           "width = n_pos.bit_length() + 1",
+           "width = 2",
+           ("tests/test_acceptance.py::test_criterion_7_orbit_census",)),
+    # the Weil pullback rule without its "one component twice" refusal
+    Mutant("positivity.py",
+           "if len(set(met)) < len(met):",
+           "if False:",
+           ("tests/test_positivity.py::TestWeilPullback::"
+            "test_rejects_a_cycle_meeting_one_component_twice",)),
+    # ... without its maximal-component refusal
+    Mutant("positivity.py",
+           "if len(set(comp.nodes) - zd.J) > 1:",
+           "if False:",
+           ("tests/test_positivity.py::TestWeilPullback::test_rejects_non_maximal_factor",
+            "tests/test_positivity.py::TestWeilPullback::test_maximal_rule_is_per_component")),
+    # ... without its ample precondition
+    Mutant("positivity.py",
+           "if _verdict(rd.coroot_pairings(_frac(lam)), zd.J) != AMPLE:",
+           "if False:",
+           ("tests/test_positivity.py::TestWeilPullback::test_pullbacks_of_ample_"
+            "characters_are_ample_whenever_the_check_applies",)),
+    # the sign rule ignoring the orientation
+    Mutant("positivity.py",
+           "return AMPLE if ample_sign < 0 else ANTIAMPLE\n"
+           "    if all(p > 0 for p in outside):\n"
+           "        return ANTIAMPLE if ample_sign < 0 else AMPLE",
+           "return AMPLE\n"
+           "    if all(p > 0 for p in outside):\n"
+           "        return ANTIAMPLE",
+           ("tests/test_positivity.py::TestIsAmple",
+            "tests/test_acceptance.py::test_criterion_8_positivity_property_suite")),
+    # a reflection that reads the root where it needs the coroot
+    Mutant("root_datum.py",
+           "coroot = _unpack(rd.coroot_entries[i], n)",
+           "coroot = _unpack(rd.root_entries[i], n)",
+           ("tests/test_weyl.py::test_opposition_agrees_with_enumeration",)),
+    # positive roots summed over the coroots
+    Mutant("root_datum.py",
+           "vectors = coeffs * _dense(rd.root_entries, rd.rank)",
+           "vectors = coeffs * _dense(rd.coroot_entries, rd.rank)",
+           ("tests/test_root_datum.py::TestWeylWalksAgainstOracle::"
+            "test_positive_roots_match_the_coefficient_closure",)),
+    # 1 - q*tau with the signs of tau dropped
+    Mutant("positivity.py",
+           "[((j, s),) for j, s in zip(zd.frob.src, zd.frob.sign)]",
+           "[((j, 1),) for j in zd.frob.src]",
+           ("tests/test_positivity.py::TestClosedFormZetaInverse::"
+            "test_matches_rational_inverse_for_every_J",)),
+    # the Cartan nonzeros recomputed on every read instead of cached
+    Mutant("root_datum.py",
+           "@cached_property\n    def _cartan_entries",
+           "@property\n    def _cartan_entries",
+           ("tests/test_root_datum.py::TestCartanCache",)),
+)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def _pytest(tests, file=None, text=None):
+    """The finished child, or None on a timeout: pytest -x on tests, run on
+    a copy of src whose file, if given, holds text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if file is not None:
+            (src / "ziphasse" / file).write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               *tests]
+        try:
+            return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S,
+                                  preexec_fn=_limit_memory)
+        except subprocess.TimeoutExpired:
+            return None
+
+
+def _last_line(proc) -> str:
+    lines = proc.stdout.strip().splitlines()
+    return lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def run(mutant: Mutant) -> tuple:
+    """(outcome, detail) of one record: killed, survived or stale."""
+    text = (ROOT / "src" / "ziphasse" / mutant.file).read_text()
+    if text.count(mutant.old) != 1:
+        return "stale", "%r occurs %d times" % (mutant.old, text.count(mutant.old))
+    proc = _pytest(mutant.tests, mutant.file, text.replace(mutant.old, mutant.new))
+    if proc is None:
+        return "survived", "no named test failed within %d s" % TIMEOUT_S
+    if proc.returncode == 1:
+        return "killed", _last_line(proc)
+    if proc.returncode in (4, 5):  # a named test was not found
+        return "stale", _last_line(proc)
+    return "survived", "exit %d: %s" % (proc.returncode, _last_line(proc))
+
+
+def main() -> int:
+    # every named test must pass on the tree as it is, or a kill means nothing
+    tests = sorted({t for mutant in MUTANTS for t in mutant.tests})
+    proc = _pytest(tests)
+    if proc is None or proc.returncode != 0:
+        print("the named tests do not pass unmutated: %s"
+              % (_last_line(proc) if proc else "timeout"))
+        return 1
+    print("unmutated: %s" % (_last_line(proc),))
+    bad = 0
+    for n, mutant in enumerate(MUTANTS):
+        start = time.perf_counter()
+        outcome, detail = run(mutant)
+        bad += outcome != "killed"
+        print("%2d %-8s %5.1f s  %s: %s -> %s  [%s]"
+              % (n, outcome, time.perf_counter() - start, mutant.file,
+                 mutant.old.split("\n")[0], mutant.new.split("\n")[0], detail),
+              flush=True)
+    print("%d records, %d killed" % (len(MUTANTS), len(MUTANTS) - bad))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,9 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _oracles import (central_solve_weights, coefficient_closure, dense_group,
-                      first_negative_to_dominant, power_loop_frobenius,
-                      same_lattice, xstar_dominant_conjugate)
+from _oracles import (central_solve_weights, coefficient_closure, dense_datum,
+                      dense_group, dense_rows, dense_tau, first_negative_to_dominant,
+                      power_loop_frobenius, same_lattice, xstar_dominant_conjugate)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from ziphasse.root_datum import (
     ParabolicType,
     RootDatum,
     UnsupportedSeriesError,
+    _dense,
     _dot,
     _make_frobenius,
     _walk,
@@ -55,15 +56,15 @@ class TestBuilders:
         rd, frob = gl(3, 5)
         assert rd.rank == 3
         assert rd.num_nodes == 2
-        assert rd.root(0) == (1, -1, 0)
-        assert frob.tau == IntMatrix.identity(3)
+        assert dense_datum(rd).root(0) == (1, -1, 0)
+        assert dense_tau(frob) == IntMatrix.identity(3)
         assert frob.order == 1
 
     def test_unitary3(self):
         rd, frob = unitary(3, 3)
         assert rd.rank == 3
         assert frob.order == 2
-        assert frob.tau.apply((1, 0, 0)) == (0, 0, -1)  # tau(e1) = -e3
+        assert dense_tau(frob).apply((1, 0, 0)) == (0, 0, -1)  # tau(e1) = -e3
         assert frob.root_perm == (1, 0)
 
     def test_weil_restriction(self):
@@ -71,20 +72,20 @@ class TestBuilders:
         assert rd.rank == 6
         assert frob.order == 3
         # block 1 shifts down to block 0
-        assert frob.tau.apply((0, 0, 1, 0, 0, 0)) == (1, 0, 0, 0, 0, 0)
+        assert dense_tau(frob).apply((0, 0, 1, 0, 0, 0)) == (1, 0, 0, 0, 0, 0)
         assert frob.root_perm == (2, 0, 1)
 
     def test_gsp4(self):
         rd, frob = gsp(4, 3)
         assert rd.rank == 3
         assert rd.num_nodes == 2
-        cart = rd.cartan_matrix()
+        cart = dense_datum(rd).cartan_matrix()
         assert cart.to_rows() == [[2, -2], [-1, 2]]
 
     def test_simple_isogenies(self):
         sc, _ = simple_group("A", 2, 2, "simply_connected")
         ad, _ = simple_group("A", 2, 2, "adjoint")
-        assert sc.cartan_matrix() == ad.cartan_matrix()
+        assert dense_datum(sc).cartan_matrix() == dense_datum(ad).cartan_matrix()
         assert picard_torsion(sc) == ()
         assert picard_torsion(ad) == (3,)
 
@@ -417,7 +418,7 @@ class TestCartanAndFrobenius:
     @pytest.mark.parametrize("build", BUILDS)
     def test_cartan_shape(self, build):
         rd, _ = build()
-        cart = rd.cartan_matrix()
+        cart = dense_datum(rd).cartan_matrix()
         for i in range(rd.num_nodes):
             assert cart.at(i, i) == 2
             for j in range(rd.num_nodes):
@@ -428,11 +429,12 @@ class TestCartanAndFrobenius:
     @pytest.mark.parametrize("build", BUILDS)
     def test_tau_respects_pairing(self, build):
         rd, frob = build()
+        tau, dense = dense_tau(frob), dense_datum(rd)
         # contragredient relation: tau_dual^T * tau = identity, with tau_dual = tau
-        assert frob.tau.transpose() * frob.tau == IntMatrix.identity(rd.rank)
+        assert tau.transpose() * tau == IntMatrix.identity(rd.rank)
         for i in range(rd.num_nodes):
-            assert frob.tau.apply(rd.root(i)) == rd.root(frob.root_perm[i])
-            assert frob.tau.apply(rd.coroot(i)) == rd.coroot(frob.root_perm[i])
+            assert tau.apply(dense.root(i)) == dense.root(frob.root_perm[i])
+            assert tau.apply(dense.coroot(i)) == dense.coroot(frob.root_perm[i])
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
@@ -442,11 +444,11 @@ class TestCartanAndFrobenius:
         perm, signs = signed
         n = len(perm)
         frob = _make_frobenius(torus(n), 3, perm, signs)
-        assert frob.tau == IntMatrix(n, n, [signs[i] if j == perm[i] else 0
-                                            for i in range(n) for j in range(n)])
+        assert dense_tau(frob) == IntMatrix(n, n, [signs[i] if j == perm[i] else 0
+                                                   for i in range(n) for j in range(n)])
         vec = tuple(range(3, 3 + n))
         assert tuple(s * vec[j] for s, j in zip(frob.sign, frob.src)) == \
-            frob.tau.apply(vec)
+            dense_tau(frob).apply(vec)
 
     def test_rejects_src_and_sign_off_signed_permutations(self):
         for src, sign in (((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1, 2)),
@@ -484,8 +486,9 @@ class TestCartanAndFrobenius:
     @pytest.mark.parametrize("build", BUILDS)
     def test_matches_power_loop_oracle(self, build):
         rd, frob = build()
-        assert (frob.tau, frob.root_perm, frob.order) == \
-            power_loop_frobenius(rd, frob.tau)
+        tau = dense_tau(frob)
+        assert (tau, frob.root_perm, frob.order) == \
+            power_loop_frobenius(dense_datum(rd), tau)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -497,15 +500,16 @@ class TestCartanAndFrobenius:
         tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
                                for i in range(n) for j in range(n)])
         frob = _make_frobenius(torus(n), 3, perm, signs)
-        assert (frob.tau, frob.root_perm, frob.order) == \
-            power_loop_frobenius(torus(n), tau)
+        assert (dense_tau(frob), frob.root_perm, frob.order) == \
+            power_loop_frobenius(dense_datum(torus(n)), tau)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_cartan_matrix_is_the_pairing_matrix(self, build):
         rd, _ = build()
         k = rd.num_nodes
-        assert rd.cartan_matrix().entries == tuple(
-            _dot(rd.coroot(i), rd.root(j)) for i in range(k) for j in range(k))
+        dense = dense_datum(rd)
+        assert _dense(rd._cartan_entries[0], k).entries == tuple(
+            _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.data())
@@ -517,7 +521,8 @@ class TestCartanAndFrobenius:
             (ints, fracs, st.one_of(ints, fracs))))
         vec = data.draw(st.lists(entry, min_size=rd.rank, max_size=rd.rank))
         got = rd.coroot_pairings(vec)
-        expected = tuple(_dot(rd.coroot(i), vec) for i in range(rd.num_nodes))
+        dense = dense_datum(rd)
+        expected = tuple(_dot(dense.coroot(i), vec) for i in range(rd.num_nodes))
         assert got == expected
         assert list(map(type, got)) == list(map(type, expected))
 
@@ -536,7 +541,7 @@ class TestCartanAndFrobenius:
     @pytest.mark.parametrize("build", BUILDS)
     def test_components_match_finite_type(self, build):
         rd, _ = build()
-        cart = rd.cartan_matrix()
+        cart = dense_datum(rd).cartan_matrix()
         node_comp = {}
         for ci, comp in enumerate(rd.components):
             for i in comp.nodes:
@@ -560,7 +565,8 @@ class TestCartanAndFrobenius:
         rd, _ = build()
         if rd.num_nodes == 0:
             return
-        for mat in (rd.simple_roots, rd.simple_coroots):
+        dense = dense_datum(rd)
+        for mat in (dense.simple_roots, dense.simple_coroots):
             rank = len(smith_normal_form(mat).invariant_factors)
             assert rank == rd.num_nodes
 
@@ -581,14 +587,14 @@ class TestDenseReference:
     def test_every_grammar_spec_matches_the_dense_construction(self, spec, kind, seed):
         rd, frob = build_group(spec, 3)
         dense, tau = dense_group(spec)
-        assert (rd.simple_roots, rd.simple_coroots) == \
-            (dense.simple_roots, dense.simple_coroots)
+        assert (dense_rows(rd.root_entries, rd.rank), dense_rows(rd.coroot_entries, rd.rank)) \
+            == (dense.simple_roots, dense.simple_coroots)
         assert rd.components == dense.components
         k = dense.num_nodes
-        assert rd.cartan_matrix().entries == tuple(
+        assert _dense(rd._cartan_entries[0], k).entries == tuple(
             _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
         _, perm, order = power_loop_frobenius(dense, tau)
-        assert (frob.tau, frob.root_perm, frob.order) == (tau, perm, order)
+        assert (dense_tau(frob), frob.root_perm, frob.order) == (tau, perm, order)
         rng = random.Random(seed)
         vec = [rng.randint(-50, 50) for _ in range(rd.rank)]
         if kind != "int":
@@ -690,7 +696,7 @@ class TestWeylWalksAgainstOracle:
         starts = [tuple(-(j + 1) for j in range(k))] + [
             tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(20)]
         rows, columns = rd._cartan_entries
-        cartan = rd.cartan_matrix()
+        cartan = dense_datum(rd).cartan_matrix()
         for entries, matrix in ((columns, cartan), (rows, cartan.transpose())):
             for p in starts:
                 assert _walk(p, entries, rd._opposition[1])[0] == \
@@ -698,7 +704,7 @@ class TestWeylWalksAgainstOracle:
 
     def test_reflector_exposes_its_sparse_columns(self):
         rd, _ = simple_group("B", 3, 2)
-        cartan = rd.cartan_matrix()
+        cartan = dense_group({"builder": "simple", "series": "B", "rank": 3})[0].cartan_matrix()
         # node 2 is short: <alpha_2^vee, alpha_1> = -2 sits in column 1
         rows, columns = rd._cartan_entries
         assert columns == (
@@ -723,7 +729,7 @@ class TestWeylWalksAgainstOracle:
         rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
                        coroot_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
                        components=(Component("A", (0,)), Component("A", (1,))))
-        assert rd.cartan_matrix().to_rows() == [[2, 0], [0, 2]]
+        assert dense_datum(rd).cartan_matrix().to_rows() == [[2, 0], [0, 2]]
         assert rd._cartan_entries[1] == rd._cartan_entries[0] == (((0, 2),), ((1, 2),))
 
 
@@ -799,7 +805,6 @@ class TestCartanCache:
     def test_cached_values_are_shared_tuples(self):
         rd, _ = product_group([{"builder": "unitary", "n": 4},
                                {"builder": "simple", "series": "G", "rank": 2}], 2)
-        assert rd.cartan_matrix() is rd.cartan_matrix()
         assert rd._cartan_entries is rd._cartan_entries
         assert rd._opposition is rd._opposition
         for entries in rd._cartan_entries:
@@ -825,7 +830,8 @@ class TestCartanCache:
     @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
     def test_the_pipeline_makes_no_dense_matrix(self, build):
         # every walk and solve reads the Cartan nonzeros, and the Smith
-        # forms only the coroot entries they need
+        # forms only the coroot entries they need; the datum caches exactly
+        # these two values, so a new per-datum cache must be named here
         rd, frob = build()
         for J in ((), (0,), range(1, rd.num_nodes)):
             zd = build_zip_datum(rd, frob, parabolic=J)
@@ -837,7 +843,8 @@ class TestCartanCache:
             cli_report._positivity_section(zd)
         classify_cocharacter(rd, (2,) + (0,) * (rd.rank - 1))
         picard_torsion(rd)
-        assert not {"_cartan", "simple_roots", "simple_coroots"} & set(vars(rd))
+        fields = {f.name for f in dataclasses.fields(rd)}
+        assert set(vars(rd)) - fields == {"_cartan_entries", "_opposition"}
 
 
 class TestCharLattice:
@@ -895,7 +902,8 @@ class TestFundamentalWeights:
         rd, _ = simple_group("A", 1, 2)
         w = fundamental_weights(rd)
         # the simple root is twice the weight here
-        assert tuple(2 * x for x in w[0]) == tuple(Fraction(x) for x in rd.root(0))
+        root = dense_group({"builder": "simple", "series": "A", "rank": 1})[0].root(0)
+        assert tuple(2 * x for x in w[0]) == tuple(Fraction(x) for x in root)
 
     @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
     def test_kronecker_pairings(self, build):
@@ -927,20 +935,21 @@ class TestFundamentalWeights:
     def test_forest_solve_matches_dense_solves_for_every_J(self, build):
         rd, _ = build()
         k = rd.num_nodes
-        roots_t = rd.simple_roots.transpose()
+        dense = dense_datum(rd)
+        roots_t = dense.simple_roots.transpose()
         for bits in range(1, 2 ** k):
             J = {i for i in range(k) if bits >> i & 1 == 0}
             got = fundamental_weight_sum(rd, J)
             assert all(type(x) is Fraction for x in got)
             target = [0 if i in J else 1 for i in range(k)]
-            assert got == roots_t.apply(solve_rational(rd.cartan_matrix(), target))
+            assert got == roots_t.apply(solve_rational(dense.cartan_matrix(), target))
             central = central_solve_weights(rd, J).values()
             assert got == tuple(sum(col) for col in zip(*central)), J
             weights = fundamental_weights(rd, J)
             assert sorted(weights) == [i for i in range(k) if i not in J]
             for i, omega in weights.items():
                 e_i = [1 if j == i else 0 for j in range(k)]
-                assert omega == roots_t.apply(solve_rational(rd.cartan_matrix(), e_i))
+                assert omega == roots_t.apply(solve_rational(dense.cartan_matrix(), e_i))
 
     def test_forest_check_refuses_affine_a2(self):
         with pytest.raises(SelfCheckError, match="not a forest"):
