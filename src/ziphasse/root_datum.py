@@ -2,12 +2,12 @@
 
 A root datum here is a pair of lattices X* = X_* = Z^rank with the standard
 dot pairing, a list of simple roots (vectors in X*) and simple coroots
-(vectors in X_*), each kept as its nonzero (coordinate, value) entries, and
-a record of the Dynkin components.  The Frobenius structure carries the size
-q of the base field together with the finite-order lattice automorphism tau,
-a signed permutation of the coordinates, through which the arithmetic
-Frobenius acts on characters; composing a character with the q-power
-isogeny corresponds to q * tau on coordinates.
+(vectors in X_*), each kept as its nonzero (coordinate, value) entries.  The
+Frobenius structure carries the size q of the base field together with the
+finite-order lattice automorphism tau, a signed permutation of the
+coordinates, through which the arithmetic Frobenius acts on characters;
+composing a character with the q-power isogeny corresponds to q * tau on
+coordinates.
 
 Builders cover the groups used downstream: general linear groups, similitude
 symplectic groups, quasi-split unitary groups, split simple groups in both
@@ -19,8 +19,8 @@ structure once, for the whole group.
 Everything constructed here is immutable and safe to share between threads.
 A RootDatum computes its Cartan data on first use and keeps it: the nonzero
 rows and columns of the Cartan matrix, which every walk and solve reads,
-and the opposition walk.  Both are deterministic and immutable, so a race
-between threads only computes them twice.
+the Dynkin components typed off them and the opposition walk.  Each is
+deterministic and immutable, so a race between threads only computes it twice.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class RootDatum:
     rank: int
     root_entries: tuple
     coroot_entries: tuple
-    components: tuple
 
     def __post_init__(self):
         values = [x for rows in (self.root_entries, self.coroot_entries)
@@ -125,10 +124,15 @@ class RootDatum:
         return tuple(rows), tuple(map(tuple, columns))
 
     @cached_property
+    def components(self) -> tuple:
+        """The Dynkin components of all nodes, typed by _types."""
+        return _types(self._cartan_entries[0], range(self.num_nodes))
+
+    @cached_property
     def _opposition(self) -> tuple:
         """(perm, |Phi+|): the opposition walk of opposition(), and its
         length, checked against the count read off the component series."""
-        n_pos = sum([d - 1 for d in _degrees(self)])
+        n_pos = sum([d - 1 for d in _degrees(self.components)])
         start = range(-1, -self.num_nodes - 1, -1)
         end, steps = _walk(start, self._cartan_entries[1], n_pos)
         if steps != n_pos:
@@ -462,7 +466,6 @@ def _parts(spec: dict) -> tuple:
     if kind in ("gl", "unitary"):
         n = spec["n"]
         roots = coroots = tuple([((i, 1), (i + 1, -1)) for i in range(n - 1)])
-        comps = (Component("A", tuple(range(n - 1))),) if n > 1 else ()
     elif kind == "gsp":
         dim = spec["dim"]
         g = dim // 2
@@ -470,7 +473,6 @@ def _parts(spec: dict) -> tuple:
         chain = tuple([((i, 1), (i + 1, -1)) for i in range(g - 1)])
         roots = chain + (((g - 1, 2), (g, -1)),)
         coroots = chain + (((g - 1, 1),),)
-        comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
         cartan = _cartan_matrix(series, n)
@@ -480,27 +482,21 @@ def _parts(spec: dict) -> tuple:
             roots, coroots = _nonzeros(cartan.transpose()), units
         else:
             roots, coroots = units, _nonzeros(cartan)
-        comps = (Component(series, tuple(range(n))),)
-    rd = RootDatum(n, roots, coroots, comps)
+    rd = RootDatum(n, roots, coroots)
     if kind == "unitary":
         return rd, range(n - 1, -1, -1), (-1,) * n
     return rd, range(n), (1,) * n
 
 
 def _direct_sum(data: Sequence) -> RootDatum:
-    """The data side by side: block b of the lattice, of the simple roots
-    and coroots and of the components is data[b]'s, its coordinates and
-    nodes shifted past the blocks before it."""
-    roots, coroots, comps = [], [], []
-    offset = nodes = 0
+    """The data side by side: block b of the lattice, simple roots and
+    coroots is data[b]'s, its coordinates shifted past the blocks before it."""
+    roots, coroots, offset = [], [], 0
     for rd in data:
         for out, rows in ((roots, rd.root_entries), (coroots, rd.coroot_entries)):
             out += [tuple([(a + offset, x) for a, x in row]) for row in rows]
-        comps += [Component(c.series, tuple(nodes + i for i in c.nodes))
-                  for c in rd.components]
         offset += rd.rank
-        nodes += rd.num_nodes
-    return RootDatum(offset, tuple(roots), tuple(coroots), tuple(comps))
+    return RootDatum(offset, tuple(roots), tuple(coroots))
 
 
 def _nonzeros(mat: IntMatrix) -> tuple:
@@ -558,9 +554,45 @@ _DEGREES = {"A": lambda n: range(2, n + 2), "B": lambda n: range(2, 2 * n + 1, 2
             "F": lambda n: (2, 6, 8, 12), "G": lambda n: (2, 6)}
 
 
-def _degrees(rd: RootDatum) -> list:
-    """The degrees of the Weyl group of rd, component by component."""
-    return [d for c in rd.components for d in _DEGREES[c.series](len(c.nodes))]
+def _degrees(components: Sequence) -> list:
+    """The degrees of the Weyl group of the components, one by one."""
+    return [d for c in components for d in _DEGREES[c.series](len(c.nodes))]
+
+
+def _types(rows: Sequence, nodes: Iterable) -> tuple:
+    """The connected components of the Dynkin diagram on nodes, by least
+    node, each typed off the Cartan nonzero rows (Bourbaki, ch. VI, plates):
+    rows[i] holds (j, <alpha_i^vee, alpha_j>), below -1 when i is the short
+    end of a multiple bond.  The diagram is taken to be of finite type, and
+    RootDatum._opposition checks l(w0) against the degrees.  D3 is A3."""
+    nodes = set(nodes)
+    nbrs = {i: [j for j, _ in rows[i] if j != i and j in nodes] for i in nodes}
+    out, seen = [], set()
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for i in comp:  # comp grows while it is read: a breadth-first walk
+            for j in nbrs[i]:
+                if j not in seen:
+                    seen.add(j)
+                    comp.append(j)
+        ends = {i for i in comp if len(nbrs[i]) == 1}
+        branch = [nbrs[i] for i in comp if len(nbrs[i]) == 3]
+        bond = [(i, j, c) for i in comp for j, c in rows[i] if c < -1 and j in nodes]
+        if branch:  # two ends next to the branch node in D, one in E
+            series = "D" if len(ends.intersection(branch[0])) >= 2 else "E"
+        elif not bond:
+            series = "A"
+        elif bond[0][2] == -3:
+            series = "G"
+        else:  # the last end on the double bond: short in B, long in C
+            short, long = bond[0][:2]
+            on_end = ends & {short, long}
+            series = "F" if not on_end else "B" if max(on_end) == short else "C"
+        out.append(Component(series, tuple(sorted(comp))))
+    return tuple(out)
 
 
 def _reflect(p: tuple, i: int, columns) -> tuple:
@@ -585,18 +617,16 @@ def _unpack(entries: Sequence, k: int) -> list:
     return vec
 
 
-def _walk(p: tuple, columns, limit: int, nodes=None, coeffs=None) -> tuple:
+def _walk(p: tuple, columns, limit: int, coeffs=None) -> tuple:
     """(end, steps): reflect p in nodes with a negative pairing until none
     is left, counting the reflections.
 
     ``columns`` are the Cartan nonzeros of the datum (_cartan_entries):
     its columns, with entry (j, i) = <alpha_j^vee, alpha_i>, move the
     coroot pairings of a weight, and its rows, the columns of the
-    transpose, move the root pairings of a cocharacter.  With ``nodes`` the walk runs
-    on the sub-diagram on that set: it reflects only in those nodes and
-    updates only their entries, so the entries of the end outside it are
-    those of p.  With ``coeffs``, the expansion of p's root in the simple
-    roots, s_i also lowers coeffs[i] by p_i, in place.
+    transpose, move the root pairings of a cocharacter.  With ``coeffs``,
+    the expansion of p's root in the simple roots, s_i also lowers
+    coeffs[i] by p_i, in place.
 
     The dominant conjugate is unique, so the order of the reflections does
     not matter.  A worklist holds the negative nodes: s_i makes node i
@@ -611,9 +641,7 @@ def _walk(p: tuple, columns, limit: int, nodes=None, coeffs=None) -> tuple:
     that would take more than ``limit`` raises SelfCheckError.
     """
     p = list(p)
-    if nodes is not None:
-        columns = [tuple((j, c) for j, c in col if j in nodes) for col in columns]
-    todo = [i for i, x in enumerate(p) if x < 0 and (nodes is None or i in nodes)]
+    todo = [i for i, x in enumerate(p) if x < 0]
     for steps in range(limit + 1):
         if not todo:
             return tuple(p), steps
@@ -711,7 +739,7 @@ def opposition(rd: RootDatum) -> tuple:
     its image under w0, the weight sum_j (j + 1) omega_perm[j].  As -w0 is
     an involution, node j of that end point pairs to perm[j] + 1.  The walk
     runs once per datum (RootDatum._opposition), and its length l(w0) must
-    equal |Phi+| as read off the component series.
+    equal |Phi+| as read off the typed components.
     """
     return rd._opposition[0]
 

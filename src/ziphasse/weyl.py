@@ -31,7 +31,7 @@ DEFAULT_CAP = 1_000_000
 
 def classical_order(rd: RootDatum) -> int:
     """|W|, the product of the degrees of the Weyl group of every component."""
-    return prod(_degrees(rd))
+    return prod(_degrees(rd.components))
 
 
 @dataclass(frozen=True)

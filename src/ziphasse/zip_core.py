@@ -23,7 +23,9 @@ from .root_datum import (
     FrobeniusStructure,
     RootDatum,
     _coroot_smith,
+    _degrees,
     _dot,
+    _types,
     _unpack,
     _walk,
     opp_type,
@@ -291,6 +293,8 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     2.4-2.5), so a breadth-first walk with ascending letters meets them in
     (length, word) order, each with its lexicographically least reduced word,
     which is its parent's word plus one letter: the census keeps that tree.
+    It holds |W_J \\ W| = |W| / |W_J| points, and |Phi+_J| is the sum of
+    d - 1 over the degrees d of J's typed components, whose product is |W_J|.
 
     A point is packed into one int, coordinate j in the field of ``width``
     bits at bit width * j, stored plus ``bias``.  Every coordinate obeys
@@ -316,11 +320,11 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     points = [sum(bias + (i not in zd.J) << width * i for i in range(k))]
     parents, letters, lengths = [-1], [-1], [0]
     position = {points[0]: 0}
-    # the lists grow while points is scanned: the queue in discovery order.
-    # There are |W_J \ W| <= |W| points; the scan stops at |W| of them, so a
-    # walk that leaves the orbit set cannot run on (range takes any int)
-    order = classical_order(rd)
-    for n, p in zip(range(order), points):
+    # the lists grow while points is scanned, the queue in discovery order;
+    # the scan stops at |W_J \ W| of them (range takes any int)
+    degrees_j = _degrees(_types(rd._cartan_entries[0], zd.J))
+    count = classical_order(rd) // prod(degrees_j)
+    for n, p in zip(range(count), points):
         length = lengths[n] + 1
         for i, shift, column, top in steps:
             if p & top:
@@ -331,14 +335,11 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
                     parents.append(n)
                     letters.append(i)
                     lengths.append(length)
-    if len(points) > order:
-        raise CensusCheckError("the census holds more than |W| = %d points" % order)
+    if len(points) != count:
+        raise CensusCheckError("the census holds %d points, not |W_J \\ W| = %d"
+                               % (len(points), count))
 
-    # |Phi+| = l(w0) and |Phi+_J| = l(w0,J) are the lengths of two walks
-    # from regular antidominant points: the opposition walk of the datum,
-    # and -1 on J walked in the nodes of J
-    n_pos_j = _walk(tuple(-1 if i in zd.J else 0 for i in range(k)),
-                    columns, n_pos, zd.J)[1]
+    n_pos_j = sum(degrees_j) - len(degrees_j)
     dim_p = rd.rank + n_pos + n_pos_j
     dim_g = rd.rank + 2 * n_pos
     eta_length = lengths[-1]

@@ -47,11 +47,14 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the census's point field fixed at 2 bits: the fields carry into each
-    # other and the walk leaves the orbit set, until the |W| bound stops it
+    # other and the walk leaves the orbit set, until the scan stops at
+    # |W_J \ W| points and the count check raises
     Mutant("zip_core.py",
            "width = n_pos.bit_length() + 1",
            "width = 2",
-           ("tests/test_acceptance.py::test_criterion_7_orbit_census",)),
+           ("tests/test_zip_core.py::TestOrbitCensus::"
+            "test_tree_invariants[E8-without-alpha2]",
+            "tests/test_acceptance.py::test_criterion_7_orbit_census")),
     # the Weil pullback rule without its "one component twice" refusal
     Mutant("positivity.py",
            "if len(set(met)) < len(met):",
@@ -102,6 +105,60 @@ MUTANTS = (
            "@cached_property\n    def _cartan_entries",
            "@property\n    def _cartan_entries",
            ("tests/test_root_datum.py::TestCartanCache",)),
+    # the census reading a point's coordinates back one below their value
+    Mutant("zip_core.py",
+           "image = p - ((p >> shift & mask) - bias) * column",
+           "image = p - ((p >> shift & mask) - bias - 1) * column",
+           ("tests/test_acceptance.py::test_criterion_7_orbit_census",)),
+    # the orbit table's words built from the wrong parent body
+    Mutant("cli_report.py",
+           "bodies = [bodies[p - before] + glued[i]",
+           "bodies = [bodies[p - before - 1] + glued[i]",
+           ("tests/test_cli.py::TestRenderJsonOracle::"
+            "test_every_J_and_command_matches_json_dumps[U4]",)),
+    # each length's head written with the next length's codim, dim, length
+    Mutant("cli_report.py",
+           "census.codims[start], census.dims[start], census.lengths[start])",
+           "census.codims[start] - 1, census.dims[start] + 1,\n"
+           "            census.lengths[start] + 1)",
+           ("tests/test_cli.py::TestRenderJsonOracle::"
+            "test_every_J_and_command_matches_json_dumps[U4]",)),
+    # omega_i solved for e_{i+1}
+    Mutant("root_datum.py",
+           "return {i: _weight(rd, [1 if j == i else 0 for j in range(k)])",
+           "return {i: _weight(rd, [1 if j == i + 1 else 0 for j in range(k)])",
+           ("tests/test_root_datum.py::TestFundamentalWeights::test_gl2",
+            "tests/test_acceptance.py::test_criterion_8_positivity_property_suite")),
+    # the Levi's Smith form made from the roots of J0, not its coroots
+    Mutant("root_datum.py",
+           "rows = [rd.coroot_entries[j] for j in sorted(nodes)]",
+           "rows = [rd.root_entries[j] for j in sorted(nodes)]",
+           ("tests/test_acceptance.py::test_criterion_4_split_shortcut",)),
+    # fundamental_weights ignoring J
+    Mutant("root_datum.py",
+           "for i in range(k) if i not in J}",
+           "for i in range(k)}",
+           ("tests/test_root_datum.py::TestFundamentalWeights::"
+            "test_excludes_requested_nodes",
+            "tests/test_acceptance.py::test_criterion_8_positivity_property_suite")),
+    # B and C swapped at the last end of a double bond
+    Mutant("root_datum.py",
+           'series = "F" if not on_end else "B" if max(on_end) == short else "C"',
+           'series = "F" if not on_end else "C" if max(on_end) == short else "B"',
+           ("tests/test_root_datum.py::TestTypes::"
+            "test_every_plate_is_typed_in_both_isogeny_types",)),
+    # D and E swapped at the branch node
+    Mutant("root_datum.py",
+           'series = "D" if len(ends.intersection(branch[0])) >= 2 else "E"',
+           'series = "D" if len(ends.intersection(branch[0])) < 2 else "E"',
+           ("tests/test_root_datum.py::TestTypes::"
+            "test_every_plate_is_typed_in_both_isogeny_types",)),
+    # the census count check weakened back to a bound: too few points pass
+    Mutant("zip_core.py",
+           "if len(points) != count:",
+           "if len(points) > count:",
+           ("tests/test_zip_core.py::TestOrbitCensus::"
+            "test_census_count_check_survives_optimize_flag",)),
 )
 
 

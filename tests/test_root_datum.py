@@ -27,9 +27,11 @@ from ziphasse.root_datum import (
     ParabolicType,
     RootDatum,
     UnsupportedSeriesError,
+    _degrees,
     _dense,
     _dot,
     _make_frobenius,
+    _types,
     _walk,
     build_group,
     char_lattice_of_parabolic,
@@ -155,7 +157,7 @@ NESTED_SPECS = [
 
 def _leaf_specs(split):
     simple = st.tuples(st.sampled_from([("A", 1), ("A", 3), ("B", 2), ("C", 3),
-                                        ("D", 4), ("G", 2)]),
+                                        ("D", 3), ("D", 4), ("G", 2)]),
                        st.sampled_from(("simply_connected", "adjoint")))
     leaves = [
         st.builds(lambda n: {"builder": "gl", "n": n}, st.integers(1, 4)),
@@ -465,7 +467,7 @@ class TestCartanAndFrobenius:
     def test_rejects_tau_whose_dual_leaves_the_coroots(self):
         # the swap fixes the root e1 + e2 but sends the coroot e1 to e2
         rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)),),
-                       coroot_entries=(((0, 1),),), components=(Component("A", (0,)),))
+                       coroot_entries=(((0, 1),),))
         with pytest.raises(ValueError,
                            match="tau dual does not follow the root permutation"):
             _make_frobenius(rd, 2, (1, 0), (1, 1))
@@ -584,12 +586,16 @@ class TestDenseReference:
            st.integers(0, 2 ** 16))
     @example(G2_BLOCKS, "mixed", 0)
     @example({"builder": "unitary", "n": 5}, "fraction", 1)
+    @example({"builder": "product", "factors": [
+        {"builder": "simple", "series": "D", "rank": 3, "isogeny": "adjoint"},
+        {"builder": "gsp", "dim": 4}, {"builder": "simple", "series": "B", "rank": 2}]},
+        "int", 2)
     def test_every_grammar_spec_matches_the_dense_construction(self, spec, kind, seed):
         rd, frob = build_group(spec, 3)
         dense, tau = dense_group(spec)
         assert (dense_rows(rd.root_entries, rd.rank), dense_rows(rd.coroot_entries, rd.rank)) \
             == (dense.simple_roots, dense.simple_coroots)
-        assert rd.components == dense.components
+        assert rd.components == declared_types(dense)
         k = dense.num_nodes
         assert _dense(rd._cartan_entries[0], k).entries == tuple(
             _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
@@ -634,11 +640,11 @@ class TestDenseReference:
     def test_a_non_int_entry_is_refused(self):
         with pytest.raises(TypeError, match="integer entry expected"):
             RootDatum(rank=2, root_entries=(((0, 1), (1, Fraction(-1))),),
-                      coroot_entries=(((0, 1), (1, -1)),), components=())
+                      coroot_entries=(((0, 1), (1, -1)),))
 
 
 def torus(rank):
-    return RootDatum(rank=rank, root_entries=(), coroot_entries=(), components=())
+    return RootDatum(rank=rank, root_entries=(), coroot_entries=())
 
 
 class TestPositiveRoots:
@@ -720,23 +726,28 @@ class TestWeylWalksAgainstOracle:
         # A2 with its simple roots on swapped coordinates: the Cartan sum
         # meets node 1 before node 0
         rd = RootDatum(rank=2, root_entries=(((1, 1),), ((0, 1),)),
-                       coroot_entries=(((0, -1), (1, 2)), ((0, 2), (1, -1))),
-                       components=(Component("A", (0, 1)),))
+                       coroot_entries=(((0, -1), (1, 2)), ((0, 2), (1, -1))))
         assert rd._cartan_entries[1] == rd._cartan_entries[0] == (
             ((0, 2), (1, -1)), ((0, -1), (1, 2)))
         # A1 x A1 on e0 + e1 and e0 - e1: the two nodes share both
         # coordinates, and their pairings sum to 0
         rd = RootDatum(rank=2, root_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
-                       coroot_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))),
-                       components=(Component("A", (0,)), Component("A", (1,))))
+                       coroot_entries=(((0, 1), (1, 1)), ((0, 1), (1, -1))))
         assert dense_datum(rd).cartan_matrix().to_rows() == [[2, 0], [0, 2]]
         assert rd._cartan_entries[1] == rd._cartan_entries[0] == (((0, 2),), ((1, 2),))
 
 
-def levi_walk_length(rd, J):
-    """Steps of the walk from -1 on J and 0 elsewhere, in the nodes of J."""
-    start = tuple(-1 if i in J else 0 for i in range(rd.num_nodes))
-    return _walk(start, rd._cartan_entries[1], rd._opposition[1], frozenset(J))[1]
+def declared_types(dense):
+    """The components the dense construction declares, D3 named A3 as
+    _types names it: the two diagrams are the same."""
+    return tuple(Component("A", c.nodes) if (c.series, len(c.nodes)) == ("D", 3) else c
+                 for c in dense.components)
+
+
+def typed_root_count(rd, J):
+    """|Phi+_J| as the census reads it: d - 1 summed over the degrees d of
+    J's typed components."""
+    return sum(d - 1 for d in _degrees(_types(rd._cartan_entries[0], J)))
 
 
 def root_counts(rd, J):
@@ -748,7 +759,8 @@ def root_counts(rd, J):
 
 
 class TestWalkCounts:
-    """The opposition walk takes |Phi+| steps and the walk on J |Phi+_J|."""
+    """The opposition walk takes |Phi+| steps, and the degrees of J's typed
+    components give |Phi+_J|."""
 
     @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
     def test_step_counts_match_the_root_list_for_every_J(self, build):
@@ -757,7 +769,7 @@ class TestWalkCounts:
         assert k <= 6
         for bits in range(2 ** k):
             J = {i for i in range(k) if bits >> i & 1}
-            assert (rd._opposition[1], levi_walk_length(rd, J)) == \
+            assert (rd._opposition[1], typed_root_count(rd, J)) == \
                 root_counts(rd, J), J
 
     @pytest.mark.parametrize("rank", [7, 8])
@@ -765,7 +777,7 @@ class TestWalkCounts:
         rd, _ = simple_group("E", rank, 2)
         for outside in range(rank):
             J = set(range(rank)) - {outside}
-            assert (rd._opposition[1], levi_walk_length(rd, J)) == \
+            assert (rd._opposition[1], typed_root_count(rd, J)) == \
                 root_counts(rd, J)
 
     def test_rank_128(self):
@@ -773,10 +785,10 @@ class TestWalkCounts:
         # forms: A_n has n(n+1)/2 positive roots and C_n has n^2
         rd, _ = unitary(128, 2)
         assert rd._opposition[1] == 127 * 128 // 2 == 8128
-        assert levi_walk_length(rd, range(1, 127)) == 126 * 127 // 2 == 8001
+        assert typed_root_count(rd, range(1, 127)) == 126 * 127 // 2 == 8001
         rd, _ = gsp(254, 2)
         assert rd._opposition[1] == 127 ** 2 == 16_129
-        assert levi_walk_length(rd, range(3, 100)) == 97 * 98 // 2 == 4753
+        assert typed_root_count(rd, range(3, 100)) == 97 * 98 // 2 == 4753
 
     def test_u512_opposition_runs_past_the_old_step_guard(self):
         rd, _ = unitary(512, 2)
@@ -792,13 +804,15 @@ class TestWalkCounts:
 
     @pytest.mark.parametrize("series,message", [
         ("A", "more than"), ("E", "not |Phi+|")])
-    def test_a_wrong_series_trips_the_opposition_check(self, series, message):
+    def test_a_misnamed_component_trips_the_opposition_check(
+            self, series, message, monkeypatch):
         # D6 has 30 positive roots; A6 and E6 claim 21 and 36
+        types = root_datum._types
+        monkeypatch.setattr(root_datum, "_types", lambda rows, nodes: tuple(
+            Component(series, c.nodes) for c in types(rows, nodes)))
         rd, _ = simple_group("D", 6, 2)
-        wrong = dataclasses.replace(
-            rd, components=(Component(series, rd.components[0].nodes),))
         with pytest.raises(SelfCheckError, match=message):
-            opposition(wrong)
+            opposition(rd)
 
 
 class TestCartanCache:
@@ -831,7 +845,7 @@ class TestCartanCache:
     def test_the_pipeline_makes_no_dense_matrix(self, build):
         # every walk and solve reads the Cartan nonzeros, and the Smith
         # forms only the coroot entries they need; the datum caches exactly
-        # these two values, so a new per-datum cache must be named here
+        # these three values, so a new per-datum cache must be named here
         rd, frob = build()
         for J in ((), (0,), range(1, rd.num_nodes)):
             zd = build_zip_datum(rd, frob, parabolic=J)
@@ -844,7 +858,7 @@ class TestCartanCache:
         classify_cocharacter(rd, (2,) + (0,) * (rd.rank - 1))
         picard_torsion(rd)
         fields = {f.name for f in dataclasses.fields(rd)}
-        assert set(vars(rd)) - fields == {"_cartan_entries", "_opposition"}
+        assert set(vars(rd)) - fields == {"_cartan_entries", "_opposition", "components"}
 
 
 class TestCharLattice:
@@ -979,8 +993,7 @@ def affine_a2():
     """The affine datum of type A2~: three nodes bonded in a triangle."""
     roots = tuple(tuple((j, 2 if i == j else -1) for j in range(3)) for i in range(3))
     return RootDatum(rank=3, root_entries=roots,
-                     coroot_entries=(((0, 1),), ((1, 1),), ((2, 1),)),
-                     components=(Component("A~", (0, 1, 2)),))
+                     coroot_entries=(((0, 1),), ((1, 1),), ((2, 1),)))
 
 
 class TestPicardTorsion:
@@ -1013,3 +1026,36 @@ class TestPicardTorsion:
 
     def test_torus(self):
         assert picard_torsion(gl(1, 2)[0]) == ()
+
+
+class TestTypes:
+    """_types against Bourbaki's plates (Lie Groups and Lie Algebras, ch. VI)."""
+
+    def test_a_root_datum_is_its_roots_and_coroots(self):
+        assert [f.name for f in dataclasses.fields(RootDatum)] == [
+            "rank", "root_entries", "coroot_entries"]
+
+    @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+    @pytest.mark.parametrize("series,rank,torsion", TestPicardTorsion.BOURBAKI)
+    def test_every_plate_is_typed_in_both_isogeny_types(
+            self, series, rank, torsion, isogeny):
+        rd, _ = simple_group(series, rank, 2, isogeny)
+        typed = "A" if (series, rank) == ("D", 3) else series
+        assert rd.components == (Component(typed, tuple(range(rank))),)
+
+    @pytest.mark.parametrize("series,rank,outside,levi", [
+        # E8 nodes 0..7 are Bourbaki's alpha_1..alpha_8; F4 has 0, 1 long
+        ("E", 8, 0, (("D", 7),)), ("E", 8, 1, (("A", 7),)),
+        ("E", 8, 2, (("A", 1), ("A", 6))), ("E", 8, 3, (("A", 2), ("A", 1), ("A", 4))),
+        ("E", 8, 4, (("A", 4), ("A", 3))), ("E", 8, 5, (("D", 5), ("A", 2))),
+        ("E", 8, 6, (("E", 6), ("A", 1))), ("E", 8, 7, (("E", 7),)),
+        ("F", 4, 0, (("C", 3),)), ("F", 4, 3, (("B", 3),)),
+        ("G", 2, 0, (("A", 1),)), ("D", 4, 1, (("A", 1),) * 3),
+    ])
+    def test_maximal_levis_are_typed_as_the_plates_name_them(
+            self, series, rank, outside, levi):
+        rd, _ = simple_group(series, rank, 2)
+        J = set(range(rank)) - {outside}
+        typed = _types(rd._cartan_entries[0], J)
+        assert [(c.series, len(c.nodes)) for c in typed] == list(levi)
+        assert sorted(i for c in typed for i in c.nodes) == sorted(J)

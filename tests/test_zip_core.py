@@ -20,6 +20,8 @@ from ziphasse.exact_linear import IntMatrix, SelfCheckError
 from ziphasse.root_datum import (
     CONTAINS_BMINUS,
     ParabolicType,
+    _degrees,
+    _types,
     build_group,
     char_lattice_of_parabolic,
     gl,
@@ -29,7 +31,7 @@ from ziphasse.root_datum import (
     unitary,
     weil_restriction,
 )
-from ziphasse.weyl import classical_order, enumerate_weyl
+from ziphasse.weyl import classical_order, enumerate_weyl, min_coset_reps
 from ziphasse.zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -455,22 +457,39 @@ class TestOrbitCensus:
             "    print(exc)\n")
         assert "codimension-one orbits are not labeled" in run_optimized(script)
 
-    def test_walk_count_check_survives_optimize_flag(self):
-        # One step too many on the walk over J makes |Phi+_J| wrong.
+    def test_census_count_check_survives_optimize_flag(self):
+        # J = {0, 1} of GL4 typed as A1 x A1 gives |W_J| = 4, not 6: the
+        # census holds 24 / 6 = 4 points, not the 6 that this |W_J| claims,
+        # while l(w0) - l(w0,J) = 6 - 2 still matches eta's length
         script = (
             "from ziphasse import zip_core\n"
-            "from ziphasse.root_datum import gl\n"
-            "zd = zip_core.build_zip_datum(*gl(3, 2), parabolic=[0])\n"
-            "walk = zip_core._walk\n"
-            "def longer(*args, **kwargs):\n"
-            "    end, steps = walk(*args, **kwargs)\n"
-            "    return end, steps + 1\n"
-            "zip_core._walk = longer\n"
+            "from ziphasse.root_datum import Component, gl\n"
+            "zd = zip_core.build_zip_datum(*gl(4, 2), parabolic=[0, 1])\n"
+            "zip_core._types = lambda rows, nodes: tuple(\n"
+            "    Component('A', (i,)) for i in sorted(nodes))\n"
             "try:\n"
             "    zip_core.orbit_census(zd)\n"
             "except zip_core.CensusCheckError as exc:\n"
             "    print(exc)\n")
-        assert run_optimized(script) == "eta has length 2, not l(w0) - l(w0,J)\n"
+        assert run_optimized(script) == "the census holds 4 points, not |W_J \\ W| = 6\n"
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(test_root_datum.BUILDER_SPECS, st.data())
+    def test_census_count_is_w_over_w_j(self, spec, data):
+        # |W| / |W_J| from the typed components against Macdonald's count
+        # over the root heights, the census where it is cheap, and the
+        # enumerated coset representatives where |W| <= 2,000
+        rd, frob = build_group(spec, 2)
+        J = data.draw(st.sets(st.sampled_from(range(rd.num_nodes)))
+                      if rd.num_nodes else st.just(set()))
+        count = classical_order(rd) // math.prod(
+            _degrees(_types(rd._cartan_entries[0], J)))
+        assert count == sum(macdonald_length_counts(rd, J))
+        if count <= 20_000:
+            zd = build_zip_datum(rd, frob, parabolic=J)
+            assert len(orbit_census(zd).lengths) == count
+        if classical_order(rd) <= 2000:
+            assert len(min_coset_reps(enumerate_weyl(rd), J).reps) == count
 
     @pytest.mark.parametrize("series,rank,outside", [
         ("G", 2, None), ("F", 4, None), ("B", 4, None),
