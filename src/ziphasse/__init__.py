@@ -93,4 +93,4 @@ from .positivity import (
     weil_pullback_check,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -17,8 +17,7 @@ import json
 import os
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import positivity, root_datum, weyl, zip_core
 
@@ -42,8 +41,7 @@ _TOP_KEYS = {"q", "group", "cocharacter", "parabolic_type", "options"}
 _OPTION_KEYS = {"weyl_cap", "format"}
 
 
-@dataclass
-class DatumConfig:
+class DatumConfig(NamedTuple):
     q: int
     group: dict
     cocharacter: Optional[tuple]
@@ -132,8 +130,7 @@ def parse_config(text: str) -> DatumConfig:
                        parabolic_type=parab, weyl_cap=cap, fmt=fmt)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     data: dict
 
 
@@ -434,7 +431,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.weyl_cap is not None:
-            cfg.weyl_cap = args.weyl_cap
+            cfg = cfg._replace(weyl_cap=args.weyl_cap)
         report = run(args.command, cfg)
     except (ParseError, ValidationError) as exc:
         print("ziphasse: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

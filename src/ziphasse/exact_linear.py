@@ -9,11 +9,10 @@ independently.  No operation in this module ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class NonSquareError(ValueError):
@@ -158,8 +157,7 @@ class IntMatrix:
         return self.scale(-1)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Unimodular U, V and diagonal D with U * M * V = D, and V_inv = V^-1.
 
     The nonzero diagonal entries are the invariant factors: positive, each

@@ -14,10 +14,9 @@ applies, so that rule is the whole certificate; the tests prove it in X*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError
 from .root_datum import _dense
@@ -54,8 +53,7 @@ MIXED = "mixed"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     zeta_inverse_image: tuple
     antiample_certified: bool
     borel_coefficients: tuple  # indexed by the simple roots

@@ -25,12 +25,11 @@ deterministic and immutable, so a race between threads only computes it twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact_linear import (
     IntMatrix,
@@ -63,16 +62,15 @@ CONTAINS_B = "contains_B"
 CONTAINS_BMINUS = "contains_Bminus"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected Dynkin component: series letter plus its node indices."""
 
     series: str
     nodes: tuple
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
+                                          ("coroot_entries", tuple)])):
     """A based root datum on X* = X_* = Z^rank.
 
     Simple root i is root_entries[i], the tuple of its nonzero (coordinate,
@@ -82,24 +80,21 @@ class RootDatum:
     pairing them costs O(nnz), not O(rank) per root.
     """
 
-    rank: int
-    root_entries: tuple
-    coroot_entries: tuple
-
-    def __post_init__(self):
-        values = [x for rows in (self.root_entries, self.coroot_entries)
+    def __new__(cls, rank, root_entries, coroot_entries):
+        values = [x for rows in (root_entries, coroot_entries)
                   for row in rows for _, x in row]
-        # IntMatrix's int check, on the entries
+        # IntMatrix's int check, on the entries; _make and _replace skip it
         if set(map(type, values)) - {int}:
             for x in values:
                 _check_int(x)
+        return super().__new__(cls, rank, root_entries, coroot_entries)
 
     @property
     def num_nodes(self) -> int:
         return len(self.root_entries)
 
-    # the cached values below are not dataclass fields: ==, hash and repr
-    # ignore them
+    # the cached values below live in the instance __dict__, not in the
+    # tuple: ==, hash and repr ignore them
 
     @cached_property
     def _cartan_entries(self) -> tuple:
@@ -175,8 +170,7 @@ def _pairings(rows: Sequence, vec: Sequence) -> tuple:
     return tuple([Fraction(sum([x * nums[a] for a, x in row]), scale) for row in rows])
 
 
-@dataclass(frozen=True)
-class FrobeniusStructure:
+class FrobeniusStructure(NamedTuple):
     """q with the signed permutation tau: (tau v)_i = sign[i] * v[src[i]].
 
     tau permutes the simple roots by root_perm and has finite order; its
@@ -190,8 +184,8 @@ class FrobeniusStructure:
     order: int
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(NamedTuple("ParabolicType", [("J", frozenset),
+                                                  ("orientation", str)])):
     """Parabolic given by the simple roots J of its Levi plus the Borel it contains.
 
     J always indexes the simple roots of the standard Levi containing the
@@ -200,13 +194,11 @@ class ParabolicType:
     tests but not the character lattice.
     """
 
-    J: frozenset
-    orientation: str = CONTAINS_BMINUS
-
-    def __post_init__(self):
-        if self.orientation not in (CONTAINS_B, CONTAINS_BMINUS):
-            raise ValueError("bad orientation %r" % (self.orientation,))
-        object.__setattr__(self, "J", frozenset(self.J))
+    def __new__(cls, J, orientation=CONTAINS_BMINUS):
+        # _make and _replace skip these checks
+        if orientation not in (CONTAINS_B, CONTAINS_BMINUS):
+            raise ValueError("bad orientation %r" % (orientation,))
+        return super().__new__(cls, frozenset(J), orientation)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -657,14 +649,12 @@ def _walk(p: tuple, columns, limit: int, coeffs=None) -> tuple:
     raise SelfCheckError("a Weyl walk took more than |Phi+| = %d steps" % limit)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     vector: tuple
     coeffs: tuple
 
 
-@dataclass(frozen=True)
-class PositiveRoots:
+class PositiveRoots(NamedTuple):
     roots: tuple
     highest: tuple  # one Root per component, in component order
 

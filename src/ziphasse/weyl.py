@@ -9,8 +9,8 @@ word of that length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .exact_linear import IntMatrix, SelfCheckError
 from .root_datum import RootDatum, _degrees, reflection_matrix
@@ -34,15 +34,13 @@ def classical_order(rd: RootDatum) -> int:
     return prod(_degrees(rd.components))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     matrix: IntMatrix
     word: tuple
     length: int
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(NamedTuple):
     rd: RootDatum
     generators: tuple
     elements: tuple
@@ -50,11 +48,11 @@ class WeylGroup:
     w0_index: int
 
     def __len__(self) -> int:
+        # |W|: so _make and _replace, which check len, refuse; build with the class
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class CosetReps:
+class CosetReps(NamedTuple):
     """Minimal-length representatives of the cosets W_J \\ W.
 
     reps holds (element index, length) pairs sorted by length then by the

@@ -12,7 +12,6 @@ equivariant Picard group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -66,8 +65,7 @@ SMALL_NOT_MINUSCULE = "small_not_minuscule"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class ZipDatum:
+class ZipDatum(NamedTuple):
     rd: RootDatum
     frob: FrobeniusStructure
     J: frozenset
@@ -76,8 +74,7 @@ class ZipDatum:
     cochar: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class HasseReport:
+class HasseReport(NamedTuple):
     zeta: IntMatrix
     det_zeta: int
     invariant_factors: tuple
@@ -93,8 +90,7 @@ class OrbitEntry(NamedTuple):
     codim: int
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
+class OrbitCensus(NamedTuple):
     """The orbits as the breadth-first tree of their words, plus columns.
 
     Orbit n (0-based) has the word words[n] = words[parents[n]] + (letters[n],);

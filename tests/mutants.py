@@ -159,6 +159,27 @@ MUTANTS = (
            "if len(points) > count:",
            ("tests/test_zip_core.py::TestOrbitCensus::"
             "test_census_count_check_survives_optimize_flag",)),
+    # RootDatum built without its int check
+    Mutant("root_datum.py",
+           "if set(map(type, values)) - {int}:",
+           "if False:",
+           ("tests/test_root_datum.py::TestDenseReference::test_a_non_int_entry_is_refused",)),
+    # ParabolicType keeping J as given, not as a frozenset
+    Mutant("root_datum.py",
+           "return super().__new__(cls, frozenset(J), orientation)",
+           "return super().__new__(cls, J, orientation)",
+           ("tests/test_root_datum.py::TestParabolicType::test_J_is_made_a_frozenset",)),
+    # ParabolicType taking any orientation
+    Mutant("root_datum.py",
+           "if orientation not in (CONTAINS_B, CONTAINS_BMINUS):",
+           "if False:",
+           ("tests/test_root_datum.py::TestParabolicType::"
+            "test_an_unknown_orientation_is_refused",)),
+    # main building the --weyl-cap config and dropping it
+    Mutant("cli_report.py",
+           "cfg = cfg._replace(weyl_cap=args.weyl_cap)",
+           "cfg._replace(weyl_cap=args.weyl_cap)",
+           ("tests/test_cli.py::TestMainEntry::test_weyl_cap_flag",)),
 )
 
 

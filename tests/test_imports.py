@@ -1,16 +1,21 @@
-"""Every name that a module of src/ziphasse imports is read in that module.
+"""Every name that a module of src/ziphasse imports is read in that module,
+and the CLI module starts without the stdlib's heavy introspection modules.
 
-This is a linter's unused-import rule (F401) written with the stdlib ast, so
-tier-1 needs no linter.  __init__.py is skipped, because it imports to
-re-export, and so is an import on a line marked ``# noqa: F401``: a name
+The first is a linter's unused-import rule (F401) written with the stdlib
+ast, so tier-1 needs no linter.  __init__.py is skipped, because it imports
+to re-export, and so is an import on a line marked ``# noqa: F401``: a name
 that other code looks up in that module.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "ziphasse").glob("*.py"))
+SRC = Path(__file__).parents[1] / "src"
+SOURCES = sorted((SRC / "ziphasse").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -56,3 +61,21 @@ def test_the_package_has_modules_to_check():
                          ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loaded_modules(code: str) -> set:
+    """The names in sys.modules after a fresh interpreter runs code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # against a bare interpreter, which may itself load inspect at start-up
+    added = loaded_modules("import ziphasse.cli_report") - loaded_modules("pass")
+    assert "ziphasse.cli_report" in added
+    assert not {"dataclasses", "inspect"} & added

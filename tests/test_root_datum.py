@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import random
@@ -155,9 +154,12 @@ NESTED_SPECS = [
 ]
 
 
+# the simple groups among the grammar's leaves, as (series, rank)
+SIMPLE_LEAVES = [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 3), ("D", 4), ("G", 2)]
+
+
 def _leaf_specs(split):
-    simple = st.tuples(st.sampled_from([("A", 1), ("A", 3), ("B", 2), ("C", 3),
-                                        ("D", 3), ("D", 4), ("G", 2)]),
+    simple = st.tuples(st.sampled_from(SIMPLE_LEAVES),
                        st.sampled_from(("simply_connected", "adjoint")))
     leaves = [
         st.builds(lambda n: {"builder": "gl", "n": n}, st.integers(1, 4)),
@@ -188,8 +190,8 @@ BUILDER_SPECS = st.recursive(
 
 def assert_same_fields(a, b):
     assert type(a) is type(b)
-    for field in dataclasses.fields(a):
-        assert getattr(a, field.name) == getattr(b, field.name), field.name
+    for field in a._fields:
+        assert getattr(a, field) == getattr(b, field), field
 
 
 class TestOneFrobeniusPerGroup:
@@ -857,8 +859,7 @@ class TestCartanCache:
             cli_report._positivity_section(zd)
         classify_cocharacter(rd, (2,) + (0,) * (rd.rank - 1))
         picard_torsion(rd)
-        fields = {f.name for f in dataclasses.fields(rd)}
-        assert set(vars(rd)) - fields == {"_cartan_entries", "_opposition", "components"}
+        assert set(vars(rd)) - set(rd._fields) == {"_cartan_entries", "_opposition", "components"}
 
 
 class TestCharLattice:
@@ -881,6 +882,17 @@ class TestCharLattice:
         basis = char_lattice_of_parabolic(
             rd, ParabolicType(frozenset(), CONTAINS_B))
         assert basis == IntMatrix.identity(3)
+
+
+class TestParabolicType:
+    def test_J_is_made_a_frozenset(self):
+        pt = ParabolicType([1, 0])
+        assert pt.J == frozenset({0, 1})
+        assert pt == (frozenset({0, 1}), CONTAINS_BMINUS)
+
+    def test_an_unknown_orientation_is_refused(self):
+        with pytest.raises(ValueError, match="bad orientation 'contains_T'"):
+            ParabolicType(frozenset(), "contains_T")
 
 
 class TestOppType:
@@ -1032,8 +1044,7 @@ class TestTypes:
     """_types against Bourbaki's plates (Lie Groups and Lie Algebras, ch. VI)."""
 
     def test_a_root_datum_is_its_roots_and_coroots(self):
-        assert [f.name for f in dataclasses.fields(RootDatum)] == [
-            "rank", "root_entries", "coroot_entries"]
+        assert list(RootDatum._fields) == ["rank", "root_entries", "coroot_entries"]
 
     @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
     @pytest.mark.parametrize("series,rank,torsion", TestPicardTorsion.BOURBAKI)

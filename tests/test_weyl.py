@@ -1,4 +1,3 @@
-import dataclasses
 from math import factorial
 
 import pytest
@@ -260,8 +259,9 @@ class TestSelfChecks:
 
     def test_unique_longest_element_of_W_J(self):
         W = enumerate_weyl(gl(3, 2)[0])
-        doubled = dataclasses.replace(
-            W, elements=W.elements + (W.elements[W.w0_index],))
+        # len(W) is |W|, so W._replace refuses: rebuild through the class
+        doubled = weyl.WeylGroup(**{**W._asdict(),
+                                    "elements": W.elements + (W.elements[W.w0_index],)})
         with pytest.raises(SelfCheckError, match="of W_J is not unique"):
             longest_element(doubled, frozenset({0, 1}))
 
