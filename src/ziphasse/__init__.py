@@ -21,13 +21,10 @@ from .exact_linear import (
     solve_rational,
 )
 from .root_datum import (
-    CONTAINS_B,
-    CONTAINS_BMINUS,
     Component,
     FrobeniusStructure,
     InvalidQError,
     InvalidRankError,
-    ParabolicType,
     PositiveRoots,
     Root,
     RootDatum,
@@ -93,4 +90,4 @@ from .positivity import (
     weil_pullback_check,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -271,10 +271,11 @@ def _orbit_table(census, pad: str, emit) -> None:
             + '"length": %d,\n' + key + '"word": ')
     tail = "\n" + inner + "}"
     close = "\n" + key + "]" + tail
-    emit("[\n" + inner + head % (census.codims[0], census.dims[0], 0) + "[]" + tail)
+    dim_p, eta_length = census.dim_parabolic, census.eta_length
+    emit("[\n" + inner + head % (eta_length, dim_p, 0) + "[]" + tail)
     for start, bodies in _levels(census, "[\n" + item, ",\n" + item):
-        row = ",\n" + inner + head % (
-            census.codims[start], census.dims[start], census.lengths[start])
+        n = census.lengths[start]
+        row = ",\n" + inner + head % (eta_length - n, dim_p + n, n)
         emit(row + (close + row).join(bodies) + close)
     emit("\n" + pad + "]")
 
@@ -367,10 +368,11 @@ def _write_text(report: Report, emit) -> None:
                 d["pic_rank"]))
         row = "  orbit word="
         tail = "] length=%d dim=%d codim=%d\n"
-        emit(row + "[" + tail % (0, census.dims[0], census.codims[0]))
+        dim_p, eta_length = census.dim_parabolic, census.eta_length
+        emit(row + "[" + tail % (0, dim_p, eta_length))
         for start, bodies in _levels(census, "[", ", "):
-            close = tail % (census.lengths[start], census.dims[start],
-                            census.codims[start])
+            n = census.lengths[start]
+            close = tail % (n, dim_p + n, eta_length - n)
             emit(row + (close + row).join(bodies) + close)
     if "positivity" in d:
         for entry in d["positivity"]:

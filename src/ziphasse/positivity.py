@@ -19,7 +19,7 @@ from math import lcm, prod
 from typing import NamedTuple, Sequence
 
 from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError
-from .root_datum import _dense
+from .root_datum import _cycles, _dense
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -91,14 +91,6 @@ def borel_zeta_matrix(zd: ZipDatum) -> IntMatrix:
     return IntMatrix.identity(n) - tau.scale(zd.frob.q)
 
 
-def _cycle(perm: Sequence, start: int) -> list:
-    """start, perm[start], perm[perm[start]], ... up to the return to start."""
-    cycle = [start]
-    while perm[cycle[-1]] != start:
-        cycle.append(perm[cycle[-1]])
-    return cycle
-
-
 def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
     """zeta^-1(lam) on X*, with zeta = id - q*tau, one signed cycle at a time.
 
@@ -115,10 +107,7 @@ def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
     scale = lcm(*(x.denominator for x in lam))
     base = [x.numerator * (scale // x.denominator) for x in lam]
     image = [None] * len(base)
-    for start in range(len(base)):
-        if image[start] is not None:
-            continue
-        cycle = _cycle(src, start)
+    for cycle in _cycles(src):
         acc = 0
         for i in reversed(cycle):
             acc = base[i] + qsign[i] * acc
@@ -126,7 +115,7 @@ def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
         if denom == 0:
             raise SingularMatrixError("eps*q^c = 1 on a signed c-cycle of tau, "
                                       "so 1 - q*tau has no inverse")
-        image[start] = Fraction(acc, denom * scale)
+        image[cycle[0]] = Fraction(acc, denom * scale)
         for i in reversed(cycle[1:]):
             acc = base[i] * denom + qsign[i] * acc
             image[i] = Fraction(acc, denom * scale)
@@ -237,11 +226,11 @@ def weil_pullback_check(zd: ZipDatum, lam: Sequence) -> bool:
     """
     rd, perm = zd.rd, zd.frob.root_perm
     component = {node: c for c, comp in enumerate(rd.components) for node in comp.nodes}
-    for node in range(rd.num_nodes):
-        met = [component[i] for i in _cycle(perm, node)]
+    for cycle in _cycles(perm):
+        met = [component[i] for i in cycle]
         if len(set(met)) < len(met):
             raise NotWeilRestrictionError(
-                "the cycle of node %d meets one component twice" % (node,))
+                "the cycle of node %d meets one component twice" % (cycle[0],))
 
     # one missing node per maximal component, none for full ones
     for c, comp in enumerate(rd.components):

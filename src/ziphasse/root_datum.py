@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import inf, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -56,10 +56,6 @@ class InvalidQError(ValueError):
 
 class SingularCartanError(ValueError):
     """Fundamental-weight system is singular (cannot happen for finite type)."""
-
-
-CONTAINS_B = "contains_B"
-CONTAINS_BMINUS = "contains_Bminus"
 
 
 class Component(NamedTuple):
@@ -184,23 +180,6 @@ class FrobeniusStructure(NamedTuple):
     order: int
 
 
-class ParabolicType(NamedTuple("ParabolicType", [("J", frozenset),
-                                                  ("orientation", str)])):
-    """Parabolic given by the simple roots J of its Levi plus the Borel it contains.
-
-    J always indexes the simple roots of the standard Levi containing the
-    torus; the orientation flag records whether the parabolic contains the
-    upper or the lower Borel, which flips the sign convention in ampleness
-    tests but not the character lattice.
-    """
-
-    def __new__(cls, J, orientation=CONTAINS_BMINUS):
-        # _make and _replace skip these checks
-        if orientation not in (CONTAINS_B, CONTAINS_BMINUS):
-            raise ValueError("bad orientation %r" % (orientation,))
-        return super().__new__(cls, frozenset(J), orientation)
-
-
 def _dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
@@ -208,18 +187,27 @@ def _dot(a: Sequence, b: Sequence):
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    p = None
-    m = q
-    for d in range(2, q + 1):
-        if d * d > m:
-            p = m if p is None else p
-            break
-        if m % d == 0:
-            p = d
-            break
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def _cycles(perm: Sequence) -> list:
+    """The cycles [i, perm[i], perm[perm[i]], ...] of a permutation of
+    range(len(perm)), each from its least element, in order of that element."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle, i = [], start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = perm[i]
+        cycles.append(cycle)
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +252,9 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
 
     # tau sends e_src[i] to sign[i] * e_i; walk each cycle of that map
     order = 1
-    seen = [False] * n
-    for start in range(n):
-        length, eps, i = 0, 1, start
-        while not seen[i]:
-            seen[i] = True
-            length += 1
-            eps *= sign[i]
-            i = src[i]
-        if length:
-            order = lcm(order, length if eps == 1 else 2 * length)
+    for cycle in _cycles(src):
+        eps = prod([sign[i] for i in cycle])
+        order = lcm(order, len(cycle) if eps == 1 else 2 * len(cycle))
     if order > MAX_FROBENIUS_ORDER:
         raise ValueError("tau does not have small finite order")
     coroots = rd.coroot_entries
@@ -706,14 +687,13 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
     return PositiveRoots(roots=tuple(roots), highest=tuple(highest))
 
 
-def char_lattice_of_parabolic(rd: RootDatum, pt: ParabolicType) -> IntMatrix:
+def char_lattice_of_parabolic(rd: RootDatum, J: Iterable) -> IntMatrix:
     """Z-basis (rows) of {lam in X* : <alpha_j^vee, lam> = 0 for all j in J}.
 
-    J indexes the simple roots of the Levi, so the lattice is the same for
-    both orientations; the orientation only matters for sign tests elsewhere.
-    The basis is saturated and deterministic.
+    J is any iterable of the nodes of the Levi's simple roots.  The basis is
+    saturated and deterministic.
     """
-    J = sorted(pt.J)
+    J = sorted(set(J))
     for j in J:
         if not 0 <= j < rd.num_nodes:
             raise ValueError("node %r out of range" % (j,))

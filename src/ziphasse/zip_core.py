@@ -22,6 +22,7 @@ from .root_datum import (
     FrobeniusStructure,
     RootDatum,
     _coroot_smith,
+    _cycles,
     _degrees,
     _dot,
     _types,
@@ -96,15 +97,14 @@ class OrbitCensus(NamedTuple):
     Orbit n (0-based) has the word words[n] = words[parents[n]] + (letters[n],);
     orbit 0 is the empty word, with parent and letter -1.  So parents[n] < n
     and lengths[n] = lengths[parents[n]] + 1, and an orbit's word is never
-    stored: ``words`` and ``orbits`` rebuild the words on each read.
-    lengths[n], dims[n] and codims[n] are the columns of the orbit table.
+    stored: ``words`` and ``orbits`` rebuild the words on each read.  Nor
+    are its dimension dim_parabolic + lengths[n] and codimension
+    eta_length - lengths[n]: ``orbits`` and the CLI compute them.
     """
 
     parents: tuple
     letters: tuple
     lengths: tuple
-    dims: tuple
-    codims: tuple
     eta_length: int
     dim_group: int
     dim_parabolic: int
@@ -120,8 +120,10 @@ class OrbitCensus(NamedTuple):
 
     @property
     def orbits(self) -> tuple:
-        """One OrbitEntry per orbit, zipped from the words and columns on each read."""
-        return tuple(map(OrbitEntry, self.words, self.lengths, self.dims, self.codims))
+        """One OrbitEntry per orbit, built from the words and lengths on each read."""
+        dim_p, eta_length = self.dim_parabolic, self.eta_length
+        return tuple([OrbitEntry(word, n, dim_p + n, eta_length - n)
+                      for word, n in zip(self.words, self.lengths)])
 
 
 def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
@@ -154,11 +156,8 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
 
     perm = frob.root_perm
     K = opp_type(rd, frozenset(perm[j] for j in J))
-    # J0 is the largest perm-stable subset of J: a pass that changes nothing
-    # means perm maps J0 onto itself, so every later pass would change nothing
-    J0 = J
-    while (smaller := J0 & {perm[j] for j in J0}) != J0:
-        J0 = smaller
+    # J0 is the largest perm-stable subset of J: the perm-cycles inside J
+    J0 = frozenset([i for cycle in _cycles(perm) if J.issuperset(cycle) for i in cycle])
     return ZipDatum(rd=rd, frob=frob, J=J, K=K, J0=J0, cochar=cochar)
 
 
@@ -356,8 +355,6 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
         raise CensusCheckError("the codimension-one orbits are not labeled by I \\ J")
     return OrbitCensus(parents=tuple(parents), letters=tuple(letters),
                        lengths=tuple(lengths),
-                       dims=tuple([n + dim_p for n in lengths]),
-                       codims=tuple([eta_length - n for n in lengths]),
                        eta_length=eta_length, dim_group=dim_g,
                        dim_parabolic=dim_p, codim1_indices=tuple(codim1))
 

@@ -28,7 +28,8 @@ ampleness verdict is its old lattice test and strict sign test, the
 polarity flipped by hand.  The length
 distribution of the minimal coset representatives is Macdonald's product
 over the root heights, and J0 is the full loop of tau-order intersections
-that build_zip_datum ran before it stopped at the first stable pass.  With
+that build_zip_datum ran before it stopped at the first stable pass, and
+the prime factorisations of small q come from a sieve.  With
 J0 empty the invariant factors of the twist are read off the signed cycles
 of the dense tau, one Z/(q^c - eps) per cycle, and put in normal form by
 gcd/lcm exchanges, with no Smith form.  weil_factor_relabelling matches
@@ -47,7 +48,7 @@ from math import gcd, lcm
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                                    kernel_basis)
 from ziphasse.positivity import AMPLE, ANTIAMPLE, NOT_IN_LATTICE
-from ziphasse.root_datum import (CONTAINS_B, Component, ParabolicType, _cartan_matrix,
+from ziphasse.root_datum import (Component, _cartan_matrix,
                                  _coroot_smith, char_lattice_of_parabolic, check_group,
                                  fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
@@ -327,8 +328,6 @@ def enumerated_census(zd, W):
     return OrbitCensus(parents=tuple(prefix[w[:-1]] if w else -1 for w in words),
                        letters=tuple(w[-1] if w else -1 for w in words),
                        lengths=lengths,
-                       dims=tuple(length + dim_p for length in lengths),
-                       codims=tuple(eta_length - length for length in lengths),
                        eta_length=eta_length,
                        dim_group=zd.rd.rank + 2 * w0.length,
                        dim_parabolic=dim_p, codim1_indices=codim1)
@@ -434,7 +433,7 @@ def central_solve_weights(rd, J=()):
 def basis_zeta_matrix(zd):
     """chi -> chi - q tau(chi) in coordinates on char_lattice_of_parabolic's
     basis of X*(L0), by a Fraction solve on that basis."""
-    basis = char_lattice_of_parabolic(zd.rd, ParabolicType(zd.J0))
+    basis = char_lattice_of_parabolic(zd.rd, zd.J0)
     k = basis.rows
     if k == 0:
         return IntMatrix(0, 0, ())
@@ -646,12 +645,13 @@ def _signs_hold(pairings, J, positive):
     return all(p < 0 for p in outside)
 
 
-def two_helper_verdict(pairings, J, orientation):
+def two_helper_verdict(pairings, J, sign):
     """ample / antiample / neither / not_in_lattice for the coroot pairings
-    of a character of the parabolic of type J and the given orientation."""
+    of a character of the parabolic of type J whose ample characters pair
+    with the sign (+1 or -1) outside J."""
     if not _in_lattice(pairings, J):
         return NOT_IN_LATTICE
-    ample_positive = orientation == CONTAINS_B
+    ample_positive = sign > 0
     if _signs_hold(pairings, J, positive=ample_positive):
         return AMPLE
     if _signs_hold(pairings, J, positive=not ample_positive):
@@ -686,6 +686,23 @@ def full_order_j0(frob, J):
     for _ in range(frob.order):
         J0 &= {frob.root_perm[j] for j in J0}
     return frozenset(J0)
+
+
+def factorisations(limit):
+    """{q: {p: e}} for 2 <= q < limit: each q's prime factorisation, read off
+    a sieve of Eratosthenes that records the least prime factor of each q."""
+    least = list(range(limit))
+    for p in range(2, limit):
+        if least[p] == p:
+            for m in range(p * p, limit, p):
+                least[m] = min(least[m], p)
+    factors = {}
+    for q in range(2, limit):
+        p = least[q]
+        rest = dict(factors.get(q // p, {}))
+        rest[p] = rest.get(p, 0) + 1
+        factors[q] = rest
+    return factors
 
 
 def macdonald_length_counts(rd, J):

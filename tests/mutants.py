@@ -73,7 +73,7 @@ MUTANTS = (
            "if False:",
            ("tests/test_positivity.py::TestWeilPullback::test_pullbacks_of_ample_"
             "characters_are_ample_whenever_the_check_applies",)),
-    # the sign rule ignoring the orientation
+    # the sign rule ignoring the ample sign
     Mutant("positivity.py",
            "return AMPLE if ample_sign < 0 else ANTIAMPLE\n"
            "    if all(p > 0 for p in outside):\n"
@@ -118,9 +118,8 @@ MUTANTS = (
             "test_every_J_and_command_matches_json_dumps[U4]",)),
     # each length's head written with the next length's codim, dim, length
     Mutant("cli_report.py",
-           "census.codims[start], census.dims[start], census.lengths[start])",
-           "census.codims[start] - 1, census.dims[start] + 1,\n"
-           "            census.lengths[start] + 1)",
+           "head % (eta_length - n, dim_p + n, n)",
+           "head % (eta_length - n - 1, dim_p + n + 1, n + 1)",
            ("tests/test_cli.py::TestRenderJsonOracle::"
             "test_every_J_and_command_matches_json_dumps[U4]",)),
     # omega_i solved for e_{i+1}
@@ -164,17 +163,25 @@ MUTANTS = (
            "if set(map(type, values)) - {int}:",
            "if False:",
            ("tests/test_root_datum.py::TestDenseReference::test_a_non_int_entry_is_refused",)),
-    # ParabolicType keeping J as given, not as a frozenset
+    # J0 taking the perm-cycles that merely meet J, not those inside it
+    Mutant("zip_core.py",
+           "if J.issuperset(cycle)",
+           "if not J.isdisjoint(cycle)",
+           ("tests/test_zip_core.py::TestBuildZipDatum::test_j0_is_the_largest_stable_subset",
+            "tests/test_zip_core.py::TestBuildZipDatum::test_j0_matches_the_full_order_loop")),
+    # the cycle walk marking only its start node as seen: each cycle comes
+    # once from each of its nodes
     Mutant("root_datum.py",
-           "return super().__new__(cls, frozenset(J), orientation)",
-           "return super().__new__(cls, J, orientation)",
-           ("tests/test_root_datum.py::TestParabolicType::test_J_is_made_a_frozenset",)),
-    # ParabolicType taking any orientation
+           "seen[i] = True",
+           "seen[start] = True",
+           ("tests/test_root_datum.py::TestCycles::"
+            "test_cycles_partition_the_nodes_and_are_closed",)),
+    # the order of tau not doubled on a cycle whose signs multiply to -1
     Mutant("root_datum.py",
-           "if orientation not in (CONTAINS_B, CONTAINS_BMINUS):",
-           "if False:",
-           ("tests/test_root_datum.py::TestParabolicType::"
-            "test_an_unknown_orientation_is_refused",)),
+           "len(cycle) if eps == 1 else 2 * len(cycle)",
+           "len(cycle)",
+           ("tests/test_root_datum.py::TestCartanAndFrobenius::"
+            "test_signed_permutations_match_power_loop_oracle",)),
     # main building the --weyl-cap config and dropping it
     Mutant("cli_report.py",
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",

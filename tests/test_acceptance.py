@@ -24,8 +24,6 @@ from ziphasse.positivity import (
     weil_pullback_check,
 )
 from ziphasse.root_datum import (
-    CONTAINS_BMINUS,
-    ParabolicType,
     char_lattice_of_parabolic,
     fundamental_weights,
     gl,
@@ -192,12 +190,10 @@ def test_criterion_6_m_p_identity():
             rd, _ = build(3)
             k = rd.num_nodes
             full = frozenset(range(k))
-            rank_g = char_lattice_of_parabolic(
-                rd, ParabolicType(full, CONTAINS_BMINUS)).rows
+            rank_g = char_lattice_of_parabolic(rd, full).rows
             for bits in range(2 ** k):
                 J = frozenset(i for i in range(k) if bits >> i & 1)
-                rank_p = char_lattice_of_parabolic(
-                    rd, ParabolicType(J, CONTAINS_BMINUS)).rows
+                rank_p = char_lattice_of_parabolic(rd, J).rows
                 assert rank_p - rank_g == k - len(J)
 
 
@@ -271,7 +267,7 @@ def test_criterion_9_weil_pullback():
                 # the pullback to each copy, computed in X*, is ample there
                 for vec, targets in xstar_block_pullbacks(zd, lam, copies):
                     assert two_helper_verdict(rd.coroot_pairings(vec), every - targets,
-                                              CONTAINS_BMINUS) == AMPLE
+                                              -1) == AMPLE
 
 
 def test_criterion_10_classification():

@@ -1,12 +1,15 @@
 """Every name that a module of src/ziphasse imports is read in that module,
-and the CLI module starts without the stdlib's heavy introspection modules.
+the CLI module starts without the stdlib's heavy introspection modules, and
+every name and result attribute that the benchmark's tracer looks up exists.
 
 The first is a linter's unused-import rule (F401) written with the stdlib
 ast, so tier-1 needs no linter.  __init__.py is skipped, because it imports
 to re-export, and so is an import on a line marked ``# noqa: F401``: a name
-that other code looks up in that module.
+that other code looks up in that module.  The tracer, perfbench/tracer.py,
+is read and run here as source and never written to.
 """
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -14,7 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from ziphasse.exact_linear import IntMatrix, smith_normal_form
+from ziphasse.root_datum import gsp, positive_roots
+from ziphasse.weyl import enumerate_weyl
+from ziphasse.zip_core import build_zip_datum, orbit_census, zeta_matrix
+
 SRC = Path(__file__).parents[1] / "src"
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 SOURCES = sorted((SRC / "ziphasse").glob("*.py"))
 
 
@@ -79,3 +88,34 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     added = loaded_modules("import ziphasse.cli_report") - loaded_modules("pass")
     assert "ziphasse.cli_report" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """The tracer module's namespace, run from its source."""
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def test_every_traced_name_resolves_in_its_home_module(tracer):
+    for module, names in tracer["TRACED"].items():
+        home = importlib.import_module("%s.%s" % (tracer["PACKAGE"], module))
+        assert [n for n in names if not callable(getattr(home, n, None))] == [], module
+
+
+def test_every_observer_reads_a_real_result(tracer):
+    rd, frob = gsp(4, 3)
+    zd = build_zip_datum(rd, frob, parabolic=[0])
+    results = {
+        "weyl.enumerate_weyl": enumerate_weyl(rd),
+        "zip_core.orbit_census": orbit_census(zd),
+        "root_datum.positive_roots": positive_roots(rd),
+        "zip_core.zeta_matrix": zeta_matrix(zd),
+        "exact_linear.smith_normal_form": smith_normal_form(IntMatrix(2, 2, [2, 4, 6, 9])),
+    }
+    traced = {"%s.%s" % (m, n) for m, names in tracer["TRACED"].items() for n in names}
+    assert set(tracer["_OBSERVERS"]) == set(results) and set(results) <= traced
+    for name, (counter, update) in tracer["_OBSERVERS"].items():
+        assert counter in tracer["COUNTERS"]
+        assert update(0, results[name]) > 0, name

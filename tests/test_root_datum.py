@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 from _oracles import (central_solve_weights, coefficient_closure, dense_datum,
-                      dense_group, dense_rows, dense_tau, first_negative_to_dominant,
-                      power_loop_frobenius, same_lattice, xstar_dominant_conjugate)
+                      dense_group, dense_rows, dense_tau, factorisations,
+                      first_negative_to_dominant, power_loop_frobenius, same_lattice,
+                      xstar_dominant_conjugate)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,24 +18,23 @@ from ziphasse import cli_report, root_datum
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError,
                                    solve_rational)
 from ziphasse.root_datum import (
-    CONTAINS_B,
-    CONTAINS_BMINUS,
     MAX_DEPTH,
     Component,
     InvalidQError,
     InvalidRankError,
-    ParabolicType,
     RootDatum,
     UnsupportedSeriesError,
     _degrees,
     _dense,
     _dot,
+    _cycles,
     _make_frobenius,
     _types,
     _walk,
     build_group,
     char_lattice_of_parabolic,
     check_group,
+    is_prime_power,
     fundamental_weight_sum,
     fundamental_weights,
     gl,
@@ -110,6 +110,11 @@ class TestBuilders:
             gl(3, 6)
         gl(3, 8)  # 2^3 is fine
         gl(3, 49)
+
+    def test_is_prime_power_below_2_to_the_12(self):
+        factors = factorisations(1 << 12)
+        for q in range(-2, 1 << 12):
+            assert is_prime_power(q) == (q in factors and len(factors[q]) == 1), q
 
     def test_invalid_rank(self):
         with pytest.raises(InvalidRankError):
@@ -575,6 +580,18 @@ class TestCartanAndFrobenius:
             assert rank == rd.num_nodes
 
 
+class TestCycles:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+    def test_cycles_partition_the_nodes_and_are_closed(self, perm):
+        cycles = _cycles(perm)
+        assert sorted(i for cycle in cycles for i in cycle) == list(range(len(perm)))
+        for cycle in cycles:
+            assert [perm[i] for i in cycle] == cycle[1:] + cycle[:1]
+        # each from its least element, in order of that element
+        assert [cycle[0] for cycle in cycles] == sorted(min(c) for c in cycles)
+
+
 class TestDenseReference:
     """The nonzero entries against the dense rank-length construction."""
 
@@ -865,34 +882,20 @@ class TestCartanCache:
 class TestCharLattice:
     def test_gl3_block21(self):
         rd, _ = gl(3, 5)
-        basis = char_lattice_of_parabolic(
-            rd, ParabolicType(frozenset({0}), CONTAINS_BMINUS))
+        basis = char_lattice_of_parabolic(rd, [0])
         assert basis.rows == 2
         assert same_lattice(basis.to_rows(), [[1, 1, 0], [0, 0, 1]])
 
     def test_full_levi_is_center(self):
         rd, _ = gl(4, 3)
-        basis = char_lattice_of_parabolic(
-            rd, ParabolicType(frozenset({0, 1, 2}), CONTAINS_BMINUS))
+        basis = char_lattice_of_parabolic(rd, (2, 0, 1))
         assert basis.rows == 1
         assert same_lattice(basis.to_rows(), [[1, 1, 1, 1]])
 
     def test_empty_levi_is_everything(self):
         rd, _ = gl(3, 2)
-        basis = char_lattice_of_parabolic(
-            rd, ParabolicType(frozenset(), CONTAINS_B))
+        basis = char_lattice_of_parabolic(rd, frozenset())
         assert basis == IntMatrix.identity(3)
-
-
-class TestParabolicType:
-    def test_J_is_made_a_frozenset(self):
-        pt = ParabolicType([1, 0])
-        assert pt.J == frozenset({0, 1})
-        assert pt == (frozenset({0, 1}), CONTAINS_BMINUS)
-
-    def test_an_unknown_orientation_is_refused(self):
-        with pytest.raises(ValueError, match="bad orientation 'contains_T'"):
-            ParabolicType(frozenset(), "contains_T")
 
 
 class TestOppType:

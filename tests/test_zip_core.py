@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from ziphasse import zip_core
 from ziphasse.exact_linear import IntMatrix, SelfCheckError
 from ziphasse.root_datum import (
-    CONTAINS_BMINUS,
-    ParabolicType,
     _degrees,
     _types,
     build_group,
@@ -541,9 +539,12 @@ class TestOrbitEntry:
     def test_census_columns_are_tuples_and_read_only(self):
         rd, frob = gsp(6, 3)
         census = orbit_census(build_zip_datum(rd, frob, parabolic=[0]))
-        columns = (census.words, census.lengths, census.dims, census.codims)
-        assert [type(c) for c in columns] == [tuple] * 4
-        assert census.orbits == tuple(zip(*columns))
+        columns = (census.words, census.lengths)
+        assert [type(c) for c in columns] == [tuple] * 2
+        assert census.orbits == tuple(
+            (word, n, census.dim_parabolic + n, census.eta_length - n)
+            for word, n in zip(*columns))
+        assert not {"dims", "codims"} & set(census._fields)
         for name in ("words", "orbits"):
             with pytest.raises(AttributeError):
                 setattr(census, name, ())
@@ -613,13 +614,11 @@ class TestPicRank:
         for build in (lambda: gl(4, 3), lambda: gsp(6, 3),
                       lambda: simple_group("B", 3, 2), lambda: unitary(4, 2)):
             rd, frob = build()
-            rank_g = char_lattice_of_parabolic(rd, ParabolicType(
-                frozenset(range(rd.num_nodes)), CONTAINS_BMINUS)).rows
+            rank_g = char_lattice_of_parabolic(rd, range(rd.num_nodes)).rows
             for _ in range(6):
                 J = [i for i in range(rd.num_nodes) if rng.random() < 0.5]
                 zd = build_zip_datum(rd, frob, parabolic=J)
-                rank_p = char_lattice_of_parabolic(
-                    rd, ParabolicType(frozenset(J), CONTAINS_BMINUS)).rows
+                rank_p = char_lattice_of_parabolic(rd, J).rows
                 assert pic_rank(zd) == rd.num_nodes - len(J) == rank_p - rank_g
 
 
