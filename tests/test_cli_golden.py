@@ -14,7 +14,9 @@ rank-12 product of U(3), Res GL2 x2, GSp4 and adjoint B2, each wrapped in
 30 single-factor products, at the largest 40-bit prime q with J = {1, 3},
 pins a document at the nesting and q budgets.  Two documents sit at the
 rank budget, rank 128: U(128) with J = {2..127} at q = 2, and GSp254 with
-the Siegel parabolic J = {1..126} at q = 3.  The small documents pin
+the Siegel parabolic J = {1..126} at q = 3.  GSp254 with J = {1..10} at
+q = 3 pins a twist matrix with no unit entry, -2 times the identity of size
+118, whose invariant factors need the full elimination.  The small documents pin
 whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
 U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  Three more
 pin the positivity entry of one Weil restriction written in different
