@@ -15,6 +15,7 @@ from .exact_linear import (
     SingularMatrixError,
     SmithDecomposition,
     determinant,
+    invariant_factors,
     kernel_basis,
     rational_inverse,
     smith_normal_form,
@@ -90,4 +91,4 @@ from .positivity import (
     weil_pullback_check,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -302,8 +302,19 @@ def _write(value, pad: str, emit) -> None:
         sep = ",\n" + inner
         lead = "{\n" + inner
         for key in sorted(value):
-            emit(lead + _escape(key) + ": ")
-            _write(value[key], inner, emit)
+            # a scalar value goes out with its key, without a call of its own
+            head = lead + _escape(key) + ": "
+            item = value[key]
+            kind = type(item)
+            if kind is int:
+                emit(head + str(item))
+            elif kind is str:
+                emit(head + _escape(item))
+            elif kind is bool or item is None:
+                emit(head + _ATOMS[item])
+            else:
+                emit(head)
+                _write(item, inner, emit)
             lead = sep
         emit("\n" + pad + "}")
     elif kind is list or kind is tuple:

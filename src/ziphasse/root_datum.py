@@ -36,6 +36,7 @@ from .exact_linear import (
     SelfCheckError,
     SmithDecomposition,
     _check_int,
+    invariant_factors,
     kernel_basis,
     smith_normal_form,
     solve_rational,  # noqa: F401  re-exported; perfbench traces it here
@@ -831,15 +832,17 @@ def _forest_solve(rows: Sequence, target: Sequence) -> tuple:
 def picard_torsion(rd: RootDatum) -> tuple:
     """Invariant factors > 1 of X_* / (lattice spanned by the simple coroots).
 
-    Empty exactly when the derived group is simply connected.
+    Empty exactly when the derived group is simply connected.  Only the
+    factors of the coroot matrix are read, so none of its transforms is built.
     """
-    snf = _coroot_smith(rd, range(rd.num_nodes))
-    return tuple(f for f in snf.invariant_factors if f > 1)
+    factors = invariant_factors(_dense(rd.coroot_entries, rd.rank))
+    return tuple(f for f in factors if f > 1)
 
 
 def _coroot_smith(rd: RootDatum, nodes: Iterable) -> SmithDecomposition:
     """Smith form of the coroot rows of nodes in increasing order, made from
-    their nonzeros (0 x rank for no nodes); for the nodes J0 of a Levi,
-    columns |J0|.. of V are char_lattice_of_parabolic's basis of X*(L0)."""
+    their nonzeros (0 x rank for no nodes).  It serves the nodes J0 of a
+    Levi: columns |J0|.. of V are char_lattice_of_parabolic's basis of
+    X*(L0), and the factors > 1 are the Picard torsion of L0."""
     rows = [rd.coroot_entries[j] for j in sorted(nodes)]
     return smith_normal_form(_dense(rows, rd.rank))

@@ -12,12 +12,12 @@ equivariant Picard group.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
-                           determinant, smith_normal_form)
+                           determinant, invariant_factors)
 from .root_datum import (
     FrobeniusStructure,
     RootDatum,
@@ -211,7 +211,9 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
 
     The work follows the nonzeros: tau acts as the signed permutation it
     is, and V^-1 y is summed as y_j times column j of V^-1 over the
-    nonzero y_j, each column kept as its nonzero entries.
+    nonzero y_j, each column kept as its nonzero entries.  The columns of V
+    and V^-1 are read as strided slices of their row-major entries, and the
+    image coordinates, the columns of zeta, are zipped into its rows.
     """
     if snf is None:
         snf = _coroot_smith(zd.rd, zd.J0)
@@ -220,10 +222,11 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
     q = zd.frob.q
     src, sign = zd.frob.src, zd.frob.sign
     qsign = [q * s for s in sign]
+    basis, back = snf.V.entries, snf.V_inv.entries
     inverse = [[(i, col[i]) for i in compress(range(n), col)]
-               for col in snf.V_inv.transpose().to_rows()]
+               for col in (back[j::n] for j in range(n))]
     columns = []
-    for vec in snf.V.transpose().to_rows()[r:]:
+    for vec in (basis[j::n] for j in range(r, n)):
         y = [x - c * vec[j] for x, c, j in zip(vec, qsign, src)]
         coords = [0] * n
         for j in compress(range(n), y):
@@ -233,8 +236,8 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
         if any(coords[:r]):
             raise SelfCheckError("twist endomorphism does not preserve the lattice")
         columns.append(coords[r:])
-    k = len(columns)
-    return IntMatrix._trusted(k, k, [c[j] for j in range(k) for c in columns])
+    k = n - r
+    return IntMatrix._trusted(k, k, chain.from_iterable(zip(*columns)))
 
 
 def s0_characters(zd: ZipDatum) -> HasseReport:
@@ -244,13 +247,15 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     character group of the finite stabilizer; otherwise PicObstructionError
     is raised, carrying the same report flagged as unreliable.  One Smith
     form of the J0 coroots, _coroot_smith, serves the lattice and the torsion.
+    Only the invariant factors of zeta are read, so no transform of it is
+    built; the Bareiss determinant checks them independently.
     """
     levi = _coroot_smith(zd.rd, zd.J0)
     zeta = zeta_matrix(zd, levi)
     det = determinant(zeta)
     if det == 0:
         raise SelfCheckError("twist endomorphism must be injective")
-    factors = smith_normal_form(zeta).invariant_factors
+    factors = invariant_factors(zeta)
     order = abs(det)
     if order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")

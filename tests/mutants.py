@@ -182,6 +182,29 @@ MUTANTS = (
            "len(cycle)",
            ("tests/test_root_datum.py::TestCartanAndFrobenius::"
             "test_signed_permutations_match_power_loop_oracle",)),
+    # the invariant factors without their gcd/lcm pass: the sorted diagonal
+    Mutant("exact_linear.py",
+           "if y % x:",
+           "if False:",
+           ("tests/test_exact_linear.py::TestInvariantFactors::"
+            "test_a_diagonal_needs_the_gcd_lcm_step",)),
+    # ... with the signs of the diagonal kept
+    Mutant("exact_linear.py",
+           "diag.append(abs(piv))",
+           "diag.append(piv)",
+           ("tests/test_exact_linear.py::TestInvariantFactors::"
+            "test_a_scalar_matrix_has_no_unit_pivot",)),
+    # zeta's basis read from column r + 1 of V, one column short
+    Mutant("zip_core.py",
+           "for j in range(r, n)",
+           "for j in range(r + 1, n)",
+           ("tests/test_zip_core.py::TestZetaMatrix::test_unitary3",)),
+    # V^-1 read by rows where its columns are meant
+    Mutant("zip_core.py",
+           "(back[j::n] for j in range(n))",
+           "(back[j * n:j * n + n] for j in range(n))",
+           ("tests/test_zip_core.py::TestZetaMatrix::"
+            "test_matches_dense_oracle_for_every_J",)),
     # main building the --weyl-cap config and dropping it
     Mutant("cli_report.py",
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",

@@ -13,6 +13,7 @@ from ziphasse.exact_linear import (
     NonSquareError,
     SingularMatrixError,
     determinant,
+    invariant_factors,
     kernel_basis,
     rational_inverse,
     smith_normal_form,
@@ -97,6 +98,53 @@ class TestSmithNormalForm:
                 prod *= f
             if det != 0:
                 assert prod == abs(det)
+
+
+@st.composite
+def dense_matrix(draw):
+    """A dense matrix of any shape up to 6 x 6, 0 x n and m x 0 included,
+    some of whose rows are zero or combinations of earlier rows."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = draw(st.sampled_from((st.integers(-2, 2), st.integers(-9, 9),
+                                  st.integers(-2**70, 2**70))))
+    body = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(("draw", "draw", "zero", "combine")))
+        if kind == "zero":
+            body.append([0] * cols)
+        elif kind == "combine" and body:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            x, y = draw(st.sampled_from(body)), draw(st.sampled_from(body))
+            body.append([a * u + b * v for u, v in zip(x, y)])
+        else:
+            body.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    return IntMatrix(rows, cols, [x for row in body for x in row])
+
+
+class TestInvariantFactors:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(dense_matrix())
+    def test_match_the_smith_form(self, m):
+        factors = smith_normal_form(m).invariant_factors
+        assert invariant_factors(m) == factors
+        assert invariant_factors(m.transpose()) == factors
+
+    def test_every_empty_and_zero_shape(self):
+        for rows, cols in itertools.product(range(4), repeat=2):
+            assert invariant_factors(IntMatrix.zero(rows, cols)) == ()
+
+    def test_a_diagonal_needs_the_gcd_lcm_step(self):
+        assert invariant_factors(mat([[2, 0], [0, 3]])) == (1, 6)
+        assert invariant_factors(mat([[4, 0], [0, 6]])) == (2, 12)
+        assert invariant_factors(mat([[0, 0, 6], [0, -10, 0], [15, 0, 0]])) == (1, 30, 30)
+
+    @pytest.mark.parametrize("q", (3, 4, 9))
+    def test_a_scalar_matrix_has_no_unit_pivot(self, q):
+        # (1 - q) I_k is the twist matrix of a split Levi
+        for k in range(21):
+            m = IntMatrix.identity(k).scale(1 - q)
+            assert invariant_factors(m) == (q - 1,) * k
+            assert smith_normal_form(m).invariant_factors == (q - 1,) * k
 
 
 class TestDeterminant:
@@ -389,6 +437,11 @@ class TestSparseShortcuts:
         assert snf == full_scan_smith_normal_form(m)
         assert snf.U * m * snf.V == snf.D
         assert snf.V * snf.V_inv == IntMatrix.identity(m.cols)
+
+    @SETTINGS
+    @given(sparse_matrix())
+    def test_invariant_factors_match_the_smith_form(self, m):
+        assert invariant_factors(m) == smith_normal_form(m).invariant_factors
 
     @SETTINGS
     @given(sparse_matrix(square=True, max_dim=6))
