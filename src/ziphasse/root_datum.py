@@ -13,20 +13,25 @@ Builders cover the groups used downstream: general linear groups, similitude
 symplectic groups, quasi-split unitary groups, split simple groups in both
 isogeny types, finite products, and Weil restrictions of split groups along a
 degree-r extension.  Each is one call to build_group, which assembles
-factors and inner groups from their lattice parts and makes the Frobenius
-structure once, for the whole group.
+factors and inner groups from their lattice parts and checks tau once, for
+the whole group.
 
 Everything constructed here is immutable and safe to share between threads.
 A RootDatum computes its Cartan data on first use and keeps it: the nonzero
 rows and columns of the Cartan matrix, which every walk and solve reads,
 the Dynkin components typed off them and the opposition walk.  Each is
 deterministic and immutable, so a race between threads only computes it twice.
+build_group keeps the last MAX_GROUPS descriptions it built, each with its
+datum and the q-free part of its tau, in one process-wide lru_cache: equal
+descriptions share one RootDatum object, so a sweep over parabolic types
+pays for the Cartan data once.  q is checked on every call.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import inf, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -218,18 +223,25 @@ def _cycles(perm: Sequence) -> list:
 MAX_FROBENIUS_ORDER = 10_000
 
 
-def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
-                    sign: Sequence) -> FrobeniusStructure:
-    """Frobenius structure for the tau with (tau v)_i = sign[i] * v[src[i]].
+def _check_q(q) -> int:
+    """q, when it is an int prime power >= 2; raises InvalidQError otherwise."""
+    if not isinstance(q, int) or isinstance(q, bool) or not is_prime_power(q):
+        raise InvalidQError("q must be a prime power >= 2, got %r" % (q,))
+    return q
+
+
+def _tau(rd: RootDatum, src: Sequence, sign: Sequence) -> tuple:
+    """(src, sign, root_perm, order): the fields of a Frobenius structure
+    besides q, for the tau with (tau v)_i = sign[i] * v[src[i]].
 
     Every builder's tau is such a signed permutation.  Its order is the lcm
     of its cycle lengths, doubled on a cycle whose signs multiply to -1.
-    build_group makes it once per group: the tau of a product or Weil
+    Raises ValueError when tau is not a signed permutation, does not
+    permute the simple roots and coroots alike, or has too large an order.
+    build_group checks tau once per group: the tau of a product or Weil
     restriction is block-diagonal up to the block shift, so a factor that
     fails a check here makes the whole group fail it.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or not is_prime_power(q):
-        raise InvalidQError("q must be a prime power >= 2, got %r" % (q,))
     n = rd.rank
     src, sign = tuple(src), tuple(sign)
     if sorted(src) != list(range(n)) or len(sign) != n \
@@ -262,7 +274,15 @@ def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
     for i, row in enumerate(coroots):
         if act(row) != coroots[perm[i]]:
             raise ValueError("tau dual does not follow the root permutation")
-    return FrobeniusStructure(q=q, src=src, sign=sign, root_perm=perm, order=order)
+    return src, sign, perm, order
+
+
+def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
+                    sign: Sequence) -> FrobeniusStructure:
+    """Frobenius structure for q and the tau with (tau v)_i = sign[i] * v[src[i]]:
+    q is checked first (_check_q), then tau (_tau)."""
+    q = _check_q(q)
+    return FrobeniusStructure(q, *_tau(rd, src, sign))
 
 
 def gl(n: int, q: int):
@@ -316,6 +336,16 @@ def weil_restriction(copies: int, inner_spec, q: int):
                         "inner": inner_spec}, q)
 
 
+# Most group descriptions that build_group keeps built, the least recently
+# used dropped first.  An entry of rank 128 holds about 110 KB once its
+# Cartan data are cached, so the memo holds about 14 MB at that rank.
+MAX_GROUPS = 128
+
+# The canonical text of a checked description, the key of build_group's
+# memo: JSON with sorted keys, made by one encoder for every call.
+_canonical = json.JSONEncoder(sort_keys=True).encode
+
+
 def build_group(spec: dict, q: int):
     """Build (RootDatum, FrobeniusStructure) from a builder description.
 
@@ -328,12 +358,27 @@ def build_group(spec: dict, q: int):
          "inner": {"builder": "gl", "n": 2}}
 
     check_group refuses a malformed description before anything is built.
-    Factors and inner groups are built as lattice parts only (_parts), and
-    the Frobenius structure is made once, for the whole group, so q is
-    checked once.
+    Equal descriptions, whatever the order of their keys and whether the
+    default isogeny is given, return the same RootDatum object: the datum
+    and the q-free part of the Frobenius structure are built once per
+    description and process (_group), so the datum's cached Cartan data
+    are too.  q is checked on every call, after the datum, and the
+    Frobenius structure carries the q of the call.
     """
-    rd, src, sign = _parts(check_group(spec)[0])
-    return rd, _make_frobenius(rd, q, src, sign)
+    rd, tau = _group(_canonical(check_group(spec)[0]))
+    return rd, FrobeniusStructure(_check_q(q), *tau)
+
+
+@lru_cache(maxsize=MAX_GROUPS)
+def _group(key: str) -> tuple:
+    """(RootDatum, (src, sign, root_perm, order)) of the checked description
+    whose canonical text is key, built from the key itself, so that an entry
+    cannot hold another description's datum.  Factors and inner groups are
+    built as lattice parts only (_parts), and tau is checked once, for the
+    whole group.  lru_cache stores no exception, so a refused description
+    is refused again on every call."""
+    rd, src, sign = _parts(json.loads(key))
+    return rd, _tau(rd, src, sign)
 
 
 # Deepest nesting of product / weil_restriction groups a description may use.

@@ -205,6 +205,35 @@ MUTANTS = (
            "(back[j * n:j * n + n] for j in range(n))",
            ("tests/test_zip_core.py::TestZetaMatrix::"
             "test_matches_dense_oracle_for_every_J",)),
+    # build_group checking q only when its description misses the memo
+    Mutant("root_datum.py",
+           "    rd, tau = _group(_canonical(check_group(spec)[0]))\n"
+           "    return rd, FrobeniusStructure(_check_q(q), *tau)",
+           "    misses = _group.cache_info().misses\n"
+           "    rd, tau = _group(_canonical(check_group(spec)[0]))\n"
+           "    if _group.cache_info().misses > misses:\n"
+           "        _check_q(q)\n"
+           "    return rd, FrobeniusStructure(q, *tau)",
+           ("tests/test_root_datum.py::TestGroupMemo::"
+            "test_a_bad_q_is_refused_on_a_warm_description_every_time",
+            "tests/test_root_datum.py::TestOneFrobeniusPerGroup::"
+            "test_a_warm_description_checks_q_and_not_tau")),
+    # a memo key blind to the isogeny: adjoint and simply connected data
+    # share one key, and so one datum
+    Mutant("root_datum.py",
+           "_group(_canonical(check_group(spec)[0]))",
+           "_group(_canonical(check_group(spec)[0])"
+           ".replace('\"adjoint\"', '\"simply_connected\"'))",
+           ("tests/test_root_datum.py::TestGroupMemo::"
+            "test_the_isogeny_and_the_factor_order_tell_data_apart",
+            "tests/test_root_datum.py::TestBuilders::test_simple_isogenies")),
+    # the Frobenius structure of a description's first q kept on its shared
+    # datum and returned for every later q
+    Mutant("root_datum.py",
+           "return rd, FrobeniusStructure(_check_q(q), *tau)",
+           "return rd, vars(rd).setdefault(\"frob\", FrobeniusStructure(_check_q(q), *tau))",
+           ("tests/test_root_datum.py::TestGroupMemo::"
+            "test_a_second_q_keeps_the_datum_and_gets_its_own_frobenius",)),
     # main building the --weyl-cap config and dropping it
     Mutant("cli_report.py",
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",

@@ -200,23 +200,32 @@ def assert_same_fields(a, b):
 
 
 class TestOneFrobeniusPerGroup:
-    """build_group makes the Frobenius once, for the whole group: factors
-    and inner groups are built as (datum, src, sign)."""
+    """build_group checks tau once, for the whole group: factors and inner
+    groups are built as (datum, src, sign).  A warm description checks
+    only q."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"is_prime_power": 0, "_make_frobenius": 0}
+        calls = {"is_prime_power": 0, "_tau": 0}
         for name in calls:
             def counted(*args, _name=name, _inner=getattr(root_datum, name)):
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(root_datum, name, counted)
+        root_datum._group.cache_clear()
         return calls
 
     @pytest.mark.parametrize("spec", NESTED_SPECS)
     def test_q_is_factored_once_and_frobenius_made_once(self, spec, calls):
         rd, frob = build_group(spec, GOLDEN_Q)
-        assert calls == {"is_prime_power": 1, "_make_frobenius": 1}
+        assert calls == {"is_prime_power": 1, "_tau": 1}
+        assert frob.q == GOLDEN_Q and len(frob.src) == rd.rank <= 24
+
+    @pytest.mark.parametrize("spec", NESTED_SPECS)
+    def test_a_warm_description_checks_q_and_not_tau(self, spec, calls):
+        build_group(spec, GOLDEN_Q)
+        rd, frob = build_group(spec, GOLDEN_Q)
+        assert calls == {"is_prime_power": 2, "_tau": 1}
         assert frob.q == GOLDEN_Q and len(frob.src) == rd.rank <= 24
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -224,10 +233,13 @@ class TestOneFrobeniusPerGroup:
     def test_every_grammar_spec_makes_one_frobenius(self, spec):
         with pytest.MonkeyPatch.context() as monkeypatch:
             made = []
-            inner = root_datum._make_frobenius
-            monkeypatch.setattr(root_datum, "_make_frobenius",
+            inner = root_datum._tau
+            monkeypatch.setattr(root_datum, "_tau",
                                 lambda *args: made.append(1) or inner(*args))
+            root_datum._group.cache_clear()
             build_group(spec, 4)
+            assert made == [1]
+            build_group(spec, 5)
         assert made == [1]
 
     PUBLIC = [
@@ -269,6 +281,111 @@ class TestOneFrobeniusPerGroup:
         with pytest.raises(ValueError, match="does not have small finite order"):
             product_group(factors, 2)
         assert product_group(factors[:5], 2)[1].order == 2310
+
+
+B3 = {"builder": "simple", "series": "B", "rank": 3}
+U3_WEIL = {"builder": "weil_restriction", "copies": 2,
+           "inner": {"builder": "unitary", "n": 3}}
+
+
+def memo_size():
+    return root_datum._group.cache_info().currsize
+
+
+class TestGroupMemo:
+    """build_group keeps one datum per description and process, and checks
+    q on every call."""
+
+    @pytest.mark.parametrize("spec,same", [
+        ({"builder": "gsp", "dim": 6}, {"dim": 6, "builder": "gsp"}),
+        (B3, dict(B3, isogeny="simply_connected")),
+        (B3, {"isogeny": "simply_connected", "rank": 3, "series": "B",
+              "builder": "simple"}),
+        ({"builder": "product", "factors": [
+            {"builder": "weil_restriction", "copies": 2,
+             "inner": nested({"builder": "simple", "series": "C", "rank": 3}, 1)},
+            {"builder": "unitary", "n": 3}]},
+         {"factors": [
+             {"inner": {"factors": [{"rank": 3, "series": "C", "builder": "simple",
+                                     "isogeny": "simply_connected"}],
+                        "builder": "product"},
+              "builder": "weil_restriction", "copies": 2},
+             {"n": 3, "builder": "unitary"}], "builder": "product"}),
+    ], ids=["keys_permuted", "isogeny_given", "isogeny_given_keys_permuted",
+            "nested_product_and_weil"])
+    def test_equal_descriptions_return_one_datum(self, spec, same):
+        rd, frob = build_group(spec, 3)
+        again, frob_again = build_group(same, 3)
+        assert again is rd and frob_again == frob
+        assert memo_size() == 1
+
+    def test_the_isogeny_and_the_factor_order_tell_data_apart(self):
+        sc, _ = build_group(B3, 2)
+        ad, _ = build_group(dict(B3, isogeny="adjoint"), 2)
+        assert ad != sc
+        assert (picard_torsion(sc), picard_torsion(ad)) == ((), (2,))
+        u3 = {"builder": "unitary", "n": 3}
+        one, _ = build_group({"builder": "product", "factors": [GL2, u3]}, 2)
+        other, _ = build_group({"builder": "product", "factors": [u3, GL2]}, 2)
+        assert one != other
+        assert memo_size() == 4
+
+    @pytest.mark.parametrize("spec", NESTED_SPECS + [U3_WEIL["inner"], B3])
+    def test_a_second_q_keeps_the_datum_and_gets_its_own_frobenius(self, spec):
+        rd, frob = build_group(spec, 2)
+        rd9, frob9 = build_group(spec, 9)
+        assert rd9 is rd and frob9 == frob._replace(q=9)
+        root_datum._group.cache_clear()
+        cold_rd, cold9 = build_group(spec, 9)
+        assert cold_rd is not rd and cold_rd == rd
+        assert_same_fields(frob9, cold9)
+
+    @pytest.mark.parametrize("q", [1, 6, 0, -4, True, 4.0, "4", None])
+    def test_a_bad_q_is_refused_on_a_warm_description_every_time(self, q):
+        rd, _ = build_group(GL2, 4)
+        for _ in range(3):
+            with pytest.raises(InvalidQError):
+                build_group(GL2, q)
+        info = root_datum._group.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert build_group(GL2, 4)[0] is rd
+
+    @pytest.mark.parametrize("q", [3, 6])
+    def test_a_non_split_inner_group_is_refused_every_time(self, q):
+        for _ in range(3):
+            with pytest.raises(UnsupportedSeriesError,
+                               match="weil_restriction needs a split inner group"):
+                build_group(U3_WEIL, q)
+        assert memo_size() == 0
+
+    def test_the_memo_is_bounded_and_an_evicted_description_rebuilds_equal(self):
+        spec = {"builder": "unitary", "n": 5}
+        first, frob = build_group(spec, 3)
+        for n in range(1, root_datum.MAX_GROUPS + 1):
+            build_group({"builder": "gl", "n": n}, 3)
+        assert memo_size() == root_datum.MAX_GROUPS
+        again, frob_again = build_group(spec, 3)
+        assert again is not first and again == first
+        assert_same_fields(frob_again, frob)
+        assert memo_size() == root_datum.MAX_GROUPS
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(BUILDER_SPECS.filter(lambda spec: check_group(spec)[1] <= 10),
+           st.sampled_from([2, 3, 4, 2 ** 39]), st.sampled_from(["json", "text"]),
+           st.data())
+    def test_every_command_prints_the_same_bytes_warm_and_cold(
+            self, spec, q, fmt, data):
+        nodes = build_group(spec, q)[0].num_nodes
+        J = data.draw(st.lists(st.integers(1, nodes), unique=True)) if nodes else []
+        doc = {"q": q, "group": spec, "parabolic_type": J,
+               "options": {"weyl_cap": 2000, "format": fmt}}
+        cold = []
+        for command in cli_report.COMMANDS:
+            root_datum._group.cache_clear()
+            cold.append(cli_run(command, doc))
+        warm = [cli_run(command, doc) for command in cli_report.COMMANDS]
+        assert root_datum._group.cache_info().hits >= len(cli_report.COMMANDS)
+        assert warm == cold
 
 
 def weil_tower(spec, depth):
@@ -321,17 +438,21 @@ MALFORMED = {
 }
 
 
-def cli_hasse(spec):
-    """(exit code, stdout, stderr) of cli_report.main on spec, in process."""
-    doc = {"q": 3, "group": spec, "parabolic_type": []}
+def cli_run(command, doc):
+    """(exit code, stdout, stderr) of cli_report.main on doc, in process."""
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_report.main(["hasse"])
+            code = cli_report.main([command])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def cli_hasse(spec):
+    """cli_run of hasse on spec at q = 3 with J empty."""
+    return cli_run("hasse", {"q": 3, "group": spec, "parabolic_type": []})
 
 
 @st.composite
@@ -829,6 +950,7 @@ class TestWalkCounts:
         types = root_datum._types
         monkeypatch.setattr(root_datum, "_types", lambda rows, nodes: tuple(
             Component(series, c.nodes) for c in types(rows, nodes)))
+        root_datum._group.cache_clear()  # a D6 built under the patch only
         rd, _ = simple_group("D", 6, 2)
         with pytest.raises(SelfCheckError, match=message):
             opposition(rd)
@@ -850,7 +972,9 @@ class TestCartanCache:
     @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
     def test_a_used_datum_equals_a_fresh_one(self, build):
         used, frob = build()
+        root_datum._group.cache_clear()
         fresh, _ = build()
+        assert fresh is not used
         opp_type(used, range(used.num_nodes))
         fundamental_weight_sum(used)
         orbit_census(build_zip_datum(used, frob, parabolic=[]))
