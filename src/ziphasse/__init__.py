@@ -91,4 +91,4 @@ from .positivity import (
     weil_pullback_check,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

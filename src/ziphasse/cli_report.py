@@ -130,10 +130,6 @@ def parse_config(text: str) -> DatumConfig:
                        parabolic_type=parab, weyl_cap=cap, fmt=fmt)
 
 
-class Report(NamedTuple):
-    data: dict
-
-
 def _nodes_out(nodes) -> list:
     return [i + 1 for i in sorted(nodes)]
 
@@ -165,8 +161,8 @@ def _positivity_section(zd) -> list:
     return [entry]
 
 
-def run(command: str, cfg: DatumConfig) -> Report:
-    """Run the requested pipelines and assemble a flat report."""
+def run(command: str, cfg: DatumConfig) -> dict:
+    """Run the requested pipelines and assemble a flat report, a dict."""
     if command not in COMMANDS:
         raise ValidationError("unknown command %r" % (command,))
     try:
@@ -227,7 +223,7 @@ def run(command: str, cfg: DatumConfig) -> Report:
         data["picard"] = [str(f) for f in root_datum.picard_torsion(rd)]
 
     data["warnings"] = warnings
-    return Report(data=data)
+    return data
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -302,19 +298,8 @@ def _write(value, pad: str, emit) -> None:
         sep = ",\n" + inner
         lead = "{\n" + inner
         for key in sorted(value):
-            # a scalar value goes out with its key, without a call of its own
-            head = lead + _escape(key) + ": "
-            item = value[key]
-            kind = type(item)
-            if kind is int:
-                emit(head + str(item))
-            elif kind is str:
-                emit(head + _escape(item))
-            elif kind is bool or item is None:
-                emit(head + _ATOMS[item])
-            else:
-                emit(head)
-                _write(item, inner, emit)
+            emit(lead + _escape(key) + ": ")
+            _write(value[key], inner, emit)
             lead = sep
         emit("\n" + pad + "}")
     elif kind is list or kind is tuple:
@@ -344,25 +329,24 @@ def _write(value, pad: str, emit) -> None:
         raise TypeError("%s is not written as JSON" % (kind.__name__,))
 
 
-def write_json(report: Report, stream) -> None:
+def write_json(report: dict, stream) -> None:
     """Write the JSON text of report to a text stream, in chunks: the orbit
     table goes out one length at a time and is never held whole."""
-    _write(report.data, "", stream.write)
+    _write(report, "", stream.write)
     stream.write("\n")
 
 
-def render_json(report: Report) -> str:
+def render_json(report: dict) -> str:
     """The JSON text of report: the chunks of write_json, joined."""
     out = []
-    _write(report.data, "", out.append)
+    _write(report, "", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _write_text(report: Report, emit) -> None:
-    """Emit the plain-text rendering of report, one chunk per line, and the
-    orbit lines one chunk per length as in _orbit_table."""
-    d = report.data
+def _write_text(d: dict, emit) -> None:
+    """Emit the plain-text rendering of the report d, one chunk per line,
+    and the orbit lines one chunk per length as in _orbit_table."""
     group = json.dumps(d["group"], sort_keys=True)
     emit("datum: q=%d group=%s\n" % (d["q"], group))
     emit("types: J=%s K=%s J0=%s\n" % (d["J"], d["K"], d["J0"]))
@@ -394,12 +378,12 @@ def _write_text(report: Report, emit) -> None:
         emit("warning: %s: %s\n" % (w["code"], w["detail"]))
 
 
-def write_text(report: Report, stream) -> None:
+def write_text(report: dict, stream) -> None:
     """Write the plain-text rendering of report to a text stream, in chunks."""
     _write_text(report, stream.write)
 
 
-def render_text(report: Report) -> str:
+def render_text(report: dict) -> str:
     """The plain-text rendering of report: the chunks of write_text, joined."""
     out = []
     _write_text(report, out.append)
@@ -461,7 +445,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("ziphasse: cannot write the report: %s" % (exc,), file=sys.stderr)
         return 2
-    warnings = report.data["warnings"]
+    warnings = report["warnings"]
     for w in warnings:
         print("ziphasse: %s: %s" % (w["code"], w["detail"]), file=sys.stderr)
     return 3 if warnings else 0

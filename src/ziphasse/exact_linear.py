@@ -161,14 +161,15 @@ class IntMatrix:
 
 
 class SmithDecomposition(NamedTuple):
-    """Unimodular U, V and diagonal D with U * M * V = D, and V_inv = V^-1.
+    """Unimodular U and V with U * M * V = D, and V_inv = V^-1.
 
-    The nonzero diagonal entries are the invariant factors: positive, each
-    dividing the next, with zero diagonal entries (if any) coming last.
+    D is diagonal, its nonzero entries the invariant factors: positive,
+    each dividing the next, with zero diagonal entries (if any) coming
+    last.  D itself is not kept: it is diag(invariant_factors) padded with
+    zeros to the shape of M.
     """
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     invariant_factors: tuple
     V_inv: IntMatrix
@@ -292,10 +293,9 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
 
     for i in range(min(m, n)):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
 
-    diag = [a[i][i] for i in range(min(m, n))]
+    diag = [abs(a[i][i]) for i in range(min(m, n))]
     factors = tuple(d for d in diag if d != 0)
     # nonzero entries come first; anything else is a bug in the loop above
     if any(diag[len(factors):]):
@@ -303,7 +303,6 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     flat = chain.from_iterable
     return SmithDecomposition(
         U=IntMatrix._trusted(m, m, flat(u)),
-        D=IntMatrix._trusted(m, n, flat(a)),
         V=IntMatrix._trusted(n, n, flat(zip(*v_cols))),
         invariant_factors=factors,
         V_inv=IntMatrix._trusted(n, n, flat(v_inv)),

@@ -33,7 +33,6 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf, isqrt, lcm, prod
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact_linear import (
@@ -78,7 +77,7 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
     Simple root i is root_entries[i], the tuple of its nonzero (coordinate,
     value) entries in increasing coordinate order, and simple coroot i is
     coroot_entries[i] in the same form.  The builders' roots and coroots
-    have at most three nonzero coordinates, so building, checking and
+    have at most four nonzero coordinates, so building, checking and
     pairing them costs O(nnz), not O(rank) per root.
     """
 
@@ -108,17 +107,13 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
             for a, x in row:
                 on_coord.setdefault(a, []).append((j, x))
         rows = []
-        columns = [[] for _ in self.root_entries]
-        for i, row in enumerate(self.coroot_entries):
+        for row in self.coroot_entries:
             sums = {}
             for a, y in row:
                 for j, x in on_coord.get(a, ()):
                     sums[j] = sums.get(j, 0) + y * x
-            nonzero = tuple([(j, sums[j]) for j in sorted(sums) if sums[j]])
-            rows.append(nonzero)
-            for j, c in nonzero:
-                columns[j].append((i, c))
-        return tuple(rows), tuple(map(tuple, columns))
+            rows.append(tuple([(j, sums[j]) for j in sorted(sums) if sums[j]]))
+        return tuple(rows), _columns(rows, self.num_nodes)
 
     @cached_property
     def components(self) -> tuple:
@@ -148,6 +143,16 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
     def root_pairings(self, covec: Sequence) -> tuple:
         """<covec, alpha_i> for every node i, paired as coroot_pairings."""
         return _pairings(self.root_entries, covec)
+
+
+def _columns(rows: Sequence, cols: int) -> tuple:
+    """The columns of the matrix with cols columns whose row i has the
+    nonzero entries rows[i], each as its nonzero (row, value) entries."""
+    columns = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            columns[j].append((i, x))
+    return tuple(map(tuple, columns))
 
 
 def _dense(rows: Sequence, rank: int) -> IntMatrix:
@@ -184,10 +189,6 @@ class FrobeniusStructure(NamedTuple):
     sign: tuple
     root_perm: tuple
     order: int
-
-
-def _dot(a: Sequence, b: Sequence):
-    return sum(map(mul, a, b))
 
 
 def is_prime_power(q: int) -> bool:
@@ -275,14 +276,6 @@ def _tau(rd: RootDatum, src: Sequence, sign: Sequence) -> tuple:
         if act(row) != coroots[perm[i]]:
             raise ValueError("tau dual does not follow the root permutation")
     return src, sign, perm, order
-
-
-def _make_frobenius(rd: RootDatum, q: int, src: Sequence,
-                    sign: Sequence) -> FrobeniusStructure:
-    """Frobenius structure for q and the tau with (tau v)_i = sign[i] * v[src[i]]:
-    q is checked first (_check_q), then tau (_tau)."""
-    q = _check_q(q)
-    return FrobeniusStructure(q, *_tau(rd, src, sign))
 
 
 def gl(n: int, q: int):
@@ -494,13 +487,13 @@ def _parts(spec: dict) -> tuple:
         coroots = chain + (((g - 1, 1),),)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
-        cartan = _cartan_matrix(series, n)
+        rows = _cartan_matrix(series, n)
         units = tuple([((i, 1),) for i in range(n)])
         if isogeny == "simply_connected":
             # root i is column i of the Cartan matrix
-            roots, coroots = _nonzeros(cartan.transpose()), units
+            roots, coroots = _columns(rows, n), units
         else:
-            roots, coroots = units, _nonzeros(cartan)
+            roots, coroots = units, rows
     rd = RootDatum(n, roots, coroots)
     if kind == "unitary":
         return rd, range(n - 1, -1, -1), (-1,) * n
@@ -518,44 +511,29 @@ def _direct_sum(data: Sequence) -> RootDatum:
     return RootDatum(offset, tuple(roots), tuple(coroots))
 
 
-def _nonzeros(mat: IntMatrix) -> tuple:
-    """The rows of mat as their nonzero (column, value) entries."""
-    return tuple([tuple([(a, x) for a, x in enumerate(mat.row(i)) if x])
-                  for i in range(mat.rows)])
-
-
-def _cartan_matrix(series: str, rank: int) -> IntMatrix:
-    """The Cartan matrix of a series at a rank that check_group accepts."""
-    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def bond(i, j):
-        c[i][j] = -1
-        c[j][i] = -1
-
-    if series in ("A", "B", "C"):
-        for i in range(rank - 1):
-            bond(i, i + 1)
-        if series == "B":
-            c[rank - 1][rank - 2] = -2  # last root short
-        elif series == "C":
-            c[rank - 2][rank - 1] = -2  # last root long
-    elif series == "D":
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 3, rank - 1)
+def _cartan_matrix(series: str, rank: int) -> tuple:
+    """The Cartan matrix of a series at a rank that check_group accepts, as
+    its nonzero rows: row i holds the (j, A_ij) with A_ij != 0, in
+    increasing j order."""
+    if series == "D":
+        bonds = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
     elif series == "E":
         chain = [0, 2, 3, 4, 5, 6, 7][:rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            bond(a, b)
-        bond(1, 3)
-    elif series == "F":
-        for i in range(3):
-            bond(i, i + 1)
-        c[2][1] = -2  # nodes 0,1 long; 2,3 short
-    elif series == "G":
-        bond(0, 1)
-        c[0][1] = -3  # node 0 short
-    return IntMatrix.from_rows(c)
+        bonds = list(zip(chain, chain[1:])) + [(1, 3)]
+    else:  # A, B, C, F and G are paths
+        bonds = [(i, i + 1) for i in range(rank - 1)]
+    rows = [{i: 2} for i in range(rank)]
+    for i, j in bonds:
+        rows[i][j] = rows[j][i] = -1
+    # the multiple bond (i, j, A_ij): A_ij < -1 makes node i its short end
+    multiple = {"B": (rank - 1, rank - 2, -2),  # last root short
+                "C": (rank - 2, rank - 1, -2),  # last root long
+                "F": (2, 1, -2),  # nodes 0,1 long; 2,3 short
+                "G": (0, 1, -3)}.get(series)  # node 0 short
+    if multiple:
+        i, j, x = multiple
+        rows[i][j] = x
+    return tuple([tuple(sorted(row.items())) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +614,14 @@ def _unpack(entries: Sequence, k: int) -> list:
     return vec
 
 
-def _walk(p: tuple, columns, limit: int, coeffs=None) -> tuple:
+def _walk(p: tuple, columns, limit: int) -> tuple:
     """(end, steps): reflect p in nodes with a negative pairing until none
     is left, counting the reflections.
 
     ``columns`` are the Cartan nonzeros of the datum (_cartan_entries):
     its columns, with entry (j, i) = <alpha_j^vee, alpha_i>, move the
     coroot pairings of a weight, and its rows, the columns of the
-    transpose, move the root pairings of a cocharacter.  With ``coeffs``,
-    the expansion of p's root in the simple roots, s_i also lowers
-    coeffs[i] by p_i, in place.
+    transpose, move the root pairings of a cocharacter.
 
     The dominant conjugate is unique, so the order of the reflections does
     not matter.  A worklist holds the negative nodes: s_i makes node i
@@ -666,8 +642,6 @@ def _walk(p: tuple, columns, limit: int, coeffs=None) -> tuple:
             return tuple(p), steps
         i = todo.pop()
         pi = p[i]
-        if coeffs is not None:
-            coeffs[i] -= pi
         for j, c in columns[i]:
             x = p[j]
             p[j] = x - pi * c
@@ -794,13 +768,10 @@ def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     """sum(omega_i for i outside J) with the normalization of fundamental_weights.
 
     One _weight solve for the indicator of the nodes outside J; the empty
-    sum is the zero vector.
+    sum, the solve of a zero target, is the zero vector.
     """
     J = frozenset(J)
-    target = [0 if i in J else 1 for i in range(rd.num_nodes)]
-    if not any(target):
-        return tuple(Fraction(0) for _ in range(rd.rank))
-    return _weight(rd, target)
+    return _weight(rd, [0 if i in J else 1 for i in range(rd.num_nodes)])
 
 
 def _weight(rd: RootDatum, target: Sequence) -> tuple:

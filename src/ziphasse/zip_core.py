@@ -24,9 +24,8 @@ from .root_datum import (
     _coroot_smith,
     _cycles,
     _degrees,
-    _dot,
+    _forest_solve,
     _types,
-    _unpack,
     _walk,
     opp_type,
     opposition,
@@ -169,7 +168,9 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     that holds for chi when it holds for its dominant conjugate chi+, and
     chi+ pairs with the positive roots of a component between 0 and its
     pairing with the highest root theta there.  theta is the dominant root
-    in the orbit of a long simple root, walked with its coefficients.
+    in the orbit of a long simple root: a walk gives its coroot pairings
+    A c, and the forest solve its coefficients c over one denominator, so
+    the comparison with 1 is one of integers.
     Small means that in every simple component the dominant conjugate pairs
     positively with at most one simple root, with value 1.
     """
@@ -182,17 +183,20 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     n_pos = rd._opposition[1]
     rows, columns = rd._cartan_entries
     dominant, _ = _walk(pairings, rows, n_pos)
-    tops = []
+    longs = [0] * rd.num_nodes
     for comp in rd.components:
         # a long node is the long end of a multiple bond: its column holds
         # an entry <alpha_j^vee, alpha_i> <= -2; without one, all are long
         long = next((i for i in comp.nodes if any(c < -1 for _, c in columns[i])),
                     comp.nodes[0])
-        theta = [0] * rd.num_nodes
-        theta[long] = 1
-        _walk(_unpack(columns[long], rd.num_nodes), columns, n_pos, coeffs=theta)
-        tops.append(_dot(theta, dominant))
-    if max(tops) <= 1:
+        for j, c in columns[long]:
+            longs[j] = c
+    # the components are orthogonal, so one walk takes the sum of their long
+    # roots to the sum of their thetas, and one solve gives its coefficients
+    thetas, _ = _walk(longs, columns, n_pos)
+    nums, denom = _forest_solve(rows, thetas)
+    if all(sum([nums[i] * dominant[i] for i in comp.nodes]) <= denom
+           for comp in rd.components):
         return MINUSCULE
     for comp in rd.components:
         positives = [dominant[i] for i in comp.nodes if dominant[i] > 0]

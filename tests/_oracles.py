@@ -97,6 +97,11 @@ def matmul(a, b):
             for i in range(a.rows) for j in range(b.cols)]
 
 
+def dot(a, b):
+    """The plain dot product of two vectors."""
+    return sum(x * y for x, y in zip(a, b))
+
+
 def apply(a, vec):
     """a @ vec by the double loop over (i, k)."""
     return tuple(sum(a.entries[i * a.cols + k] * vec[k] for k in range(a.cols))
@@ -252,7 +257,7 @@ def dense_group(spec):
         comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
-        cartan = _cartan_matrix(series, n)
+        cartan = dense_rows(_cartan_matrix(series, n), n)
         if isogeny == "simply_connected":
             roots, coroots = cartan.transpose(), IntMatrix.identity(n)
         else:
@@ -612,7 +617,6 @@ def full_scan_smith_normal_form(mat):
         raise SelfCheckError("zero diagonal entries of the Smith form are not last")
     return SmithDecomposition(
         U=IntMatrix(m, m, [x for row in u for x in row]),
-        D=IntMatrix(m, n, [x for row in a for x in row]),
         V=IntMatrix(n, n, [x for row in v for x in row]),
         invariant_factors=factors,
         V_inv=IntMatrix(n, n, [x for row in v_inv for x in row]),

@@ -234,6 +234,35 @@ MUTANTS = (
            "return rd, vars(rd).setdefault(\"frob\", FrobeniusStructure(_check_q(q), *tau))",
            ("tests/test_root_datum.py::TestGroupMemo::"
             "test_a_second_q_keeps_the_datum_and_gets_its_own_frobenius",)),
+    # F4's double bond on the wrong side: node 1 made its short end
+    Mutant("root_datum.py",
+           '"F": (2, 1, -2),',
+           '"F": (1, 2, -2),',
+           ("tests/test_root_datum.py::TestTypes::"
+            "test_maximal_levis_are_typed_as_the_plates_name_them[F-4-0-levi8]",)),
+    # theta's coefficients solved on the transpose of the Cartan matrix
+    Mutant("zip_core.py",
+           "_forest_solve(rows, thetas)",
+           "_forest_solve(columns, thetas)",
+           ("tests/test_zip_core.py::TestClassifyCocharacter::"
+            "test_fundamental_coweights_match_the_root_list[B-4]",
+            "tests/test_zip_core.py::TestClassifyCocharacter::"
+            "test_fundamental_coweights_match_the_root_list[C-4]",
+            "tests/test_zip_core.py::TestClassifyCocharacter::"
+            "test_fundamental_coweights_match_the_root_list[F-4]")),
+    # the simply connected roots read off the Cartan rows, not its columns
+    Mutant("root_datum.py",
+           "roots, coroots = _columns(rows, n), units",
+           "roots, coroots = rows, units",
+           ("tests/test_root_datum.py::TestDenseReference::"
+            "test_every_grammar_spec_matches_the_dense_construction",
+            "tests/test_root_datum.py::TestTypes::test_every_plate_is_typed_in_"
+            "both_isogeny_types[B-2-torsion8-simply_connected]")),
+    # the dict writer dropping the ": " after a key
+    Mutant("cli_report.py",
+           'emit(lead + _escape(key) + ": ")',
+           "emit(lead + _escape(key))",
+           ("tests/test_cli.py::TestRenderJsonOracle::test_matches_json_dumps",)),
     # main building the --weyl-cap config and dropping it
     Mutant("cli_report.py",
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",

@@ -18,7 +18,6 @@ from ziphasse import cli_report, root_datum, weyl, zip_core
 from ziphasse.cli_report import (
     COMMANDS,
     ParseError,
-    Report,
     ValidationError,
     main,
     parse_config,
@@ -123,34 +122,31 @@ class TestParseConfig:
 
 class TestRun:
     def test_hasse_unitary3(self):
-        report = run("hasse", parse_config(json.dumps(UNITARY3)))
-        d = report.data
+        d = run("hasse", parse_config(json.dumps(UNITARY3)))
         assert d["invariant_factors"] == ["1", "4", "8"]
         assert d["hasse_number"] == "8"
         assert d["J"] == [1] and d["J0"] == []
-        assert not report.data["warnings"]
+        assert not d["warnings"]
 
     def test_orbits_gl2(self):
-        report = run("orbits", parse_config(json.dumps(GL2_BOREL)))
-        d = report.data
+        d = run("orbits", parse_config(json.dumps(GL2_BOREL)))
         assert len(d["orbits"].words) == 2
         assert len(d["codim1"]) == 1
         assert d["pic_rank"] == 1
 
     def test_picard_adjoint(self):
         report = run("picard", parse_config(json.dumps(PGL3_FULL)))
-        assert report.data["picard"] == ["3"]
-        assert not report.data["warnings"]  # picard alone is fine
+        assert report["picard"] == ["3"]
+        assert not report["warnings"]  # picard alone is fine
 
     def test_pgl_obstruction(self):
         report = run("hasse", parse_config(json.dumps(PGL3_FULL)))
-        assert report.data["warnings"]
-        assert report.data["warnings"][0]["code"] == "PicObstruction"
-        assert report.data["pic_L0_trivial"] is False
+        assert report["warnings"]
+        assert report["warnings"][0]["code"] == "PicObstruction"
+        assert report["pic_L0_trivial"] is False
 
     def test_all_sections_present(self):
-        report = run("all", parse_config(json.dumps(HB3)))
-        d = report.data
+        d = run("all", parse_config(json.dumps(HB3)))
         for key in ("zeta", "det_zeta", "invariant_factors", "hasse_number",
                     "orbits", "codim1", "positivity", "picard", "warnings"):
             assert key in d
@@ -176,9 +172,8 @@ class TestDeterminism:
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == rendered
 
     def test_text_carries_same_numbers(self):
-        report = run("all", parse_config(json.dumps(UNITARY3)))
-        text = render_text(report)
-        d = report.data
+        d = run("all", parse_config(json.dumps(UNITARY3)))
+        text = render_text(d)
         assert d["hasse_number"] in text
         assert d["det_zeta"] in text
         for f in d["invariant_factors"]:
@@ -529,10 +524,6 @@ def oracle_json(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-def as_report(value):
-    return Report(data=value)
-
-
 JSON_ATOMS = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(min_value=2**64, max_value=2**200),
@@ -555,7 +546,7 @@ class TestRenderJsonOracle:
     @example(['q"uote', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9 \u2028 \U0001d11e"])
     @example({"\u00e9": 1, "e": 2, "\"": [None, True, "x", 3]})
     def test_matches_json_dumps(self, value):
-        assert render_json(as_report(value)) == oracle_json(value)
+        assert render_json(value) == oracle_json(value)
 
     @pytest.mark.parametrize("value", [
         1.5, {1, 2}, object(), [1, 2.0], {"a": {"b": frozenset()}}, {1: "a"},
@@ -564,7 +555,7 @@ class TestRenderJsonOracle:
             "int-key", "mixed-keys"])
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
-            render_json(as_report(value))
+            render_json(value)
 
     @pytest.mark.parametrize("group", [
         {"builder": "unitary", "n": 4},
@@ -581,7 +572,7 @@ class TestRenderJsonOracle:
                 for command in COMMANDS:
                     report = run(command, cfg)
                     assert render_json(report).splitlines(True) == \
-                        oracle_json(row_data(report.data)).splitlines(True), (J, command)
+                        oracle_json(row_data(report)).splitlines(True), (J, command)
 
 
 TABLE_KEYS = st.one_of(
@@ -656,10 +647,10 @@ class TestLikeShapedRows:
     def test_matches_json_dumps_or_raises_type_error(self, rows):
         value = {"rows": rows, "nested": [{"%t": rows}]}
         if writable(value):
-            assert render_json(as_report(value)) == oracle_json(value)
+            assert render_json(value) == oracle_json(value)
         else:
             with pytest.raises(TypeError):
-                render_json(as_report(value))
+                render_json(value)
 
     @pytest.mark.parametrize("rows", [
         [{"a": 1}] * 7,
@@ -673,22 +664,22 @@ class TestLikeShapedRows:
     ], ids=["short", "empty", "bool", "bool-in-list", "tuple", "mixed", "other-key",
             "extra-key"])
     def test_other_shapes_match_json_dumps(self, rows):
-        assert render_json(as_report(rows)) == oracle_json(rows)
+        assert render_json(rows) == oracle_json(rows)
 
     def test_int_keys_raise_type_error(self):
         with pytest.raises(TypeError):
-            render_json(as_report([{1: 1}] * 8))
+            render_json([{1: 1}] * 8)
 
     def test_shape_checks_survive_optimize_flag(self):
         script = (
             "import json\n"
-            "from ziphasse.cli_report import Report, render_json\n"
+            "from ziphasse.cli_report import render_json\n"
             "for rows in ([{'word': [1, 2], 'length': 2}] * 9,\n"
             "             [{'a': [1]}] * 8 + [{'a': [True]}],\n"
             "             [{'a': 1}] * 8 + [{'b': 1}],\n"
             "             [{'a': [1]}] * 8 + [{'a': [0.5]}]):\n"
             "    try:\n"
-            "        text = render_json(Report(rows))\n"
+            "        text = render_json(rows)\n"
             "    except TypeError:\n"
             "        text = 'TypeError'\n"
             "    print(text == json.dumps(rows, sort_keys=True, indent=2) + '\\n'\n"
@@ -746,7 +737,7 @@ class TestOrbitWriter:
     def test_json_matches_the_row_dicts(self, doc_nodes):
         for report in census_reports(*doc_nodes):
             assert render_json(report).splitlines(True) == \
-                oracle_json(row_data(report.data)).splitlines(True)
+                oracle_json(row_data(report)).splitlines(True)
             assert streamed(write_json, report) == render_json(report)
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -756,17 +747,17 @@ class TestOrbitWriter:
     def test_text_matches_the_row_formatter(self, doc_nodes):
         for report in census_reports(*doc_nodes):
             assert render_text(report).splitlines(True) == \
-                row_text(report.data).splitlines(True)
+                row_text(report).splitlines(True)
             assert streamed(write_text, report) == render_text(report)
 
     def test_one_orbit_when_J_holds_every_node(self):
         doc = {"q": 3, "group": {"builder": "gl", "n": 3}, "parabolic_type": [1, 2]}
         report = run("orbits", parse_config(json.dumps(doc)))
-        assert report.data["orbits"].words == ((),)
+        assert report["orbits"].words == ((),)
         assert '"word": []' in render_json(report)
         assert "  orbit word=[] length=0 dim=9 codim=0\n" in render_text(report)
         assert render_json(report).splitlines(True) == \
-            oracle_json(row_data(report.data)).splitlines(True)
+            oracle_json(row_data(report)).splitlines(True)
         assert streamed(write_json, report) == render_json(report)
         assert streamed(write_text, report) == render_text(report)
 
@@ -776,7 +767,7 @@ class TestOrbitWriter:
         write_json(report, SimpleNamespace(write=writes.append))
         text = "".join(writes)
         assert text == render_json(report)
-        census = report.data["orbits"]
+        census = report["orbits"]
         assert sum('"word"' in w for w in writes) >= census.eta_length + 1
         # the text of one length runs from its first row to the next length's
         rows = [m.start() for m in re.finditer(r'\{\n {6}"codim"', text)]
@@ -790,14 +781,14 @@ class TestOrbitWriter:
     def test_census_is_written_at_any_indent(self):
         doc = {"q": 3, "parabolic_type": [2],
                "group": {"builder": "simple", "series": "F", "rank": 4}}
-        census = run("orbits", parse_config(json.dumps(doc))).data["orbits"]
+        census = run("orbits", parse_config(json.dumps(doc)))["orbits"]
         assert type(census) is zip_core.OrbitCensus
         rows = row_data({"orbits": census})["orbits"]
         value = {"top": census, "nested": [[{"%d": census}], census]}
         expanded = {"top": rows, "nested": [[{"%d": rows}], rows]}
-        assert render_json(as_report(value)).splitlines(True) == \
+        assert render_json(value).splitlines(True) == \
             oracle_json(expanded).splitlines(True)
-        assert streamed(write_json, as_report(value)) == render_json(as_report(value))
+        assert streamed(write_json, value) == render_json(value)
 
 
 class TestOneParserPerProcess:

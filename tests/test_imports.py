@@ -1,12 +1,14 @@
 """Every name that a module of src/ziphasse imports is read in that module,
-the CLI module starts without the stdlib's heavy introspection modules, and
-every name and result attribute that the benchmark's tracer looks up exists.
+every private name that one defines is read in one of them, the CLI module
+starts without the stdlib's heavy introspection modules, and every name and
+result attribute that the benchmark's tracer looks up exists.
 
 The first is a linter's unused-import rule (F401) written with the stdlib
 ast, so tier-1 needs no linter.  __init__.py is skipped, because it imports
 to re-export, and so is an import on a line marked ``# noqa: F401``: a name
-that other code looks up in that module.  The tracer, perfbench/tracer.py,
-is read and run here as source and never written to.
+that other code looks up in that module.  The second keeps helpers that only
+the tests call out of the package.  The tracer, perfbench/tracer.py, is read
+and run here as source and never written to.
 """
 import ast
 import importlib
@@ -70,6 +72,56 @@ def test_the_package_has_modules_to_check():
                          ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> set:
+    """The private names, a leading _ and not a dunder, that source defines
+    at module level: its functions, classes and assigned names."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names
+            if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def read_names(source: str) -> set:
+    """Every name that source reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_the_check_flags_an_unread_private_name():
+    source = (
+        "import json\n"
+        "__all__ = ['f']\n"
+        "_KEPT: int = 2\n"
+        "_used, (_pair, _LEFT) = 1, (2, 3)\n"
+        "class _Record:\n"
+        "    _field = 1\n"
+        "def _helper():\n"
+        "    return _used + json._default_decoder.x + _pair\n"
+        "def f():\n"
+        "    return _helper() + _Record._field\n")
+    assert private_definitions(source) == {"_KEPT", "_used", "_pair", "_LEFT",
+                                           "_Record", "_helper"}
+    assert private_definitions(source) - read_names(source) == {"_KEPT", "_LEFT"}
+
+
+def test_every_private_name_is_read_in_the_package():
+    read = set().union(*(read_names(p.read_text()) for p in SOURCES))
+    unread = {p.name: sorted(private_definitions(p.read_text()) - read)
+              for p in SOURCES}
+    assert {name: names for name, names in unread.items() if names} == {}
 
 
 def loaded_modules(code: str) -> set:

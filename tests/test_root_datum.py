@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from _oracles import (central_solve_weights, coefficient_closure, dense_datum,
-                      dense_group, dense_rows, dense_tau, factorisations,
+                      dense_group, dense_rows, dense_tau, dot, factorisations,
                       first_negative_to_dominant, power_loop_frobenius, same_lattice,
                       xstar_dominant_conjugate)
 from hypothesis import example, given, settings
@@ -20,15 +20,16 @@ from ziphasse.exact_linear import (IntMatrix, SelfCheckError,
 from ziphasse.root_datum import (
     MAX_DEPTH,
     Component,
+    FrobeniusStructure,
     InvalidQError,
     InvalidRankError,
     RootDatum,
     UnsupportedSeriesError,
+    _check_q,
     _degrees,
     _dense,
-    _dot,
     _cycles,
-    _make_frobenius,
+    _tau,
     _types,
     _walk,
     build_group,
@@ -573,7 +574,7 @@ class TestCartanAndFrobenius:
     def test_signed_perm_reads_tau(self, signed):
         perm, signs = signed
         n = len(perm)
-        frob = _make_frobenius(torus(n), 3, perm, signs)
+        frob = frobenius(torus(n), 3, perm, signs)
         assert dense_tau(frob) == IntMatrix(n, n, [signs[i] if j == perm[i] else 0
                                                    for i in range(n) for j in range(n)])
         vec = tuple(range(3, 3 + n))
@@ -584,13 +585,13 @@ class TestCartanAndFrobenius:
         for src, sign in (((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1, 2)),
                           ((0,), (1,)), ((1, 0), (-1,))):
             with pytest.raises(ValueError, match="must be a signed permutation"):
-                _make_frobenius(torus(2), 2, src, sign)
+                frobenius(torus(2), 2, src, sign)
 
     def test_rejects_tau_off_the_simple_roots(self):
         rd, _ = gl(3, 2)
         # swapping e1 and e2 sends alpha_1 to -alpha_1
         with pytest.raises(ValueError, match="does not permute the simple roots"):
-            _make_frobenius(rd, 2, (1, 0, 2), (1, 1, 1))
+            frobenius(rd, 2, (1, 0, 2), (1, 1, 1))
 
     def test_rejects_tau_whose_dual_leaves_the_coroots(self):
         # the swap fixes the root e1 + e2 but sends the coroot e1 to e2
@@ -598,8 +599,8 @@ class TestCartanAndFrobenius:
                        coroot_entries=(((0, 1),),))
         with pytest.raises(ValueError,
                            match="tau dual does not follow the root permutation"):
-            _make_frobenius(rd, 2, (1, 0), (1, 1))
-        assert _make_frobenius(rd, 2, (0, 1), (1, 1)).root_perm == (0,)
+            frobenius(rd, 2, (1, 0), (1, 1))
+        assert frobenius(rd, 2, (0, 1), (1, 1)).root_perm == (0,)
 
     def test_rejects_signed_permutation_of_large_order(self):
         # cycles of lengths 2, 3, 5, 7, 11 and 13: order 30030 > 10000
@@ -609,9 +610,9 @@ class TestCartanAndFrobenius:
             start += length
         n = len(cycle_of)
         with pytest.raises(ValueError, match="does not have small finite order"):
-            _make_frobenius(torus(n), 2, cycle_of, (1,) * n)
+            frobenius(torus(n), 2, cycle_of, (1,) * n)
         # without the 13-cycle the order is 2310, which is accepted
-        assert _make_frobenius(torus(28), 2, cycle_of[:28], (1,) * 28).order == 2310
+        assert frobenius(torus(28), 2, cycle_of[:28], (1,) * 28).order == 2310
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_matches_power_loop_oracle(self, build):
@@ -629,7 +630,7 @@ class TestCartanAndFrobenius:
         n = len(perm)
         tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
                                for i in range(n) for j in range(n)])
-        frob = _make_frobenius(torus(n), 3, perm, signs)
+        frob = frobenius(torus(n), 3, perm, signs)
         assert (dense_tau(frob), frob.root_perm, frob.order) == \
             power_loop_frobenius(dense_datum(torus(n)), tau)
 
@@ -639,7 +640,7 @@ class TestCartanAndFrobenius:
         k = rd.num_nodes
         dense = dense_datum(rd)
         assert _dense(rd._cartan_entries[0], k).entries == tuple(
-            _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
+            dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.data())
@@ -652,7 +653,7 @@ class TestCartanAndFrobenius:
         vec = data.draw(st.lists(entry, min_size=rd.rank, max_size=rd.rank))
         got = rd.coroot_pairings(vec)
         dense = dense_datum(rd)
-        expected = tuple(_dot(dense.coroot(i), vec) for i in range(rd.num_nodes))
+        expected = tuple(dot(dense.coroot(i), vec) for i in range(rd.num_nodes))
         assert got == expected
         assert list(map(type, got)) == list(map(type, expected))
 
@@ -738,7 +739,7 @@ class TestDenseReference:
         assert rd.components == declared_types(dense)
         k = dense.num_nodes
         assert _dense(rd._cartan_entries[0], k).entries == tuple(
-            _dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
+            dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
         _, perm, order = power_loop_frobenius(dense, tau)
         assert (dense_tau(frob), frob.root_perm, frob.order) == (tau, perm, order)
         rng = random.Random(seed)
@@ -747,8 +748,8 @@ class TestDenseReference:
             vec = [Fraction(x, rng.randint(1, 30))
                    if kind == "fraction" or rng.random() < 0.5 else x for x in vec]
         for got, expected in (
-                (rd.coroot_pairings(vec), [_dot(dense.coroot(i), vec) for i in range(k)]),
-                (rd.root_pairings(vec), [_dot(vec, dense.root(i)) for i in range(k)])):
+                (rd.coroot_pairings(vec), [dot(dense.coroot(i), vec) for i in range(k)]),
+                (rd.root_pairings(vec), [dot(vec, dense.root(i)) for i in range(k)])):
             assert got == tuple(expected)
             assert list(map(type, got)) == list(map(type, expected))
 
@@ -769,7 +770,7 @@ class TestDenseReference:
         rd, _ = build_group(spec, 3)
         dense, _ = dense_group(spec)
         k = dense.num_nodes
-        cartan = [[_dot(dense.coroot(i), dense.root(j)) for j in range(k)]
+        cartan = [[dot(dense.coroot(i), dense.root(j)) for j in range(k)]
                   for i in range(k)]
         rows, columns = rd._cartan_entries
         assert columns == tuple(
@@ -785,6 +786,12 @@ class TestDenseReference:
 
 def torus(rank):
     return RootDatum(rank=rank, root_entries=(), coroot_entries=())
+
+
+def frobenius(rd, q, src, sign):
+    """The Frobenius structure of q and the tau (src, sign) on rd, checked
+    as build_group checks them: q first, then tau."""
+    return FrobeniusStructure(_check_q(q), *_tau(rd, src, sign))
 
 
 class TestPositiveRoots:
@@ -1107,6 +1114,9 @@ class TestFundamentalWeights:
     def test_forest_check_refuses_affine_a2(self):
         with pytest.raises(SelfCheckError, match="not a forest"):
             fundamental_weight_sum(affine_a2(), ())
+        # the empty sum is a solve too, of the zero target
+        with pytest.raises(SelfCheckError, match="not a forest"):
+            fundamental_weight_sum(affine_a2(), (0, 1, 2))
 
     def test_fundamental_weights_refuse_affine_a2(self):
         with pytest.raises(SelfCheckError, match="not a forest"):
