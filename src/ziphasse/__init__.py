@@ -16,43 +16,27 @@ from .exact_linear import (
     SmithDecomposition,
     determinant,
     invariant_factors,
-    kernel_basis,
-    rational_inverse,
     smith_normal_form,
-    solve_rational,
 )
 from .root_datum import (
     Component,
     FrobeniusStructure,
     InvalidQError,
     InvalidRankError,
-    PositiveRoots,
-    Root,
     RootDatum,
     SingularCartanError,
     UnsupportedSeriesError,
+    WeylGroupTooLargeError,
     build_group,
-    char_lattice_of_parabolic,
-    fundamental_weights,
+    classical_order,
     gl,
     gsp,
     opp_type,
     picard_torsion,
-    positive_roots,
     product_group,
     simple_group,
     unitary,
     weil_restriction,
-)
-from .weyl import (
-    CosetReps,
-    WeylElement,
-    WeylGroup,
-    WeylGroupTooLargeError,
-    classical_order,
-    enumerate_weyl,
-    longest_element,
-    min_coset_reps,
 )
 from .zip_core import (
     CENTRAL,
@@ -85,10 +69,8 @@ from .positivity import (
     PositivityReport,
     PreconditionViolatedError,
     antiample_check,
-    borel_zeta_matrix,
-    fundamental_zeta_matrix,
     hasse_divisor_coeffs,
     weil_pullback_check,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_right
 from typing import NamedTuple, Optional
 
-from . import positivity, root_datum, weyl, zip_core
+from . import positivity, root_datum, zip_core
 
 
 class ParseError(ValueError):
@@ -120,7 +120,7 @@ def parse_config(text: str) -> DatumConfig:
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ValidationError("unknown option keys %s" % (sorted(unknown),))
-    cap = _require_int(options.get("weyl_cap", weyl.DEFAULT_CAP), "weyl_cap")
+    cap = _require_int(options.get("weyl_cap", root_datum.DEFAULT_CAP), "weyl_cap")
     if cap < 1:
         raise ValidationError("weyl_cap must be >= 1, got %d" % (cap,))
     fmt = options.get("format")
@@ -202,9 +202,9 @@ def run(command: str, cfg: DatumConfig) -> dict:
         data["pic_L0_trivial"] = report.pic_L0_trivial
 
     if command in ("orbits", "all"):
-        order = weyl.classical_order(rd)
+        order = root_datum.classical_order(rd)
         if order > cfg.weyl_cap:
-            exc = weyl.WeylGroupTooLargeError(order, cfg.weyl_cap)
+            exc = root_datum.WeylGroupTooLargeError(order, cfg.weyl_cap)
             warnings.append({"code": "WeylGroupTooLarge", "detail": str(exc)})
         else:
             census = zip_core.orbit_census(zd)
@@ -402,7 +402,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default=None)
     parser.add_argument("--weyl-cap", type=int, default=None, metavar="N", help=(
         "integer >= 1 (default %d): orbits/all exit 3 when |W|, read off the "
-        "order formula, exceeds N; W is never enumerated" % weyl.DEFAULT_CAP))
+        "order formula, exceeds N; W is never enumerated" % root_datum.DEFAULT_CAP))
     return parser
 
 

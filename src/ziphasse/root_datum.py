@@ -556,6 +556,25 @@ def _degrees(components: Sequence) -> list:
     return [d for c in components for d in _DEGREES[c.series](len(c.nodes))]
 
 
+def classical_order(rd: RootDatum) -> int:
+    """|W|, the product of the degrees of the Weyl group of every component."""
+    return prod(_degrees(rd.components))
+
+
+# The default bound on |W| for the orbit census of the CLI (--weyl-cap).
+DEFAULT_CAP = 1_000_000
+
+
+class WeylGroupTooLargeError(ValueError):
+    """|W| exceeds a cap: the CLI's --weyl-cap, or enumerate_weyl's."""
+
+    def __init__(self, expected, cap):
+        super().__init__(
+            "Weyl group of order %d exceeds the cap %d" % (expected, cap))
+        self.expected = expected
+        self.cap = cap
+
+
 def _types(rows: Sequence, nodes: Iterable) -> tuple:
     """The connected components of the Dynkin diagram on nodes, by least
     node, each typed off the Cartan nonzero rows (Bourbaki, ch. VI, plates):
@@ -590,28 +609,6 @@ def _types(rows: Sequence, nodes: Iterable) -> tuple:
             series = "F" if not on_end else "B" if max(on_end) == short else "C"
         out.append(Component(series, tuple(sorted(comp))))
     return tuple(out)
-
-
-def _reflect(p: tuple, i: int, columns) -> tuple:
-    """s_i on a pairing vector: p - p_i * (column i), as a new tuple.
-
-    columns[i] holds the nonzero (j, c) entries of column i of a Cartan
-    matrix, node i and its Dynkin neighbours, so s_i copies p once and
-    updates only those; _walk says which columns move which pairings.
-    """
-    pi = p[i]
-    q = list(p)
-    for j, c in columns[i]:
-        q[j] -= pi * c
-    return tuple(q)
-
-
-def _unpack(entries: Sequence, k: int) -> list:
-    """The length-k vector whose nonzero (index, value) entries are entries."""
-    vec = [0] * k
-    for j, x in entries:
-        vec[j] = x
-    return vec
 
 
 def _walk(p: tuple, columns, limit: int) -> tuple:
@@ -663,28 +660,27 @@ class PositiveRoots(NamedTuple):
 def positive_roots(rd: RootDatum) -> PositiveRoots:
     """All positive roots by reflection closure of the simple roots.
 
-    Each root carries its expansion c in the simple roots and its coroot
-    pairings p, for alpha_i column i of the Cartan matrix: s_i lowers c_i
-    by p_i and moves p by _reflect.  The vectors are one product, the
-    coefficient rows times the simple roots.  The highest root of every
-    component (the unique root of maximal height there) is returned
-    alongside.
+    Each root is kept as its expansion c in the simple roots: s_i lowers c_i
+    by the coroot pairing p_i = sum_j A_ij c_j, read off row i of the Cartan
+    nonzeros.  The vectors are one product, the coefficient rows times the
+    simple roots.  The highest root of every component (the unique root of
+    maximal height there) is returned alongside.
     """
     k = rd.num_nodes
-    columns = rd._cartan_entries[1]
-    frontier = [(tuple(1 if j == i else 0 for j in range(k)),
-                 _unpack(columns[i], k)) for i in range(k)]
-    seen = {c for c, _ in frontier}
+    cartan_rows = rd._cartan_entries[0]
+    frontier = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for c, p in frontier:
-            for i, pi in enumerate(p):
+        for c in frontier:
+            for i, row in enumerate(cartan_rows):
+                pi = sum([x * c[j] for j, x in row])
                 if not pi or c[i] < pi:
                     continue
                 c2 = c[:i] + (c[i] - pi,) + c[i + 1:]
                 if c2 not in seen:
                     seen.add(c2)
-                    nxt.append((c2, _reflect(p, i, columns)))
+                    nxt.append(c2)
         frontier = nxt
         if len(seen) > 100_000:
             raise ValueError("root system does not look finite")
@@ -743,8 +739,7 @@ def opp_type(rd: RootDatum, J: Iterable) -> frozenset:
 def reflection_matrix(rd: RootDatum, i: int) -> IntMatrix:
     """Simple reflection s_i on X*: lam -> lam - <alpha_i^vee, lam> alpha_i."""
     n = rd.rank
-    root = _unpack(rd.root_entries[i], n)
-    coroot = _unpack(rd.coroot_entries[i], n)
+    root, coroot = _dense((rd.root_entries[i], rd.coroot_entries[i]), n).to_rows()
     return IntMatrix(n, n, [
         (1 if a == b else 0) - root[a] * coroot[b]
         for a in range(n) for b in range(n)

@@ -1,4 +1,4 @@
-"""Finite Weyl group engine; pipelines use only classical_order, tests the rest.
+"""Finite Weyl group engine, kept as a test oracle; no pipeline calls it.
 
 Elements are stored as integer matrices acting on the character lattice, so
 equality is matrix equality and never depends on word choices.  Enumeration
@@ -9,29 +9,11 @@ word of that length).
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple
 
 from .exact_linear import IntMatrix, SelfCheckError
-from .root_datum import RootDatum, _degrees, reflection_matrix
-
-
-class WeylGroupTooLargeError(ValueError):
-    """Expected order exceeds the enumeration cap."""
-
-    def __init__(self, expected, cap):
-        super().__init__(
-            "Weyl group of order %d exceeds the cap %d" % (expected, cap))
-        self.expected = expected
-        self.cap = cap
-
-
-DEFAULT_CAP = 1_000_000
-
-
-def classical_order(rd: RootDatum) -> int:
-    """|W|, the product of the degrees of the Weyl group of every component."""
-    return prod(_degrees(rd.components))
+from .root_datum import (DEFAULT_CAP, RootDatum, WeylGroupTooLargeError,
+                         classical_order, reflection_matrix)
 
 
 class WeylElement(NamedTuple):

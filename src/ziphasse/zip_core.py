@@ -27,10 +27,10 @@ from .root_datum import (
     _forest_solve,
     _types,
     _walk,
+    classical_order,
     opp_type,
     opposition,
 )
-from .weyl import classical_order
 from .weyl import min_coset_reps  # noqa: F401  re-exported; perfbench traces it here
 
 

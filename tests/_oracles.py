@@ -8,7 +8,9 @@ fundamental weights and dense powers of tau, the Frobenius structure
 comes from a determinant test and the dense powers of tau, and matrix
 products are the textbook triple loop.  dense_group is the builders'
 construction as it was before the data kept only their nonzero entries:
-rank-length rows, zero-padded blocks and a dense tau.  The library keeps
+rank-length rows, zero-padded blocks and a dense tau, with the Cartan
+matrices of the simple groups typed from Bourbaki's plates rather than read
+off the library's bond table.  The library keeps
 root data only as their nonzero entries and tau only as src and sign, so
 DenseDatum is now the only dense form of a datum: dense_datum, dense_tau
 and DenseDatum.cartan_matrix make the dense views the tests compare
@@ -48,9 +50,8 @@ from math import gcd, lcm
 from ziphasse.exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
                                    kernel_basis)
 from ziphasse.positivity import AMPLE, ANTIAMPLE, NOT_IN_LATTICE
-from ziphasse.root_datum import (Component, _cartan_matrix,
-                                 _coroot_smith, char_lattice_of_parabolic, check_group,
-                                 fundamental_weights, positive_roots)
+from ziphasse.root_datum import (Component, _coroot_smith, char_lattice_of_parabolic,
+                                 check_group, fundamental_weights, positive_roots)
 from ziphasse.weyl import longest_element, min_coset_reps
 from ziphasse.zip_core import (CENTRAL, MINUSCULE, NEITHER, SMALL_NOT_MINUSCULE,
                                OrbitCensus)
@@ -220,11 +221,52 @@ def _padded_sum(parts):
     return datum, IntMatrix(rank, rank, tau)
 
 
+# E8, F4 and G2 from Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates
+# VII-IX, entry (i, j) = <alpha_i^vee, alpha_j>: node i is the short end of
+# a multiple bond when its row holds -2 or -3.  E6 and E7 are the leading
+# blocks of E8, as Bourbaki numbers their nodes.
+EXCEPTIONAL_CARTAN = {
+    "E": ((2, 0, -1, 0, 0, 0, 0, 0),
+          (0, 2, 0, -1, 0, 0, 0, 0),
+          (-1, 0, 2, -1, 0, 0, 0, 0),
+          (0, -1, -1, 2, -1, 0, 0, 0),
+          (0, 0, 0, -1, 2, -1, 0, 0),
+          (0, 0, 0, 0, -1, 2, -1, 0),
+          (0, 0, 0, 0, 0, -1, 2, -1),
+          (0, 0, 0, 0, 0, 0, -1, 2)),
+    "F": ((2, -1, 0, 0),
+          (-1, 2, -1, 0),
+          (0, -2, 2, -1),
+          (0, 0, -1, 2)),
+    "G": ((2, -3),
+          (-1, 2)),
+}
+
+
+def bourbaki_cartan(series, n):
+    """The Cartan matrix of a series at rank n as dense rows, entry (i, j) =
+    <alpha_i^vee, alpha_j>, in Bourbaki's node order (plates I-IX): A_n a
+    path; alpha_n short in B_n and long in C_n; alpha_{n-2} bonded to both
+    alpha_{n-1} and alpha_n in D_n; the exceptional ones as typed above."""
+    if series in EXCEPTIONAL_CARTAN:
+        return [list(row[:n]) for row in EXCEPTIONAL_CARTAN[series][:n]]
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+         for i in range(n)]
+    if series == "B":
+        a[n - 1][n - 2] = -2
+    elif series == "C":
+        a[n - 2][n - 1] = -2
+    elif series == "D":
+        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
+        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+    return a
+
+
 def dense_group(spec):
     """(DenseDatum, tau) of a builder description, tau a dense matrix.
 
     The dense construction: unit vectors for gl, unitary and gsp, the rows
-    and columns of the Cartan matrix for simple groups, and zero-padded
+    and columns of bourbaki_cartan for simple groups, and zero-padded
     blocks for products and Weil restrictions.  tau is the identity, the
     negated antidiagonal for unitary, block-diagonal for a product and the
     block shift (block b to block b-1) for a Weil restriction of a split
@@ -257,7 +299,7 @@ def dense_group(spec):
         comps = (Component("C" if g >= 2 else "A", tuple(range(g))),)
     else:
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
-        cartan = dense_rows(_cartan_matrix(series, n), n)
+        cartan = _rows(bourbaki_cartan(series, n), n)
         if isogeny == "simply_connected":
             roots, coroots = cartan.transpose(), IntMatrix.identity(n)
         else:

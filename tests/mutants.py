@@ -85,9 +85,21 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_8_positivity_property_suite")),
     # a reflection that reads the root where it needs the coroot
     Mutant("root_datum.py",
-           "coroot = _unpack(rd.coroot_entries[i], n)",
-           "coroot = _unpack(rd.root_entries[i], n)",
+           "_dense((rd.root_entries[i], rd.coroot_entries[i]), n)",
+           "_dense((rd.root_entries[i], rd.root_entries[i]), n)",
            ("tests/test_weyl.py::test_opposition_agrees_with_enumeration",)),
+    # positive roots closed under the Cartan columns where its rows are meant
+    Mutant("root_datum.py",
+           "cartan_rows = rd._cartan_entries[0]",
+           "cartan_rows = rd._cartan_entries[1]",
+           ("tests/test_root_datum.py::TestWeylWalksAgainstOracle::"
+            "test_positive_roots_match_the_coefficient_closure",)),
+    # |W| as the sum of the degrees, not their product
+    Mutant("root_datum.py",
+           "return prod(_degrees(rd.components))",
+           "return sum(_degrees(rd.components))",
+           ("tests/test_weyl.py::test_degree_products_match_the_closed_forms",
+            "tests/test_weyl.py::test_degree_products_match_the_exceptional_orders")),
     # positive roots summed over the coroots
     Mutant("root_datum.py",
            "vectors = coeffs * _dense(rd.root_entries, rd.rank)",
@@ -239,7 +251,9 @@ MUTANTS = (
            '"F": (2, 1, -2),',
            '"F": (1, 2, -2),',
            ("tests/test_root_datum.py::TestTypes::"
-            "test_maximal_levis_are_typed_as_the_plates_name_them[F-4-0-levi8]",)),
+            "test_maximal_levis_are_typed_as_the_plates_name_them[F-4-0-levi8]",
+            "tests/test_root_datum.py::TestDenseReference::"
+            "test_every_plate_matches_the_dense_construction[F-4-simply_connected]")),
     # theta's coefficients solved on the transpose of the Cartan matrix
     Mutant("zip_core.py",
            "_forest_solve(rows, thetas)",

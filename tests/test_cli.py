@@ -337,6 +337,19 @@ class TestMainEntry:
         assert code == 2 and out == ""
         assert "ValidationError" in err and "61 bits, above the budget of 40" in err
 
+    @pytest.mark.parametrize("q,message", [
+        (1, "q must be >= 2"),
+        (2**49 + 1, "q has 50 bits, above the budget of 40"),
+        (6, "unknown builder 'spin'"),
+    ], ids=["q_below_two", "q_50_bits", "q_not_a_prime_power"])
+    def test_invalid_group_and_q_report_the_first_check_made(self, q, message):
+        # q's range and bit budget are read before the group; whether q is
+        # a prime power only once the group is built
+        doc = {"q": q, "group": {"builder": "spin"}, "parabolic_type": []}
+        code, out, err = run_cli(["hasse"], json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err == "ziphasse: ValidationError: %s\n" % message
+
     def test_q_at_bit_budget_runs(self):
         code, out, err = run_cli(["hasse"], json.dumps(dict(GL2_BOREL, q=2**39)))
         assert code == 0 and err == ""

@@ -1,7 +1,10 @@
 """Every name that a module of src/ziphasse imports is read in that module,
 every private name that one defines is read in one of them, the CLI module
 starts without the stdlib's heavy introspection modules, and every name and
-result attribute that the benchmark's tracer looks up exists.
+result attribute that the benchmark's tracer looks up exists.  No module
+asserts or reads __debug__, so every self-check still raises under
+python -O, and no module imports the Weyl-group oracle, weyl, but for one
+re-export that the tracer rebinds.
 
 The first is a linter's unused-import rule (F401) written with the stdlib
 ast, so tier-1 needs no linter.  __init__.py is skipped, because it imports
@@ -171,3 +174,67 @@ def test_every_observer_reads_a_real_result(tracer):
     for name, (counter, update) in tracer["_OBSERVERS"].items():
         assert counter in tracer["COUNTERS"]
         assert update(0, results[name]) > 0, name
+
+
+def optimized_away(source: str) -> list:
+    """(line, what) of every assert statement and every read of __debug__
+    in source: python -O drops both."""
+    return [(node.lineno, "assert" if isinstance(node, ast.Assert) else node.id)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Name) and node.id == "__debug__"]
+
+
+def test_the_check_flags_what_python_o_drops():
+    source = (
+        "def f(x):\n"
+        "    assert x, 'no x'\n"
+        "    if __debug__:\n"
+        "        x += 1\n"
+        "    return x, 'assert __debug__'\n")
+    assert optimized_away(source) == [(2, "assert"), (3, "__debug__")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_self_check_is_dropped_by_python_o(path):
+    assert optimized_away(path.read_text()) == []
+
+
+def weyl_imports(source: str) -> list:
+    """(name, marked) of every name bound by an import of the weyl module or
+    from it, relative or absolute, with whether its line is marked
+    ``# noqa: F401`` as a re-export."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("weyl", "ziphasse.weyl"):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "ziphasse"):
+            names = [alias.name for alias in node.names if alias.name == "weyl"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name == "ziphasse.weyl"]
+        else:
+            continue
+        for name in names:
+            found.append((name, "# noqa: F401" in lines[node.lineno - 1]))
+    return found
+
+
+def test_the_check_flags_every_import_of_weyl():
+    source = (
+        "from . import positivity, weyl\n"
+        "from .weyl import classical_order\n"
+        "from .weyl import min_coset_reps  # noqa: F401  re-exported\n"
+        "from ziphasse.weyl import WeylGroup\n"
+        "import ziphasse.weyl\n"
+        "from .root_datum import weyl_cap\n")
+    assert weyl_imports(source) == [
+        ("weyl", False), ("classical_order", False), ("min_coset_reps", True),
+        ("WeylGroup", False), ("ziphasse.weyl", False)]
+
+
+def test_no_pipeline_module_imports_weyl():
+    # zip_core's min_coset_reps is the tracer's alias, a marked re-export
+    found = {p.name: weyl_imports(p.read_text()) for p in SOURCES}
+    assert {name: imports for name, imports in found.items() if imports} == \
+        {"zip_core.py": [("min_coset_reps", True)]}

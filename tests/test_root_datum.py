@@ -162,6 +162,11 @@ NESTED_SPECS = [
 
 # the simple groups among the grammar's leaves, as (series, rank)
 SIMPLE_LEAVES = [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 3), ("D", 4), ("G", 2)]
+# every Dynkin series at the ranks of Bourbaki's plates that the tests run
+PLATES = ([("A", n) for n in range(1, 9)]
+          + [(s, n) for s in "BC" for n in range(2, 9)]
+          + [("D", n) for n in range(3, 10)]
+          + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
 def _leaf_specs(split):
@@ -777,6 +782,17 @@ class TestDenseReference:
             tuple((j, cartan[j][i]) for j in range(k) if cartan[j][i]) for i in range(k))
         assert rows == tuple(
             tuple((j, cartan[i][j]) for j in range(k) if cartan[i][j]) for i in range(k))
+
+    @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+    @pytest.mark.parametrize("series,rank", PLATES)
+    def test_every_plate_matches_the_dense_construction(self, series, rank, isogeny):
+        # dense_group types its Cartan matrices from the plates, so a wrong
+        # bond in the library's table shows here
+        spec = {"builder": "simple", "series": series, "rank": rank, "isogeny": isogeny}
+        rd, _ = build_group(spec, 2)
+        dense, _ = dense_group(spec)
+        assert (dense_rows(rd.root_entries, rank), dense_rows(rd.coroot_entries, rank)) \
+            == (dense.simple_roots, dense.simple_coroots)
 
     def test_a_non_int_entry_is_refused(self):
         with pytest.raises(TypeError, match="integer entry expected"):
