@@ -1,6 +1,7 @@
 """Exact linear algebra over the integers.
 
-Matrices are immutable with arbitrary-precision int entries.  One Smith
+A matrix is an immutable, checked record of arbitrary-precision int
+entries; its one piece of algebra is the product.  One Smith
 decomposition gives the invariant factors, the kernel, the inverse (as an
 integer matrix over one denominator) and the exact ``fractions.Fraction``
 solution of a linear system.  Where only the invariant factors are read,
@@ -37,11 +38,12 @@ def _check_int(x):
 
 
 class IntMatrix:
-    """Immutable integer matrix, stored row-major.
+    """Immutable integer matrix, stored row-major: a checked, hashable record.
 
-    The public constructors check every entry.  Products, sums and scalings
-    of IntMatrix operands hold ints already and skip that check: they come
-    from _trusted.
+    The public constructors check every entry; _trusted builds from entries
+    already known to be ints and skips that check.  The one product,
+    __mul__, serves the oracle functions enumerate_weyl, positive_roots and
+    rational_inverse; the pipeline only builds matrices and reads their rows.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -71,14 +73,8 @@ class IntMatrix:
     def identity(cls, n: int):
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def __mul__(self, other: "IntMatrix"):
         """Row i is the combination sum_k a_ik * (row k of other) with the
@@ -97,14 +93,6 @@ class IntMatrix:
                     acc = [x + a * y for x, y in zip(acc, row)]
             out.extend(acc)
         return IntMatrix._trusted(self.rows, n, out)
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector; accepts int or Fraction coordinates."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        c, entries = self.cols, self.entries
-        return tuple(sum(map(mul, entries[i * c:(i + 1) * c], vec))
-                     for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self)
@@ -130,34 +118,8 @@ class IntMatrix:
             raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
         return mat
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        cols, entries = self.cols, self.entries
-        return IntMatrix._trusted(
-            cols, self.rows,
-            chain.from_iterable(entries[j::cols] for j in range(cols)))
-
-    def scale(self, k: int) -> "IntMatrix":
-        _check_int(k)
-        return IntMatrix._trusted(self.rows, self.cols, [k * x for x in self.entries])
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix._trusted(self.rows, self.cols,
-                                  [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
 
 
 class SmithDecomposition(NamedTuple):
@@ -446,16 +408,18 @@ def solve_rational(mat: IntMatrix, target: Sequence) -> tuple:
     factors = snf.invariant_factors
     if len(factors) < mat.cols:
         raise SingularMatrixError("columns are not linearly independent")
-    ut = snf.U.apply(target)
+    U, V = snf.U, snf.V
+    ut = [sum(map(mul, U.row(i), target)) for i in range(U.rows)]
     if any(ut[len(factors):]):
         raise SingularMatrixError("inconsistent system")
-    return snf.V.apply([Fraction(x, f) for x, f in zip(ut, factors)])
+    y = [Fraction(x, f) for x, f in zip(ut, factors)]
+    return tuple([sum(map(mul, V.row(i), y)) for i in range(V.rows)])
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Basis (as rows) of the saturated integer kernel {x : mat @ x = 0}."""
     snf = smith_normal_form(mat)
-    rank = len(snf.invariant_factors)
-    # the rows are columns rank.. of V
-    return IntMatrix._trusted(mat.cols - rank, mat.cols,
-                              snf.V.transpose().entries[rank * mat.cols:])
+    rank, n, v = len(snf.invariant_factors), mat.cols, snf.V.entries
+    # the rows are columns rank.. of V, strided slices of its entries
+    return IntMatrix._trusted(n - rank, n, chain.from_iterable(
+        v[j::n] for j in range(rank, n)))

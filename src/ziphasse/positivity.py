@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple, Sequence
 
-from .exact_linear import IntMatrix, SelfCheckError, SingularMatrixError
-from .root_datum import _cycles, _dense
+from .exact_linear import SelfCheckError, SingularMatrixError
+from .root_datum import _cycles
 from .zip_core import (
     CENTRAL,
     MINUSCULE,
@@ -84,13 +84,6 @@ def _verdict(pairings: Sequence, J, ample_sign: int = -1) -> str:
     return NEITHER
 
 
-def borel_zeta_matrix(zd: ZipDatum) -> IntMatrix:
-    """The twist endomorphism id - q*tau on all of X*."""
-    n = zd.rd.rank
-    tau = _dense([((j, s),) for j, s in zip(zd.frob.src, zd.frob.sign)], n)
-    return IntMatrix.identity(n) - tau.scale(zd.frob.q)
-
-
 def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
     """zeta^-1(lam) on X*, with zeta = id - q*tau, one signed cycle at a time.
 
@@ -120,23 +113,6 @@ def _borel_zeta_inverse_image(zd: ZipDatum, lam: Sequence) -> tuple:
             acc = base[i] * denom + qsign[i] * acc
             image[i] = Fraction(acc, denom * scale)
     return tuple(image)
-
-
-def fundamental_zeta_matrix(zd: ZipDatum) -> IntMatrix:
-    """Twist endomorphism on X*/X*(G) in the fundamental-weight basis.
-
-    Entry (i, j) is <alpha_i^vee, zeta(omega_j)> = delta_ij - q*[i = pi(j)],
-    an integer matrix of size |I|; for a Weil restriction of rank-one blocks
-    this is the circulant with 1 on the diagonal and -q on the shifted
-    diagonal.
-    """
-    k = zd.rd.num_nodes
-    q = zd.frob.q
-    perm = zd.frob.root_perm
-    return IntMatrix(k, k, [
-        (1 if i == j else 0) - (q if i == perm[j] else 0)
-        for i in range(k) for j in range(k)
-    ])
 
 
 def antiample_check(zd: ZipDatum, lam: Sequence) -> bool:

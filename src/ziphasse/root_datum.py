@@ -76,18 +76,23 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
 
     Simple root i is root_entries[i], the tuple of its nonzero (coordinate,
     value) entries in increasing coordinate order, and simple coroot i is
-    coroot_entries[i] in the same form.  The builders' roots and coroots
-    have at most four nonzero coordinates, so building, checking and
-    pairing them costs O(nnz), not O(rank) per root.
+    coroot_entries[i] in the same form; the constructor refuses any other
+    entries with ValueError, and a non-int value with TypeError.  The
+    builders' roots and coroots have at most four nonzero coordinates, so
+    building, checking and pairing them costs O(nnz), not O(rank) per root.
     """
 
     def __new__(cls, rank, root_entries, coroot_entries):
-        values = [x for rows in (root_entries, coroot_entries)
-                  for row in rows for _, x in row]
-        # IntMatrix's int check, on the entries; _make and _replace skip it
-        if set(map(type, values)) - {int}:
-            for x in values:
+        # the builders' rows are well formed: _make and _replace skip this
+        for row in (*root_entries, *coroot_entries):
+            last = -1
+            for a, x in row:
                 _check_int(x)
+                if type(a) is not int or not last < a < rank or x == 0:
+                    raise ValueError("a root datum row needs nonzero entries at "
+                                     "increasing coordinates in range(%d), got %r"
+                                     % (rank, row))
+                last = a
         return super().__new__(cls, rank, root_entries, coroot_entries)
 
     @property
@@ -494,7 +499,7 @@ def _parts(spec: dict) -> tuple:
             roots, coroots = _columns(rows, n), units
         else:
             roots, coroots = units, rows
-    rd = RootDatum(n, roots, coroots)
+    rd = RootDatum._make((n, roots, coroots))
     if kind == "unitary":
         return rd, range(n - 1, -1, -1), (-1,) * n
     return rd, range(n), (1,) * n
@@ -508,7 +513,7 @@ def _direct_sum(data: Sequence) -> RootDatum:
         for out, rows in ((roots, rd.root_entries), (coroots, rd.coroot_entries)):
             out += [tuple([(a + offset, x) for a, x in row]) for row in rows]
         offset += rd.rank
-    return RootDatum(offset, tuple(roots), tuple(coroots))
+    return RootDatum._make((offset, tuple(roots), tuple(coroots)))
 
 
 def _cartan_matrix(series: str, rank: int) -> tuple:

@@ -36,9 +36,14 @@ J0 empty the invariant factors of the twist are read off the signed cycles
 of the dense tau, one Z/(q^c - eps) per cycle, and put in normal form by
 gcd/lcm exchanges, with no Smith form.  weil_factor_relabelling matches
 the nodes of a Weil restriction of a product with those of the product of
-the Weil restrictions by counting, with no datum.  row_data and row_text are the CLI's
-orbit rows as it made them before it wrote the census as columns: one dict
-and one 1-based word list per orbit, and the text formatter that read them.
+the Weil restrictions by counting, with no datum.  The dense twist
+matrices on X* (from the dense tau) and in the fundamental-weight basis
+(from the root permutation) are the references that the closed-form
+inverse of 1 - q*tau is checked against; transpose, scalar, matmul, apply
+and dot are the matrix algebra the tests need beyond IntMatrix's product.
+row_data and row_text are the CLI's orbit rows as it made them before it
+wrote the census as columns: one dict and one 1-based word list per orbit,
+and the text formatter that read them.
 """
 
 import json
@@ -109,6 +114,17 @@ def apply(a, vec):
                  for i in range(a.rows))
 
 
+def transpose(a):
+    """The transpose of a, entry (j, i) read off entry (i, j)."""
+    return IntMatrix(a.cols, a.rows, [a.entries[i * a.cols + j]
+                                      for j in range(a.cols) for i in range(a.rows)])
+
+
+def scalar(n, c):
+    """c times the n x n identity."""
+    return IntMatrix(n, n, [c if i == j else 0 for i in range(n) for j in range(n)])
+
+
 def power_loop_frobenius(rd, tau):
     """(tau_dual, root_perm, order) of any unimodular tau of finite order on
     the DenseDatum rd.
@@ -128,7 +144,7 @@ def power_loop_frobenius(rd, tau):
         inverse, power = power, IntMatrix(n, n, matmul(power, tau))
         order += 1
         assert order <= 10_000, "tau does not have small finite order"
-    tau_dual = inverse.transpose()
+    tau_dual = transpose(inverse)
     assert all(apply(tau_dual, rd.coroot(i)) == rd.coroot(perm[i])
                for i in range(rd.num_nodes)), "tau dual does not follow perm"
     return tau_dual, perm, order
@@ -213,7 +229,7 @@ def _padded_sum(parts):
                   for c in rd.components]
         for a in range(rd.rank):
             for b in range(rd.rank):
-                tau[(offset + a) * rank + offset + b] = part_tau.at(a, b)
+                tau[(offset + a) * rank + offset + b] = part_tau.row(a)[b]
         offset += rd.rank
         nodes += rd.num_nodes
     datum = DenseDatum(rank, _rows(roots, rank), _rows(coroots, rank),
@@ -301,7 +317,7 @@ def dense_group(spec):
         series, n, isogeny = spec["series"], spec["rank"], spec["isogeny"]
         cartan = _rows(bourbaki_cartan(series, n), n)
         if isogeny == "simply_connected":
-            roots, coroots = cartan.transpose(), IntMatrix.identity(n)
+            roots, coroots = transpose(cartan), IntMatrix.identity(n)
         else:
             roots, coroots = IntMatrix.identity(n), cartan
         comps = (Component(series, tuple(range(n))),)
@@ -404,7 +420,7 @@ def xstar_block_pullbacks(zd, lam, copies):
         targets = set()
         for node, weight in weights.items():
             dist = (node // per_block - j) % copies
-            shifted = tau_powers[dist].apply(weight)
+            shifted = apply(tau_powers[dist], weight)
             coeff = Fraction(pairings[node]) * zd.frob.q ** dist
             vec = [x + coeff * y for x, y in zip(vec, shifted)]
             targets.add(perm_powers[dist][node])
@@ -490,11 +506,36 @@ def basis_zeta_matrix(zd):
         vec = basis.row(a)
         images.append([x - zd.frob.q * y for x, y in zip(vec, apply(tau, vec))])
     # row j of the solution holds the j-th basis coordinate of every image
-    coeffs = [c for row in gauss_jordan(basis.transpose().to_rows(),
+    coeffs = [c for row in gauss_jordan(transpose(basis).to_rows(),
                                         [list(r) for r in zip(*images)])
               for c in row]
     assert all(c.denominator == 1 for c in coeffs), "not in the lattice"
     return IntMatrix(k, k, [c.numerator for c in coeffs])
+
+
+def borel_zeta_matrix(zd):
+    """The twist endomorphism id - q*tau on all of X*, from the dense tau."""
+    tau, q = dense_tau(zd.frob), zd.frob.q
+    n = tau.rows
+    return IntMatrix(n, n, [(1 if i == j else 0) - q * tau.row(i)[j]
+                            for i in range(n) for j in range(n)])
+
+
+def fundamental_zeta_matrix(zd):
+    """Twist endomorphism on X*/X*(G) in the fundamental-weight basis.
+
+    Entry (i, j) is <alpha_i^vee, zeta(omega_j)> = delta_ij - q*[i = pi(j)],
+    an integer matrix of size |I|; for a Weil restriction of rank-one blocks
+    this is the circulant with 1 on the diagonal and -q on the shifted
+    diagonal.
+    """
+    k = zd.rd.num_nodes
+    q = zd.frob.q
+    perm = zd.frob.root_perm
+    return IntMatrix(k, k, [
+        (1 if i == j else 0) - (q if i == perm[j] else 0)
+        for i in range(k) for j in range(k)
+    ])
 
 
 def coefficient_closure(rd):
@@ -512,7 +553,7 @@ def coefficient_closure(rd):
         nxt = []
         for c in frontier:
             for i in range(k):
-                pairing = sum(cartan.at(i, j) * c[j] for j in range(k))
+                pairing = sum(cartan.row(i)[j] * c[j] for j in range(k))
                 c2 = c[:i] + (c[i] - pairing,) + c[i + 1:]
                 if pairing and min(c2) >= 0 and c2 not in seen:
                     seen.add(c2)
@@ -549,15 +590,15 @@ def xstar_dominant_conjugate(rd, chi):
 
 def dense_zeta_matrix(zd):
     """chi -> chi - q tau(chi) on the Smith basis of X*(L0), by dense
-    matrix-vector products: column a of V, its image under tau.apply, and
-    the coordinates V_inv.apply(image), of which entries r.. are kept."""
+    matrix-vector products: column a of V, its image under tau, and the
+    coordinates V_inv @ image, of which entries r.. are kept."""
     snf = _coroot_smith(zd.rd, zd.J0)
     r = len(snf.invariant_factors)
-    q, tau = zd.frob.q, dense_tau(zd.frob)
+    q, tau, v_columns = zd.frob.q, dense_tau(zd.frob), transpose(snf.V)
     columns = []
     for a in range(r, zd.rd.rank):
-        vec = snf.V.column(a)
-        coords = snf.V_inv.apply([x - q * y for x, y in zip(vec, tau.apply(vec))])
+        vec = v_columns.row(a)
+        coords = apply(snf.V_inv, [x - q * y for x, y in zip(vec, apply(tau, vec))])
         assert not any(coords[:r]), "twist endomorphism does not preserve the lattice"
         columns.append(coords[r:])
     k = len(columns)
@@ -675,7 +716,7 @@ def first_negative_to_dominant(p, matrix):
         i = next((i for i, x in enumerate(p) if x < 0), None)
         if i is None:
             return tuple(p)
-        p = [p[j] - p[i] * matrix.at(j, i) for j in range(k)]
+        p = [p[j] - p[i] * matrix.row(j)[i] for j in range(k)]
     raise AssertionError("dominance walk did not terminate")
 
 

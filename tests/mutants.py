@@ -106,10 +106,10 @@ MUTANTS = (
            "vectors = coeffs * _dense(rd.coroot_entries, rd.rank)",
            ("tests/test_root_datum.py::TestWeylWalksAgainstOracle::"
             "test_positive_roots_match_the_coefficient_closure",)),
-    # 1 - q*tau with the signs of tau dropped
+    # the closed-form inverse of 1 - q*tau with the signs of tau dropped
     Mutant("positivity.py",
-           "[((j, s),) for j, s in zip(zd.frob.src, zd.frob.sign)]",
-           "[((j, 1),) for j in zd.frob.src]",
+           "qsign = [q * s for s in zd.frob.sign]",
+           "qsign = [q for s in zd.frob.sign]",
            ("tests/test_positivity.py::TestClosedFormZetaInverse::"
             "test_matches_rational_inverse_for_every_J",)),
     # the Cartan nonzeros recomputed on every read instead of cached
@@ -172,9 +172,47 @@ MUTANTS = (
             "test_census_count_check_survives_optimize_flag",)),
     # RootDatum built without its int check
     Mutant("root_datum.py",
-           "if set(map(type, values)) - {int}:",
-           "if False:",
+           "                _check_int(x)\n",
+           "",
            ("tests/test_root_datum.py::TestDenseReference::test_a_non_int_entry_is_refused",)),
+    # ... with its range check weakened to a lower bound: a coordinate past
+    # the rank is taken
+    Mutant("root_datum.py",
+           "not last < a < rank",
+           "not last < a",
+           ("tests/test_root_datum.py::TestMalformedEntries::"
+            "test_a_malformed_row_is_refused[root-past-rank]",)),
+    # ... without its order check: a repeated or unsorted row is taken
+    Mutant("root_datum.py",
+           "                last = a\n",
+           "",
+           ("tests/test_root_datum.py::TestMalformedEntries::"
+            "test_a_malformed_row_is_refused[root-repeated]",
+            "tests/test_root_datum.py::TestMalformedEntries::"
+            "test_a_malformed_row_is_refused[coroot-unsorted]")),
+    # solve_rational without U: the target taken for U t
+    Mutant("exact_linear.py",
+           "ut = [sum(map(mul, U.row(i), target)) for i in range(U.rows)]",
+           "ut = list(target)",
+           ("tests/test_exact_linear.py::TestSolveAndKernel::test_solve_unique",
+            "tests/test_exact_linear.py::TestSolveAndKernel::"
+            "test_solve_random_full_column_rank")),
+    # ... and without V: y taken for V y
+    Mutant("exact_linear.py",
+           "return tuple([sum(map(mul, V.row(i), y)) for i in range(V.rows)])",
+           "return tuple(y)",
+           ("tests/test_exact_linear.py::TestSolveAndKernel::"
+            "test_solve_random_full_column_rank",)),
+    # kernel_basis reading rows of V where its columns are meant
+    Mutant("exact_linear.py",
+           "v[j::n] for j in range(rank, n)",
+           "v[j * n:j * n + n] for j in range(rank, n)",
+           ("tests/test_exact_linear.py::TestSolveAndKernel::test_kernel_is_saturated",)),
+    # ... reading the first n - rank columns of V, not the last
+    Mutant("exact_linear.py",
+           "v[j::n] for j in range(rank, n)",
+           "v[j::n] for j in range(n - rank)",
+           ("tests/test_exact_linear.py::TestSolveAndKernel::test_kernel_is_saturated",)),
     # J0 taking the perm-cycles that merely meet J, not those inside it
     Mutant("zip_core.py",
            "if J.issuperset(cycle)",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from _oracles import (apply, cofactor_det, full_scan_smith_normal_form, gauss_jordan,
-                      matmul, minors_invariant_factors)
+                      matmul, minors_invariant_factors, scalar, transpose)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +70,7 @@ class TestSmithNormalForm:
         assert snf.invariant_factors == (1, 6)
 
     def test_zero_and_empty(self):
-        for m in (IntMatrix.zero(2, 3), IntMatrix(0, 3, ())):
+        for m in (IntMatrix(2, 3, [0] * 6), IntMatrix(0, 3, ())):
             snf = smith_normal_form(m)
             assert snf.invariant_factors == ()
             assert snf.V == snf.V_inv == IntMatrix.identity(3)
@@ -91,7 +91,7 @@ class TestSmithNormalForm:
             for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
                 assert b % a == 0
             # transpose invariance
-            assert smith_normal_form(m.transpose()).invariant_factors == \
+            assert smith_normal_form(transpose(m)).invariant_factors == \
                 snf.invariant_factors
 
     def test_product_of_factors_is_abs_det(self):
@@ -135,11 +135,11 @@ class TestInvariantFactors:
     def test_match_the_smith_form(self, m):
         factors = smith_normal_form(m).invariant_factors
         assert invariant_factors(m) == factors
-        assert invariant_factors(m.transpose()) == factors
+        assert invariant_factors(transpose(m)) == factors
 
     def test_every_empty_and_zero_shape(self):
         for rows, cols in itertools.product(range(4), repeat=2):
-            assert invariant_factors(IntMatrix.zero(rows, cols)) == ()
+            assert invariant_factors(IntMatrix(rows, cols, [0] * (rows * cols))) == ()
 
     def test_a_diagonal_needs_the_gcd_lcm_step(self):
         assert invariant_factors(mat([[2, 0], [0, 3]])) == (1, 6)
@@ -150,7 +150,7 @@ class TestInvariantFactors:
     def test_a_scalar_matrix_has_no_unit_pivot(self, q):
         # (1 - q) I_k is the twist matrix of a split Levi
         for k in range(21):
-            m = IntMatrix.identity(k).scale(1 - q)
+            m = scalar(k, 1 - q)
             assert invariant_factors(m) == (q - 1,) * k
             assert smith_normal_form(m).invariant_factors == (q - 1,) * k
 
@@ -170,7 +170,7 @@ class TestDeterminant:
 
     def test_non_square(self):
         with pytest.raises(NonSquareError):
-            determinant(IntMatrix.zero(2, 3))
+            determinant(IntMatrix(2, 3, [0] * 6))
 
     def test_random_against_cofactor(self):
         rng = random.Random(3)
@@ -189,8 +189,7 @@ class TestRationalInverse:
         assert rational_inverse(IntMatrix.identity(3)) == (IntMatrix.identity(3), 1)
 
     def test_scalar(self):
-        m = IntMatrix.identity(2).scale(1 - 5)
-        assert rational_inverse(m) == (-IntMatrix.identity(2), 4)
+        assert rational_inverse(scalar(2, 1 - 5)) == (scalar(2, -1), 4)
 
     def test_empty(self):
         assert rational_inverse(IntMatrix(0, 0, ())) == (IntMatrix(0, 0, ()), 1)
@@ -201,7 +200,7 @@ class TestRationalInverse:
 
     def test_non_square(self):
         with pytest.raises(NonSquareError, match="inverse of a 2x3 matrix"):
-            rational_inverse(IntMatrix.zero(2, 3))
+            rational_inverse(IntMatrix(2, 3, [0] * 6))
 
     def test_round_trip_exact(self):
         rng = random.Random(19)
@@ -211,7 +210,7 @@ class TestRationalInverse:
             if determinant(m) == 0:
                 continue
             inverse, d = rational_inverse(m)
-            assert m * inverse == IntMatrix.identity(n).scale(d)
+            assert m * inverse == scalar(n, d)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.integers(0, 5).flatmap(lambda n: st.lists(
@@ -224,7 +223,7 @@ class TestRationalInverse:
             return
         inverse, d = rational_inverse(m)
         assert d == (smith_normal_form(m).invariant_factors or (1,))[-1]
-        assert m * inverse == IntMatrix.identity(m.rows).scale(d)
+        assert m * inverse == scalar(m.rows, d)
         assert math.gcd(d, *inverse.entries) == 1
         if m.rows:
             identity = IntMatrix.identity(m.rows).to_rows()
@@ -280,14 +279,14 @@ class TestSolveAndKernel:
         x = tuple(data.draw(st.lists(
             st.one_of(st.integers(-9, 9), st.fractions(max_denominator=7)),
             min_size=m.cols, max_size=m.cols)))
-        target = m.apply(x)
+        target = apply(m, x)
         got = solve_rational(m, target)
         assert got == x
         assert all(type(v) is Fraction for v in got)
         if m.rows > m.cols:
             # a nonzero k with m^T k = 0 is orthogonal to the column span, so
             # target + k lies off it
-            k = kernel_basis(m.transpose()).row(0)
+            k = kernel_basis(transpose(m)).row(0)
             with pytest.raises(SingularMatrixError, match="inconsistent system"):
                 solve_rational(m, [t + y for t, y in zip(target, k)])
 
@@ -318,20 +317,12 @@ class TestMatrixBasics:
             IntMatrix.from_rows([])
 
     def test_integer_operations_keep_the_type_check_at_their_edges(self):
-        # results of two IntMatrix operands skip the entry check; a
-        # non-integer factor still meets it
-        ints = mat([[1, 2], [3, 4]])
-        for bad in (lambda: ints.scale(Fraction(1, 2)),
-                    lambda: ints.scale(1.0), lambda: ints.scale(True)):
-            with pytest.raises(TypeError, match="integer entry expected"):
-                bad()
+        # products skip the entry check, but not the entry count
         with pytest.raises(ValueError, match="entry count"):
             IntMatrix._trusted(2, 2, [1, 2, 3])
 
-    def test_apply_and_transpose(self):
+    def test_product_with_the_identity(self):
         m = mat([[1, 2], [3, 4]])
-        assert m.apply((1, 1)) == (3, 7)
-        assert m.transpose() == mat([[1, 3], [2, 4]])
         assert (m * IntMatrix.identity(2)) == m
 
 
@@ -340,9 +331,6 @@ class TestMatrixBasics:
 SMALL = st.integers(-2, 2)
 WIDE = st.one_of(st.integers(-2, 2), st.integers(2**64, 2**80),
                  st.integers(-2**80, -2**64))
-FRACTIONS = st.one_of(
-    st.fractions(max_denominator=7),
-    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)))
 DIMS = st.integers(0, 5)
 
 
@@ -385,42 +373,22 @@ class TestKernelsAgainstOracle:
     def test_integer_results_equal_checked_constructions(self, pair):
         # the unchecked constructor builds what the public one would
         left, right = pair
-        for got in (left * right, left.transpose(), right.scale(-3),
-                    right + right, right - right.scale(2), -left):
-            assert type(got) is IntMatrix
-            assert got == IntMatrix(got.rows, got.cols, list(got.entries))
-            assert type(got.entries) is tuple
-            assert set(map(type, got.entries)) <= {int}
-
-    @SETTINGS
-    @given(int_pair(), st.data())
-    def test_apply_and_transpose(self, pair, data):
-        mat = pair[0]
-        ints = data.draw(dense(mat.cols, 1))
-        fracs = data.draw(dense(mat.cols, 1, FRACTIONS))
-        for vec in (ints, tuple(fracs)):
-            assert mat.apply(vec) == apply(mat, vec)
-        assert all(type(x) is int for x in mat.apply(ints))
-        t = mat.transpose()
-        assert (t.rows, t.cols) == (mat.cols, mat.rows)
-        assert all(t.at(j, i) == mat.at(i, j)
-                   for i in range(mat.rows) for j in range(mat.cols))
-        assert t.transpose() == mat
+        got = left * right
+        assert type(got) is IntMatrix
+        assert got == IntMatrix(got.rows, got.cols, list(got.entries))
+        assert type(got.entries) is tuple
+        assert set(map(type, got.entries)) <= {int}
 
     def test_every_empty_shape(self):
         for r, k, c in itertools.product(range(3), repeat=3):
             left = IntMatrix(r, k, list(range(1, r * k + 1)))
             right = IntMatrix(k, c, list(range(1, k * c + 1)))
             assert list((left * right).entries) == matmul(left, right)
-            assert left.apply([Fraction(1, 3)] * k) == apply(left, [Fraction(1, 3)] * k)
-            assert left.transpose().transpose() == left
 
     def test_shape_mismatch_errors_are_unchanged(self):
         a = mat([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="shape mismatch in matrix product"):
             a * IntMatrix(3, 1, [1, 2, 3])
-        with pytest.raises(ValueError, match="vector length does not match column count"):
-            a.apply((1, 2, 3))
 
 
 @st.composite

@@ -4,7 +4,8 @@ starts without the stdlib's heavy introspection modules, and every name and
 result attribute that the benchmark's tracer looks up exists.  No module
 asserts or reads __debug__, so every self-check still raises under
 python -O, and no module imports the Weyl-group oracle, weyl, but for one
-re-export that the tracer rebinds.
+re-export that the tracer rebinds.  IntMatrix is a record whose one piece
+of algebra is its product, and positivity builds no dense matrix.
 
 The first is a linter's unused-import rule (F401) written with the stdlib
 ast, so tier-1 needs no linter.  __init__.py is skipped, because it imports
@@ -238,3 +239,25 @@ def test_no_pipeline_module_imports_weyl():
     found = {p.name: weyl_imports(p.read_text()) for p in SOURCES}
     assert {name: imports for name, imports in found.items() if imports} == \
         {"zip_core.py": [("min_coset_reps", True)]}
+
+
+ARITHMETIC = {"__%s%s__" % (side, op) for side in ("", "r", "i")
+              for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv",
+                         "mod", "divmod", "pow", "and", "or", "xor", "lshift",
+                         "rshift")} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def test_intmatrix_is_a_record_with_one_product():
+    # the oracle functions enumerate_weyl, positive_roots and
+    # rational_inverse multiply; the tests keep every other piece of algebra
+    names = set(vars(IntMatrix))
+    assert {n for n in names if not n.startswith("_")} == {
+        "rows", "cols", "entries", "from_rows", "identity", "row", "to_rows"}
+    assert names & ARITHMETIC == {"__mul__"}
+
+
+def test_positivity_imports_no_dense_matrix():
+    source = (SRC / "ziphasse" / "positivity.py").read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not {"IntMatrix", "_dense"} & imported

@@ -7,10 +7,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _oracles import (central_solve_weights, coefficient_closure, dense_datum,
+from _oracles import (apply, central_solve_weights, coefficient_closure, dense_datum,
                       dense_group, dense_rows, dense_tau, dot, factorisations,
                       first_negative_to_dominant, power_loop_frobenius, same_lattice,
-                      xstar_dominant_conjugate)
+                      transpose, xstar_dominant_conjugate)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,7 +66,7 @@ class TestBuilders:
         rd, frob = unitary(3, 3)
         assert rd.rank == 3
         assert frob.order == 2
-        assert dense_tau(frob).apply((1, 0, 0)) == (0, 0, -1)  # tau(e1) = -e3
+        assert apply(dense_tau(frob), (1, 0, 0)) == (0, 0, -1)  # tau(e1) = -e3
         assert frob.root_perm == (1, 0)
 
     def test_weil_restriction(self):
@@ -74,7 +74,7 @@ class TestBuilders:
         assert rd.rank == 6
         assert frob.order == 3
         # block 1 shifts down to block 0
-        assert dense_tau(frob).apply((0, 0, 1, 0, 0, 0)) == (1, 0, 0, 0, 0, 0)
+        assert apply(dense_tau(frob), (0, 0, 1, 0, 0, 0)) == (1, 0, 0, 0, 0, 0)
         assert frob.root_perm == (2, 0, 1)
 
     def test_gsp4(self):
@@ -556,21 +556,21 @@ class TestCartanAndFrobenius:
         rd, _ = build()
         cart = dense_datum(rd).cartan_matrix()
         for i in range(rd.num_nodes):
-            assert cart.at(i, i) == 2
+            assert cart.row(i)[i] == 2
             for j in range(rd.num_nodes):
                 if i != j:
-                    assert cart.at(i, j) <= 0
-                    assert (cart.at(i, j) == 0) == (cart.at(j, i) == 0)
+                    assert cart.row(i)[j] <= 0
+                    assert (cart.row(i)[j] == 0) == (cart.row(j)[i] == 0)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_tau_respects_pairing(self, build):
         rd, frob = build()
         tau, dense = dense_tau(frob), dense_datum(rd)
         # contragredient relation: tau_dual^T * tau = identity, with tau_dual = tau
-        assert tau.transpose() * tau == IntMatrix.identity(rd.rank)
+        assert transpose(tau) * tau == IntMatrix.identity(rd.rank)
         for i in range(rd.num_nodes):
-            assert tau.apply(dense.root(i)) == dense.root(frob.root_perm[i])
-            assert tau.apply(dense.coroot(i)) == dense.coroot(frob.root_perm[i])
+            assert apply(tau, dense.root(i)) == dense.root(frob.root_perm[i])
+            assert apply(tau, dense.coroot(i)) == dense.coroot(frob.root_perm[i])
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
@@ -584,7 +584,7 @@ class TestCartanAndFrobenius:
                                                    for i in range(n) for j in range(n)])
         vec = tuple(range(3, 3 + n))
         assert tuple(s * vec[j] for s, j in zip(frob.sign, frob.src)) == \
-            dense_tau(frob).apply(vec)
+            apply(dense_tau(frob), vec)
 
     def test_rejects_src_and_sign_off_signed_permutations(self):
         for src, sign in (((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1, 2)),
@@ -685,7 +685,7 @@ class TestCartanAndFrobenius:
         # edges stay inside components and components are connected
         for i in range(rd.num_nodes):
             for j in range(rd.num_nodes):
-                if i != j and cart.at(i, j) != 0:
+                if i != j and cart.row(i)[j] != 0:
                     assert node_comp[i] == node_comp[j]
         pos = positive_roots(rd)
         for ci, comp in enumerate(rd.components):
@@ -800,6 +800,41 @@ class TestDenseReference:
                       coroot_entries=(((0, 1), (1, -1)),))
 
 
+class TestMalformedEntries:
+    """The constructor takes nonzero (coordinate, value) entries at strictly
+    increasing int coordinates in range(rank), and refuses any other row
+    before a Cartan entry or a tau is computed from it."""
+
+    A1 = ((0, 1), (1, -1))
+
+    @pytest.mark.parametrize("row", [
+        ((0, 1), (2, -1)),   # coordinate past the rank: read as root 1's entry
+        ((-1, 1), (0, 1)),   # a negative coordinate indexes from the end
+        ((0, 1), (0, 1)),    # a repeated coordinate: Cartan entry 4, dense 1
+        ((1, -1), (0, 1)),   # unsorted: tau's sorted images miss it
+        ((0, 1), (1, 0)),    # a zero value
+        ((0.0, 1), (1, -1)), ((True, 1), (1, -1)),  # a coordinate not an int
+    ], ids=["past-rank", "negative", "repeated", "unsorted", "zero", "float", "bool"])
+    @pytest.mark.parametrize("side", ["root", "coroot"])
+    def test_a_malformed_row_is_refused(self, row, side):
+        rows = {"root_entries": (self.A1,), "coroot_entries": (self.A1,)}
+        rows[side + "_entries"] = (self.A1, row)
+        with pytest.raises(ValueError, match="increasing coordinates in range"):
+            RootDatum(rank=2, **rows)
+
+    def test_a_well_formed_datum_is_accepted_with_its_tau(self):
+        rd = RootDatum(rank=2, root_entries=(self.A1,), coroot_entries=(self.A1,))
+        assert dense_datum(rd).cartan_matrix().to_rows() == [[2]]
+        # e0 - e1 is fixed by v -> -(v1, v0), so this tau is valid
+        assert frobenius(rd, 3, (1, 0), (-1, -1)).root_perm == (0,)
+
+    @pytest.mark.parametrize("build", TestCartanAndFrobenius.BUILDS)
+    def test_every_builder_datum_passes_the_check(self, build):
+        # the builders construct through _make, which skips the check
+        rd, _ = build()
+        assert RootDatum(*rd) == rd
+
+
 def torus(rank):
     return RootDatum(rank=rank, root_entries=(), coroot_entries=())
 
@@ -866,7 +901,7 @@ class TestWeylWalksAgainstOracle:
             tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(20)]
         rows, columns = rd._cartan_entries
         cartan = dense_datum(rd).cartan_matrix()
-        for entries, matrix in ((columns, cartan), (rows, cartan.transpose())):
+        for entries, matrix in ((columns, cartan), (rows, transpose(cartan))):
             for p in starts:
                 assert _walk(p, entries, rd._opposition[1])[0] == \
                     first_negative_to_dominant(p, matrix)
@@ -880,9 +915,9 @@ class TestWeylWalksAgainstOracle:
             ((0, 2), (1, -1)), ((0, -1), (1, 2), (2, -2)), ((1, -1), (2, 2)))
         assert rows == (
             ((0, 2), (1, -1)), ((0, -1), (1, 2), (2, -1)), ((1, -2), (2, 2)))
-        for entries, matrix in ((columns, cartan), (rows, cartan.transpose())):
+        for entries, matrix in ((columns, cartan), (rows, transpose(cartan))):
             assert entries == tuple(
-                tuple((j, c) for j, c in enumerate(matrix.column(i)) if c)
+                tuple((j, c) for j, c in enumerate(transpose(matrix).row(i)) if c)
                 for i in range(3))
 
     def test_reflector_columns_are_nonzero_and_in_node_order(self):
@@ -1112,20 +1147,20 @@ class TestFundamentalWeights:
         rd, _ = build()
         k = rd.num_nodes
         dense = dense_datum(rd)
-        roots_t = dense.simple_roots.transpose()
+        roots_t = transpose(dense.simple_roots)
         for bits in range(1, 2 ** k):
             J = {i for i in range(k) if bits >> i & 1 == 0}
             got = fundamental_weight_sum(rd, J)
             assert all(type(x) is Fraction for x in got)
             target = [0 if i in J else 1 for i in range(k)]
-            assert got == roots_t.apply(solve_rational(dense.cartan_matrix(), target))
+            assert got == apply(roots_t, solve_rational(dense.cartan_matrix(), target))
             central = central_solve_weights(rd, J).values()
             assert got == tuple(sum(col) for col in zip(*central)), J
             weights = fundamental_weights(rd, J)
             assert sorted(weights) == [i for i in range(k) if i not in J]
             for i, omega in weights.items():
                 e_i = [1 if j == i else 0 for j in range(k)]
-                assert omega == roots_t.apply(solve_rational(dense.cartan_matrix(), e_i))
+                assert omega == apply(roots_t, solve_rational(dense.cartan_matrix(), e_i))
 
     def test_forest_check_refuses_affine_a2(self):
         with pytest.raises(SelfCheckError, match="not a forest"):
