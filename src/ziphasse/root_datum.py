@@ -83,7 +83,6 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
     """
 
     def __new__(cls, rank, root_entries, coroot_entries):
-        # the builders' rows are well formed: _make and _replace skip this
         for row in (*root_entries, *coroot_entries):
             last = -1
             for a, x in row:
@@ -499,7 +498,7 @@ def _parts(spec: dict) -> tuple:
             roots, coroots = _columns(rows, n), units
         else:
             roots, coroots = units, rows
-    rd = RootDatum._make((n, roots, coroots))
+    rd = RootDatum(n, roots, coroots)
     if kind == "unitary":
         return rd, range(n - 1, -1, -1), (-1,) * n
     return rd, range(n), (1,) * n
@@ -513,7 +512,7 @@ def _direct_sum(data: Sequence) -> RootDatum:
         for out, rows in ((roots, rd.root_entries), (coroots, rd.coroot_entries)):
             out += [tuple([(a + offset, x) for a, x in row]) for row in rows]
         offset += rd.rank
-    return RootDatum._make((offset, tuple(roots), tuple(coroots)))
+    return RootDatum(offset, tuple(roots), tuple(coroots))
 
 
 def _cartan_matrix(series: str, rank: int) -> tuple:

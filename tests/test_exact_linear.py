@@ -316,7 +316,7 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match=r"use IntMatrix\(0, n, \(\)\)"):
             IntMatrix.from_rows([])
 
-    def test_integer_operations_keep_the_type_check_at_their_edges(self):
+    def test_trusted_refuses_a_wrong_entry_count(self):
         # products skip the entry check, but not the entry count
         with pytest.raises(ValueError, match="entry count"):
             IntMatrix._trusted(2, 2, [1, 2, 3])
