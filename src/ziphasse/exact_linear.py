@@ -6,8 +6,9 @@ decomposition gives the invariant factors, the kernel, the inverse (as an
 integer matrix over one denominator) and the exact ``fractions.Fraction``
 solution of a linear system.  Where only the invariant factors are read,
 invariant_factors finds them by the same elimination without building the
-transforms.  Bareiss elimination gives the determinant independently.  No
-operation in this module ever touches floating point.
+transforms.  Bareiss elimination gives the determinant, which no pipeline
+module calls: the tests check det zeta, read off tau's cycles, against it.
+No operation in this module ever touches floating point.
 """
 
 from __future__ import annotations

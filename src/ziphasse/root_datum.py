@@ -77,12 +77,17 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
     Simple root i is root_entries[i], the tuple of its nonzero (coordinate,
     value) entries in increasing coordinate order, and simple coroot i is
     coroot_entries[i] in the same form; the constructor refuses any other
-    entries with ValueError, and a non-int value with TypeError.  The
+    entries with ValueError, and a non-int value with TypeError.  It also
+    refuses with ValueError a rank that is not a non-negative int (a bool is
+    not one) and root and coroot lists of different lengths.  The
     builders' roots and coroots have at most four nonzero coordinates, so
     building, checking and pairing them costs O(nnz), not O(rank) per root.
     """
 
     def __new__(cls, rank, root_entries, coroot_entries):
+        if type(rank) is not int or rank < 0:
+            raise ValueError("a root datum needs a non-negative int rank, got %r"
+                             % (rank,))
         for row in (*root_entries, *coroot_entries):
             last = -1
             for a, x in row:
@@ -92,6 +97,10 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
                                      "increasing coordinates in range(%d), got %r"
                                      % (rank, row))
                 last = a
+        if len(root_entries) != len(coroot_entries):
+            raise ValueError("a root datum needs one coroot per root, got %d "
+                             "roots and %d coroots"
+                             % (len(root_entries), len(coroot_entries)))
         return super().__new__(cls, rank, root_entries, coroot_entries)
 
     @property

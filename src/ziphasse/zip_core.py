@@ -17,7 +17,7 @@ from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
-                           determinant, invariant_factors)
+                           invariant_factors)
 from .root_datum import (
     FrobeniusStructure,
     RootDatum,
@@ -252,16 +252,21 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     is raised, carrying the same report flagged as unreliable.  One Smith
     form of the J0 coroots, _coroot_smith, serves the lattice and the torsion.
     Only the invariant factors of zeta are read, so no transform of it is
-    built; the Bareiss determinant checks them independently.
+    built.  They must multiply to |det zeta|, which tau gives apart from zeta
+    (Carter 1985): det(1 - q tau) on X*, one 1 - eps*q^c per signed c-cycle,
+    over det(1 - q tau) on X*/X*(L0), dual to the J0 coroots tau permutes.
     """
     levi = _coroot_smith(zd.rd, zd.J0)
     zeta = zeta_matrix(zd, levi)
-    det = determinant(zeta)
-    if det == 0:
+    q, sign = zd.frob.q, zd.frob.sign
+    whole = prod([1 - prod([q * sign[i] for i in c]) for c in _cycles(zd.frob.src)])
+    if whole == 0:
         raise SelfCheckError("twist endomorphism must be injective")
+    det, rest = divmod(whole, prod([1 - q ** len(c) for c in _cycles(zd.frob.root_perm)
+                                    if zd.J0.issuperset(c)]))
     factors = invariant_factors(zeta)
     order = abs(det)
-    if order != prod(factors):
+    if rest or order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")
     torsion = tuple(f for f in levi.invariant_factors if f > 1)
     report = HasseReport(

@@ -320,6 +320,17 @@ MUTANTS = (
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",
            "cfg._replace(weyl_cap=args.weyl_cap)",
            ("tests/test_cli.py::TestMainEntry::test_weyl_cap_flag",)),
+    # zeta built with the wrong tau: every sign kept, every source its own
+    # index; det zeta read off tau's cycles no longer matches its factors
+    Mutant("zip_core.py",
+           "zip(vec, qsign, src)",
+           "zip(vec, qsign, range(n))",
+           ("tests/test_acceptance.py::test_criterion_2_unitary",)),
+    # det zeta read off tau's cycles with the cycle signs eps dropped
+    Mutant("zip_core.py",
+           "prod([q * sign[i] for i in c])",
+           "prod([q for i in c])",
+           ("tests/test_acceptance.py::test_criterion_2_unitary",)),
 )
 
 

@@ -4,7 +4,8 @@ starts without the stdlib's heavy introspection modules, and every name and
 result attribute that the benchmark's tracer looks up exists.  No module
 asserts or reads __debug__, so every self-check still raises under
 python -O, and no module imports the Weyl-group oracle, weyl, but for one
-re-export that the tracer rebinds.  IntMatrix is a record whose one piece
+re-export that the tracer rebinds, nor the Bareiss determinant, which
+only exact_linear and __init__ name.  IntMatrix is a record whose one piece
 of algebra is its product, and positivity builds no dense matrix.
 
 The first is a linter's unused-import rule (F401) written with the stdlib
@@ -239,6 +240,39 @@ def test_no_pipeline_module_imports_weyl():
     found = {p.name: weyl_imports(p.read_text()) for p in SOURCES}
     assert {name: imports for name, imports in found.items() if imports} == \
         {"zip_core.py": [("min_coset_reps", True)]}
+
+
+def determinant_reads(source: str) -> list:
+    """(line, how) of every import of the Bareiss determinant, by name from
+    any module, and of every attribute read of it, as in
+    exact_linear.determinant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, "import") for alias in node.names
+                         if alias.name == "determinant")
+        elif isinstance(node, ast.Attribute) and node.attr == "determinant":
+            found.append((node.lineno, "attribute"))
+    return found
+
+
+def test_the_check_flags_every_read_of_determinant():
+    source = (
+        "from .exact_linear import (IntMatrix,\n"
+        "                           determinant)\n"
+        "from ziphasse.exact_linear import determinant as det\n"
+        "from . import exact_linear\n"
+        "def f(m):\n"
+        "    return exact_linear.determinant(m), det(m), m.determinant_sign\n")
+    assert determinant_reads(source) == [(1, "import"), (3, "import"), (6, "attribute")]
+
+
+def test_no_pipeline_module_reads_determinant():
+    # det zeta is read off tau's cycles; Bareiss is a library function and
+    # the tests' oracle, defined in exact_linear and exported by __init__
+    found = {p.name: determinant_reads(p.read_text()) for p in SOURCES
+             if p.name not in ("exact_linear.py", "__init__.py")}
+    assert {name: reads for name, reads in found.items() if reads} == {}
 
 
 ARITHMETIC = {"__%s%s__" % (side, op) for side in ("", "r", "i")

@@ -828,6 +828,31 @@ class TestMalformedEntries:
         # e0 - e1 is fixed by v -> -(v1, v0), so this tau is valid
         assert frobenius(rd, 3, (1, 0), (-1, -1)).root_perm == (0,)
 
+    def test_more_roots_than_coroots_is_refused(self):
+        # one root and no coroot made a one-node datum whose components
+        # raised IndexError
+        with pytest.raises(ValueError, match="one coroot per root, got 1 roots and 0"):
+            RootDatum(rank=2, root_entries=(self.A1,), coroot_entries=())
+
+    def test_more_coroots_than_roots_is_refused(self):
+        with pytest.raises(ValueError, match="one coroot per root, got 1 roots and 2"):
+            RootDatum(rank=2, root_entries=(self.A1,),
+                      coroot_entries=(self.A1, self.A1))
+
+    @pytest.mark.parametrize("rank", [-1, 2.5, True, "2"],
+                             ids=["negative", "float", "bool", "str"])
+    def test_a_rank_that_is_not_a_non_negative_int_is_refused(self, rank):
+        with pytest.raises(ValueError, match="non-negative int rank"):
+            RootDatum(rank=rank, root_entries=(), coroot_entries=())
+
+    def test_a_hand_made_datum_of_two_nodes_is_accepted(self):
+        # A2 in the simply connected form: roots are the Cartan columns
+        rd = RootDatum(rank=2, root_entries=(((0, 2), (1, -1)), ((0, -1), (1, 2))),
+                       coroot_entries=(((0, 1),), ((1, 1),)))
+        assert rd.num_nodes == 2 and torus(0).num_nodes == 0
+        assert [comp.nodes for comp in rd.components] == [(0, 1)]
+        assert dense_datum(rd).cartan_matrix().to_rows() == [[2, -1], [-1, 2]]
+
 
 def torus(rank):
     return RootDatum(rank=rank, root_entries=(), coroot_entries=())

@@ -16,12 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ziphasse import zip_core
-from ziphasse.exact_linear import SelfCheckError
+from ziphasse.exact_linear import SelfCheckError, determinant
 from ziphasse.root_datum import (
     _degrees,
     _types,
     build_group,
     char_lattice_of_parabolic,
+    check_group,
     gl,
     gsp,
     product_group,
@@ -332,6 +333,23 @@ class TestS0Characters:
             prod *= f
         assert prod == abs(rep.det_zeta) == rep.s0_order
         assert all(rep.hasse_number % f == 0 for f in rep.invariant_factors)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_det_zeta_from_tau_matches_bareiss_on_zeta(self, data):
+        # s0_characters reads det zeta off tau's cycles; Bareiss on the
+        # zeta it returns is the oracle, sign included
+        spec = data.draw(test_root_datum.BUILDER_SPECS.filter(
+            lambda spec: check_group(spec)[1] <= 12))
+        q = data.draw(st.sampled_from((2, 3, 4, 9)))
+        rd, frob = build_group(spec, q)
+        J = data.draw(st.sets(st.integers(0, rd.num_nodes - 1))
+                      if rd.num_nodes else st.just(set()))
+        try:
+            report = s0_characters(build_zip_datum(rd, frob, parabolic=J))
+        except PicObstructionError as exc:
+            report = exc.report
+        assert report.det_zeta == determinant(report.zeta)
 
 
 class TestOrbitCensus:
