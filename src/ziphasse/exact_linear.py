@@ -1,7 +1,8 @@
 """Exact linear algebra over the integers.
 
-A matrix is an immutable, checked record of arbitrary-precision int
-entries; its one piece of algebra is the product.  One Smith
+A matrix is an immutable record of arbitrary-precision int entries with
+one way in, its constructor, which checks them; its one piece of algebra is
+the product.  One Smith
 decomposition gives the invariant factors, the kernel, the inverse (as an
 integer matrix over one denominator) and the exact ``fractions.Fraction``
 solution of a linear system.  Where only the invariant factors are read,
@@ -41,8 +42,8 @@ def _check_int(x):
 class IntMatrix:
     """Immutable integer matrix, stored row-major: a checked, hashable record.
 
-    The public constructors check every entry; _trusted builds from entries
-    already known to be ints and skips that check.  The one product,
+    Every matrix, the pipeline's too, is built through __init__, which
+    checks each entry's type and the entry count.  The one product,
     __mul__, serves the oracle functions enumerate_weyl, positive_roots and
     rational_inverse; the pipeline only builds matrices and reads their rows.
     """
@@ -93,7 +94,7 @@ class IntMatrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, row)]
             out.extend(acc)
-        return IntMatrix._trusted(self.rows, n, out)
+        return IntMatrix(self.rows, n, out)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self)
@@ -108,16 +109,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return "%s(%d, %d, %r)" % (type(self).__name__, self.rows, self.cols,
                                    list(self.entries))
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
-        """A matrix of entries already known to be ints, built without the
-        per-entry type check of the public constructors."""
-        mat = object.__new__(cls)
-        mat.rows, mat.cols, mat.entries, mat._hash = rows, cols, tuple(entries), None
-        if len(mat.entries) != rows * cols:
-            raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
-        return mat
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -265,10 +256,10 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
         raise SelfCheckError("zero diagonal entries of the Smith form are not last")
     flat = chain.from_iterable
     return SmithDecomposition(
-        U=IntMatrix._trusted(m, m, flat(u)),
-        V=IntMatrix._trusted(n, n, flat(zip(*v_cols))),
+        U=IntMatrix(m, m, flat(u)),
+        V=IntMatrix(n, n, flat(zip(*v_cols))),
         invariant_factors=factors,
-        V_inv=IntMatrix._trusted(n, n, flat(v_inv)),
+        V_inv=IntMatrix(n, n, flat(v_inv)),
     )
 
 
@@ -390,8 +381,8 @@ def rational_inverse(mat: IntMatrix) -> tuple:
         raise SingularMatrixError("columns are not linearly independent")
     d = factors[-1] if factors else 1
     n = mat.rows
-    scaled_u = IntMatrix._trusted(n, n, [d // f * x for i, f in enumerate(factors)
-                                         for x in snf.U.row(i)])
+    scaled_u = IntMatrix(n, n, [d // f * x for i, f in enumerate(factors)
+                                for x in snf.U.row(i)])
     return snf.V * scaled_u, d
 
 
@@ -422,5 +413,5 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(mat)
     rank, n, v = len(snf.invariant_factors), mat.cols, snf.V.entries
     # the rows are columns rank.. of V, strided slices of its entries
-    return IntMatrix._trusted(n - rank, n, chain.from_iterable(
+    return IntMatrix(n - rank, n, chain.from_iterable(
         v[j::n] for j in range(rank, n)))

@@ -76,12 +76,13 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
 
     Simple root i is root_entries[i], the tuple of its nonzero (coordinate,
     value) entries in increasing coordinate order, and simple coroot i is
-    coroot_entries[i] in the same form; the constructor refuses any other
-    entries with ValueError, and a non-int value with TypeError.  It also
-    refuses with ValueError a rank that is not a non-negative int (a bool is
-    not one) and root and coroot lists of different lengths.  The
-    builders' roots and coroots have at most four nonzero coordinates, so
-    building, checking and pairing them costs O(nnz), not O(rank) per root.
+    coroot_entries[i] in the same form; the constructor, and so _make and
+    _replace, refuse any other entries with ValueError, and a non-int value
+    with TypeError.  They also refuse with ValueError a rank that is not a
+    non-negative int (a bool is not one) and root and coroot lists of
+    different lengths.  The builders' roots and coroots have at most four
+    nonzero coordinates, so building, checking and pairing them costs
+    O(nnz), not O(rank) per root.
     """
 
     def __new__(cls, rank, root_entries, coroot_entries):
@@ -102,6 +103,10 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
                              "roots and %d coroots"
                              % (len(root_entries), len(coroot_entries)))
         return super().__new__(cls, rank, root_entries, coroot_entries)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def num_nodes(self) -> int:
@@ -174,7 +179,7 @@ def _dense(rows: Sequence, rank: int) -> IntMatrix:
     for i, row in enumerate(rows):
         for a, x in row:
             entries[i * rank + a] = x
-    return IntMatrix._trusted(len(rows), rank, entries)
+    return IntMatrix(len(rows), rank, entries)
 
 
 def _pairings(rows: Sequence, vec: Sequence) -> tuple:
@@ -699,7 +704,7 @@ def positive_roots(rd: RootDatum) -> PositiveRoots:
             raise ValueError("root system does not look finite")
 
     ordered = sorted(seen, key=lambda c: (sum(c), c))
-    coeffs = IntMatrix._trusted(len(ordered), k, [x for c in ordered for x in c])
+    coeffs = IntMatrix(len(ordered), k, [x for c in ordered for x in c])
     vectors = coeffs * _dense(rd.root_entries, rd.rank)
     roots = [Root(vector=vectors.row(n), coeffs=c) for n, c in enumerate(ordered)]
 

@@ -17,7 +17,7 @@ from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
-                           invariant_factors)
+                           _check_int, invariant_factors)
 from .root_datum import (
     FrobeniusStructure,
     RootDatum,
@@ -132,11 +132,12 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
 
     A cocharacter must pair >= 0 with every simple root; J is then its
     vanishing set, so the parabolic attached to it contains the lower Borel.
+    A non-int cocharacter entry or node, a bool too, raises TypeError.
     """
     if (cocharacter is None) == (parabolic is None):
         raise ValueError("need exactly one of cocharacter or parabolic")
     if cocharacter is not None:
-        chi = tuple(cocharacter)
+        chi = tuple(map(_check_int, cocharacter))
         if len(chi) != rd.rank:
             raise ValueError("cocharacter length does not match the rank")
         pairings = rd.root_pairings(chi)
@@ -147,7 +148,7 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
         J = frozenset(i for i, p in enumerate(pairings) if p == 0)
         cochar = chi
     else:
-        J = frozenset(parabolic)
+        J = frozenset(map(_check_int, parabolic))
         for j in J:
             if not 0 <= j < rd.num_nodes:
                 raise ValueError("node %r out of range" % (j,))
@@ -173,8 +174,9 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     the comparison with 1 is one of integers.
     Small means that in every simple component the dominant conjugate pairs
     positively with at most one simple root, with value 1.
+    A non-int entry of chi, a bool too, raises TypeError.
     """
-    chi = tuple(chi)
+    chi = tuple(map(_check_int, chi))
     if len(chi) != rd.rank:
         raise ValueError("cocharacter length does not match the rank")
     pairings = rd.root_pairings(chi)
@@ -241,7 +243,7 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
             raise SelfCheckError("twist endomorphism does not preserve the lattice")
         columns.append(coords[r:])
     k = n - r
-    return IntMatrix._trusted(k, k, chain.from_iterable(zip(*columns)))
+    return IntMatrix(k, k, chain.from_iterable(zip(*columns)))
 
 
 def s0_characters(zd: ZipDatum) -> HasseReport:

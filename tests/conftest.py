@@ -2,6 +2,10 @@ import pytest
 
 from ziphasse import root_datum
 
+# pytest rewrites asserts in test modules only; without this the oracles'
+# own asserts would vanish under python -O
+pytest.register_assert_rewrite("_oracles")
+
 
 @pytest.fixture(autouse=True)
 def cold_group_memo():

@@ -331,6 +331,25 @@ MUTANTS = (
            "prod([q * sign[i] for i in c])",
            "prod([q for i in c])",
            ("tests/test_acceptance.py::test_criterion_2_unitary",)),
+    # RootDatum._make back to NamedTuple's unchecked one: _make and _replace
+    # skip __new__
+    Mutant("root_datum.py",
+           "return cls(*iterable)",
+           "return tuple.__new__(cls, iterable)",
+           ("tests/test_root_datum.py::TestMalformedEntries::"
+            "test_make_and_replace_refuse_what_the_constructor_refuses[replace-rank]",)),
+    # build_zip_datum without its int check on the cocharacter: a float
+    # builds a datum
+    Mutant("zip_core.py",
+           "chi = tuple(map(_check_int, cocharacter))",
+           "chi = tuple(cocharacter)",
+           ("tests/test_zip_core.py::TestBuildZipDatum::"
+            "test_a_non_int_entry_is_refused[float-cocharacter]",)),
+    # IntMatrix built without its type scan: a float entry is taken
+    Mutant("exact_linear.py",
+           "if set(map(type, entries)) - {int}:",
+           "if False:",
+           ("tests/test_exact_linear.py::TestMatrixBasics::test_no_floats",)),
 )
 
 

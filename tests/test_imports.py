@@ -5,8 +5,9 @@ result attribute that the benchmark's tracer looks up exists.  No module
 asserts or reads __debug__, so every self-check still raises under
 python -O, and no module imports the Weyl-group oracle, weyl, but for one
 re-export that the tracer rebinds, nor the Bareiss determinant, which
-only exact_linear and __init__ name.  IntMatrix is a record whose one piece
-of algebra is its product, and positivity builds no dense matrix.
+only exact_linear and __init__ name.  No module builds a record around its
+checked constructor.  IntMatrix is a record whose one piece of algebra is
+its product, and positivity builds no dense matrix.
 
 The first is a linter's unused-import rule (F401) written with the stdlib
 ast, so tier-1 needs no linter.  __init__.py is skipped, because it imports
@@ -275,6 +276,44 @@ def test_no_pipeline_module_reads_determinant():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+def record_bypasses(source: str) -> list:
+    """(line, call) of every call that builds a record without its checked
+    constructor: object.__new__, tuple.__new__ and any _make."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr == "_make":
+            found.append((node.lineno, "_make"))
+        elif (func.attr == "__new__" and isinstance(func.value, ast.Name)
+              and func.value.id in ("object", "tuple")):
+            found.append((node.lineno, func.value.id + ".__new__"))
+    return found
+
+
+def test_the_check_flags_every_bypass_of_a_constructor():
+    source = (
+        "class M:\n"
+        "    @classmethod\n"
+        "    def _make(cls, it):\n"
+        "        return cls(*it)\n"
+        "    def __new__(cls, x):\n"
+        "        return super().__new__(cls, x)\n"
+        "m = object.__new__(M)\n"
+        "t = tuple.__new__(M, (1,))\n"
+        "r = M._make((1,)), m._replace(x=2)\n")
+    assert record_bypasses(source) == [
+        (7, "object.__new__"), (8, "tuple.__new__"), (9, "_make")]
+
+
+def test_every_record_is_built_through_its_constructor():
+    # IntMatrix.__init__ and RootDatum.__new__ check every entry; RootDatum's
+    # _make and _replace go through __new__
+    found = {p.name: record_bypasses(p.read_text()) for p in SOURCES}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 ARITHMETIC = {"__%s%s__" % (side, op) for side in ("", "r", "i")
               for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv",
                          "mod", "divmod", "pow", "and", "or", "xor", "lshift",
@@ -288,6 +327,9 @@ def test_intmatrix_is_a_record_with_one_product():
     assert {n for n in names if not n.startswith("_")} == {
         "rows", "cols", "entries", "from_rows", "identity", "row", "to_rows"}
     assert names & ARITHMETIC == {"__mul__"}
+    # no second, unchecked way in beside __init__
+    assert {n for n in names if n.startswith("_")
+            and not (n.startswith("__") and n.endswith("__"))} == {"_hash"}
 
 
 def test_positivity_imports_no_dense_matrix():

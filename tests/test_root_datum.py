@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -844,6 +846,27 @@ class TestMalformedEntries:
     def test_a_rank_that_is_not_a_non_negative_int_is_refused(self, rank):
         with pytest.raises(ValueError, match="non-negative int rank"):
             RootDatum(rank=rank, root_entries=(), coroot_entries=())
+
+    # _make and _replace build through the constructor, so they refuse
+    # what it refuses; NamedTuple's own _make would skip every check
+    @pytest.mark.parametrize("build,error", [
+        (lambda: gl(3, 2)[0]._replace(rank=-1), ValueError),
+        (lambda: gl(3, 2)[0]._replace(coroot_entries=()), ValueError),
+        (lambda: RootDatum._make((2, (((0, 1), (5, -1)),), (((0, 1),),))), ValueError),
+        (lambda: RootDatum._make((2.5, (), ())), ValueError),
+        (lambda: RootDatum._make((2, (((0, 1.0),),), (((0, 1),),))), TypeError),
+    ], ids=["replace-rank", "replace-coroots", "make-past-rank", "make-float-rank",
+            "make-float-entry"])
+    def test_make_and_replace_refuse_what_the_constructor_refuses(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_make_replace_copy_and_pickle_keep_a_datum(self):
+        rd = gl(3, 2)[0]
+        assert type(RootDatum._make(rd)) is RootDatum and RootDatum._make(rd) == rd
+        assert rd._replace(rank=3) == rd
+        assert copy.copy(rd) == rd and copy.deepcopy(rd) == rd
+        assert pickle.loads(pickle.dumps(rd)) == rd
 
     def test_a_hand_made_datum_of_two_nodes_is_accepted(self):
         # A2 in the simply connected form: roots are the Cartan columns

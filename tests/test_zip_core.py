@@ -80,6 +80,20 @@ class TestBuildZipDatum:
         with pytest.raises(ValueError):
             build_zip_datum(rd, frob, cocharacter=(1, 0, 0), parabolic=[0])
 
+    # each refused with TypeError before it is used; unchecked, a float
+    # would build J = {1} and keep the float in cochar, a bool would pass
+    # as 1 or 0, and a float node would fail late, indexing root_perm
+    @pytest.mark.parametrize("kw", [
+        {"cocharacter": [1.5, 0, 0]},
+        {"cocharacter": [True, False, False]},
+        {"parabolic": [True]},
+        {"parabolic": [1.0]},
+    ], ids=["float-cocharacter", "bool-cocharacter", "bool-node", "float-node"])
+    def test_a_non_int_entry_is_refused(self, kw):
+        rd, frob = unitary(3, 3)
+        with pytest.raises(TypeError, match="integer entry expected"):
+            build_zip_datum(rd, frob, **kw)
+
     def test_k_follows_perm_and_opposition(self):
         rd, frob = gl(4, 3)
         zd = build_zip_datum(rd, frob, parabolic=[0])
@@ -156,6 +170,15 @@ class TestClassifyCocharacter:
         rd, _ = gl(3, 5)
         assert classify_cocharacter(rd, (1, 1, 0)) == MINUSCULE
         assert classify_cocharacter(rd, (2, 1, 0)) == NEITHER
+
+    # unchecked, a float would be classified by float arithmetic
+    # ("neither"), a bool as an int
+    @pytest.mark.parametrize("chi", [[1.5, 0, 0], [True, False, False]],
+                             ids=["float", "bool"])
+    def test_a_non_int_entry_is_refused(self, chi):
+        rd, _ = unitary(3, 3)
+        with pytest.raises(TypeError, match="integer entry expected"):
+            classify_cocharacter(rd, chi)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.data())
