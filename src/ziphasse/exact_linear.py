@@ -43,7 +43,8 @@ class IntMatrix:
     """Immutable integer matrix, stored row-major: a checked, hashable record.
 
     Every matrix, the pipeline's too, is built through __init__, which
-    checks each entry's type and the entry count.  The one product,
+    checks each entry's type, the shape's (an int, not a bool) and the
+    entry count.  The one product,
     __mul__, serves the oracle functions enumerate_weyl, positive_roots and
     rational_inverse; the pipeline only builds matrices and reads their rows.
     """
@@ -56,7 +57,7 @@ class IntMatrix:
         if set(map(type, entries)) - {int}:
             for x in entries:
                 _check_int(x)
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        if _check_int(rows) < 0 or _check_int(cols) < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match shape %dx%d" % (rows, cols))
         self.rows, self.cols, self.entries, self._hash = rows, cols, entries, None
 

@@ -25,14 +25,30 @@ build_group keeps the last MAX_GROUPS descriptions it built, each with its
 datum and the q-free part of its tau, in one process-wide lru_cache: equal
 descriptions share one RootDatum object, so a sweep over parabolic types
 pays for the Cartan data once.  q is checked on every call.
+
+Everything of a zip datum but zeta = 1 - q*tau is q-free, and one
+process-wide memo, _memo, keeps it: K and J0 (keyed on the root
+permutation and J), the LeviLattice of the J0 coroots (on J0), the weight
+sum (on J), the Picard torsion and the orbit census (on J).  A slot is
+(id(rd), stage, key), so no lookup hashes a RootDatum and equal data from
+two descriptions have entries of their own; the memo holds a datum while
+any entry of it lives, so no other object takes its id.  It counts stored
+integers, the data it keeps alive included, within MEMO_BUDGET, drops the
+least recently used entry first and keeps no value larger than the whole
+budget.  An entry is made, self-checks and all, outside the memo's lock:
+two threads may make one entry twice and keep one, but neither raises.
+An exception is never stored, and a hit returns the same immutable object.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import inf, isqrt, lcm, prod
+from threading import Lock
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact_linear import (
@@ -390,6 +406,84 @@ def _group(key: str) -> tuple:
     is refused again on every call."""
     rd, src, sign = _parts(json.loads(key))
     return rd, _tau(rd, src, sign)
+
+
+# The budget of the parabolic memo (_memo), in stored integers.  Full, it
+# held 12-19 B per counted integer (tracemalloc, at ranks 1-128), about
+# 2.5 MB; at 36 B, a reference and an int object of its own for every
+# integer, it would hold 4.7 MB, its worst case.
+MEMO_BUDGET = 1 << 17
+
+# Integers charged to every memo entry on top of its value: its slot, key
+# and bookkeeping, about 450 B.
+_ENTRY_CHARGE = 32
+
+
+def _datum_charge(rd: RootDatum) -> int:
+    """The integers charged for a datum that memo entries keep alive: ten
+    per (coordinate, value) root and coroot entry, for the pair and the
+    Cartan rows and columns made from them, eight per node for its
+    components and opposition walk, and the rank and 32 for the object
+    itself (tracemalloc: 14-19 B per integer charged, ranks 20-128)."""
+    nnz = sum(map(len, rd.root_entries)) + sum(map(len, rd.coroot_entries))
+    return 10 * nnz + 8 * rd.num_nodes + rd.rank + 32
+
+
+class _Memo:
+    """The q-free parabolic data, made once per (datum, stage, key): see the
+    module docstring.  ``held`` counts the integers of every value kept,
+    _ENTRY_CHARGE per entry and _datum_charge once per datum held, and
+    stays within ``budget``.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self._entries = OrderedDict()  # slot -> (charge, value), oldest use first
+        self._data = {}  # id(rd) -> [rd, number of its entries, its charge]
+        self._lock = Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._data.clear()
+            self.held = 0
+
+    def __call__(self, rd: RootDatum, stage: str, key, make, size):
+        """The value in the slot of (rd, stage, key), or else make(), kept
+        there charged size(value) integers."""
+        slot = (id(rd), stage, key)
+        with self._lock:
+            entry = self._entries.get(slot)
+            if entry is not None:
+                self._entries.move_to_end(slot)
+                return entry[1]
+        value = make()
+        charge = size(value) + _ENTRY_CHARGE
+        with self._lock:
+            datum = self._data.get(id(rd)) or [rd, 0, _datum_charge(rd)]
+            total = charge + (0 if datum[1] else datum[2])
+            if total > self.budget or slot in self._entries:
+                return value
+            datum[1] += 1
+            self._data[id(rd)] = datum
+            self._entries[slot] = (charge, value)
+            self.held += total
+            while self.held > self.budget:
+                (old, _, _), (freed, _) = self._entries.popitem(last=False)
+                datum = self._data[old]
+                datum[1] -= 1
+                if not datum[1]:
+                    del self._data[old]
+                    freed += datum[2]
+                self.held -= freed
+        return value
+
+
+_memo = _Memo(MEMO_BUDGET)
 
 
 # Deepest nesting of product / weil_restriction groups a description may use.
@@ -784,7 +878,10 @@ def fundamental_weight_sum(rd: RootDatum, J: Iterable = ()) -> tuple:
     sum, the solve of a zero target, is the zero vector.
     """
     J = frozenset(J)
-    return _weight(rd, [0 if i in J else 1 for i in range(rd.num_nodes)])
+    # a Fraction is charged three integers: itself, numerator and denominator
+    return _memo(rd, "fundamental_weight_sum", J,
+                 lambda: _weight(rd, [0 if i in J else 1 for i in range(rd.num_nodes)]),
+                 lambda vec: 3 * len(vec))
 
 
 def _weight(rd: RootDatum, target: Sequence) -> tuple:
@@ -863,9 +960,12 @@ def picard_torsion(rd: RootDatum) -> tuple:
 
     Empty exactly when the derived group is simply connected.  Only the
     factors of the coroot matrix are read, so none of its transforms is built.
+    Made once per datum (_memo).
     """
-    factors = invariant_factors(_dense(rd.coroot_entries, rd.rank))
-    return tuple(f for f in factors if f > 1)
+    def make():
+        factors = invariant_factors(_dense(rd.coroot_entries, rd.rank))
+        return tuple(f for f in factors if f > 1)
+    return _memo(rd, "picard_torsion", None, make, len)
 
 
 def _coroot_smith(rd: RootDatum, nodes: Iterable) -> SmithDecomposition:
@@ -875,3 +975,39 @@ def _coroot_smith(rd: RootDatum, nodes: Iterable) -> SmithDecomposition:
     X*(L0), and the factors > 1 are the Picard torsion of L0."""
     rows = [rd.coroot_entries[j] for j in sorted(nodes)]
     return smith_normal_form(_dense(rows, rd.rank))
+
+
+class LeviLattice(NamedTuple):
+    """What the twist endomorphism reads of _coroot_smith(rd, J0).
+
+    ``factors`` are the invariant factors of the J0 coroots, r of them;
+    ``basis`` holds columns r.. of V, the basis of X*(L0), each a tuple of
+    rank entries; ``inverse`` holds every column of V^-1 as its nonzero
+    (row, value) entries.
+    """
+
+    factors: tuple
+    basis: tuple
+    inverse: tuple
+
+
+def _levi_lattice(rd: RootDatum, J0: frozenset) -> LeviLattice:
+    """The LeviLattice of the nodes J0, made once per (datum, J0) (_memo).
+
+    The columns of V and V^-1 are read as strided slices of their row-major
+    entries; U is not kept, and V and V^-1 only as the columns zeta reads.
+    """
+    J0 = frozenset(J0)
+
+    def make():
+        snf = _coroot_smith(rd, J0)
+        n = rd.rank
+        basis, back = snf.V.entries, snf.V_inv.entries
+        inverse = tuple([tuple([(i, col[i]) for i in compress(range(n), col)])
+                         for col in (back[j::n] for j in range(n))])
+        return LeviLattice(factors=snf.invariant_factors, inverse=inverse,
+                           basis=tuple([basis[j::n]
+                                        for j in range(len(snf.invariant_factors), n)]))
+    # charged its integers, two per nonzero of V^-1
+    return _memo(rd, "levi_lattice", J0, make, lambda levi: (
+        len(levi.factors) + sum(map(len, levi.basis)) + 2 * sum(map(len, levi.inverse))))

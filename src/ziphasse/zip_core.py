@@ -16,15 +16,15 @@ from itertools import chain, compress
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exact_linear import (IntMatrix, SelfCheckError, SmithDecomposition,
-                           _check_int, invariant_factors)
+from .exact_linear import IntMatrix, SelfCheckError, _check_int, invariant_factors
 from .root_datum import (
     FrobeniusStructure,
     RootDatum,
-    _coroot_smith,
     _cycles,
     _degrees,
     _forest_solve,
+    _levi_lattice,
+    _memo,
     _types,
     _walk,
     classical_order,
@@ -155,9 +155,16 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
         cochar = None
 
     perm = frob.root_perm
-    K = opp_type(rd, frozenset(perm[j] for j in J))
-    # J0 is the largest perm-stable subset of J: the perm-cycles inside J
-    J0 = frozenset([i for cycle in _cycles(perm) if J.issuperset(cycle) for i in cycle])
+
+    def make():
+        K = opp_type(rd, frozenset(perm[j] for j in J))
+        # J0 is the largest perm-stable subset of J: the perm-cycles inside J
+        J0 = frozenset([i for cycle in _cycles(perm) if J.issuperset(cycle) for i in cycle])
+        return K, J0
+
+    # charged the nodes of the key (perm, J) and of K and J0, |K| = |J| >= |J0|
+    K, J0 = _memo(rd, "parabolic_types", (tuple(perm), J), make,
+                  lambda types: len(perm) + 3 * len(J))
     return ZipDatum(rd=rd, frob=frob, J=J, K=K, J0=J0, cochar=cochar)
 
 
@@ -207,9 +214,10 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
     return SMALL_NOT_MINUSCULE
 
 
-def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMatrix:
+def zeta_matrix(zd: ZipDatum) -> IntMatrix:
     """Matrix of chi -> chi - q*tau(chi) on the basis of X*(L0) in columns
-    r.. of V, for snf = _coroot_smith(rd, J0), passed or made here.
+    r.. of V, for the Smith form _coroot_smith(rd, J0), read off its
+    LeviLattice, which is made once per (datum, J0).
 
     The lattice is tau-stable because the root permutation fixes J0, so the
     restriction has integer entries: the coordinates of an image y are
@@ -217,22 +225,18 @@ def zeta_matrix(zd: ZipDatum, snf: Optional[SmithDecomposition] = None) -> IntMa
 
     The work follows the nonzeros: tau acts as the signed permutation it
     is, and V^-1 y is summed as y_j times column j of V^-1 over the
-    nonzero y_j, each column kept as its nonzero entries.  The columns of V
-    and V^-1 are read as strided slices of their row-major entries, and the
-    image coordinates, the columns of zeta, are zipped into its rows.
+    nonzero y_j, each column kept as its nonzero entries.  The image
+    coordinates, the columns of zeta, are zipped into its rows.
     """
-    if snf is None:
-        snf = _coroot_smith(zd.rd, zd.J0)
-    r = len(snf.invariant_factors)
+    levi = _levi_lattice(zd.rd, zd.J0)
+    r = len(levi.factors)
     n = zd.rd.rank
     q = zd.frob.q
     src, sign = zd.frob.src, zd.frob.sign
     qsign = [q * s for s in sign]
-    basis, back = snf.V.entries, snf.V_inv.entries
-    inverse = [[(i, col[i]) for i in compress(range(n), col)]
-               for col in (back[j::n] for j in range(n))]
+    inverse = levi.inverse
     columns = []
-    for vec in (basis[j::n] for j in range(r, n)):
+    for vec in levi.basis:
         y = [x - c * vec[j] for x, c, j in zip(vec, qsign, src)]
         coords = [0] * n
         for j in compress(range(n), y):
@@ -252,14 +256,14 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     When the derived group of L0 is simply connected the cokernel is the
     character group of the finite stabilizer; otherwise PicObstructionError
     is raised, carrying the same report flagged as unreliable.  One Smith
-    form of the J0 coroots, _coroot_smith, serves the lattice and the torsion.
+    form of the J0 coroots, kept as its LeviLattice, serves the lattice and
+    the torsion.
     Only the invariant factors of zeta are read, so no transform of it is
     built.  They must multiply to |det zeta|, which tau gives apart from zeta
     (Carter 1985): det(1 - q tau) on X*, one 1 - eps*q^c per signed c-cycle,
     over det(1 - q tau) on X*/X*(L0), dual to the J0 coroots tau permutes.
     """
-    levi = _coroot_smith(zd.rd, zd.J0)
-    zeta = zeta_matrix(zd, levi)
+    zeta = zeta_matrix(zd)
     q, sign = zd.frob.q, zd.frob.sign
     whole = prod([1 - prod([q * sign[i] for i in c]) for c in _cycles(zd.frob.src)])
     if whole == 0:
@@ -270,7 +274,7 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     order = abs(det)
     if rest or order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")
-    torsion = tuple(f for f in levi.invariant_factors if f > 1)
+    torsion = tuple(f for f in _levi_lattice(zd.rd, zd.J0).factors if f > 1)
     report = HasseReport(
         zeta=zeta,
         det_zeta=det,
@@ -317,8 +321,18 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     the Cartan matrix packed the same way with no bias.  With bias
     2^(width-1) - 1 a coordinate is positive iff the top bit of its field
     is set.
+
+    The census reads only rd and J, so it is made once per (datum, J)
+    (_memo), its self-checks with it.
     """
-    rd = zd.rd
+    rd, J = zd.rd, frozenset(zd.J)
+    # charged three integers per orbit and two per codimension-one orbit
+    return _memo(rd, "orbit_census", J, lambda: _orbit_census(rd, J), lambda census: (
+        3 * len(census.lengths) + 2 * len(census.codim1_indices)))
+
+
+def _orbit_census(rd: RootDatum, J: frozenset) -> OrbitCensus:
+    """The census of orbit_census, walked and checked."""
     k = rd.num_nodes
     columns = rd._cartan_entries[1]
     n_pos = rd._opposition[1]
@@ -328,12 +342,12 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     # per letter i: (i, shift of field i, packed column i, top bit of field i)
     steps = [(i, width * i, sum(c << width * j for j, c in columns[i]),
               1 << width * i + width - 1) for i in range(k)]
-    points = [sum(bias + (i not in zd.J) << width * i for i in range(k))]
+    points = [sum(bias + (i not in J) << width * i for i in range(k))]
     parents, letters, lengths = [-1], [-1], [0]
     position = {points[0]: 0}
     # the lists grow while points is scanned, the queue in discovery order;
     # the scan stops at |W_J \ W| of them (range takes any int)
-    degrees_j = _degrees(_types(rd._cartan_entries[0], zd.J))
+    degrees_j = _degrees(_types(rd._cartan_entries[0], J))
     count = classical_order(rd) // prod(degrees_j)
     for n, p in zip(range(count), points):
         length = lengths[n] + 1
@@ -362,7 +376,7 @@ def orbit_census(zd: ZipDatum) -> OrbitCensus:
     eta = points[-1]
     opp = opposition(rd)
     codim1 = []
-    for s in sorted(set(range(k)) - zd.J):
+    for s in sorted(set(range(k)) - J):
         _, shift, column, _ = steps[opp[s]]
         image = eta - ((eta >> shift & mask) - bias) * column
         codim1.append((s, position.get(image, -1)))

@@ -8,7 +8,9 @@ pytest.register_assert_rewrite("_oracles")
 
 
 @pytest.fixture(autouse=True)
-def cold_group_memo():
-    """Every test starts with build_group's memo empty, so no test sees a
-    datum that another test built, under a monkeypatch or not."""
+def cold_memos():
+    """Every test starts with build_group's memo and the parabolic memo
+    empty, so no test sees a datum, or data made from one, that another
+    test built, under a monkeypatch or not."""
     root_datum._group.cache_clear()
+    root_datum._memo.clear()

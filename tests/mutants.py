@@ -245,12 +245,12 @@ MUTANTS = (
            ("tests/test_exact_linear.py::TestInvariantFactors::"
             "test_a_scalar_matrix_has_no_unit_pivot",)),
     # zeta's basis read from column r + 1 of V, one column short
-    Mutant("zip_core.py",
-           "for j in range(r, n)",
-           "for j in range(r + 1, n)",
+    Mutant("root_datum.py",
+           "for j in range(len(snf.invariant_factors), n)",
+           "for j in range(len(snf.invariant_factors) + 1, n)",
            ("tests/test_zip_core.py::TestZetaMatrix::test_unitary3",)),
     # V^-1 read by rows where its columns are meant
-    Mutant("zip_core.py",
+    Mutant("root_datum.py",
            "(back[j::n] for j in range(n))",
            "(back[j * n:j * n + n] for j in range(n))",
            ("tests/test_zip_core.py::TestZetaMatrix::"
@@ -350,6 +350,40 @@ MUTANTS = (
            "if set(map(type, entries)) - {int}:",
            "if False:",
            ("tests/test_exact_linear.py::TestMatrixBasics::test_no_floats",)),
+    # ... and without the shape's: a float or bool shape is taken
+    Mutant("exact_linear.py",
+           "if _check_int(rows) < 0 or _check_int(cols) < 0 or",
+           "if rows < 0 or cols < 0 or",
+           ("tests/test_exact_linear.py::TestMatrixBasics::test_a_float_shape_is_refused",
+            "tests/test_exact_linear.py::TestMatrixBasics::test_a_bool_shape_is_refused")),
+    # K and J0 kept under J alone: a second Frobenius structure on the same
+    # datum object reads the first one's K and J0
+    Mutant("zip_core.py",
+           '_memo(rd, "parabolic_types", (tuple(perm), J), make,',
+           '_memo(rd, "parabolic_types", J, make,',
+           ("tests/test_memo.py::TestKeys::test_one_datum_under_two_frobenius_structures",)),
+    # the census kept under the datum alone: every J reads the first census
+    Mutant("zip_core.py",
+           '_memo(rd, "orbit_census", J,',
+           '_memo(rd, "orbit_census", None,',
+           ("tests/test_memo.py::TestKeys::test_each_stage_is_keyed_on_its_node_set",)),
+    # the slot taken before make runs, so an entry is stored before the
+    # census self-checks run, and stays when they raise
+    Mutant("root_datum.py",
+           "        value = make()\n",
+           "        with self._lock:\n"
+           "            self._entries.setdefault(slot, (0, None))\n"
+           "        value = make()\n",
+           ("tests/test_memo.py::TestNothingKeptFromARaise::"
+            "test_a_census_that_fails_its_check_is_not_kept",)),
+    # the slot keyed on the datum by value: every lookup hashes it, and
+    # equal data from two descriptions share entries
+    Mutant("root_datum.py",
+           "slot = (id(rd), stage, key)",
+           "slot = (rd, stage, key)",
+           ("tests/test_memo.py::TestKeys::test_no_lookup_hashes_a_root_datum",
+            "tests/test_memo.py::TestKeys::"
+            "test_equal_data_from_two_descriptions_get_their_own_entries")),
 )
 
 

@@ -311,6 +311,20 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match="entry count"):
             IntMatrix(2, 2, [1, 2, 3])
 
+    def test_a_float_shape_is_refused(self):
+        # it built, and to_rows() then failed far from the cause
+        with pytest.raises(TypeError, match="integer entry expected, got 1.0"):
+            IntMatrix(1.0, 1, [1])
+        with pytest.raises(TypeError, match="integer entry expected, got 1.0"):
+            IntMatrix(1, 1.0, [1])
+
+    def test_a_bool_shape_is_refused(self):
+        # it built a matrix equal to IntMatrix(1, 1, [1])
+        with pytest.raises(TypeError, match="integer entry expected, got True"):
+            IntMatrix(True, 1, [1])
+        with pytest.raises(TypeError, match="integer entry expected, got True"):
+            IntMatrix(1, True, [1])
+
     def test_repr_and_empty_from_rows(self):
         assert repr(mat([[1, 2], [3, 4]])) == "IntMatrix(2, 2, [1, 2, 3, 4])"
         with pytest.raises(ValueError, match=r"use IntMatrix\(0, n, \(\)\)"):
