@@ -19,25 +19,27 @@ the whole group.
 Everything constructed here is immutable and safe to share between threads.
 A RootDatum computes its Cartan data on first use and keeps it: the nonzero
 rows and columns of the Cartan matrix, which every walk and solve reads,
-the Dynkin components typed off them and the opposition walk.  Each is
-deterministic and immutable, so a race between threads only computes it twice.
-build_group keeps the last MAX_GROUPS descriptions it built, each with its
-datum and the q-free part of its tau, in one process-wide lru_cache: equal
-descriptions share one RootDatum object, so a sweep over parabolic types
-pays for the Cartan data once.  q is checked on every call.
+the Dynkin components typed off them, the opposition walk and the Picard
+torsion.  Each is deterministic and immutable, so a race between threads
+only computes it twice.  build_group keeps the last MAX_GROUPS descriptions
+it built, each with its datum and the q-free part of its tau, in one
+process-wide lru_cache: equal descriptions share one RootDatum object, so
+a sweep over parabolic types pays for the Cartan data once.  q is checked
+on every call.
 
-Everything of a zip datum but zeta = 1 - q*tau is q-free, and one
-process-wide memo, _memo, keeps it: K and J0 (keyed on the root
-permutation and J), the LeviLattice of the J0 coroots (on J0), the weight
-sum (on J), the Picard torsion and the orbit census (on J).  A slot is
-(id(rd), stage, key), so no lookup hashes a RootDatum and equal data from
-two descriptions have entries of their own; the memo holds a datum while
-any entry of it lives, so no other object takes its id.  It counts stored
-integers, the data it keeps alive included, within MEMO_BUDGET, drops the
-least recently used entry first and keeps no value larger than the whole
-budget.  An entry is made, self-checks and all, outside the memo's lock:
-two threads may make one entry twice and keep one, but neither raises.
-An exception is never stored, and a hit returns the same immutable object.
+Three q-free stages of a zip datum cost far more to make than to look up,
+and one process-wide memo, _memo, keeps them: the LeviLattice of the J0
+coroots (keyed on J0), the weight sum and the orbit census (both on J).
+A slot is (id(rd), stage, key), so no lookup hashes a RootDatum and equal
+data from two descriptions have entries of their own; the memo holds a
+datum while any entry of it lives, so no other object takes its id.  It
+counts stored integers, the data it keeps alive included, within
+MEMO_BUDGET, drops the least recently used entry first and keeps no value
+larger than the whole budget.  An entry is made, self-checks and all,
+outside the memo's lock: two threads may make one entry twice and keep
+one, but neither raises.  An exception is never stored, and a hit returns
+the same immutable object.  With MAX_GROUPS data of rank 128 (about 14 MB)
+the two caches hold at most about 19 MB.
 """
 
 from __future__ import annotations
@@ -165,6 +167,12 @@ class RootDatum(NamedTuple("RootDatum", [("rank", int), ("root_entries", tuple),
             raise SelfCheckError("the opposition walk took %d steps, not |Phi+| = %d"
                                  % (steps, n_pos))
         return tuple([x - 1 for x in end]), n_pos
+
+    @cached_property
+    def _picard_torsion(self) -> tuple:
+        """The factors of picard_torsion, read off the coroot matrix."""
+        factors = invariant_factors(_dense(self.coroot_entries, self.rank))
+        return tuple(f for f in factors if f > 1)
 
     def coroot_pairings(self, vec: Sequence) -> tuple:
         """<alpha_i^vee, vec> for every node i; vec may be rational.
@@ -422,11 +430,11 @@ _ENTRY_CHARGE = 32
 def _datum_charge(rd: RootDatum) -> int:
     """The integers charged for a datum that memo entries keep alive: ten
     per (coordinate, value) root and coroot entry, for the pair and the
-    Cartan rows and columns made from them, eight per node for its
-    components and opposition walk, and the rank and 32 for the object
-    itself (tracemalloc: 14-19 B per integer charged, ranks 20-128)."""
+    Cartan rows and columns made from them, nine per node for its
+    components, opposition walk and Picard torsion, and the rank and 32 for
+    the object itself (tracemalloc: 8-15 B per integer charged, ranks 20-128)."""
     nnz = sum(map(len, rd.root_entries)) + sum(map(len, rd.coroot_entries))
-    return 10 * nnz + 8 * rd.num_nodes + rd.rank + 32
+    return 10 * nnz + 9 * rd.num_nodes + rd.rank + 32
 
 
 class _Memo:
@@ -960,12 +968,9 @@ def picard_torsion(rd: RootDatum) -> tuple:
 
     Empty exactly when the derived group is simply connected.  Only the
     factors of the coroot matrix are read, so none of its transforms is built.
-    Made once per datum (_memo).
+    Made once per datum (RootDatum._picard_torsion).
     """
-    def make():
-        factors = invariant_factors(_dense(rd.coroot_entries, rd.rank))
-        return tuple(f for f in factors if f > 1)
-    return _memo(rd, "picard_torsion", None, make, len)
+    return rd._picard_torsion
 
 
 def _coroot_smith(rd: RootDatum, nodes: Iterable) -> SmithDecomposition:

@@ -155,16 +155,9 @@ def build_zip_datum(rd: RootDatum, frob: FrobeniusStructure, *,
         cochar = None
 
     perm = frob.root_perm
-
-    def make():
-        K = opp_type(rd, frozenset(perm[j] for j in J))
-        # J0 is the largest perm-stable subset of J: the perm-cycles inside J
-        J0 = frozenset([i for cycle in _cycles(perm) if J.issuperset(cycle) for i in cycle])
-        return K, J0
-
-    # charged the nodes of the key (perm, J) and of K and J0, |K| = |J| >= |J0|
-    K, J0 = _memo(rd, "parabolic_types", (tuple(perm), J), make,
-                  lambda types: len(perm) + 3 * len(J))
+    K = opp_type(rd, frozenset(perm[j] for j in J))
+    # J0 is the largest perm-stable subset of J: the perm-cycles inside J
+    J0 = frozenset([i for cycle in _cycles(perm) if J.issuperset(cycle) for i in cycle])
     return ZipDatum(rd=rd, frob=frob, J=J, K=K, J0=J0, cochar=cochar)
 
 

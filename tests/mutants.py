@@ -356,12 +356,19 @@ MUTANTS = (
            "if rows < 0 or cols < 0 or",
            ("tests/test_exact_linear.py::TestMatrixBasics::test_a_float_shape_is_refused",
             "tests/test_exact_linear.py::TestMatrixBasics::test_a_bool_shape_is_refused")),
-    # K and J0 kept under J alone: a second Frobenius structure on the same
-    # datum object reads the first one's K and J0
+    # K read off J instead of its image under the root permutation: a
+    # Frobenius structure that moves the simple roots gets the split K
     Mutant("zip_core.py",
-           '_memo(rd, "parabolic_types", (tuple(perm), J), make,',
-           '_memo(rd, "parabolic_types", J, make,',
+           "opp_type(rd, frozenset(perm[j] for j in J))",
+           "opp_type(rd, J)",
            ("tests/test_memo.py::TestKeys::test_one_datum_under_two_frobenius_structures",)),
+    # the Picard torsion read off the roots instead of the coroots: an
+    # adjoint group, whose roots span X*, reads no torsion
+    Mutant("root_datum.py",
+           "invariant_factors(_dense(self.coroot_entries, self.rank))",
+           "invariant_factors(_dense(self.root_entries, self.rank))",
+           ("tests/test_root_datum.py::TestPicardTorsion::test_adjoint_a_series",
+            "tests/test_acceptance.py::test_criterion_5_picard_torsion")),
     # the census kept under the datum alone: every J reads the first census
     Mutant("zip_core.py",
            '_memo(rd, "orbit_census", J,',

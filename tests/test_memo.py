@@ -1,8 +1,9 @@
 """The parabolic memo, root_datum._memo.
 
-A document whose (datum, J) was seen before reads K, J0, the Levi lattice,
-the weight sum, the Picard torsion and the census from the memo: it must
-print what a document on an empty memo prints.  Each entry belongs to one
+A document whose (datum, J) was seen before reads the Levi lattice, the
+weight sum and the census from the memo: it must print what a document on
+an empty memo prints.  K and J0 are made on every call and the Picard
+torsion once per datum, on the datum itself.  Each entry belongs to one
 datum object and one key, a make that raises keeps nothing, and the memo
 keeps to its budget, also when threads share it.
 """
@@ -49,7 +50,9 @@ GL4 = {"builder": "gl", "n": 4}
 
 
 def every_stage(rd, frob, J):
-    """Run every memoized stage on (rd, frob, J); return what each made."""
+    """Run every q-free stage on (rd, frob, J): K and J0, made per call, the
+    Picard torsion, kept on the datum, and the three memo stages (the Levi
+    lattice, the weight sum and the census); return what each made."""
     zd = build_zip_datum(rd, frob, parabolic=J)
     return {"K": zd.K, "J0": zd.J0, "levi": _levi_lattice(rd, zd.J0),
             "weights": fundamental_weight_sum(rd, zd.J),
@@ -93,7 +96,10 @@ class TestWarmEqualsCold:
         first = every_stage(rd, frob, [0, 2])
         entries, held = len(_memo), _memo.held
         again = every_stage(rd, frob, [0, 2])
-        assert all(again[stage] is first[stage] for stage in first)
+        assert again == first
+        # K and J0 are made afresh; the rest is the object made first
+        assert all(again[stage] is first[stage]
+                   for stage in ("levi", "weights", "picard", "census"))
         assert (len(_memo), _memo.held) == (entries, held)
 
 
@@ -135,7 +141,8 @@ class TestKeys:
         assert not any(stages_b[stage] is stages_a[stage] for stage in ("levi", "census"))
 
     def test_hand_made_lists_and_sets_still_work(self):
-        # the keys are made hashable: a list root_perm, a set J or J0
+        # a list root_perm is never hashed, and the memo keys J and J0 are made
+        # hashable, so a set J or J0 works too
         rd, frob = gl(4, 3)
         zd = build_zip_datum(rd, frob._replace(root_perm=list(frob.root_perm)), parabolic=[0])
         loose = zd._replace(J=set(zd.J), J0=set(zd.J0))

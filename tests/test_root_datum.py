@@ -1079,7 +1079,8 @@ class TestCartanCache:
         fundamental_weight_sum(used)
         orbit_census(build_zip_datum(used, frob, parabolic=[]))
         classify_cocharacter(used, (1,) + (0,) * (used.rank - 1))
-        assert {"_cartan_entries", "_opposition"} <= set(vars(used))
+        picard_torsion(used)
+        assert {"_cartan_entries", "_opposition", "_picard_torsion"} <= set(vars(used))
         assert used == fresh and fresh == used
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
@@ -1088,7 +1089,7 @@ class TestCartanCache:
     def test_the_pipeline_makes_no_dense_matrix(self, build):
         # every walk and solve reads the Cartan nonzeros, and the Smith
         # forms only the coroot entries they need; the datum caches exactly
-        # these three values, so a new per-datum cache must be named here
+        # these four values, so a new per-datum cache must be named here
         rd, frob = build()
         for J in ((), (0,), range(1, rd.num_nodes)):
             zd = build_zip_datum(rd, frob, parabolic=J)
@@ -1100,7 +1101,8 @@ class TestCartanCache:
             cli_report._positivity_section(zd)
         classify_cocharacter(rd, (2,) + (0,) * (rd.rank - 1))
         picard_torsion(rd)
-        assert set(vars(rd)) - set(rd._fields) == {"_cartan_entries", "_opposition", "components"}
+        assert set(vars(rd)) - set(rd._fields) == {"_cartan_entries", "_opposition",
+                                                   "components", "_picard_torsion"}
 
 
 class TestCharLattice:
