@@ -29,7 +29,8 @@ on every call.
 
 Three q-free stages of a zip datum cost far more to make than to look up,
 and one process-wide memo, _memo, keeps them: the LeviLattice of the J0
-coroots (keyed on J0), the weight sum and the orbit census (both on J).
+coroots and tau (keyed on J0 and tau's src and sign), the weight sum and
+the orbit census (both on J).
 A slot is (id(rd), stage, key), so no lookup hashes a RootDatum and equal
 data from two descriptions have entries of their own; the memo holds a
 datum while any entry of it lives, so no other object takes its id.  It
@@ -983,36 +984,52 @@ def _coroot_smith(rd: RootDatum, nodes: Iterable) -> SmithDecomposition:
 
 
 class LeviLattice(NamedTuple):
-    """What the twist endomorphism reads of _coroot_smith(rd, J0).
+    """What zeta = 1 - q*tau on X*(L0) reads of _coroot_smith(rd, J0) and tau.
 
-    ``factors`` are the invariant factors of the J0 coroots, r of them;
-    ``basis`` holds columns r.. of V, the basis of X*(L0), each a tuple of
-    rank entries; ``inverse`` holds every column of V^-1 as its nonzero
-    (row, value) entries.
+    ``factors`` are the invariant factors of the J0 coroots, r of them.
+    X*(L0) has the basis of columns r.. of V, and ``twist`` holds the
+    nonzero (row, column, value) entries of the matrix T of tau on that
+    basis, rows and columns counted from 0 in it.  T does not depend on q.
     """
 
     factors: tuple
-    basis: tuple
-    inverse: tuple
+    twist: tuple
 
 
-def _levi_lattice(rd: RootDatum, J0: frozenset) -> LeviLattice:
-    """The LeviLattice of the nodes J0, made once per (datum, J0) (_memo).
+def _levi_lattice(rd: RootDatum, J0: frozenset, src: Sequence, sign: Sequence) -> LeviLattice:
+    """The LeviLattice of the nodes J0 under the tau of (src, sign), made
+    once per (datum, J0, tau) (_memo): T depends on tau, not on the datum
+    alone.  GL1 under tau = 1 and -1 has one datum, J0 = {} and T = (+-1).
 
-    The columns of V and V^-1 are read as strided slices of their row-major
-    entries; U is not kept, and V and V^-1 only as the columns zeta reads.
+    T's column for a basis column b of V is entries r.. of V^-1 tau(b),
+    summed as tau(b)_j times column j of V^-1 (a strided slice, kept as its
+    nonzeros) over the nonzero tau(b)_j.  Entries 0..r-1 vanish, as the
+    root permutation fixes J0; the make checks that.  V is not kept.
     """
-    J0 = frozenset(J0)
+    J0, src, sign = frozenset(J0), tuple(src), tuple(sign)
 
     def make():
         snf = _coroot_smith(rd, J0)
-        n = rd.rank
+        n, r = rd.rank, len(snf.invariant_factors)
         basis, back = snf.V.entries, snf.V_inv.entries
-        inverse = tuple([tuple([(i, col[i]) for i in compress(range(n), col)])
-                         for col in (back[j::n] for j in range(n))])
-        return LeviLattice(factors=snf.invariant_factors, inverse=inverse,
-                           basis=tuple([basis[j::n]
-                                        for j in range(len(snf.invariant_factors), n)]))
-    # charged its integers, two per nonzero of V^-1
-    return _memo(rd, "levi_lattice", J0, make, lambda levi: (
-        len(levi.factors) + sum(map(len, levi.basis)) + 2 * sum(map(len, levi.inverse))))
+        inverse = [[(i, col[i]) for i in compress(range(n), col)]
+                   for col in (back[j::n] for j in range(n))]
+        # tau sends e_a to sign[i] * e_i with src[i] = a, i = dest[a]
+        dest = sorted(range(n), key=src.__getitem__)
+        twist = []
+        for column, j in enumerate(range(r, n)):
+            vec = basis[j::n]
+            coords = [0] * n
+            for a in compress(range(n), vec):
+                i = dest[a]
+                x = sign[i] * vec[a]
+                for row, v in inverse[i]:
+                    coords[row] += x * v
+            if any(coords[:r]):
+                raise SelfCheckError("twist endomorphism does not preserve the lattice")
+            twist += [(row - r, column, coords[row])
+                      for row in compress(range(r, n), coords[r:])]
+        return LeviLattice(factors=snf.invariant_factors, twist=tuple(twist))
+    # charged its integers, three per nonzero of T
+    return _memo(rd, "levi_lattice", (J0, src, sign), make, lambda levi: (
+        len(levi.factors) + 3 * len(levi.twist)))

@@ -12,7 +12,6 @@ equivariant Picard group.
 
 from __future__ import annotations
 
-from itertools import chain, compress
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -209,38 +208,19 @@ def classify_cocharacter(rd: RootDatum, chi: Sequence) -> str:
 
 def zeta_matrix(zd: ZipDatum) -> IntMatrix:
     """Matrix of chi -> chi - q*tau(chi) on the basis of X*(L0) in columns
-    r.. of V, for the Smith form _coroot_smith(rd, J0), read off its
-    LeviLattice, which is made once per (datum, J0).
-
-    The lattice is tau-stable because the root permutation fixes J0, so the
-    restriction has integer entries: the coordinates of an image y are
-    entries r.. of V^-1 y, and its entries 0..r-1 vanish.
-
-    The work follows the nonzeros: tau acts as the signed permutation it
-    is, and V^-1 y is summed as y_j times column j of V^-1 over the
-    nonzero y_j, each column kept as its nonzero entries.  The image
-    coordinates, the columns of zeta, are zipped into its rows.
+    r.. of V, for the Smith form _coroot_smith(rd, J0): 1 - q*T, T the
+    matrix of tau there.  Only q changes between calls on (datum, J0, tau),
+    so T is made once, checked, and kept as its nonzeros (_levi_lattice);
+    a call writes the identity of size rank - r and subtracts q*t at each.
     """
-    levi = _levi_lattice(zd.rd, zd.J0)
-    r = len(levi.factors)
-    n = zd.rd.rank
+    levi = _levi_lattice(zd.rd, zd.J0, zd.frob.src, zd.frob.sign)
+    k = zd.rd.rank - len(levi.factors)
     q = zd.frob.q
-    src, sign = zd.frob.src, zd.frob.sign
-    qsign = [q * s for s in sign]
-    inverse = levi.inverse
-    columns = []
-    for vec in levi.basis:
-        y = [x - c * vec[j] for x, c, j in zip(vec, qsign, src)]
-        coords = [0] * n
-        for j in compress(range(n), y):
-            yj = y[j]
-            for i, v in inverse[j]:
-                coords[i] += yj * v
-        if any(coords[:r]):
-            raise SelfCheckError("twist endomorphism does not preserve the lattice")
-        columns.append(coords[r:])
-    k = n - r
-    return IntMatrix(k, k, chain.from_iterable(zip(*columns)))
+    entries = [0] * (k * k)
+    entries[::k + 1] = [1] * k
+    for i, j, t in levi.twist:
+        entries[i * k + j] -= q * t
+    return IntMatrix(k, k, entries)
 
 
 def s0_characters(zd: ZipDatum) -> HasseReport:
@@ -248,9 +228,9 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
 
     When the derived group of L0 is simply connected the cokernel is the
     character group of the finite stabilizer; otherwise PicObstructionError
-    is raised, carrying the same report flagged as unreliable.  One Smith
-    form of the J0 coroots, kept as its LeviLattice, serves the lattice and
-    the torsion.
+    is raised, carrying the same report flagged as unreliable.  The
+    LeviLattice of (J0, tau) serves zeta, through T, and the torsion,
+    through the factors of the one Smith form of the J0 coroots.
     Only the invariant factors of zeta are read, so no transform of it is
     built.  They must multiply to |det zeta|, which tau gives apart from zeta
     (Carter 1985): det(1 - q tau) on X*, one 1 - eps*q^c per signed c-cycle,
@@ -267,7 +247,8 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     order = abs(det)
     if rest or order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")
-    torsion = tuple(f for f in _levi_lattice(zd.rd, zd.J0).factors if f > 1)
+    torsion = tuple(f for f in _levi_lattice(zd.rd, zd.J0, zd.frob.src, zd.frob.sign).factors
+                    if f > 1)
     report = HasseReport(
         zeta=zeta,
         det_zeta=det,

@@ -244,10 +244,10 @@ MUTANTS = (
            "diag.append(piv)",
            ("tests/test_exact_linear.py::TestInvariantFactors::"
             "test_a_scalar_matrix_has_no_unit_pivot",)),
-    # zeta's basis read from column r + 1 of V, one column short
+    # T's basis read from column r + 1 of V, one column short
     Mutant("root_datum.py",
-           "for j in range(len(snf.invariant_factors), n)",
-           "for j in range(len(snf.invariant_factors) + 1, n)",
+           "enumerate(range(r, n))",
+           "enumerate(range(r + 1, n))",
            ("tests/test_zip_core.py::TestZetaMatrix::test_unitary3",)),
     # V^-1 read by rows where its columns are meant
     Mutant("root_datum.py",
@@ -320,12 +320,23 @@ MUTANTS = (
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",
            "cfg._replace(weyl_cap=args.weyl_cap)",
            ("tests/test_cli.py::TestMainEntry::test_weyl_cap_flag",)),
-    # zeta built with the wrong tau: every sign kept, every source its own
+    # T made with the wrong tau: every sign kept, every source its own
     # index; det zeta read off tau's cycles no longer matches its factors
-    Mutant("zip_core.py",
-           "zip(vec, qsign, src)",
-           "zip(vec, qsign, range(n))",
+    Mutant("root_datum.py",
+           "                i = dest[a]\n",
+           "                i = a\n",
            ("tests/test_acceptance.py::test_criterion_2_unitary",)),
+    # zeta built as -q*T, without its identity diagonal
+    Mutant("zip_core.py",
+           "    entries[::k + 1] = [1] * k\n",
+           "",
+           ("tests/test_zip_core.py::TestZetaMatrix::test_split_is_scalar",)),
+    # the Levi stage keyed on J0 alone: one datum under two taus with equal
+    # J0 reads the T of whichever tau came first
+    Mutant("root_datum.py",
+           '_memo(rd, "levi_lattice", (J0, src, sign),',
+           '_memo(rd, "levi_lattice", J0,',
+           ("tests/test_memo.py::TestKeys::test_the_levi_stage_is_keyed_on_tau",)),
     # det zeta read off tau's cycles with the cycle signs eps dropped
     Mutant("zip_core.py",
            "prod([q * sign[i] for i in c])",

@@ -14,8 +14,10 @@ import random
 import sys
 import threading
 import tracemalloc
+from itertools import cycle
 
 import pytest
+from _oracles import dense_zeta_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import run_cli
@@ -44,6 +46,7 @@ from ziphasse.zip_core import (
     build_zip_datum,
     orbit_census,
     s0_characters,
+    zeta_matrix,
 )
 
 GL4 = {"builder": "gl", "n": 4}
@@ -54,7 +57,7 @@ def every_stage(rd, frob, J):
     Picard torsion, kept on the datum, and the three memo stages (the Levi
     lattice, the weight sum and the census); return what each made."""
     zd = build_zip_datum(rd, frob, parabolic=J)
-    return {"K": zd.K, "J0": zd.J0, "levi": _levi_lattice(rd, zd.J0),
+    return {"K": zd.K, "J0": zd.J0, "levi": _levi_lattice(rd, zd.J0, frob.src, frob.sign),
             "weights": fundamental_weight_sum(rd, zd.J),
             "picard": picard_torsion(rd), "census": orbit_census(zd)}
 
@@ -121,6 +124,29 @@ class TestKeys:
         other = build_zip_datum(unitary(4, 3)[0], flip, parabolic=[0])
         assert (other.K, other.J0) == (frozenset({0}), frozenset())
 
+    def test_the_levi_stage_is_keyed_on_tau(self):
+        # one datum object under two taus with equal J0 = {}: GL1 under
+        # tau = 1 and tau = -1, and GL4 under its split tau and U(4)'s flip;
+        # each pass runs both taus twice, the second time on a warm memo
+        q = 3
+        gl1, plus = gl(1, q)
+        minus = FrobeniusStructure(q, *_tau(gl1, (0,), (-1,)))
+        gl4, split = gl(4, q)
+        flip = FrobeniusStructure(q, *_tau(gl4, range(3, -1, -1), (-1,) * 4))
+        antidiagonal = [[1, 0, 0, q], [0, 1, q, 0], [0, q, 1, 0], [q, 0, 0, 1]]
+        diagonal = [[1 - q if i == j else 0 for j in range(4)] for i in range(4)]
+        for rd, zetas in ((gl1, {plus: [[1 - q]], minus: [[1 + q]]}),
+                          (gl4, {split: diagonal, flip: antidiagonal})):
+            for order in (list(zetas), list(zetas)[::-1]):
+                _memo.clear()
+                for frob in order + order:
+                    zd = build_zip_datum(rd, frob, parabolic=[])
+                    assert zd.J0 == frozenset()
+                    zeta = zeta_matrix(zd)
+                    assert zeta.to_rows() == zetas[frob]
+                    assert zeta == dense_zeta_matrix(zd)
+                assert len(_memo) == 2
+
     def test_each_stage_is_keyed_on_its_node_set(self):
         rd, frob = gl(5, 3)
         warm = [every_stage(rd, frob, J) for J in ([], [0], [1, 2], [0, 1, 2, 3])]
@@ -141,10 +167,13 @@ class TestKeys:
         assert not any(stages_b[stage] is stages_a[stage] for stage in ("levi", "census"))
 
     def test_hand_made_lists_and_sets_still_work(self):
-        # a list root_perm is never hashed, and the memo keys J and J0 are made
-        # hashable, so a set J or J0 works too
+        # a list root_perm is never hashed, and the memo keys J, J0 and tau's
+        # src and sign are made hashable, so a set J or J0 and a list src or
+        # sign work too
         rd, frob = gl(4, 3)
-        zd = build_zip_datum(rd, frob._replace(root_perm=list(frob.root_perm)), parabolic=[0])
+        frob = frob._replace(root_perm=list(frob.root_perm), src=list(frob.src),
+                             sign=list(frob.sign))
+        zd = build_zip_datum(rd, frob, parabolic=[0])
         loose = zd._replace(J=set(zd.J), J0=set(zd.J0))
         assert orbit_census(loose) is orbit_census(zd)
         assert s0_characters(loose) == s0_characters(zd)
@@ -240,19 +269,22 @@ class TestBudget:
         rng = random.Random(0)
         tracemalloc.start()
         try:
+            # fill past two evictions, until the memo holds within 2000
+            # integers of its budget
             evicted = 0
-            while evicted < 2:
-                for group in groups:
-                    rd, frob = build_group(group, 3)
-                    J = sorted(rng.sample(range(rd.num_nodes), rng.randint(0, rd.num_nodes)))
-                    before = len(_memo)
-                    zd = build_zip_datum(rd, frob, parabolic=J)
-                    _levi_lattice(rd, zd.J0)
-                    fundamental_weight_sum(rd, zd.J)
-                    picard_torsion(rd)
-                    if rd.num_nodes <= 6:
-                        orbit_census(zd)
-                    evicted += len(_memo) < before
+            for group in cycle(groups):
+                if evicted >= 2 and _memo.held > MEMO_BUDGET - 2000:
+                    break
+                rd, frob = build_group(group, 3)
+                J = sorted(rng.sample(range(rd.num_nodes), rng.randint(0, rd.num_nodes)))
+                before = len(_memo)
+                zd = build_zip_datum(rd, frob, parabolic=J)
+                _levi_lattice(rd, zd.J0, frob.src, frob.sign)
+                fundamental_weight_sum(rd, zd.J)
+                picard_torsion(rd)
+                if rd.num_nodes <= 6:
+                    orbit_census(zd)
+                evicted += len(_memo) < before
             root_datum._group.cache_clear()
             gc.collect()
             full = tracemalloc.get_traced_memory()[0]
