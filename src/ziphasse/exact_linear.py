@@ -2,12 +2,11 @@
 
 A matrix is an immutable record of arbitrary-precision int entries with
 one way in, its constructor, which checks them; its one piece of algebra is
-the product.  One Smith
-decomposition gives the invariant factors, the kernel, the inverse (as an
-integer matrix over one denominator) and the exact ``fractions.Fraction``
-solution of a linear system.  Where only the invariant factors are read,
-invariant_factors finds them by the same elimination without building the
-transforms.  Bareiss elimination gives the determinant, which no pipeline
+the product.  One Smith decomposition gives the invariant factors
+(invariant_factors reads them alone: the pipeline runs no other
+elimination), the kernel, the inverse (as an integer matrix over one
+denominator) and the exact ``fractions.Fraction`` solution of a linear
+system.  Bareiss elimination gives the determinant, which no pipeline
 module calls: the tests check det zeta, read off tau's cycles, against it.
 No operation in this module ever touches floating point.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -265,66 +263,9 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
 
 
 def invariant_factors(mat: IntMatrix) -> tuple:
-    """smith_normal_form(mat).invariant_factors, without U, V or V^-1.
-
-    The pivots are chosen by the same rule, _pivot, and each step clears the pivot's column
-    by row operations, but the matrix alone is changed.  Column t is then
-    zero below the pivot, so a column operation would change row t alone,
-    which no later step reads: the pivot row is only reduced modulo the
-    pivot, and a nonzero remainder is swapped in as the next pivot.  Nor is
-    the pivot made to divide the rest of the block.  The diagonal d is put
-    in normal form afterwards: Z/a + Z/b is Z/gcd + Z/lcm, and once every
-    pair i < j has been replaced so, each d_i divides d_j.  Units divide
-    everything and are set aside; the loop stops at a zero block, so no
-    zero is on the diagonal.
-    """
-    m, n = mat.rows, mat.cols
-    a = mat.to_rows()
-    diag = []
-    for t in range(min(m, n)):
-        at = _pivot(a, t)
-        if at is None:
-            break
-        pi, pj = at
-        a[t], a[pi] = a[pi], a[t]
-        while True:
-            if pj != t:
-                for r in range(t, m):
-                    row = a[r]
-                    row[t], row[pj] = row[pj], row[t]
-            piv = a[t][t]
-            i = t + 1
-            while i < m:
-                x = a[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                    if a[i][t]:
-                        # the remainder is smaller than the pivot; promote
-                        # it and reduce the old pivot row by it
-                        a[t], a[i] = a[i], a[t]
-                        piv = a[t][t]
-                        continue
-                i += 1
-            if piv == 1 or piv == -1:
-                break
-            row = a[t]
-            pj = next((j for j in range(t + 1, n) if row[j] % piv), t)
-            if pj == t:
-                break
-            row[pj] %= piv
-        diag.append(abs(piv))
-    units = diag.count(1)
-    rest = sorted(d for d in diag if d != 1)
-    for i, x in enumerate(rest):
-        for j in range(i + 1, len(rest)):
-            y = rest[j]
-            if y % x:
-                g = gcd(x, y)
-                x, rest[j] = g, y // g * x
-        rest[i] = x
-    return (1,) * units + tuple(rest)
+    """smith_normal_form(mat).invariant_factors: the Smith form is the one
+    elimination, also where only the factors are read."""
+    return smith_normal_form(mat).invariant_factors
 
 
 def determinant(mat: IntMatrix) -> int:

@@ -12,7 +12,7 @@ equivariant Picard group.
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linear import IntMatrix, SelfCheckError, _check_int, invariant_factors
@@ -228,14 +228,19 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
 
     When the derived group of L0 is simply connected the cokernel is the
     character group of the finite stabilizer; otherwise PicObstructionError
-    is raised, carrying the same report flagged as unreliable.  The
-    LeviLattice of (J0, tau) serves zeta, through T, and the torsion,
-    through the factors of the one Smith form of the J0 coroots.
-    Only the invariant factors of zeta are read, so no transform of it is
-    built.  They must multiply to |det zeta|, which tau gives apart from zeta
-    (Carter 1985): det(1 - q tau) on X*, one 1 - eps*q^c per signed c-cycle,
-    over det(1 - q tau) on X*/X*(L0), dual to the J0 coroots tau permutes.
+    is raised, carrying the same report flagged as unreliable.  One lookup
+    of the LeviLattice of (J0, tau) gives T and the torsion, the factors of
+    the Smith form of the J0 coroots.  zeta is 1 - q*T, and when T is a
+    signed permutation, as on every datum the builders make, each signed
+    c-cycle of sign eps is Z[x]/(x^c - eps), where 1 - q*x leaves c - 1
+    units and the order |q^c - eps|: the factors are the normal form of
+    those orders, and no elimination runs.  Any other T falls back to
+    invariant_factors(zeta).  The factors must multiply to |det zeta|,
+    which tau gives apart from T (Carter 1985): det(1 - q tau) on X*, one
+    1 - eps*q^c per signed c-cycle of tau, over det(1 - q tau) on
+    X*/X*(L0), dual to the J0 coroots tau permutes.
     """
+    levi = _levi_lattice(zd.rd, zd.J0, zd.frob.src, zd.frob.sign)
     zeta = zeta_matrix(zd)
     q, sign = zd.frob.q, zd.frob.sign
     whole = prod([1 - prod([q * sign[i] for i in c]) for c in _cycles(zd.frob.src)])
@@ -243,12 +248,23 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
         raise SelfCheckError("twist endomorphism must be injective")
     det, rest = divmod(whole, prod([1 - q ** len(c) for c in _cycles(zd.frob.root_perm)
                                     if zd.J0.issuperset(c)]))
-    factors = invariant_factors(zeta)
+    # T sends basis vector j to eps[j] times basis vector perm[j]; it is a
+    # signed permutation when its k nonzeros are units in k distinct rows
+    # and k distinct columns
+    k = zeta.rows
+    perm, eps = [None] * k, [0] * k
+    for i, j, t in levi.twist:
+        perm[j], eps[j] = i, t
+    if len(levi.twist) == k and set(perm) == set(range(k)) and set(eps) <= {1, -1}:
+        cycles = _cycles(perm)
+        factors = _normal_form([1] * (k - len(cycles)) + [
+            abs(q ** len(c) - prod([eps[j] for j in c])) for c in cycles])
+    else:
+        factors = invariant_factors(zeta)
     order = abs(det)
     if rest or order != prod(factors):
         raise SelfCheckError("invariant factors must multiply to |det|")
-    torsion = tuple(f for f in _levi_lattice(zd.rd, zd.J0, zd.frob.src, zd.frob.sign).factors
-                    if f > 1)
+    torsion = tuple(f for f in levi.factors if f > 1)
     report = HasseReport(
         zeta=zeta,
         det_zeta=det,
@@ -260,6 +276,24 @@ def s0_characters(zd: ZipDatum) -> HasseReport:
     if torsion:
         raise PicObstructionError(report, torsion)
     return report
+
+
+def _normal_form(diag: list) -> tuple:
+    """The invariant factors of the diagonal matrix diag, which has no zero.
+
+    Z/a + Z/b is Z/gcd + Z/lcm, and once every pair i < j has been replaced
+    so, each d_i divides d_j.  Units divide everything and are set aside.
+    """
+    units = diag.count(1)
+    rest = sorted(d for d in diag if d != 1)
+    for i, x in enumerate(rest):
+        for j in range(i + 1, len(rest)):
+            y = rest[j]
+            if y % x:
+                g = gcd(x, y)
+                x, rest[j] = g, y // g * x
+        rest[i] = x
+    return (1,) * units + tuple(rest)
 
 
 def hasse_number(zd: ZipDatum) -> int:

@@ -16,7 +16,10 @@ pins a document at the nesting and q budgets.  Two documents sit at the
 rank budget, rank 128: U(128) with J = {2..127} at q = 2, and GSp254 with
 the Siegel parabolic J = {1..126} at q = 3.  GSp254 with J = {1..10} at
 q = 3 pins a twist matrix with no unit entry, -2 times the identity of size
-118, whose invariant factors need the full elimination.  The small documents pin
+118: T is the identity, and its 118 fixed points give the factors 2.
+Every ``hasse`` and ``all`` document also runs with the fallback
+elimination made to raise, so each reads its factors off the signed
+cycles of T.  The small documents pin
 whole orbit tables: E6 maximal, F4 with J = {2}, B5 with J = {2, 4},
 U(6), GSp8, adjoint D4, Res GL3 x2 and U(3) x adjoint B2.  Three more
 pin the positivity entry of one Weil restriction written in different
@@ -44,6 +47,7 @@ from pathlib import Path
 import pytest
 
 import ziphasse
+from ziphasse import zip_core
 from ziphasse.cli_report import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -106,6 +110,19 @@ def test_text_stdout_and_exit_code_match_golden(name, command):
     code, stdout = run_document(command, case["document"], "text")
     assert code == case["text_exit"][command]
     assert stdout == expected_stdout(name, command, "text")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_hasse_document_reads_the_cycles_of_t(name, monkeypatch):
+    # the fallback elimination raises, so each document must read its
+    # factors off the signed cycles of T and still print its golden bytes
+    def fallback(zeta):
+        raise AssertionError("T is not a signed permutation: zeta was eliminated")
+    monkeypatch.setattr(zip_core, "invariant_factors", fallback)
+    case = CASES[name]
+    for command in ("hasse", "all"):
+        code, stdout = run_document(command, case["document"])
+        assert (code, stdout) == (case["exit"][command], expected_stdout(name, command))
 
 
 def test_every_census_document_has_text_goldens():

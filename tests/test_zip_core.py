@@ -10,15 +10,17 @@ from pathlib import Path
 import pytest
 import test_root_datum
 from _oracles import (apply, basis_zeta_matrix, dense_zeta_matrix, enumerated_census,
-                      full_order_j0, macdonald_length_counts, normal_form,
-                      root_list_classify, scalar, tau_cycle_invariant_factors)
+                      full_order_j0, macdonald_length_counts, minors_invariant_factors,
+                      normal_form, root_list_classify, scalar,
+                      tau_cycle_invariant_factors)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ziphasse import zip_core
-from ziphasse.exact_linear import SelfCheckError, determinant
+from ziphasse.exact_linear import IntMatrix, SelfCheckError, determinant, smith_normal_form
 from ziphasse.root_datum import (
     _degrees,
+    _levi_lattice,
     _types,
     build_group,
     char_lattice_of_parabolic,
@@ -375,6 +377,95 @@ class TestS0Characters:
         assert report.det_zeta == determinant(report.zeta)
 
 
+def cycles_only(monkeypatch):
+    """Make the fallback elimination of s0_characters raise, so that a run
+    passes only when the factors come off T's signed cycles."""
+    def fallback(zeta):
+        raise AssertionError("T is not a signed permutation: zeta was eliminated")
+    monkeypatch.setattr(zip_core, "invariant_factors", fallback)
+
+
+def report_of(zd):
+    """s0_characters(zd), also when Pic(L0) obstructs."""
+    try:
+        return s0_characters(zd)
+    except PicObstructionError as exc:
+        return exc.report
+
+
+class TestCycleRoute:
+    """zeta = 1 - q*T: the factors come off T's signed cycles when T is a
+    signed permutation, and off the Smith form of zeta otherwise."""
+
+    def test_coprime_cycle_orders_need_the_gcd_lcm_step(self, monkeypatch):
+        # GL1 x U(1) at q = 4: T = diag(1, -1), two fixed points of orders
+        # 3 and 5, so the cokernel is Z/15 and not Z/3 + Z/5 as read
+        cycles_only(monkeypatch)
+        rd, frob = product_group([{"builder": "gl", "n": 1},
+                                  {"builder": "unitary", "n": 1}], 4)
+        report = s0_characters(build_zip_datum(rd, frob, parabolic=[]))
+        assert report.zeta.to_rows() == [[-3, 0], [0, 5]]
+        assert report.invariant_factors == (1, 15)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_cycles_match_the_smith_form(self, data):
+        spec = data.draw(test_root_datum.BUILDER_SPECS.filter(
+            lambda spec: check_group(spec)[1] <= 24))
+        q = data.draw(st.sampled_from((2, 3, 4, 9, 2 ** 39)))
+        rd, frob = build_group(spec, q)
+        J = data.draw(st.sets(st.integers(0, rd.num_nodes - 1))
+                      if rd.num_nodes else st.just(set()))
+        zd = build_zip_datum(rd, frob, parabolic=J)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cycles_only(monkeypatch)
+            report = report_of(zd)
+        k = report.zeta.rows
+        assert report.invariant_factors == smith_normal_form(report.zeta).invariant_factors
+        if k <= 5:
+            assert report.invariant_factors == minors_invariant_factors(
+                report.zeta.to_rows(), k)
+
+    @pytest.mark.parametrize("build,J", [
+        (lambda: unitary(3, 3), []),
+        (lambda: unitary(5, 4), [1, 2]),
+        (lambda: weil_restriction(3, {"builder": "gl", "n": 2}, 2), []),
+        (lambda: product_group([{"builder": "gl", "n": 1},
+                                {"builder": "unitary", "n": 1}], 4), []),
+    ])
+    def test_a_conjugated_t_falls_back_to_the_smith_form(self, build, J, monkeypatch):
+        # T in the basis b1 + b2, b2, b3, ...: S^-1 T S with S = I + E_21
+        # is no signed permutation, zeta changes, its factors do not, and the
+        # det check, which reads tau and not T, still passes
+        rd, frob = build()
+        zd = build_zip_datum(rd, frob, parabolic=J)
+        before = report_of(zd)
+        levi = _levi_lattice(rd, zd.J0, frob.src, frob.sign)
+        k = before.zeta.rows
+        entries = [0] * (k * k)
+        for i, j, x in levi.twist:
+            entries[i * k + j] = x
+        s, s_inv = (IntMatrix(k, k, [int(i == j) + c * (i == 1 and j == 0)
+                                     for i in range(k) for j in range(k)])
+                    for c in (1, -1))
+        conjugated = (s_inv * IntMatrix(k, k, entries) * s).to_rows()
+        twist = tuple((i, j, x) for i, row in enumerate(conjugated)
+                      for j, x in enumerate(row) if x)
+        assert len(twist) > k
+        eliminated = []
+        inner = zip_core.invariant_factors
+        monkeypatch.setattr(zip_core, "_levi_lattice",
+                            lambda *args: levi._replace(twist=twist))
+        monkeypatch.setattr(zip_core, "invariant_factors",
+                            lambda zeta: eliminated.append(zeta) or inner(zeta))
+        after = report_of(zd)
+        assert after.zeta.to_rows() == [[(i == j) - frob.q * x for j, x in enumerate(row)]
+                                        for i, row in enumerate(conjugated)]
+        assert after.zeta != before.zeta and eliminated == [after.zeta]
+        assert after.invariant_factors == before.invariant_factors
+        assert (after.det_zeta, after.s0_order) == (before.det_zeta, before.s0_order)
+
+
 class TestOrbitCensus:
     def test_gl2_borel(self):
         rd, frob = gl(2, 3)
@@ -666,11 +757,7 @@ class TestPicRank:
 def twist_factors(rd, frob, J):
     """Invariant factors above 1 of the twist on X*(L0), also when Pic(L0)
     obstructs."""
-    zd = build_zip_datum(rd, frob, parabolic=J)
-    try:
-        report = s0_characters(zd)
-    except PicObstructionError as exc:
-        report = exc.report
+    report = report_of(build_zip_datum(rd, frob, parabolic=J))
     return tuple(f for f in report.invariant_factors if f > 1)
 
 
@@ -722,11 +809,17 @@ class TestProductAndCycleOracles:
         factor_zds = [build_zip_datum(*part, parabolic=part_J)
                       for part, part_J in zip(parts, local)]
         assert pic_rank(zd) == sum(map(pic_rank, factor_zds))
-        counts = [Counter(o.length for o in orbit_census(z).orbits)
-                  for z in factor_zds]
-        orbits = math.prod(sum(c.values()) for c in counts)
+        # |W_J \ W| of each factor off the degrees, so that no census is
+        # built when their product is over the budget
+        orbits = math.prod(
+            classical_order(part_rd) // math.prod(_degrees(_types(
+                part_rd._cartan_entries[0], part_J)))
+            for (part_rd, _), part_J in zip(parts, local))
         if orbits > max_orbits:
             return False
+        counts = [Counter(o.length for o in orbit_census(z).orbits)
+                  for z in factor_zds]
+        assert math.prod(sum(c.values()) for c in counts) == orbits
         census = orbit_census(zd)
         assert len(census.orbits) == orbits
         assert Counter(o.length for o in census.orbits) == convolve(counts)
