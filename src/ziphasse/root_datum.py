@@ -223,15 +223,14 @@ def _pairings(rows: Sequence, vec: Sequence) -> tuple:
 class FrobeniusStructure(NamedTuple):
     """q with the signed permutation tau: (tau v)_i = sign[i] * v[src[i]].
 
-    tau permutes the simple roots by root_perm and has finite order; its
-    dual is tau itself, since a signed permutation is orthogonal.
+    tau permutes the simple roots by root_perm; its dual is tau itself,
+    since a signed permutation is orthogonal.
     """
 
     q: int
     src: tuple
     sign: tuple
     root_perm: tuple
-    order: int
 
 
 def is_prime_power(q: int) -> bool:
@@ -264,9 +263,6 @@ def _cycles(perm: Sequence) -> list:
 # builders
 
 
-MAX_FROBENIUS_ORDER = 10_000
-
-
 def _check_q(q) -> int:
     """q, when it is an int prime power >= 2; raises InvalidQError otherwise."""
     if not isinstance(q, int) or isinstance(q, bool) or not is_prime_power(q):
@@ -275,13 +271,12 @@ def _check_q(q) -> int:
 
 
 def _tau(rd: RootDatum, src: Sequence, sign: Sequence) -> tuple:
-    """(src, sign, root_perm, order): the fields of a Frobenius structure
-    besides q, for the tau with (tau v)_i = sign[i] * v[src[i]].
+    """(src, sign, root_perm): the fields of a Frobenius structure besides
+    q, for the tau with (tau v)_i = sign[i] * v[src[i]].
 
-    Every builder's tau is such a signed permutation.  Its order is the lcm
-    of its cycle lengths, doubled on a cycle whose signs multiply to -1.
-    Raises ValueError when tau is not a signed permutation, does not
-    permute the simple roots and coroots alike, or has too large an order.
+    Every builder's tau is such a signed permutation.  Raises ValueError
+    when tau is not a signed permutation or does not permute the simple
+    roots and coroots alike.
     build_group checks tau once per group: the tau of a product or Weil
     restriction is block-diagonal up to the block shift, so a factor that
     fails a check here makes the whole group fail it.
@@ -306,19 +301,11 @@ def _tau(rd: RootDatum, src: Sequence, sign: Sequence) -> tuple:
             raise ValueError("tau does not permute the simple roots")
         perm.append(roots[image])
     perm = tuple(perm)
-
-    # tau sends e_src[i] to sign[i] * e_i; walk each cycle of that map
-    order = 1
-    for cycle in _cycles(src):
-        eps = prod([sign[i] for i in cycle])
-        order = lcm(order, len(cycle) if eps == 1 else 2 * len(cycle))
-    if order > MAX_FROBENIUS_ORDER:
-        raise ValueError("tau does not have small finite order")
     coroots = rd.coroot_entries
     for i, row in enumerate(coroots):
         if act(row) != coroots[perm[i]]:
             raise ValueError("tau dual does not follow the root permutation")
-    return src, sign, perm, order
+    return src, sign, perm
 
 
 def gl(n: int, q: int):
@@ -407,7 +394,7 @@ def build_group(spec: dict, q: int):
 
 @lru_cache(maxsize=MAX_GROUPS)
 def _group(key: str) -> tuple:
-    """(RootDatum, (src, sign, root_perm, order)) of the checked description
+    """(RootDatum, (src, sign, root_perm)) of the checked description
     whose canonical text is key, built from the key itself, so that an entry
     cannot hold another description's datum.  Factors and inner groups are
     built as lattice parts only (_parts), and tau is checked once, for the
@@ -967,9 +954,10 @@ def _forest_solve(rows: Sequence, target: Sequence) -> tuple:
 def picard_torsion(rd: RootDatum) -> tuple:
     """Invariant factors > 1 of X_* / (lattice spanned by the simple coroots).
 
-    Empty exactly when the derived group is simply connected.  Only the
-    factors of the coroot matrix are read, so none of its transforms is built.
-    Made once per datum (RootDatum._picard_torsion).
+    Empty exactly when the derived group is simply connected.  The coroot
+    matrix goes through smith_normal_form, which builds U, V and V^-1
+    along with the factors; only the factors are kept.  Made once per
+    datum (RootDatum._picard_torsion).
     """
     return rd._picard_torsion
 

@@ -766,11 +766,22 @@ def root_list_classify(rd, chi):
     return SMALL_NOT_MINUSCULE
 
 
+def power_loop_order(frob):
+    """The first power of tau that is the identity, each power held as the
+    pairs (a_i, s_i) with (tau^k v)_i = s_i * v[a_i], not as a matrix."""
+    n = len(frob.src)
+    power, order = tuple(zip(frob.src, frob.sign)), 1
+    while power != tuple(zip(range(n), (1,) * n)):
+        power = tuple((frob.src[a], s * frob.sign[a]) for a, s in power)
+        order += 1
+    return order
+
+
 def full_order_j0(frob, J):
     """J0 as the intersection of J with its perm-images, taken once for
     every power of tau up to its order, never stopping early."""
     J0 = set(J)
-    for _ in range(frob.order):
+    for _ in range(power_loop_order(frob)):
         J0 &= {frob.root_perm[j] for j in J0}
     return frozenset(J0)
 

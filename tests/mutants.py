@@ -208,6 +208,14 @@ MUTANTS = (
            "return tuple(y)",
            ("tests/test_exact_linear.py::TestSolveAndKernel::"
             "test_solve_random_full_column_rank",)),
+    # the Smith form without its divisibility rescan: diag(2, 3) stays as
+    # it is, not (1, 6), so the factors need not divide each other
+    Mutant("exact_linear.py",
+           "if bad is None:",
+           "if True:",
+           ("tests/test_exact_linear.py::TestInvariantFactors::test_match_the_smith_form",
+            "tests/test_exact_linear.py::TestSparseShortcuts::"
+            "test_invariant_factors_match_the_smith_form")),
     # kernel_basis reading rows of V where its columns are meant
     Mutant("exact_linear.py",
            "v[j::n] for j in range(rank, n)",
@@ -231,12 +239,6 @@ MUTANTS = (
            "seen[start] = True",
            ("tests/test_root_datum.py::TestCycles::"
             "test_cycles_partition_the_nodes_and_are_closed",)),
-    # the order of tau not doubled on a cycle whose signs multiply to -1
-    Mutant("root_datum.py",
-           "len(cycle) if eps == 1 else 2 * len(cycle)",
-           "len(cycle)",
-           ("tests/test_root_datum.py::TestCartanAndFrobenius::"
-            "test_signed_permutations_match_power_loop_oracle",)),
     # the normal form of T's cycle orders without its gcd/lcm pass: the
     # sorted orders, whose product still passes the det check
     Mutant("zip_core.py",

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import pickle
 import random
 import sys
@@ -11,13 +12,14 @@ from pathlib import Path
 import pytest
 from _oracles import (apply, central_solve_weights, coefficient_closure, dense_datum,
                       dense_group, dense_rows, dense_tau, dot, factorisations,
-                      first_negative_to_dominant, power_loop_frobenius, same_lattice,
-                      transpose, xstar_dominant_conjugate)
+                      first_negative_to_dominant, power_loop_frobenius, power_loop_order,
+                      same_lattice, tau_cycle_invariant_factors, transpose,
+                      xstar_dominant_conjugate)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ziphasse import cli_report, root_datum
-from ziphasse.exact_linear import (IntMatrix, SelfCheckError,
+from ziphasse.exact_linear import (IntMatrix, SelfCheckError, determinant,
                                    solve_rational)
 from ziphasse.root_datum import (
     MAX_DEPTH,
@@ -62,19 +64,19 @@ class TestBuilders:
         assert rd.num_nodes == 2
         assert dense_datum(rd).root(0) == (1, -1, 0)
         assert dense_tau(frob) == IntMatrix.identity(3)
-        assert frob.order == 1
+        assert power_loop_frobenius(dense_datum(rd), dense_tau(frob))[2] == 1
 
     def test_unitary3(self):
         rd, frob = unitary(3, 3)
         assert rd.rank == 3
-        assert frob.order == 2
+        assert power_loop_frobenius(dense_datum(rd), dense_tau(frob))[2] == 2
         assert apply(dense_tau(frob), (1, 0, 0)) == (0, 0, -1)  # tau(e1) = -e3
         assert frob.root_perm == (1, 0)
 
     def test_weil_restriction(self):
         rd, frob = weil_restriction(3, {"builder": "gl", "n": 2}, 2)
         assert rd.rank == 6
-        assert frob.order == 3
+        assert power_loop_frobenius(dense_datum(rd), dense_tau(frob))[2] == 3
         # block 1 shifts down to block 0
         assert apply(dense_tau(frob), (0, 0, 1, 0, 0, 0)) == (1, 0, 0, 0, 0, 0)
         assert frob.root_perm == (2, 0, 1)
@@ -280,15 +282,19 @@ class TestOneFrobeniusPerGroup:
                            match="weil_restriction needs a split inner group"):
             weil_restriction(2, nested({"builder": "unitary", "n": 3}, 3), 3)
 
-    def test_the_order_check_holds_for_the_whole_group(self):
-        # Weil restrictions of 2, 3, 5, 7, 11 and 13 copies: each factor
-        # has a small order, the product has order 30030 > 10000
-        factors = [{"builder": "weil_restriction", "copies": c,
-                    "inner": {"builder": "gl", "n": 1}}
-                   for c in (2, 3, 5, 7, 11, 13)]
-        with pytest.raises(ValueError, match="does not have small finite order"):
-            product_group(factors, 2)
-        assert product_group(factors[:5], 2)[1].order == 2310
+    def test_a_group_of_large_order_builds(self):
+        # Weil restrictions of GL1 with 2, 3, 5, 7, 11 and 13 copies: rank
+        # 41, and tau has order 30030, which no check bounds
+        group = {"builder": "product", "factors": [
+            {"builder": "weil_restriction", "copies": c,
+             "inner": {"builder": "gl", "n": 1}} for c in (2, 3, 5, 7, 11, 13)]}
+        rd, frob = build_group(group, 2)
+        assert rd.rank == 41
+        report = check_j_empty_report(rd, frob)
+        assert report.det_zeta == math.prod(1 - 2 ** c for c in (2, 3, 5, 7, 11, 13))
+        code, out, err = cli_run("hasse", {"q": 2, "group": group, "parabolic_type": []})
+        assert (code, err) == (0, "")
+        assert json.loads(out)["hasse_number"] == str(report.hasse_number)
 
 
 B3 = {"builder": "simple", "series": "B", "rank": 3}
@@ -609,23 +615,22 @@ class TestCartanAndFrobenius:
             frobenius(rd, 2, (1, 0), (1, 1))
         assert frobenius(rd, 2, (0, 1), (1, 1)).root_perm == (0,)
 
-    def test_rejects_signed_permutation_of_large_order(self):
-        # cycles of lengths 2, 3, 5, 7, 11 and 13: order 30030 > 10000
+    def test_a_signed_permutation_of_large_order_builds(self):
+        # cycles of lengths 2, 3, 5, ..., 23: rank 100, order 223092870
         cycle_of, start = [], 0
-        for length in (2, 3, 5, 7, 11, 13):
+        for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             cycle_of += [start + (i + 1) % length for i in range(length)]
             start += length
-        n = len(cycle_of)
-        with pytest.raises(ValueError, match="does not have small finite order"):
-            frobenius(torus(n), 2, cycle_of, (1,) * n)
-        # without the 13-cycle the order is 2310, which is accepted
-        assert frobenius(torus(28), 2, cycle_of[:28], (1,) * 28).order == 2310
+        rd = torus(start)
+        frob = frobenius(rd, 2, cycle_of, (1,) * start)
+        assert (rd.rank, frob.src, frob.root_perm) == (100, tuple(cycle_of), ())
+        check_j_empty_report(rd, frob)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_matches_power_loop_oracle(self, build):
         rd, frob = build()
         tau = dense_tau(frob)
-        assert (tau, frob.root_perm, frob.order) == \
+        assert (tau, frob.root_perm, power_loop_order(frob)) == \
             power_loop_frobenius(dense_datum(rd), tau)
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -638,7 +643,7 @@ class TestCartanAndFrobenius:
         tau = IntMatrix(n, n, [signs[i] if j == perm[i] else 0
                                for i in range(n) for j in range(n)])
         frob = frobenius(torus(n), 3, perm, signs)
-        assert (dense_tau(frob), frob.root_perm, frob.order) == \
+        assert (dense_tau(frob), frob.root_perm, power_loop_order(frob)) == \
             power_loop_frobenius(dense_datum(torus(n)), tau)
 
     @pytest.mark.parametrize("build", BUILDS)
@@ -748,7 +753,8 @@ class TestDenseReference:
         assert _dense(rd._cartan_entries[0], k).entries == tuple(
             dot(dense.coroot(i), dense.root(j)) for i in range(k) for j in range(k))
         _, perm, order = power_loop_frobenius(dense, tau)
-        assert (dense_tau(frob), frob.root_perm, frob.order) == (tau, perm, order)
+        assert (dense_tau(frob), frob.root_perm, power_loop_order(frob)) == \
+            (tau, perm, order)
         rng = random.Random(seed)
         vec = [rng.randint(-50, 50) for _ in range(rd.rank)]
         if kind != "int":
@@ -885,6 +891,16 @@ def frobenius(rd, q, src, sign):
     """The Frobenius structure of q and the tau (src, sign) on rd, checked
     as build_group checks them: q first, then tau."""
     return FrobeniusStructure(_check_q(q), *_tau(rd, src, sign))
+
+
+def check_j_empty_report(rd, frob):
+    """The s0_characters report at J empty, checked against the cycles of
+    the dense tau and against the determinant of its zeta."""
+    report = s0_characters(build_zip_datum(rd, frob, parabolic=()))
+    assert tuple(f for f in report.invariant_factors if f > 1) == \
+        tau_cycle_invariant_factors(frob)
+    assert report.det_zeta == determinant(report.zeta)
+    return report
 
 
 class TestPositiveRoots:
