@@ -73,4 +73,4 @@ from .positivity import (
     weil_pullback_check,
 )
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"

@@ -7,6 +7,11 @@ indices are 1-based on the wire and 0-based internally.
 
 Exit codes: 0 success, 2 input error or output error (the report could not
 be written), 3 computation obstruction (a partial report is still written).
+
+main parses each distinct argv once per process, keeping at most 64, and
+hands the Namespace to every later call with that argv.  A usage error or
+--help exits inside argparse and is never kept, so it prints and exits on
+every call.  Only callers of main in one process share the memo.
 """
 
 from __future__ import annotations
@@ -406,11 +411,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=64)
+def _parse(argv: tuple) -> argparse.Namespace:
+    """The Namespace of argv, shared by every main() given argv; never mutated."""
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse(tuple(sys.argv[1:] if argv is None else argv))
     if args.weyl_cap is not None and args.weyl_cap < 1:
-        parser.error("argument --weyl-cap: must be >= 1")
+        _parser().error("argument --weyl-cap: must be >= 1")
 
     try:
         if args.input == "-":

@@ -332,6 +332,18 @@ MUTANTS = (
            "cfg = cfg._replace(weyl_cap=args.weyl_cap)",
            "cfg._replace(weyl_cap=args.weyl_cap)",
            ("tests/test_cli.py::TestMainEntry::test_weyl_cap_flag",)),
+    # the argv memo keyed on the command alone: every flag is dropped
+    Mutant("cli_report.py",
+           "_parse(tuple(sys.argv[1:] if argv is None else argv))",
+           "_parse(tuple((sys.argv[1:] if argv is None else argv)[:1]))",
+           ("tests/test_cli.py::TestOneParserPerProcess::test_format_flag_does_not_stick",
+            "tests/test_cli.py::TestOneParserPerProcess::"
+            "test_documents_in_one_process_match_fresh_processes")),
+    # ... keyed on sys.argv always: the argv that main is given is ignored
+    Mutant("cli_report.py",
+           "_parse(tuple(sys.argv[1:] if argv is None else argv))",
+           "_parse(tuple(sys.argv[1:]))",
+           ("tests/test_cli.py::TestOneParserPerProcess::test_the_key_is_a_copy_of_argv",)),
     # T made with the wrong tau: every sign kept, every source its own
     # index; det zeta read off tau's cycles no longer matches its factors
     Mutant("root_datum.py",

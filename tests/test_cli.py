@@ -829,9 +829,57 @@ class TestOneParserPerProcess:
             assert info.value.code == 2
             assert "--weyl-cap" in capsys.readouterr().err
 
+    def test_the_key_is_a_copy_of_argv(self):
+        argv = ["hasse", "--format", "text"]
+        code, out, err = run_cli(argv, json.dumps(UNITARY3))
+        assert code == 0 and out.startswith("datum: ")
+        del argv[1:]
+        code, out, err = run_cli(argv, json.dumps(UNITARY3))
+        assert code == 0 and json.loads(out)["hasse_number"] == "8"
+
+    def test_main_without_argv_follows_sys_argv(self, monkeypatch):
+        for command in ("hasse", "picard"):
+            monkeypatch.setattr(sys, "argv", ["ziphasse", command])
+            code, out, err = run_cli(None, json.dumps(UNITARY3))
+            doc = json.loads(out)
+            assert code == 0
+            assert ("hasse_number" in doc, "picard" in doc) == \
+                (command == "hasse", command == "picard")
+
+    def test_help_and_invalid_command_exit_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: ziphasse")
+            with pytest.raises(SystemExit) as info:
+                main(["nope"])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and "nope" in err
+
+    def test_format_spellings_give_the_same_bytes(self):
+        outs = {run_cli(["hasse"] + flag, json.dumps(UNITARY3))
+                for flag in (["--format", "text"], ["--format=text"],
+                             ["--form", "text"])}
+        assert len(outs) == 1
+        code, out, err = outs.pop()
+        assert code == 0 and out.startswith("datum: ")
+
+    def test_the_memo_stays_within_its_bound(self, tmp_path):
+        bound = cli_report._parse.cache_info().maxsize
+        for i in range(bound + 2):
+            path = str(tmp_path / ("%d.json" % i))
+            code, out, err = run_cli(["hasse", "--input", path], "")
+            assert code == 2 and out == "" and path in err
+        assert cli_report._parse.cache_info().currsize <= bound
+
     def test_documents_in_one_process_match_fresh_processes(self):
         cases = [(["all"], UNITARY3), (["orbits", "--format", "text"], HB3),
-                 (["all", "--weyl-cap", "2"], PGL3_FULL)]
+                 (["all", "--weyl-cap", "2"], PGL3_FULL),
+                 (["hasse", "--format", "json"], HB3),
+                 (["hasse", "--format", "text"], HB3),
+                 (["hasse", "--format", "json"], HB3)]
         in_process = [run_cli(args, json.dumps(doc)) for args, doc in cases]
         for (args, doc), (code, out, err) in zip(cases, in_process):
             proc = subprocess.run(
